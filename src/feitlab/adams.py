@@ -10,6 +10,7 @@ n = conductor it decides the conjecture the toolkit exists to probe.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 
@@ -18,10 +19,9 @@ from .chartab import (
     CharacterTable,
     ClassFunction,
     conductor,
+    eigenvalue_dft,
     inner_product,
-    integral_inner_product,
 )
-from .cyclo import Cyclotomic, zeta
 from .errors import ConsistencyError
 
 ChiLike = Union[int, ClassFunction]
@@ -36,6 +36,46 @@ def _as_class_function(table: CharacterTable, chi: ChiLike) -> Tuple[ClassFuncti
         if all(a == b for a, b in zip(row, chi.values)):
             return chi, i
     return chi, None
+
+
+def _eigen_vectors(table: CharacterTable, chi: ClassFunction, idx: Optional[int]):
+    """Eigenvalue multiplicity vectors of chi at every class: the table's own
+    for a row, the transform of the values for any other class function."""
+    if idx is not None:
+        return table.eigen[idx]
+    return tuple(eigenvalue_dft(chi, c) for c in range(table.num_classes))
+
+
+def _trivial_multiplicity(table: CharacterTable, vectors, m: int) -> int:
+    """<psi^m chi, 1> from the eigenvalue multiplicities of chi, in integers.
+
+    The inner product is rational, so it equals its average over the Galois
+    group of the exponent-level field; that turns each eigenvalue zeta_t^(jm)
+    into its trace, mobius(k) * totient(e) / totient(k) for its order k."""
+    e = table.exponent
+    weight: Counter = Counter()  # eigenvalue order -> class-size-weighted count
+    for cls, vec in zip(table.classes, vectors):
+        t = cls.rep_order
+        for j, mult in enumerate(vec):
+            if mult:
+                weight[t // math.gcd(t, j * m)] += cls.size * mult
+    total = sum(w * numth.trace_root_of_unity(k, e) for k, w in weight.items())
+    q, r = divmod(total, table.order * numth.totient(e))
+    if r:
+        raise ConsistencyError(
+            f"trivial multiplicity of the {m}-th Adams operation is not integral"
+        )
+    return q
+
+
+def _witness(table: CharacterTable, vectors, n: int) -> Optional[Tuple[int, int]]:
+    for c, (cls, vec) in enumerate(zip(table.classes, vectors)):
+        t = cls.rep_order
+        if t % n == 0:
+            for j, mult in enumerate(vec):
+                if mult > 0 and t // math.gcd(t, j) == n:
+                    return (c, j)
+    return None
 
 
 def adams_operation(table: CharacterTable, chi: ChiLike, m: int) -> ClassFunction:
@@ -90,21 +130,21 @@ class FeitReport:
 
 def invariant(table: CharacterTable, chi: ChiLike, n: int) -> InvariantReport:
     """The alternating Adams invariant of chi at a divisor n of the exponent,
-    with the per-subset multiplicities that make up the signed sum."""
+    with the per-subset multiplicities that make up the signed sum.  Each
+    multiplicity comes from the eigenvalue multiplicities of chi; the
+    cyclotomic evaluation of ``adams_operation`` stays as its cross-check."""
     chi, idx = _as_class_function(table, chi)
     e = table.exponent
     if n < 1 or e % n != 0:
         raise ValueError(f"n = {n} must be a positive divisor of the exponent {e}")
+    vectors = _eigen_vectors(table, chi, idx)
     summands: Dict[FrozenSet[int], int] = {}
     total = 0
     for rho in numth.prime_subsets(n):
-        m = numth.subset_modulus(n, e, rho)
-        mult = integral_inner_product(
-            adams_operation(table, chi, m), table.trivial_character()
-        )
+        mult = _trivial_multiplicity(table, vectors, numth.subset_modulus(n, e, rho))
         summands[rho] = mult
         total += (-1 if len(rho) % 2 else 1) * mult
-    witness = eigenvalue_order_witness(table, chi, n) if total > 0 else None
+    witness = _witness(table, vectors, n) if total > 0 else None
     return InvariantReport(idx, n, total, witness, summands)
 
 
@@ -126,29 +166,21 @@ def alternating_adams_character(table: CharacterTable, chi: ChiLike, n: int) -> 
 def eigenvalue_multiplicities(table: CharacterTable, chi: ChiLike, c: int) -> Tuple[int, ...]:
     """Multiplicity of each power of a primitive t-th root of unity among the
     eigenvalues of a representing matrix at class c (t = representative
-    order), recovered by the inverse discrete Fourier transform of the
-    power-map values."""
-    chi, _ = _as_class_function(table, chi)
-    t = table.classes[c].rep_order
-    powers = [chi.values[table.class_of_power(c, a)] for a in range(t)]
-    out = []
-    for j in range(t):
-        acc = Cyclotomic.rational(0)
-        for a in range(t):
-            acc = acc + powers[a] * zeta(t, -j * a)
-        m = (acc / t).as_integer()
-        if m is None or m < 0:
-            raise ConsistencyError(
-                f"eigenvalue multiplicity at class {c}, exponent {j} is {acc / t!r}"
-            )
-        out.append(m)
+    order): stored on the table for a row, transformed from the values for
+    any other class function, which must then be a character."""
+    chi, idx = _as_class_function(table, chi)
+    out = table.eigen[idx][c] if idx is not None else eigenvalue_dft(chi, c)
+    if any(m < 0 for m in out):
+        raise ConsistencyError(
+            f"negative eigenvalue multiplicity at class {c}: {out}"
+        )
     total = sum(out)
     degree = chi.values[0].as_integer()
     if degree is None or total != degree:
         raise ConsistencyError(
             f"eigenvalue multiplicities at class {c} sum to {total}, not the degree"
         )
-    return tuple(out)
+    return out
 
 
 def eigenvalue_order_witness(
@@ -156,16 +188,8 @@ def eigenvalue_order_witness(
 ) -> Optional[Tuple[int, int]]:
     """First (class, exponent) in table order whose eigenvalue has order
     exactly n with positive multiplicity, if any."""
-    chi, _ = _as_class_function(table, chi)
-    for c in range(table.num_classes):
-        t = table.classes[c].rep_order
-        if t % n != 0:
-            continue
-        mults = eigenvalue_multiplicities(table, chi, c)
-        for j, m in enumerate(mults):
-            if m > 0 and t // math.gcd(t, j) == n:
-                return (c, j)
-    return None
+    chi, idx = _as_class_function(table, chi)
+    return _witness(table, _eigen_vectors(table, chi, idx), n)
 
 
 def feit_indicator(table: CharacterTable, chi: ChiLike) -> FeitReport:
@@ -175,7 +199,7 @@ def feit_indicator(table: CharacterTable, chi: ChiLike) -> FeitReport:
     if inner_product(chi, chi) != 1:
         raise ValueError("the character is not irreducible")
     c = conductor(chi)
-    rep = invariant(table, chi, c)
+    rep = invariant(table, chi if idx is None else idx, c)
     return FeitReport(idx, c, rep.value, rep.witness)
 
 
@@ -199,11 +223,10 @@ def verify_invariant(table: CharacterTable, chi: ChiLike, n: int) -> TheoremChec
     """Check that the invariant is non-negative and positive exactly when an
     eigenvalue-order witness exists.  A failure here is a reportable
     counterexample to the implementation, so nothing is raised."""
-    chi, idx = _as_class_function(table, chi)
     rep = invariant(table, chi, n)
-    witness = eigenvalue_order_witness(table, chi, n)
+    witness = rep.witness if rep.value > 0 else eigenvalue_order_witness(table, chi, n)
     return TheoremCheck(
-        idx,
+        rep.chi_index,
         n,
         rep.value,
         witness,

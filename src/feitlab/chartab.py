@@ -1,24 +1,25 @@
 """Character tables: exact computation for small groups, JSON ingest with
-full validation, inner products, Galois conjugation, conductors and power
-maps on classes.
+full validation, inner products, Galois conjugation, conductors, power
+maps on classes and eigenvalue multiplicities.
 
 Tables are computed entirely in exact arithmetic: the splitting of the
 class-sum matrices happens modulo a prime p = 1 (mod exponent) with
 p > 2*sqrt(|G|), and the resulting residue values are lifted to exact
 cyclotomic numbers through the eigenvalue-multiplicity transform, which is
-known to produce small non-negative integers.  Floating point never occurs.
+known to produce small non-negative integers.  A computed table keeps those
+multiplicities; any other table derives them on first use by the exact
+cyclotomic transform in ``eigenvalue_dft``.  Floating point never occurs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from functools import reduce
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from . import numth
-from .cyclo import Cyclotomic, units
+from .cyclo import Cyclotomic, units, zeta
 from .errors import BoundExceeded, ConsistencyError, TableFormatError
 from .groups import PermGroup, Perm, compose, inverse, perm_power
 
@@ -118,6 +119,11 @@ class CharacterTable:
     representatives and the element-to-class map), which the brute-force
     induction machinery requires; tables loaded from JSON have table data
     only.
+
+    ``eigen[i][c][j]`` is the multiplicity of zeta_t^j, t the order of class
+    c, among the eigenvalues of a representation affording character i at
+    class c.  ``compute_table`` stores the vectors its splitting produced;
+    other tables derive them once, on first use, by ``eigenvalue_dft``.
     """
 
     def __init__(
@@ -137,6 +143,7 @@ class CharacterTable:
         self.irreducibles = tuple(tuple(row) for row in irreducibles)
         self.group = group
         self.class_reps = tuple(class_reps) if class_reps is not None else None
+        self._eigen: Optional[Tuple[Tuple[Tuple[int, ...], ...], ...]] = None
 
     def __repr__(self):
         return (
@@ -147,6 +154,16 @@ class CharacterTable:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
+
+    @property
+    def eigen(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        if self._eigen is None:
+            self._eigen = tuple(
+                tuple(eigenvalue_dft(self.irreducible(i), c)
+                      for c in range(self.num_classes))
+                for i in range(len(self.irreducibles))
+            )
+        return self._eigen
 
     def degree(self, i: int) -> int:
         d = self.irreducibles[i][0].as_integer()
@@ -234,6 +251,28 @@ def integral_inner_product(a: ClassFunction, b: ClassFunction) -> int:
     return v
 
 
+def eigenvalue_dft(chi: ClassFunction, c: int) -> Tuple[int, ...]:
+    """Multiplicity of each power zeta_t^j (t the order of class c) in the
+    class function, by the inverse discrete Fourier transform of its values
+    on the powers of the class: integers, negative only for a virtual
+    character.  Tables that store their vectors never need it for a row."""
+    table = chi.table
+    t = table.classes[c].rep_order
+    powers = [chi.values[table.class_of_power(c, a)] for a in range(t)]
+    out = []
+    for j in range(t):
+        acc = Cyclotomic.rational(0)
+        for a in range(t):
+            acc = acc + powers[a] * zeta(t, -j * a)
+        m = (acc / t).as_integer()
+        if m is None:
+            raise ConsistencyError(
+                f"eigenvalue multiplicity at class {c}, exponent {j} is {acc / t!r}"
+            )
+        out.append(m)
+    return tuple(out)
+
+
 def galois_conjugate(chi: ClassFunction, k: int) -> ClassFunction:
     """Apply a Galois automorphism to every value of a class function."""
     return chi.galois(k)
@@ -273,25 +312,32 @@ def _choose_prime(order: int, exponent: int) -> int:
     return p
 
 
-def _nullspace_mod(mat: List[List[int]], p: int) -> List[List[int]]:
-    """Basis of the kernel of a square matrix over the field with p elements."""
-    n = len(mat)
-    m = [row[:] for row in mat]
+def _row_reduce_mod(m: List[List[int]], ncols: int, p: int) -> List[int]:
+    """Bring the rows of m to reduced echelon form over the field with p
+    elements, in place, pivoting on the first ncols columns only.  Returns
+    the pivot columns; pivot row k holds the pivot in column pivots[k]."""
     pivots: List[int] = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, n) if m[i][c] % p), None)
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c] % p), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = pow(m[r][c], p - 2, p)
         m[r] = [v * inv % p for v in m[r]]
-        for i in range(n):
+        for i in range(len(m)):
             if i != r and m[i][c] % p:
                 f = m[i][c]
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
         pivots.append(c)
-        r += 1
+    return pivots
+
+
+def _nullspace_mod(mat: List[List[int]], p: int) -> List[List[int]]:
+    """Basis of the kernel of a square matrix over the field with p elements."""
+    n = len(mat)
+    m = [row[:] for row in mat]
+    pivots = _row_reduce_mod(m, n, p)
     basis = []
     pivot_set = set(pivots)
     for free in range(n):
@@ -307,31 +353,13 @@ def _nullspace_mod(mat: List[List[int]], p: int) -> List[List[int]]:
 
 def _coords_in_basis(basis: List[List[int]], w: List[int], p: int) -> List[int]:
     """Coordinates of w in the span of the given independent vectors."""
-    n = len(w)
     d = len(basis)
-    aug = [[basis[j][i] for j in range(d)] + [w[i]] for i in range(n)]
-    r = 0
-    pivots = []
-    for c in range(d):
-        pr = next((i for i in range(r, n) if aug[i][c] % p), None)
-        if pr is None:
-            raise ConsistencyError("dependent basis in eigenspace splitting")
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = pow(aug[r][c], p - 2, p)
-        aug[r] = [v * inv % p for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c]
-                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][d] % p:
-            raise ConsistencyError("vector left the invariant subspace")
-    out = [0] * d
-    for i, c in enumerate(pivots):
-        out[c] = aug[i][d]
-    return out
+    aug = [[b[i] for b in basis] + [w[i]] for i in range(len(w))]
+    if len(_row_reduce_mod(aug, d, p)) != d:
+        raise ConsistencyError("dependent basis in eigenspace splitting")
+    if any(row[d] % p for row in aug[d:]):
+        raise ConsistencyError("vector left the invariant subspace")
+    return [row[d] for row in aug[:d]]
 
 
 def compute_table(
@@ -435,7 +463,7 @@ def compute_table(
             raise ConsistencyError("no integral degree matches the residue")
         vals_mod = [deg * v[k] * pow(sizes[k], p - 2, p) % p for k in range(r)]
 
-        row = []
+        row, eigen = [], []
         for k, ck in enumerate(classes):
             t = ck.element_order
             z_t = pow(z_e, e // t, p)
@@ -456,13 +484,16 @@ def compute_table(
             if sum(mults) != deg:
                 raise ConsistencyError("eigenvalue multiplicities do not sum up")
             row.append(Cyclotomic.from_terms(t, enumerate(mults)))
-        rows.append(row)
+            eigen.append(tuple(mults))
+        rows.append((row, tuple(eigen)))
 
-    if sum(row[0].as_integer() ** 2 for row in rows) != n_order:
+    if sum(row[0].as_integer() ** 2 for row, _ in rows) != n_order:
         raise ConsistencyError("degree squares do not sum to the group order")
 
     def row_key(row):
         return (row[0].as_integer(), tuple(v.at_level(e).coeffs for v in row))
+
+    rows.sort(key=lambda pair: row_key(pair[0]))
 
     table = CharacterTable(
         name or group.name,
@@ -479,10 +510,11 @@ def compute_table(
             )
             for c in classes
         ],
-        sorted(rows, key=row_key),
+        [row for row, _ in rows],
         group=group,
         class_reps=[c.rep for c in classes],
     )
+    table._eigen = tuple(eigen for _, eigen in rows)
     _validate(table)
     return table
 
@@ -537,15 +569,9 @@ def _validate(table: CharacterTable) -> None:
             got = inner_product(chi, table.irreducible(j))
             if got != (1 if i == j else 0):
                 fail(f"row orthogonality of characters {i} and {j}")
-    ncls = len(table.classes)
-    for c in range(ncls):
-        for c2 in range(c, ncls):
-            s = Cyclotomic.rational(0)
-            for row in table.irreducibles:
-                s = s + row[c] * row[c2].conjugate()
-            want = Fraction(table.order, table.classes[c].size) if c == c2 else 0
-            if s != want:
-                fail(f"column orthogonality of classes {c} and {c2}")
+    # Column orthogonality needs no check of its own: the table is square, so
+    # with D the diagonal of class sizes, X D X* = |G| I makes X invertible
+    # and forces X* X = |G| D^-1.
 
 
 def save_table(table: CharacterTable) -> bytes:

@@ -76,9 +76,10 @@ def cmd_s(args) -> int:
     if not 0 <= args.chi < table.num_classes:
         print(f"error: chi must be in 0..{table.num_classes - 1}", file=sys.stderr)
         return EXIT_ERROR
-    if table.exponent % args.n != 0:
+    if args.n < 1 or table.exponent % args.n != 0:
         print(
-            f"error: n = {args.n} must divide the exponent {table.exponent}"
+            f"error: n = {args.n} must be positive and divide the exponent"
+            f" {table.exponent}"
             f" of {table.name}",
             file=sys.stderr,
         )
@@ -103,6 +104,9 @@ def cmd_s(args) -> int:
 
 def cmd_feit(args) -> int:
     table = runner.resolve_input(args.group)
+    if args.chi is not None and not 0 <= args.chi < table.num_classes:
+        print(f"error: chi must be in 0..{table.num_classes - 1}", file=sys.stderr)
+        return EXIT_ERROR
     indices = (
         [args.chi]
         if args.chi is not None

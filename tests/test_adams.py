@@ -1,9 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from feitlab import adams, chartab, groups, numth
+from feitlab import adams, chartab, groups, numth, runner
 from feitlab.adams import (
     adams_operation,
     alternating_adams_character,
@@ -13,7 +14,14 @@ from feitlab.adams import (
     invariant,
     verify_invariant,
 )
-from feitlab.chartab import compute_table, conductor
+from feitlab.chartab import (
+    compute_table,
+    conductor,
+    integral_inner_product,
+    load_table,
+    save_table,
+)
+from feitlab.errors import ConsistencyError
 
 
 def table(spec):
@@ -211,3 +219,46 @@ def test_verify_invariant_exhaustive_small():
             for c, row in zip(coeffs, rows):
                 mixed = mixed + c * row
             assert verify_invariant(t, mixed, n).passed
+
+
+def test_integer_summands_match_cyclotomic_adams_over_corpus():
+    # every summand of the integer route equals the trivial multiplicity of
+    # the cyclotomic Adams operation, and the eigenvalue multiplicities kept
+    # from the modular splitting equal the transform of the loaded values
+    for spec in runner.C_SMALL:
+        t = table(spec)
+        assert load_table(save_table(t)).eigen == t.eigen, spec
+        triv = t.trivial_character()
+        e = t.exponent
+        chis = list(range(t.num_classes)) + [t.regular_character()]
+        for chi in chis:
+            for n in numth.divisors(e):
+                rep = invariant(t, chi, n)
+                for rho, got in rep.summands.items():
+                    m = numth.subset_modulus(n, e, rho)
+                    want = integral_inner_product(adams_operation(t, chi, m), triv)
+                    assert got == want, (spec, chi, n, sorted(rho))
+
+
+def test_invariant_of_virtual_character():
+    # the integer route is linear, so a virtual character with negative
+    # eigenvalue multiplicities still gets its invariant and witness
+    t = table("cyclic:5")
+    chi = next(i for i in range(5) if char_order(t, i) == 5)
+    triv = t.trivial_character()
+    virt = 2 * t.irreducible(chi) - triv
+    rep = invariant(t, virt, 5)
+    assert rep.value == 2 * invariant(t, chi, 5).value - invariant(t, t.trivial_index, 5).value
+    assert rep.value == 2
+    assert rep.witness == eigenvalue_order_witness(t, chi, 5)
+    assert invariant(t, triv - t.irreducible(chi), 5).value == -1
+
+
+def test_eigenvalue_multiplicities_rejects_non_characters():
+    t = table("cyclic:3")
+    chi = next(i for i in range(3) if char_order(t, i) == 3)
+    with pytest.raises(ConsistencyError):
+        eigenvalue_multiplicities(t, t.trivial_character() - t.irreducible(chi), 1)
+    half = t.class_function([Fraction(1, 2)] * 3)
+    with pytest.raises(ConsistencyError):
+        eigenvalue_multiplicities(t, half, 1)

@@ -58,6 +58,24 @@ def test_s_rejects_non_divisor(capsys):
     assert "divide the exponent" in err
 
 
+def test_s_rejects_zero_n(capsys):
+    code, _, err = run_cli(capsys, "s", "sym:3", "--chi", "0", "--n", "0")
+    assert code == 1
+    assert "must be positive" in err and "ZeroDivisionError" not in err
+
+
+def test_feit_rejects_negative_chi(capsys):
+    code, out, err = run_cli(capsys, "feit", "sym:3", "--chi", "-1")
+    assert code == 1
+    assert "chi must be in 0..2" in err and out == ""
+
+
+def test_feit_rejects_chi_past_the_end(capsys):
+    code, _, err = run_cli(capsys, "feit", "sym:3", "--chi", "9")
+    assert code == 1
+    assert "chi must be in 0..2" in err and "IndexError" not in err
+
+
 def test_s_json(capsys):
     code, out, _ = run_cli(capsys, "s", "cyclic:4", "--chi", "0", "--n", "2", "--json")
     assert code == 0
