@@ -18,9 +18,9 @@ from . import numth
 from .chartab import (
     CharacterTable,
     ClassFunction,
-    conductor,
+    _orthonormal,
+    _row_conductor,
     eigenvalue_dft,
-    inner_product,
 )
 from .errors import ConsistencyError
 
@@ -40,9 +40,11 @@ def _as_class_function(table: CharacterTable, chi: ChiLike) -> Tuple[ClassFuncti
 
 def _eigen_vectors(table: CharacterTable, chi: ClassFunction, idx: Optional[int]):
     """Eigenvalue multiplicity vectors of chi at every class: the table's own
-    for a row, the transform of the values for any other class function."""
+    for a row, those chi carries if any, else the transform of the values."""
     if idx is not None:
         return table.eigen[idx]
+    if chi.eigen is not None:
+        return chi.eigen
     return tuple(eigenvalue_dft(chi, c) for c in range(table.num_classes))
 
 
@@ -166,10 +168,16 @@ def alternating_adams_character(table: CharacterTable, chi: ChiLike, n: int) -> 
 def eigenvalue_multiplicities(table: CharacterTable, chi: ChiLike, c: int) -> Tuple[int, ...]:
     """Multiplicity of each power of a primitive t-th root of unity among the
     eigenvalues of a representing matrix at class c (t = representative
-    order): stored on the table for a row, transformed from the values for
-    any other class function, which must then be a character."""
+    order): stored on the table for a row, carried by the class function if
+    it has them (the regular character), else transformed from the values,
+    which must then be those of a character."""
     chi, idx = _as_class_function(table, chi)
-    out = table.eigen[idx][c] if idx is not None else eigenvalue_dft(chi, c)
+    if idx is not None:
+        out = table.eigen[idx][c]
+    elif chi.eigen is not None:
+        out = chi.eigen[c]
+    else:
+        out = eigenvalue_dft(chi, c)
     if any(m < 0 for m in out):
         raise ConsistencyError(
             f"negative eigenvalue multiplicity at class {c}: {out}"
@@ -194,12 +202,14 @@ def eigenvalue_order_witness(
 
 def feit_indicator(table: CharacterTable, chi: ChiLike) -> FeitReport:
     """The invariant at the conductor of an irreducible character: positive
-    exactly when the conjecture holds for this character."""
-    chi, idx = _as_class_function(table, chi)
-    if inner_product(chi, chi) != 1:
+    exactly when the conjecture holds for this character.  The irreducible
+    characters are the rows of the table; any other class function is
+    rejected."""
+    _, idx = _as_class_function(table, chi)
+    if idx is None or not _orthonormal(table, idx, idx):
         raise ValueError("the character is not irreducible")
-    c = conductor(chi)
-    rep = invariant(table, chi if idx is None else idx, c)
+    c = _row_conductor(table, idx)
+    rep = invariant(table, idx, c)
     return FeitReport(idx, c, rep.value, rep.witness)
 
 

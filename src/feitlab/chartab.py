@@ -9,6 +9,9 @@ cyclotomic numbers through the eigenvalue-multiplicity transform, which is
 known to produce small non-negative integers.  A computed table keeps those
 multiplicities; any other table derives them on first use by the exact
 cyclotomic transform in ``eigenvalue_dft``.  Floating point never occurs.
+
+A computed table is validated in integers from its multiplicities; a table
+loaded from JSON is validated on its cyclotomic values.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import reduce
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from . import numth
-from .cyclo import Cyclotomic, units, zeta
+from .cyclo import Cyclotomic, _reduction_table, units, zeta
 from .errors import BoundExceeded, ConsistencyError, TableFormatError
 from .groups import PermGroup, Perm, compose, inverse, perm_power
 
@@ -41,11 +44,15 @@ class ClassData:
 
 
 class ClassFunction:
-    """A vector of exact cyclotomic values indexed by conjugacy classes."""
+    """A vector of exact cyclotomic values indexed by conjugacy classes.
 
-    __slots__ = ("table", "values")
+    ``eigen``, when given, holds the eigenvalue multiplicity vectors of the
+    class function at every class (see ``CharacterTable``); arithmetic on
+    class functions does not carry it over."""
 
-    def __init__(self, table: "CharacterTable", values: Sequence):
+    __slots__ = ("table", "values", "eigen")
+
+    def __init__(self, table: "CharacterTable", values: Sequence, eigen=None):
         vals = tuple(
             v if isinstance(v, Cyclotomic) else Cyclotomic.rational(v)
             for v in values
@@ -54,6 +61,7 @@ class ClassFunction:
             raise ValueError("one value per conjugacy class required")
         self.table = table
         self.values = vals
+        self.eigen = eigen
 
     def __getitem__(self, c: int) -> Cyclotomic:
         return self.values[c]
@@ -188,8 +196,18 @@ class CharacterTable:
         raise ConsistencyError("table has no trivial character")
 
     def regular_character(self) -> ClassFunction:
+        """The character of the regular representation, with its eigenvalue
+        multiplicities: the degree-weighted sum of the rows' vectors."""
+        degrees = [self.degree(i) for i in range(len(self.irreducibles))]
+        eigen = tuple(
+            tuple(
+                sum(d * row[c][j] for d, row in zip(degrees, self.eigen))
+                for j in range(cls.rep_order)
+            )
+            for c, cls in enumerate(self.classes)
+        )
         return ClassFunction(
-            self, (self.order,) + (0,) * (self.num_classes - 1)
+            self, (self.order,) + (0,) * (self.num_classes - 1), eigen
         )
 
     def class_of_element(self, g: Perm) -> int:
@@ -249,6 +267,58 @@ def integral_inner_product(a: ClassFunction, b: ClassFunction) -> int:
     if v is None:
         raise ConsistencyError("inner product of virtual characters must be integral")
     return v
+
+
+def _scaled_inner_product(table: CharacterTable, u, v) -> Tuple[int, ...]:
+    """|G| * <u, v> on the power basis of the exponent-level field, for class
+    functions given by their eigenvalue multiplicity vectors, in integers.
+
+    At class c, eigenvalues zeta_t^a of u and zeta_t^b of v contribute
+    zeta_t^(a - b) = zeta_e^((a - b) e/t); the level-e sum is then reduced
+    exactly, so an irrational inner product is seen as one."""
+    e = table.exponent
+    acc = [0] * e
+    for cls, x, y in zip(table.classes, u, v):
+        t = cls.rep_order
+        step = e // t
+        ys = [(b, m) for b, m in enumerate(y) if m]
+        for a, m in enumerate(x):
+            if m:
+                w = cls.size * m
+                for b, n in ys:
+                    acc[(a - b) % t * step] += w * n
+    out = [0] * numth.totient(e)
+    for row, s in zip(_reduction_table(e), acc):
+        if s:
+            for k, r in enumerate(row):
+                if r:
+                    out[k] += s * r
+    return tuple(out)
+
+
+def _orthonormal(table: CharacterTable, i: int, j: int) -> bool:
+    """Whether <chi_i, chi_j> is 1 for i = j and 0 otherwise, decided in
+    integers from the rows' eigenvalue multiplicity vectors."""
+    got = _scaled_inner_product(table, table.eigen[i], table.eigen[j])
+    return got[0] == (table.order if i == j else 0) and not any(got[1:])
+
+
+def _row_conductor(table: CharacterTable, i: int) -> int:
+    """``conductor`` of row i from its eigenvalue multiplicities: the least
+    divisor n of the exponent such that every unit k = 1 (mod n) fixes each
+    class's vector under j -> j k (mod t)."""
+    e = table.exponent
+    columns = [(cls.rep_order, vec) for cls, vec in zip(table.classes, table.eigen[i])]
+    for n in numth.divisors(e):
+        if all(
+            vec[j * k % t] == m
+            for k in units(e)
+            if (k - 1) % n == 0 and k != 1
+            for t, vec in columns
+            for j, m in enumerate(vec)
+        ):
+            return n
+    raise ConsistencyError("conductor search failed")  # unreachable: n = e works
 
 
 def eigenvalue_dft(chi: ClassFunction, c: int) -> Tuple[int, ...]:
@@ -563,11 +633,19 @@ def _validate(table: CharacterTable) -> None:
         degs.append(d)
     if sum(d * d for d in degs) != table.order:
         fail("degree squares must sum to the group order")
-    for i in range(len(table.irreducibles)):
+    # A table that holds its eigenvalue multiplicities (every computed one)
+    # is checked in integers from them.  A loaded table would derive them by
+    # a transform that trusts the power maps and values under test, so it is
+    # checked on the cyclotomic values instead.
+    r = len(table.irreducibles)
+    for i in range(r):
         chi = table.irreducible(i)
-        for j in range(i, len(table.irreducibles)):
-            got = inner_product(chi, table.irreducible(j))
-            if got != (1 if i == j else 0):
+        for j in range(i, r):
+            if table._eigen is not None:
+                ok = _orthonormal(table, i, j)
+            else:
+                ok = inner_product(chi, table.irreducible(j)) == (1 if i == j else 0)
+            if not ok:
                 fail(f"row orthogonality of characters {i} and {j}")
     # Column orthogonality needs no check of its own: the table is square, so
     # with D the diagonal of class sizes, X D X* = |G| I makes X invertible

@@ -765,7 +765,13 @@ def from_spec(spec: str) -> PermGroup:
     if head == "sl2":
         return special_linear_2(int(rest))
     if head == "elementary":
-        p, k = (int(x) for x in rest.split(","))
+        try:
+            p, k = (int(x) for x in rest.split(","))
+        except ValueError:  # a missing, extra or non-integer argument
+            raise ValueError(
+                f"malformed group spec {spec!r}: expected elementary:p,k"
+                f" with integers p and k"
+            ) from None
         return elementary_abelian(p, k)
     if head == "extraspecial":
         if int(rest) != 27:

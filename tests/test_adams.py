@@ -21,6 +21,7 @@ from feitlab.chartab import (
     load_table,
     save_table,
 )
+from feitlab.cyclo import zeta
 from feitlab.errors import ConsistencyError
 
 
@@ -200,6 +201,16 @@ def test_feit_indicator_rejects_reducible():
     t = table("sym:3")
     with pytest.raises(ValueError):
         feit_indicator(t, t.regular_character())
+
+
+def test_feit_indicator_rejects_non_characters_of_norm_one():
+    # both have <chi, chi> = 1 but are not characters, let alone rows
+    t = table("cyclic:3")
+    chi = next(i for i in range(3) if char_order(t, i) == 3)
+    for bad in (-1 * t.irreducible(chi), zeta(3, 1) * t.irreducible(chi)):
+        with pytest.raises(ValueError, match="not irreducible"):
+            feit_indicator(t, bad)
+    assert feit_indicator(t, t.irreducible(chi)).chi_index == chi
 
 
 def test_verify_invariant_exhaustive_small():

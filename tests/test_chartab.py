@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from feitlab import chartab, groups, numth
+from feitlab import chartab, groups, numth, runner
 from feitlab.chartab import (
     compute_table,
     conductor,
@@ -11,7 +12,7 @@ from feitlab.chartab import (
     load_table,
     save_table,
 )
-from feitlab.cyclo import zeta
+from feitlab.cyclo import Cyclotomic, zeta
 from feitlab.errors import BoundExceeded, TableFormatError
 
 
@@ -285,3 +286,137 @@ def test_regular_character_decomposition():
     reg = t.regular_character()
     for i in range(3):
         assert inner_product(reg, t.irreducible(i)) == t.degree(i)
+
+
+def test_regular_character_vectors_match_the_transform():
+    # the degree-weighted sum of the row vectors is the transform of the
+    # regular character's values: |G|/t at every exponent
+    for spec in runner.C_SMALL:
+        t = table(spec)
+        reg = t.regular_character()
+        for c, cls in enumerate(t.classes):
+            t_c = cls.rep_order
+            want = chartab.eigenvalue_dft(reg, c)
+            assert reg.eigen[c] == want == (t.order // t_c,) * t_c, (spec, c)
+
+
+# the groups of order 25..720 that the feit_scan benchmark draws from
+FEIT_POOL = (
+    "dihedral:60", "dihedral:50", "product:sl2:3,cyclic:4", "dihedral:54",
+    "dihedral:56", "elementary:5,2", "elementary:3,3", "dihedral:52",
+    "dihedral:42", "dihedral:48", "product:sym:4,cyclic:4", "dihedral:40",
+    "product:sl2:3,cyclic:3", "dihedral:44", "product:sym:3,cyclic:5",
+    "product:alt:5,cyclic:3", "sl2:7", "product:dihedral:10,cyclic:3",
+    "product:alt:4,cyclic:4", "product:quaternion:8,cyclic:4", "dihedral:30",
+    "product:dihedral:8,cyclic:4", "product:alt:4,alt:4",
+    "product:sym:3,cyclic:6", "product:sym:3,sym:4", "product:sym:5,cyclic:2",
+    "product:sym:4,cyclic:3", "product:sl2:3,cyclic:2", "dihedral:36",
+    "sym:6", "product:alt:5,cyclic:2", "sl2:5", "product:alt:4,cyclic:3",
+    "product:sym:3,alt:4", "extraspecial:27", "alt:6",
+    "product:sym:4,cyclic:2", "sym:5", "product:sym:3,sym:3", "alt:5",
+    "dihedral:32", "product:quaternion:8,sym:3", "dihedral:28",
+    "product:cyclic:2,dihedral:16",
+)
+
+
+def test_integer_row_routes_match_cyclotomic():
+    # the integer pair routine is |G| times the Schur inner product, and the
+    # row conductor read from the vectors is the Galois search on the values
+    for spec in runner.C_SMALL + FEIT_POOL:
+        t = table(spec)
+        rows = [t.irreducible(i) for i in range(t.num_classes)]
+        for i in range(t.num_classes):
+            for j in range(i, t.num_classes):
+                got = chartab._scaled_inner_product(t, t.eigen[i], t.eigen[j])
+                want = t.order * inner_product(rows[i], rows[j])
+                assert Cyclotomic(t.exponent, got) == want, (spec, i, j)
+            assert chartab._row_conductor(t, i) == conductor(rows[i]), (spec, i)
+
+
+def test_scaled_inner_product_of_arbitrary_vectors():
+    # integer vectors stand for arbitrary class functions, whose inner
+    # products need not be rational; the routine must stay exact there
+    rng = random.Random(5)
+    for spec in ("cyclic:5", "sl2:3", "alt:5", "dihedral:12"):
+        t = table(spec)
+        for _ in range(20):
+            u, v = (
+                tuple(
+                    tuple(rng.randrange(-2, 3) for _ in range(cls.rep_order))
+                    for cls in t.classes
+                )
+                for _ in range(2)
+            )
+            a, b = (
+                t.class_function(
+                    [Cyclotomic.from_terms(cls.rep_order, enumerate(vec))
+                     for cls, vec in zip(t.classes, w)]
+                )
+                for w in (u, v)
+            )
+            got = Cyclotomic(t.exponent, chartab._scaled_inner_product(t, u, v))
+            assert got == t.order * inner_product(a, b), spec
+
+
+def _with_vector(t, eigen, i, c, vec):
+    """t holding eigen with the vector of row i at class c replaced."""
+    t._eigen = tuple(
+        tuple(vec if (i2, c2) == (i, c) else v for c2, v in enumerate(row))
+        for i2, row in enumerate(eigen)
+    )
+    return t
+
+
+def test_validate_catches_swapped_multiplicities():
+    # swapping two unequal entries of one stored vector changes one value
+    # of one row, which row orthogonality must then reject
+    caught = 0
+    for spec in ("sym:3", "cyclic:4", "quaternion:8", "alt:4", "sl2:3", "alt:5"):
+        t = table(spec)
+        eigen = t.eigen
+        for i, row in enumerate(eigen):
+            for c, vec in enumerate(row):
+                pair = next(
+                    ((a, b) for a in range(len(vec)) for b in range(a)
+                     if vec[a] != vec[b]),
+                    None,
+                )
+                if pair is None:
+                    continue
+                a, b = pair
+                bad = list(vec)
+                bad[a], bad[b] = bad[b], bad[a]
+                with pytest.raises(TableFormatError, match="row orthogonality"):
+                    chartab._validate(_with_vector(t, eigen, i, c, tuple(bad)))
+                caught += 1
+        t._eigen = eigen
+        chartab._validate(t)
+    assert caught > 50
+
+
+def test_validate_rejects_irrational_inner_products():
+    # on dihedral:12 a few moves of one eigenvalue leave the first power-basis
+    # coordinate of every inner product right, so only its other
+    # coordinates reveal the change: every move must still be rejected
+    t = table("dihedral:12")
+    eigen = t.eigen
+    irrational_only = 0
+    for i, row in enumerate(eigen):
+        for c, vec in enumerate(row):
+            for a in range(len(vec)):
+                for b in range(len(vec)):
+                    if a == b or not vec[a]:
+                        continue
+                    bad = list(vec)
+                    bad[a] -= 1
+                    bad[b] += 1
+                    _with_vector(t, eigen, i, c, tuple(bad))
+                    if all(
+                        chartab._scaled_inner_product(t, t.eigen[i], t.eigen[j])[0]
+                        == (t.order if i == j else 0)
+                        for j in range(t.num_classes)
+                    ):
+                        irrational_only += 1
+                    with pytest.raises(TableFormatError, match="row orthogonality"):
+                        chartab._validate(t)
+    assert irrational_only > 0

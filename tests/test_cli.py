@@ -222,6 +222,13 @@ def test_unknown_spec_is_error(capsys):
     assert "error" in err
 
 
+def test_malformed_elementary_spec_names_the_form(capsys):
+    for spec in ("elementary:2", "elementary:2,x"):
+        code, _, err = run_cli(capsys, "table", spec)
+        assert code == 1
+        assert "elementary:p,k" in err and "unpack" not in err
+
+
 def test_feit_zero_exit_code(capsys, monkeypatch):
     # a vanishing indicator is a reportable finding with its own exit code,
     # distinct from internal errors; none occurs on real tables, so stub one
