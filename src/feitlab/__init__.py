@@ -3,7 +3,7 @@ group characters, computed along two independent routes: an alternating
 sum of Adams operations, and the coefficients of the canonical induction
 of the character from one-dimensional characters of subgroups."""
 
-from .errors import BoundExceeded, ConsistencyError, TableFormatError
+from .errors import BoundExceeded, ConsistencyError, SpecError, TableFormatError
 from .cyclo import Cyclotomic, RootOfUnity, rational, zeta
 from .groups import LinearChar, MonomialPair, PermGroup, Subgroup, from_spec
 from .chartab import (
@@ -43,6 +43,7 @@ from .brauer import (
 __all__ = [
     "BoundExceeded",
     "ConsistencyError",
+    "SpecError",
     "TableFormatError",
     "Cyclotomic",
     "RootOfUnity",

@@ -2,13 +2,21 @@
 full validation, inner products, Galois conjugation, conductors, power
 maps on classes and eigenvalue multiplicities.
 
-Tables are computed entirely in exact arithmetic: the splitting of the
-class-sum matrices happens modulo a prime p = 1 (mod exponent) with
-p > 2*sqrt(|G|), and the resulting residue values are lifted to exact
-cyclotomic numbers through the eigenvalue-multiplicity transform, which is
-known to produce small non-negative integers.  A computed table keeps those
-multiplicities; any other table derives them on first use by the exact
-cyclotomic transform in ``eigenvalue_dft``.  Floating point never occurs.
+Tables are computed entirely in exact arithmetic by the Burnside-Dixon-
+Schneider splitting: the common eigenspaces of the class-sum matrices are
+split modulo a prime p = 1 (mod exponent) with p > 2*sqrt(|G|), and the
+resulting residue values are lifted to exact cyclotomic numbers through the
+eigenvalue-multiplicity transform, which is known to produce small
+non-negative integers.  Each group fact is computed once: one power map
+per class (the class of every power of its representative, which also
+gives the inverse classes and the prime power maps), the class-sum
+constants of a class only when the splitting reaches it, the eigenvalues of
+each restricted class-sum matrix as the roots over F_p of its
+characteristic polynomial, and one cyclotomic value per distinct
+multiplicity vector.  A computed table keeps its power map and
+multiplicities; any other table derives them on first use, from its prime
+power maps and by the exact cyclotomic transform in ``eigenvalue_dft``.
+Floating point never occurs.
 
 A computed table is validated in integers from its multiplicities; a table
 loaded from JSON is validated on its cyclotomic values.
@@ -24,7 +32,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 from . import numth
 from .cyclo import Cyclotomic, _reduction_table, units, zeta
 from .errors import BoundExceeded, ConsistencyError, TableFormatError
-from .groups import PermGroup, Perm, compose, inverse, perm_power
+from .groups import PermGroup, Perm, compose, inverse
 
 DEFAULT_TABLE_BOUND = 2000
 
@@ -132,6 +140,11 @@ class CharacterTable:
     c, among the eigenvalues of a representation affording character i at
     class c.  ``compute_table`` stores the vectors its splitting produced;
     other tables derive them once, on first use, by ``eigenvalue_dft``.
+
+    ``power_map[c][a]`` is the class of rep(c)^a for a below the order of
+    class c.  ``compute_table`` stores the map it built from the
+    representatives; other tables derive it once, on first use, from the
+    prime power maps.
     """
 
     def __init__(
@@ -152,6 +165,7 @@ class CharacterTable:
         self.group = group
         self.class_reps = tuple(class_reps) if class_reps is not None else None
         self._eigen: Optional[Tuple[Tuple[Tuple[int, ...], ...], ...]] = None
+        self._power_map: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     def __repr__(self):
         return (
@@ -215,8 +229,21 @@ class CharacterTable:
             raise ValueError("table carries no group data")
         return self.group.class_index(g)
 
+    @property
+    def power_map(self) -> Tuple[Tuple[int, ...], ...]:
+        if self._power_map is None:
+            self._power_map = tuple(
+                tuple(self._walk_power(c, a) for a in range(cls.rep_order))
+                for c, cls in enumerate(self.classes)
+            )
+        return self._power_map
+
     def class_of_power(self, c: int, m: int) -> int:
-        """Class of rep(c)^m, from the stored prime power maps; the part of
+        """Class of rep(c)^m, read from the power map."""
+        return self.power_map[c][m % self.classes[c].rep_order]
+
+    def _walk_power(self, c: int, m: int) -> int:
+        """Class of rep(c)^m from the stored prime power maps; the part of
         m coprime to the exponent acts through Galois column matching."""
         e = self.exponent
         m %= e
@@ -328,7 +355,7 @@ def eigenvalue_dft(chi: ClassFunction, c: int) -> Tuple[int, ...]:
     character.  Tables that store their vectors never need it for a row."""
     table = chi.table
     t = table.classes[c].rep_order
-    powers = [chi.values[table.class_of_power(c, a)] for a in range(t)]
+    powers = [chi.values[k] for k in table.power_map[c]]
     out = []
     for j in range(t):
         acc = Cyclotomic.rational(0)
@@ -432,6 +459,45 @@ def _coords_in_basis(basis: List[List[int]], w: List[int], p: int) -> List[int]:
     return [row[d] for row in aug[:d]]
 
 
+def _charpoly_mod(mat: List[List[int]], p: int) -> List[int]:
+    """Characteristic polynomial det(x I - mat) of a square matrix over the
+    field with p elements, ascending coefficients (monic of degree n), by
+    reduction to upper Hessenberg form."""
+    n = len(mat)
+    h = [[v % p for v in row] for row in mat]
+    for c in range(n - 2):
+        piv = next((i for i in range(c + 1, n) if h[i][c]), None)
+        if piv is None:
+            continue
+        if piv != c + 1:
+            h[piv], h[c + 1] = h[c + 1], h[piv]
+            for row in h:
+                row[piv], row[c + 1] = row[c + 1], row[piv]
+        inv = pow(h[c + 1][c], p - 2, p)
+        for i in range(c + 2, n):
+            f = h[i][c] * inv % p
+            if f:
+                # row i -= f row c+1, then column c+1 += f column i: a similarity
+                h[i] = [(a - f * b) % p for a, b in zip(h[i], h[c + 1])]
+                for row in h:
+                    row[c + 1] = (row[c + 1] + f * row[i]) % p
+    # polys[k] is the characteristic polynomial of the leading k x k block
+    polys = [[1]]
+    for k in range(n):
+        nxt = [0] + polys[k]
+        for d, a in enumerate(polys[k]):
+            nxt[d] = (nxt[d] - h[k][k] * a) % p
+        prod = 1
+        for i in range(k - 1, -1, -1):
+            prod = prod * h[i + 1][i] % p
+            coef = h[i][k] * prod % p
+            if coef:
+                for d, a in enumerate(polys[i]):
+                    nxt[d] = (nxt[d] - coef * a) % p
+        polys.append(nxt)
+    return polys[n]
+
+
 def compute_table(
     group: PermGroup,
     name: Optional[str] = None,
@@ -447,18 +513,28 @@ def compute_table(
     n_order = group.order
     e = group.exponent()
     cls_of = group.class_index
-    inv_class = [cls_of(inverse(c.rep)) for c in classes]
     sizes = [c.size for c in classes]
+    orders = [c.element_order for c in classes]
 
-    # class-sum structure constants: A[i][j][k] counts products from class i
-    # and class j landing on the fixed representative of class k
-    A = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for k, ck in enumerate(classes):
-        zk = ck.rep
-        for x in group.elements:
-            i = cls_of(x)
-            j = cls_of(compose(inverse(x), zk))
-            A[i][j][k] += 1
+    # powmap[k][a]: the class of rep_k^a, for a below the order of class k
+    # (class 0 is the identity class)
+    powmap = []
+    for ck in classes:
+        x, row = ck.rep, [0]
+        for _ in range(1, ck.element_order):
+            row.append(cls_of(x))
+            x = compose(x, ck.rep)
+        powmap.append(tuple(row))
+    inv_class = [pm[-1] for pm in powmap]
+
+    def class_sum_matrix(i: int) -> List[List[int]]:
+        # entry [j][k] counts the x in class i with x^-1 * rep_k in class j
+        mat = [[0] * r for _ in range(r)]
+        inverses = [inverse(x) for x in classes[i].elements]
+        for k, ck in enumerate(classes):
+            for y in inverses:
+                mat[cls_of(compose(y, ck.rep))][k] += 1
+        return mat
 
     p = _choose_prime(n_order, e)
     w = _primitive_root(p)
@@ -471,7 +547,7 @@ def compute_table(
     for i in range(1, r):
         if all(len(s) == 1 for s in spaces):
             break
-        mat_i = A[i]
+        mat_i = class_sum_matrix(i)
         new_spaces = []
         for basis in spaces:
             if len(basis) == 1:
@@ -486,15 +562,19 @@ def compute_table(
                 images.append(_coords_in_basis(basis, wv, p))
             d = len(basis)
             small = [[images[j][l] for j in range(d)] for l in range(d)]
+            poly = _charpoly_mod(small, p)
             found = 0
             for lam in range(p):
+                at_lam = 0
+                for coef in reversed(poly):
+                    at_lam = (at_lam * lam + coef) % p
+                if at_lam:
+                    continue
                 shifted = [
                     [(small[a][b2] - (lam if a == b2 else 0)) % p for b2 in range(d)]
                     for a in range(d)
                 ]
                 kernel = _nullspace_mod(shifted, p)
-                if not kernel:
-                    continue
                 sub = []
                 for vec in kernel:
                     amb = [
@@ -512,6 +592,13 @@ def compute_table(
     if any(len(s) != 1 for s in spaces):
         raise ConsistencyError("common eigenspaces did not become lines")
 
+    # z_pow[a] = z_e^a; the eigenvalue DFT at class k runs over the powers
+    # of z_t = z_e^(e/t)
+    z_pow = [1] * e
+    for a in range(1, e):
+        z_pow[a] = z_pow[a - 1] * z_e % p
+    inv_sizes = [pow(s, p - 2, p) for s in sizes]
+    inv_orders = [pow(t, p - 2, p) for t in orders]
     rows = []
     for basis in spaces:
         v = basis[0]
@@ -519,9 +606,7 @@ def compute_table(
             raise ConsistencyError("eigenvector vanishes on the identity class")
         norm = pow(v[0], p - 2, p)
         v = [x * norm % p for x in v]
-        denom = sum(
-            v[k] * v[inv_class[k]] * pow(sizes[k], p - 2, p) for k in range(r)
-        ) % p
+        denom = sum(v[k] * v[inv_class[k]] * inv_sizes[k] for k in range(r)) % p
         if denom == 0:
             raise ConsistencyError("degree denominator vanished")
         deg_sq = n_order * pow(denom, p - 2, p) % p
@@ -531,21 +616,16 @@ def compute_table(
         )
         if deg is None:
             raise ConsistencyError("no integral degree matches the residue")
-        vals_mod = [deg * v[k] * pow(sizes[k], p - 2, p) % p for k in range(r)]
+        vals_mod = [deg * v[k] * inv_sizes[k] % p for k in range(r)]
 
-        row, eigen = [], []
-        for k, ck in enumerate(classes):
-            t = ck.element_order
-            z_t = pow(z_e, e // t, p)
-            pow_class = [cls_of(perm_power(ck.rep, a)) for a in range(t)]
-            inv_t = pow(t, p - 2, p)
+        eigen = []
+        for k in range(r):
+            t, step = orders[k], e // orders[k]
+            powers = [vals_mod[c] for c in powmap[k]]
             mults = []
             for j in range(t):
-                s = sum(
-                    vals_mod[pow_class[a]] * pow(z_t, -j * a % (p - 1), p)
-                    for a in range(t)
-                )
-                m_j = s * inv_t % p
+                s = sum(x * z_pow[-j * a * step % e] for a, x in enumerate(powers))
+                m_j = s * inv_orders[k] % p
                 if m_j > deg:
                     raise ConsistencyError(
                         "eigenvalue multiplicity exceeds the degree"
@@ -553,17 +633,35 @@ def compute_table(
                 mults.append(m_j)
             if sum(mults) != deg:
                 raise ConsistencyError("eigenvalue multiplicities do not sum up")
-            row.append(Cyclotomic.from_terms(t, enumerate(mults)))
             eigen.append(tuple(mults))
-        rows.append((row, tuple(eigen)))
+        rows.append((deg, tuple(eigen)))
 
-    if sum(row[0].as_integer() ** 2 for row, _ in rows) != n_order:
+    if sum(deg * deg for deg, _ in rows) != n_order:
         raise ConsistencyError("degree squares do not sum to the group order")
 
-    def row_key(row):
-        return (row[0].as_integer(), tuple(v.at_level(e).coeffs for v in row))
+    # Rows sort on the degree, then on each value's power-basis coordinates
+    # at level e: sum_j m_j zeta_t^j = sum_j m_j zeta_e^(j e/t), reduced.
+    red = _reduction_table(e)
+    phi = numth.totient(e)
+    coords = {}
 
-    rows.sort(key=lambda pair: row_key(pair[0]))
+    def value_coords(t: int, mults: Tuple[int, ...]) -> Tuple[int, ...]:
+        key = (t, mults)
+        if key not in coords:
+            out = [0] * phi
+            for j, m in enumerate(mults):
+                if m:
+                    for idx, c in enumerate(red[j * (e // t)]):
+                        if c:
+                            out[idx] += m * c
+            coords[key] = tuple(out)
+        return coords[key]
+
+    rows.sort(key=lambda row: (
+        row[0], tuple(value_coords(t, vec) for t, vec in zip(orders, row[1]))
+    ))
+    # one value per distinct (order, vector), shared by the rows holding it
+    values = {key: Cyclotomic.from_terms(key[0], enumerate(key[1])) for key in coords}
 
     table = CharacterTable(
         name or group.name,
@@ -571,20 +669,18 @@ def compute_table(
         e,
         [
             ClassData(
-                c.element_order,
-                c.size,
-                {
-                    q: cls_of(perm_power(c.rep, q))
-                    for q, _ in numth.prime_factorization(e)
-                },
+                t,
+                size,
+                {q: pm[q % t] for q, _ in numth.prime_factorization(e)},
             )
-            for c in classes
+            for t, size, pm in zip(orders, sizes, powmap)
         ],
-        [row for row, _ in rows],
+        [[values[t, vec] for t, vec in zip(orders, eigen)] for _, eigen in rows],
         group=group,
         class_reps=[c.rep for c in classes],
     )
     table._eigen = tuple(eigen for _, eigen in rows)
+    table._power_map = tuple(powmap)
     _validate(table)
     return table
 

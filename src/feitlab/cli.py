@@ -5,9 +5,10 @@ report), feit (conductor indicators), verify (the full check suite on one
 group), corpus (verify + feit over a list of entries).
 
 Exit codes: 0 all good; 1 failed checks or internal errors; 2 usage
-errors; 3 a conductor indicator of zero was found (a conjecture
-counterexample candidate, the most interesting possible output, reported
-rather than treated as an error).
+errors (an unknown or malformed group spec, an out-of-range --chi, an --n
+that is not a positive divisor of the exponent); 3 a conductor indicator
+of zero was found (a conjecture counterexample candidate, the most
+interesting possible output, reported rather than treated as an error).
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ from typing import List, Optional
 from . import adams, runner
 from .chartab import save_table
 from .cyclo import Cyclotomic
+from .errors import SpecError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
+EXIT_USAGE = 2
 EXIT_COUNTEREXAMPLE = 3
 
 
@@ -75,7 +78,7 @@ def cmd_s(args) -> int:
     table = runner.resolve_input(args.group)
     if not 0 <= args.chi < table.num_classes:
         print(f"error: chi must be in 0..{table.num_classes - 1}", file=sys.stderr)
-        return EXIT_ERROR
+        return EXIT_USAGE
     if args.n < 1 or table.exponent % args.n != 0:
         print(
             f"error: n = {args.n} must be positive and divide the exponent"
@@ -83,7 +86,7 @@ def cmd_s(args) -> int:
             f" of {table.name}",
             file=sys.stderr,
         )
-        return EXIT_ERROR
+        return EXIT_USAGE
     rep = adams.invariant(table, args.chi, args.n)
     if args.json:
         print(json.dumps(rep.to_json(), indent=1))
@@ -106,7 +109,7 @@ def cmd_feit(args) -> int:
     table = runner.resolve_input(args.group)
     if args.chi is not None and not 0 <= args.chi < table.num_classes:
         print(f"error: chi must be in 0..{table.num_classes - 1}", file=sys.stderr)
-        return EXIT_ERROR
+        return EXIT_USAGE
     indices = (
         [args.chi]
         if args.chi is not None
@@ -256,6 +259,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_ERROR
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

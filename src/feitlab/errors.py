@@ -15,3 +15,8 @@ class BoundExceeded(ValueError):
 class TableFormatError(ValueError):
     """A serialized character table failed validation.  The message names
     the check that failed."""
+
+
+class SpecError(ValueError):
+    """A group spec string is unknown or malformed: a usage error, reported
+    with the form that was expected."""

@@ -13,11 +13,13 @@ import itertools
 import math
 import re
 from functools import reduce
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from . import numth
 from .cyclo import Cyclotomic, RootOfUnity, zeta
-from .errors import BoundExceeded
+from .errors import BoundExceeded, SpecError
 
 Perm = Tuple[int, ...]
 
@@ -745,52 +747,110 @@ _CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
 def from_spec(spec: str) -> PermGroup:
     """Parse the group-spec grammar: cyclic:12, sym:4, alt:5, dihedral:8,
     quaternion:8, sl2:3, elementary:3,2, extraspecial:27,
-    perm:[(1,2),(1,2,3)], product:sym:3,cyclic:2."""
-    spec = spec.strip()
+    perm:[(1,2),(1,2,3)], product:sym:3,cyclic:2.
+
+    Raises SpecError for an unknown or malformed spec, and BoundExceeded,
+    before building anything, when the order the spec names exceeds
+    DEFAULT_ORDER_BOUND.  A perm: spec (alone or as a factor) names no order
+    in advance; its enumeration stops at the bound instead."""
+    build, order = _parse_spec(spec.strip())
+    if order is not None and order > DEFAULT_ORDER_BOUND:
+        raise BoundExceeded(
+            f"group spec {spec!r} names a group of order above the bound"
+            f" {DEFAULT_ORDER_BOUND}"
+        )
+    return build()
+
+
+def _capped_product(factors: Iterable[int]) -> int:
+    """The product of positive integers, or DEFAULT_ORDER_BOUND + 1 as soon
+    as it exceeds the bound (so that sym:100000 costs nothing)."""
+    out = 1
+    for f in factors:
+        out *= f
+        if out > DEFAULT_ORDER_BOUND:
+            return DEFAULT_ORDER_BOUND + 1
+    return out
+
+
+def _parse_spec(spec: str) -> Tuple[Callable[[], PermGroup], Optional[int]]:
+    """A builder for the group a spec names, and the group's order worked out
+    from the spec alone (capped by ``_capped_product``; None where a perm:
+    spec is involved)."""
     head, sep, rest = spec.partition(":")
     if not sep:
-        raise ValueError(f"malformed group spec {spec!r}")
-    if head == "cyclic":
-        return cyclic(int(rest))
-    if head == "sym":
-        return symmetric(int(rest))
-    if head == "alt":
-        return alternating(int(rest))
-    if head == "dihedral":
-        return dihedral(int(rest))
-    if head == "quaternion":
-        if int(rest) != 8:
-            raise ValueError("only the order-8 quaternion group is bundled")
-        return quaternion()
-    if head == "sl2":
-        return special_linear_2(int(rest))
-    if head == "elementary":
+        raise SpecError(
+            f"malformed group spec {spec!r}: expected head:arguments, as in cyclic:12"
+        )
+
+    def args(form: str, count: int = 1) -> List[int]:
         try:
-            p, k = (int(x) for x in rest.split(","))
-        except ValueError:  # a missing, extra or non-integer argument
-            raise ValueError(
-                f"malformed group spec {spec!r}: expected elementary:p,k"
-                f" with integers p and k"
-            ) from None
-        return elementary_abelian(p, k)
+            vals = [int(x) for x in rest.split(",")]
+        except ValueError:  # a non-integer argument
+            vals = []
+        if len(vals) != count:
+            raise SpecError(
+                f"malformed group spec {spec!r}: expected {form} with integer"
+                f" {'arguments' if count > 1 else 'argument'}"
+            )
+        return vals
+
+    def check(ok: bool, why: str) -> None:
+        if not ok:
+            raise SpecError(f"malformed group spec {spec!r}: {why}")
+
+    if head == "cyclic":
+        (n,) = args("cyclic:n")
+        check(n >= 1, "cyclic group needs n >= 1")
+        return (lambda: cyclic(n)), n
+    if head == "sym":
+        (n,) = args("sym:n")
+        check(n >= 1, "symmetric group needs n >= 1")
+        return (lambda: symmetric(n)), _capped_product(range(2, n + 1))
+    if head == "alt":
+        (n,) = args("alt:n")
+        check(n >= 1, "alternating group needs n >= 1")
+        return (lambda: alternating(n)), _capped_product(range(3, n + 1))
+    if head == "dihedral":
+        (n,) = args("dihedral:n")
+        check(n >= 2 and n % 2 == 0, "dihedral groups here have even order >= 2")
+        return (lambda: dihedral(n)), n
+    if head == "quaternion":
+        check(args("quaternion:8") == [8],
+              "only the order-8 quaternion group is bundled")
+        return quaternion, 8
+    if head == "sl2":
+        (q,) = args("sl2:p")
+        check(numth.is_prime(q) and q <= 7, "only small primes are supported")
+        return (lambda: special_linear_2(q)), q * (q * q - 1)
+    if head == "elementary":
+        q, k = args("elementary:p,k", 2)
+        check(numth.is_prime(q) and k >= 1, "need a prime p and k >= 1")
+        order = _capped_product(itertools.repeat(q, k))
+        return (lambda: elementary_abelian(q, k)), order
     if head == "extraspecial":
-        if int(rest) != 27:
-            raise ValueError("only the order-27 extraspecial preset is bundled")
-        return extraspecial_27()
+        check(args("extraspecial:27") == [27],
+              "only the order-27 extraspecial preset is bundled")
+        return extraspecial_27, 27
     if head == "perm":
         cycles = [
             tuple(int(x) for x in m.group(1).split(","))
             for m in _CYCLE_RE.finditer(rest)
         ]
-        if not cycles:
-            raise ValueError(f"no cycles found in {spec!r}")
+        check(bool(cycles), "no cycles found")
+        check(all(min(c) >= 1 and len(set(c)) == len(c) for c in cycles),
+              "cycles need distinct points numbered from 1")
         degree = max(max(c) for c in cycles)
         gens = [perm_from_cycles([c], degree) for c in cycles]
-        return PermGroup(gens, degree=degree, name=spec)
+        return (lambda: PermGroup(gens, degree=degree, name=spec)), None
     if head == "product":
-        factors = _split_product(rest)
-        return direct_product(*(from_spec(f) for f in factors), name=spec)
-    raise ValueError(f"unknown group spec {spec!r}")
+        parts = [_parse_spec(f.strip()) for f in _split_product(rest)]
+        orders = [order for _, order in parts]
+        return (
+            lambda: direct_product(*(build() for build, _ in parts), name=spec),
+            None if None in orders else _capped_product(orders),
+        )
+    raise SpecError(f"unknown group spec {spec!r}")
 
 
 def _split_product(rest: str) -> List[str]:

@@ -63,10 +63,13 @@ def looks_like_spec(entry: str) -> bool:
 
 
 def resolve_input(entry: str) -> CharacterTable:
-    """A corpus entry is either a group-spec string or a table file path."""
-    if looks_like_spec(entry):
+    """A corpus entry is either a group-spec string or a table file path.
+    An entry that is neither a bundled spec form nor an existing file is
+    read as a spec, so that ``from_spec`` rejects it (SpecError)."""
+    path = Path(entry)
+    if looks_like_spec(entry) or not path.exists():
         return compute_table(from_spec(entry), name=entry)
-    return load_table(Path(entry).read_bytes())
+    return load_table(path.read_bytes())
 
 
 def _check(checks: List[dict], name: str, passed: bool, detail: str = ""):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -13,7 +14,7 @@ from feitlab.chartab import (
     save_table,
 )
 from feitlab.cyclo import Cyclotomic, zeta
-from feitlab.errors import BoundExceeded, TableFormatError
+from feitlab.errors import BoundExceeded, ConsistencyError, TableFormatError
 
 
 def table(spec):
@@ -420,3 +421,355 @@ def test_validate_rejects_irrational_inner_products():
                     with pytest.raises(TableFormatError, match="row orthogonality"):
                         chartab._validate(t)
     assert irrational_only > 0
+
+
+# SHA-256 of save_table(t) and of repr(t.eigen) for every bundled group and
+# every feit_scan pool group, recorded from the earlier compute_table (power
+# classes recomputed per row, every structure constant built up front, a
+# nullspace per field element): any change of row order, of a value or of
+# its level fails here.
+GOLDEN_TABLES = {
+    "cyclic:1": (
+        "08b4d8d6998861fa2be3d867a3adefe29e8679109affd81e89631cd03bc9c2ad",
+        "643db1aa8c053beb7cf53628a5c9fb00f73b4113557f1d9b0cf1fead35919eb0",
+    ),
+    "cyclic:2": (
+        "993a23d5a89bc530f492791dd5218bad37f81748acd4a5d09ff4a79a748d09f1",
+        "5d03ed48c06129c7a78ca1d9d318a6f96062e431fe450de860a545aff5b845d5",
+    ),
+    "cyclic:3": (
+        "fecc4dddce33821ef6d624065def18cc0eecc133b2cf71c60ad2258c230e06bf",
+        "7628c16dc6af48cbc1dc2665c243af908eabd9e3af0610cefc91e0613f142154",
+    ),
+    "cyclic:4": (
+        "ed1c648656baaa955988e8d997a5db2000fff2dd1fff00efe2bd5f361be9aa34",
+        "21e1f4a0b03d0892c2eac8654739e79ede29422779b040a5c49208b6cbd9a747",
+    ),
+    "cyclic:5": (
+        "66555ec4a65a22a7db923547e1538880ec577b725b21dd3e56560f733b8e6cc9",
+        "29d80e7281fbfffce512450e1649acab18f1284edeee50b6c6fd3b1150d4b56f",
+    ),
+    "cyclic:6": (
+        "ffee3b5f3171a3a9c442a8a0a88edce139e70ec2f25b66274fd606aadafa18ea",
+        "0f744a8bf8120f85e619b27320ee92687ea5f2f3ee12648f9eed9af6c05735e9",
+    ),
+    "cyclic:7": (
+        "f94c61c6051a6c64bea29052e837eea00610a9054f9b7e719bbe0ecde284445e",
+        "dae853380bbe712b2d62b8a21c7b0629df09976c94692a06824e4da39b0d451d",
+    ),
+    "cyclic:8": (
+        "10cb37922c459d1a9f3676f33ca5018147752a7a95046ac469c2ce1f91a76e6e",
+        "7b1f8ef8930a7522c8e05281c3c7d8746c78adbe1a9ca4544641fe20d8a30a22",
+    ),
+    "cyclic:9": (
+        "970e8465d51f09f8c70c69d8d3337663122f606f44f7d9f975ee40ae26877782",
+        "9f4cee2b33f363528f3f08c922058ce2adf641475267e5d36c4a558b755a31d7",
+    ),
+    "cyclic:10": (
+        "191e9dc596417e15107ec347ec67bff7a38343df022b4a0f6f672f360c8d4011",
+        "c85a9f98f635bcb824c1750d5bf5502b47c6a71eaba48040e211601c9c444a4d",
+    ),
+    "cyclic:11": (
+        "f776fc6d17fba71644a92c402e108bbe2a2b398f067d17444e9a87359eca06bb",
+        "56fcf7101af4e7aec7de85cae58e4f967458db71c272881a81548fd11f0b60da",
+    ),
+    "cyclic:12": (
+        "3384807a8a2ebf7e428adc97f2c50191ecad4e6a178bc4637526beba6e9ed32c",
+        "6c84929f8080f89addd96ffb8ab5e013cdb7e2729f4983eca0d51a7858221aaa",
+    ),
+    "product:cyclic:2,cyclic:2": (
+        "84787b4973f4f4f8a1fe32a76eebd85cab1c370a93099a5f2d6e8025284cdb6e",
+        "f710e122a1a8ae344b7c68c3b0d6250e3651cfa8559a32770163912c843d562a",
+    ),
+    "product:cyclic:2,cyclic:4": (
+        "4a5a4347c55f486d9869410c314d3917ad54433e86711c3130fb459da2825a26",
+        "b9a95ceb770487ae89f61926865040cf93734deaf20b00fe808e959e418dc7b3",
+    ),
+    "sym:3": (
+        "7fa67fc03a1b3248473bec9fac392cda72996d857f5f30e067bda48cdd9be875",
+        "92cc2d6923166f1195d59facdae337cbcd9d05ebd4fbf994fe0b69a761543088",
+    ),
+    "dihedral:8": (
+        "4d787fc5ff540addfb331b15aef47abcc46ec52535f4d13fd309b036214914ec",
+        "d9ed53def1eab4c3ec1442fa1045053c734546b1675fc33b84a33ce92fbf1be5",
+    ),
+    "quaternion:8": (
+        "1bf1788185e6eaee717f36827e38d328b2463fb1af421d9c83bead201548eb4d",
+        "11c33c7d784aaea957e8610a8631bbdb1057e1eaa535c4e4ebea187b4612e978",
+    ),
+    "dihedral:12": (
+        "4b38e45f2fbf60387439612dc9e2c7599ba255c462eca6e8be8c3c81a2f77748",
+        "2067a34cae341fe8782dc291db323866c66ea6149459794d6fbe40e9378d3e9d",
+    ),
+    "alt:4": (
+        "475d7bbb8944de47c5c34b70fe46d40fb9abbddf0599223722e87859682b80ec",
+        "03017395a011189c27414570c6fc83d73fb21c72a1e9248960b0205387d8221e",
+    ),
+    "sl2:3": (
+        "4c3bc99edd3a82d885912cecdb8a65d05932c3a008b118820fdf2292cbbbdb59",
+        "ec8e8b7e3757a2eb4cfd853d79c865414d59d9684629ae154840059b1251f8d9",
+    ),
+    "sym:4": (
+        "550a0fe34738c1c35ecddba53bbcf591afcc3107eb3777fa94bff488dc19f0a3",
+        "0b341596f156aa0235ef8487424cc3acbb57ac96a14721bc0c35c1cbcd36289e",
+    ),
+    "dihedral:60": (
+        "b0519be320b61714a6298963cb41d5fbcbab246396ec27a42e1c2c105d222b84",
+        "dc9eb64a429829997c77e05e76ca1bbb77f70e2cca9e308e0f2a8fbaf9925193",
+    ),
+    "dihedral:50": (
+        "767474ec703385b2376fc54fa7435ed19e5e93543463021306763e2f8088d489",
+        "800388f8a1cfd8c1fd4461efb9c2b6874f4809adb226f9f560431f24c4a107e5",
+    ),
+    "product:sl2:3,cyclic:4": (
+        "e51f99230c66294e69ba2522e3bd361160ea62407a39d5fb48776c4933ef413a",
+        "69417ec19625f940fe3a1cf8c6bf60f17c2fe5c4cdbc80430a33204c02d07b27",
+    ),
+    "dihedral:54": (
+        "21b6f637687f9db1584201ab8a3642b2862db1bb6cdbf6e5e8a7e8c843536217",
+        "2be8b51f4a9d0ee3da2b5a19f78d9223cd1c8a9ea77d5e44e6b6cfd14370b809",
+    ),
+    "dihedral:56": (
+        "c041ce0d177afb4beb20e68f20c5229c8487c8409f9cfeafee4be9ca6d7cf70b",
+        "e86756f329186c493b61046b34cc3d8ddd8811be6e60bf374f066992b9aaffef",
+    ),
+    "elementary:5,2": (
+        "00deca07567502c81d49375327c4e762b9fb712376516a5674d113fbf8890702",
+        "4089e967959a5fe9fa34cdcdbb8191dbbdf38804dd793f4011dcab079da86821",
+    ),
+    "elementary:3,3": (
+        "64a7666f48172e7d14941f0462cdbe32fac92c1b55f4749b168608f83d0529d0",
+        "882008da8b4498af9f04e678057d3b08cc7adcd3615e5b328d75bfac4ab26fe8",
+    ),
+    "dihedral:52": (
+        "72260d02f5fa39aeed54ab83f2e1d5aba416642c16f3840a81f29b0b43a3e22c",
+        "4a037f439cb2158a2e40d0775f030bd76bb5bbd9dd63fd7ace8f234783843a3b",
+    ),
+    "dihedral:42": (
+        "23ddd7763ec559b4aab2a1384b59935db475fdcabe4af44f91c87aed6bb7ff91",
+        "15a75788568c8039924ebba930514bae7145f695f533737781c95a264f830f72",
+    ),
+    "dihedral:48": (
+        "c7876a3ef9b80a0af8b3ad3beff35c91bf4571394d5c7eab0f9563d472816e7d",
+        "3d3385b3287a7bf1ff9880f5f9fa9e5935d4c1dc0cf25f7f7262d4f2d616157b",
+    ),
+    "product:sym:4,cyclic:4": (
+        "539db18c9c95a3f6ab4c7750419a51701ab959d1a2e077d0afb3a1385729465b",
+        "95a59539471c47781625209ed6326c109cf14d5745d100ad582bdf7ffb39f8ab",
+    ),
+    "dihedral:40": (
+        "66973bc81b6a03c6a7ce78f857f311780d8ab8e31c6569d0065405599e93f57c",
+        "f32f60d8fb56a31c7b75b35dda85a51fc7e611672dd988c0ec22db1db2047c37",
+    ),
+    "product:sl2:3,cyclic:3": (
+        "710caf8e1a4ab39f796c891e753ac45ed30c8f1a88a78e057d0a0e58fdf93845",
+        "61dde11508fbd989dfac42946867728741cd43d01699a393a13d72ba3e0a4798",
+    ),
+    "dihedral:44": (
+        "8c1ea453bb7fad2ba5b224b5093c84b2ddedddf7e56a3e6f501a670d824a46ca",
+        "39f0a5cf0272db43634b467fcdc6ca90af4524a3f99a1328125ec3faf70f1266",
+    ),
+    "product:sym:3,cyclic:5": (
+        "f46782d113460ffcb042dc3daf18046e3921e6efad331c147a45b0cbe01db723",
+        "ae5e123f97ffb7e3da385f7c17b90dd3eb284565519bd49470ee838e6c310088",
+    ),
+    "product:alt:5,cyclic:3": (
+        "4312afd97657f7b700556bd4407fbb87bc26e9a64f462b9ec79b9098e6ce3c74",
+        "8b81ad8205cb74f4c3fe6b4b9159c6fec13ac28f2bbb2d8d9fa50f1103b41004",
+    ),
+    "sl2:7": (
+        "8bbad82684bedf7c0f21df8a82de75161caa34dbf081070d5888f71b71cc03a5",
+        "346604abeee3c21b3d822a3a63774f47ef438a1e2fd4b04c0bcfbfe84af32d7c",
+    ),
+    "product:dihedral:10,cyclic:3": (
+        "65a8089f719ec113c3672bcee96bb1a305da778c515d7f94e4f1559251cc6091",
+        "fad38351d8bc49946750cdb2867164eee62a81b1ce72882e71dfb332c6cf8265",
+    ),
+    "product:alt:4,cyclic:4": (
+        "1e3f22366f77eea3e1e60388fb2d6dfc5bf1e323c8bb92f8e1fb910fb49d76f4",
+        "ae81674fdec51707cddfee2d74c0f57cbfc46b4f5a6b77d6b5a27ffa326f2897",
+    ),
+    "product:quaternion:8,cyclic:4": (
+        "f1ee5e3e6b89683ce7c0d43832e8e666e381a9e20b2de3492d81f35e1f925c12",
+        "0f930ce0753775880980097fe8626a6e97971dba26da050bc94f88c577c61e6a",
+    ),
+    "dihedral:30": (
+        "dfc2ab7fc367424173fdb4eab0cf76465366e1e5ef6bd0dab81eebc187e28715",
+        "6eb49804d3778acfc0b0cc9e02a52a98a4738256d1883bb7d8bb7b520b290f9c",
+    ),
+    "product:dihedral:8,cyclic:4": (
+        "b9b3a5ee4cfaf748dd4b6c5c0c34423c15edc4222b6337c03f1ec0500ffb7cc9",
+        "39a2990d10363b30b86a5fb0595ff53683f34a42ff42e7c1502389a4558041d4",
+    ),
+    "product:alt:4,alt:4": (
+        "181a5bf0858a0e8c4960b197c6f357927a51155d6b8a28d4734ca32e446e48b1",
+        "f3956868b7c50e2e990780cf4619ca2efed5bce55f6f263157c4354cb42ea08c",
+    ),
+    "product:sym:3,cyclic:6": (
+        "ecc69998dc36fdcc4885430977b9f7477bb0de2a84b0aaba1667b49a169f3340",
+        "eaa3be74aac8a2daf3cb434a7e3fe7dfb6647351bb80a9da34c5096fadf767c4",
+    ),
+    "product:sym:3,sym:4": (
+        "4a07790e4b06e222272cf3d1a4447feb78505bf638b9544421083727af25e0b8",
+        "cbe8d89884105ff4ad5c2380ba9c6e501ccd83d605ce7b1f095a154153a78938",
+    ),
+    "product:sym:5,cyclic:2": (
+        "148cfba00e878dcf384b4045c716b247f61dc1fb1da044bb318b07298c8aa349",
+        "393e73a838cb0f960d96899727e2d9428c3bfdbe3a63e57f43d1ee87a0531720",
+    ),
+    "product:sym:4,cyclic:3": (
+        "2f1e765320e9eff8d3cd32e2f569f278fd7c497ee1f816dec0fbeeb83535cbe1",
+        "29cb91240881ec857b21c7b366548743e9d7d51812065450a9786785e968d4d1",
+    ),
+    "product:sl2:3,cyclic:2": (
+        "3493163e3faf3fee27cc71b6db90b5252398d6d60394b1984662562177670ce3",
+        "0a239dc7fbfac117525eb2cfe9413dde1c53718569be32a0b13c318bd5cf86f1",
+    ),
+    "dihedral:36": (
+        "37f8b918de27be4d0d53c2a08e1fc9cfaee380d2ac4e5fc748e022cb0cc30db4",
+        "993552999efb2dbf56edfcab6035d57d752c37a8b84cbe16a868d7c6a958f9fa",
+    ),
+    "sym:6": (
+        "c8795a7001c8e573243c305e752fc2605eefca34d2625b2c1349ec20dd098c77",
+        "3cc84c33564442caff90aec957ac26c7a186486ac3b2f4093d80b97c1642f82c",
+    ),
+    "product:alt:5,cyclic:2": (
+        "1981f7a38171f792e9911911c1e19c41e92bb910e30cf3528d13d2d03557750b",
+        "3446e559a7abda9283bfe2fc4f93da40b8f6643dd285d7fb33439ac424544b10",
+    ),
+    "sl2:5": (
+        "082c0037eba0f95c19e76b58eb0f4f27c4188b38762a67225af04a58593797b3",
+        "3483834ade62306faca0280dcac55415fe269808192c48a9b1d1e6a6e659acda",
+    ),
+    "product:alt:4,cyclic:3": (
+        "2afe24d0462603b8b9ac40597966fa625e29143256c53bdeb8c49097e352d77f",
+        "c6438a0288aeea5cfe39680f88ae0970812ad3e12bdbf58ab9781fd4017a504f",
+    ),
+    "product:sym:3,alt:4": (
+        "a799dfcc32e9ac5c5fc09f0727dbbe8bf847041d17bab63544fb8e960af20314",
+        "3906081dad0c66903d30b43f29b4f7bc7a11eda692cec83e5ca72697d3a57fa7",
+    ),
+    "extraspecial:27": (
+        "9f7e89e761ff8c6314df2f95d08dc5e0bb09dabb1c5ee57daa889f4944bdf78b",
+        "968656f8cb40ef4c1e3e36cdd241ee41e93c49020f51c0634e5a313d556eaa12",
+    ),
+    "alt:6": (
+        "41f1bf4539eb642b444bf99f7829dfc2aa0b9ea5ab0f7eb76181e4505417c603",
+        "8b9eac83ff3b5e12062aeb302f8aac7c2b21850f1e1e972e020279eae79505de",
+    ),
+    "product:sym:4,cyclic:2": (
+        "dc13e175d3fbed928839bec0bf1574ce183796f94dfbe6eda3dbdfa6d025d95b",
+        "d02bb8a457b7de47c738624a07bfec544a431b0dab299bacdb816e28445ba017",
+    ),
+    "sym:5": (
+        "93b37161226b4ad2048b24f99d86cd48f3517e9173523b7a52ddfc4662ba1867",
+        "90e6334a799d9915671fe685e23460269e73c202ae641df92ae0896af56f3e1c",
+    ),
+    "product:sym:3,sym:3": (
+        "ed3eb526a128bbda682f3465a73a925630c29a1e5309108cb44bea7130c9e52e",
+        "832ae0ca1c1e52a0adcff4c94e937cbddf3c85630efdc65900157107a5d99073",
+    ),
+    "alt:5": (
+        "7d50b86f7ecc43d5382050cb3f7ce721ae7e05eea02d50edf76aa9719c3ffb5a",
+        "c8cbcab24c34d08b7f99a26529d831c586896fc895b5c697648ecb723b14d5bf",
+    ),
+    "dihedral:32": (
+        "5cd226b51d58b66ff4d99c09596cfc6e69d1b22e87cc35e79577d45219c6a384",
+        "5f1b6e8119fe9ad3000cde67e193c0cb5b30253b337a7a412830cc96f343f33c",
+    ),
+    "product:quaternion:8,sym:3": (
+        "9c6f73b3d0a942b5cfe8a237e71473ec4497f616334e037e7c335f93851d44eb",
+        "6d523351d90bb707db88c2a6ede77a5747b2190976a0c0272b92b4de11e5d479",
+    ),
+    "dihedral:28": (
+        "7ea19730194c283d2edf3ed7b28064f6023e8e2505202766a087240a4f6d60cb",
+        "0dea5b293a6c44a7990742ece886f8362798b058d7de53a56a15001546f8d9d0",
+    ),
+    "product:cyclic:2,dihedral:16": (
+        "265eeb4f7fb6ab4f568548ca838677857676867714c1d5227033d8c852806b77",
+        "6a26cedba064fe8cf9ea493666f24c811183c282dc33fa260ab9c8141ea262e0",
+    ),
+}
+
+
+def test_tables_match_recorded_hashes():
+    assert set(GOLDEN_TABLES) == set(runner.C_SMALL + FEIT_POOL)
+    for spec, (table_hash, eigen_hash) in GOLDEN_TABLES.items():
+        t = table(spec)
+        assert hashlib.sha256(save_table(t)).hexdigest() == table_hash, spec
+        assert hashlib.sha256(repr(t.eigen).encode()).hexdigest() == eigen_hash, spec
+
+
+def test_power_map_is_kept_and_derived_for_loaded_tables():
+    # a computed table keeps the map it built from the representatives; a
+    # loaded one derives the same map from its prime power maps
+    for spec in runner.C_SMALL:
+        t = table(spec)
+        loaded = load_table(save_table(t))
+        assert loaded._power_map is None
+        assert loaded.power_map == t.power_map, spec
+        for a in range(t.exponent):
+            want = list(t.group.class_power_map(a))
+            assert [
+                pm[a % cls.rep_order] for pm, cls in zip(t.power_map, t.classes)
+            ] == want, (spec, a)
+            assert [loaded.class_of_power(c, a) for c in range(t.num_classes)] \
+                == want, (spec, a)
+
+
+def _at(poly, lam, p):
+    out = 0
+    for coef in reversed(poly):
+        out = (out * lam + coef) % p
+    return out
+
+
+def test_charpoly_roots_are_the_eigenvalues():
+    rng = random.Random(11)
+    primes = sorted({
+        chartab._choose_prime(g.order, g.exponent())
+        for g in map(groups.from_spec, FEIT_POOL[:12])
+    })
+    cases = []
+    for p in primes:
+        for d in range(1, 9):
+            cases.append(([[rng.randrange(p) for _ in range(d)] for _ in range(d)], p))
+            # a sparse matrix, with zero pivots in its Hessenberg reduction
+            cases.append(([[rng.choice((0, 0, 1, p - 1)) for _ in range(d)]
+                           for _ in range(d)], p))
+        cases.append(([[0] * 3 for _ in range(3)], p))
+        cases.append(([[5 if i == j else 0 for j in range(4)] for i in range(4)], p))
+        cases.append(([[rng.randrange(p)]], p))
+        # a Jordan block: one root, a one-dimensional eigenspace
+        cases.append(([[2, 1, 0], [0, 2, 1], [0, 0, 2]], p))
+    for mat, p in cases:
+        d = len(mat)
+        poly = chartab._charpoly_mod(mat, p)
+        assert len(poly) == d + 1 and poly[-1] == 1, (mat, p)
+        for lam in range(p):
+            shifted = [
+                [(v - (lam if a == b else 0)) % p for b, v in enumerate(row)]
+                for a, row in enumerate(mat)
+            ]
+            assert (_at(poly, lam, p) == 0) == bool(
+                chartab._nullspace_mod(shifted, p)
+            ), (mat, p, lam)
+
+
+def test_split_fails_when_a_root_is_missed(monkeypatch):
+    charpoly = chartab._charpoly_mod
+
+    def drop_least_root(mat, p):
+        poly = charpoly(mat, p)
+        lam = next(x for x in range(p) if _at(poly, x, p) == 0)
+        while _at(poly, lam, p) == 0:  # divide out every factor x - lam
+            desc = poly[::-1]
+            quot = [desc[0]]
+            for coef in desc[1:-1]:
+                quot.append((coef + lam * quot[-1]) % p)
+            poly = quot[::-1]
+        return poly
+
+    monkeypatch.setattr(chartab, "_charpoly_mod", drop_least_root)
+    with pytest.raises(ConsistencyError, match="class-sum matrix failed to split"):
+        compute_table(groups.symmetric(3))

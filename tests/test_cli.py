@@ -54,25 +54,31 @@ def test_s_command(capsys):
 
 def test_s_rejects_non_divisor(capsys):
     code, _, err = run_cli(capsys, "s", "sym:3", "--chi", "0", "--n", "4")
-    assert code == 1
+    assert code == 2
     assert "divide the exponent" in err
 
 
 def test_s_rejects_zero_n(capsys):
     code, _, err = run_cli(capsys, "s", "sym:3", "--chi", "0", "--n", "0")
-    assert code == 1
+    assert code == 2
     assert "must be positive" in err and "ZeroDivisionError" not in err
 
 
 def test_feit_rejects_negative_chi(capsys):
     code, out, err = run_cli(capsys, "feit", "sym:3", "--chi", "-1")
-    assert code == 1
+    assert code == 2
+    assert "chi must be in 0..2" in err and out == ""
+
+
+def test_s_rejects_chi_past_the_end(capsys):
+    code, out, err = run_cli(capsys, "s", "sym:3", "--chi", "7", "--n", "1")
+    assert code == 2
     assert "chi must be in 0..2" in err and out == ""
 
 
 def test_feit_rejects_chi_past_the_end(capsys):
     code, _, err = run_cli(capsys, "feit", "sym:3", "--chi", "9")
-    assert code == 1
+    assert code == 2
     assert "chi must be in 0..2" in err and "IndexError" not in err
 
 
@@ -218,14 +224,14 @@ def test_corpus_determinism(tmp_path, capsys):
 
 def test_unknown_spec_is_error(capsys):
     code, _, err = run_cli(capsys, "table", "nonsense:1")
-    assert code == 1
+    assert code == 2
     assert "error" in err
 
 
 def test_malformed_elementary_spec_names_the_form(capsys):
     for spec in ("elementary:2", "elementary:2,x"):
         code, _, err = run_cli(capsys, "table", spec)
-        assert code == 1
+        assert code == 2
         assert "elementary:p,k" in err and "unpack" not in err
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from feitlab import groups
-from feitlab.errors import BoundExceeded
+from feitlab.errors import BoundExceeded, SpecError
 from feitlab.groups import (
     MonomialPair,
     PermGroup,
@@ -260,6 +260,42 @@ def test_from_spec():
         from_spec("nonsense:1")
     with pytest.raises(ValueError):
         from_spec("sym4")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["sym4", "nonsense:1", "cyclic:0", "cyclic:x", "dihedral:7", "sl2:11",
+     "quaternion:16", "elementary:4,2", "perm:[(0,1)]", "perm:[]",
+     "product:sym:3,cyclic:-1"],
+)
+def test_from_spec_rejects_malformed_specs(spec):
+    with pytest.raises(SpecError):
+        from_spec(spec)
+
+
+def test_from_spec_rejects_large_orders_before_building(monkeypatch):
+    def enumerate_elements(*args, **kwargs):
+        raise AssertionError("the group was enumerated")
+
+    monkeypatch.setattr(groups, "_closure", enumerate_elements)
+    for spec in ("cyclic:12000", "sym:9", "product:sym:5,sym:5"):
+        with pytest.raises(BoundExceeded):
+            from_spec(spec)
+
+
+def test_from_spec_admits_orders_up_to_the_bound(monkeypatch):
+    class Enumerating(Exception):
+        pass
+
+    def enumerate_elements(*args, **kwargs):
+        raise Enumerating
+
+    # the prediction lets the largest admissible cyclic group through to
+    # enumeration (stubbed out here: enumerating it costs seconds)
+    monkeypatch.setattr(groups, "_closure", enumerate_elements)
+    assert groups.DEFAULT_ORDER_BOUND == 10080
+    with pytest.raises(Enumerating):
+        from_spec("cyclic:10080")
 
 
 def test_perm_spec_big():
