@@ -15,6 +15,7 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .adams import ChiLike, _as_class_function, adams_operation
@@ -66,6 +67,7 @@ class MonomialContext:
         pairs.sort(key=lambda p: p.key())
         self.pairs = tuple(pairs)
         self.index = {p.key(): i for i, p in enumerate(pairs)}
+        self.orders = tuple(p.character.order for p in pairs)
 
         npairs = len(pairs)
         above: List[List[int]] = [[] for _ in range(npairs)]
@@ -116,6 +118,11 @@ class MonomialContext:
             dfs(start, 1)
         self.chain_weight = dict(chain_weight)
         self.orbit_chain_weight = dict(orbit_weight)
+
+    @cached_property
+    def cyclic(self) -> Tuple[bool, ...]:
+        """Whether each pair's subgroup is cyclic, computed on first use."""
+        return tuple(p.subgroup.is_cyclic() for p in self.pairs)
 
     def orbit_of(self, pair: MonomialPair) -> Tuple[MonomialPair, int, int]:
         """Canonical representative, orbit size, and stabilizer size."""
@@ -546,8 +553,7 @@ def check_equivalences(
 
     max_m = maximal_flags(in_m)
     max_mt = maximal_flags(in_mt)
-    orders = [p.character.order for p in ctx.pairs]
-    cyclic = [p.subgroup.is_cyclic() for p in ctx.pairs]
+    orders, cyclic = ctx.orders, ctx.cyclic
     idx = range(len(ctx.pairs))
     return EquivalenceCheck(
         n=n,

@@ -275,7 +275,9 @@ class CharacterTable:
         return matches[0]
 
     def row_key(self, row: Sequence[Cyclotomic]) -> tuple:
-        return tuple(v.at_level(self.exponent).coeffs for v in row)
+        return tuple(
+            (w.nums, w.den) for w in (v.at_level(self.exponent) for v in row)
+        )
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
@@ -315,11 +317,10 @@ def _scaled_inner_product(table: CharacterTable, u, v) -> Tuple[int, ...]:
                 for b, n in ys:
                     acc[(a - b) % t * step] += w * n
     out = [0] * numth.totient(e)
-    for row, s in zip(_reduction_table(e), acc):
+    for (idx, val), s in zip(_reduction_table(e), acc):
         if s:
-            for k, r in enumerate(row):
-                if r:
-                    out[k] += s * r
+            for k, r in zip(idx, val):
+                out[k] += s * r
     return tuple(out)
 
 
@@ -651,9 +652,9 @@ def compute_table(
             out = [0] * phi
             for j, m in enumerate(mults):
                 if m:
-                    for idx, c in enumerate(red[j * (e // t)]):
-                        if c:
-                            out[idx] += m * c
+                    idx, val = red[j * (e // t)]
+                    for k, c in zip(idx, val):
+                        out[k] += m * c
             coords[key] = tuple(out)
         return coords[key]
 

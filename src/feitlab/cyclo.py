@@ -1,10 +1,14 @@
 """Exact arithmetic in cyclotomic fields.
 
 Values live in the field generated by a primitive e-th root of unity for a
-"level" e, represented on the power basis 1, z, ..., z^(phi(e)-1) with
-Fraction coefficients, reduced modulo the e-th cyclotomic polynomial.  The
-representation at a fixed level is canonical, so equality at a common level
-is coefficient equality; mixed-level operations promote to the lcm level.
+"level" e, represented on the power basis 1, z, ..., z^(phi(e)-1) as a tuple
+of integer numerators over one positive common denominator, reduced modulo
+the e-th cyclotomic polynomial and kept in lowest terms (the gcd of the
+numerators and the denominator is 1).  The representation at a fixed level
+is canonical, so equality at a common level is a comparison of numerators
+and denominators; mixed-level operations promote to the lcm level.  All
+arithmetic runs on integers; only the projection to a divisor level
+(`_solve_exact`) works over Fraction.
 """
 
 from __future__ import annotations
@@ -12,41 +16,41 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from typing import Iterable, List, Optional, Tuple, Union
+from functools import lru_cache
+from operator import add
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import numth
 from .errors import ConsistencyError
 
 Rational = Union[int, Fraction]
-
-
-def _poly_divmod_exact(num: List[int], den: List[int]) -> List[int]:
-    """Quotient of integer polynomials known to divide exactly."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(out) - 1, -1, -1):
-        c = num[len(den) - 1 + shift]
-        if c % den[-1] != 0:
-            raise ConsistencyError("inexact cyclotomic polynomial division")
-        q = c // den[-1]
-        out[shift] = q
-        for i, d in enumerate(den):
-            num[i + shift] -= q * d
-    if any(num):
-        raise ConsistencyError("nonzero remainder in cyclotomic division")
-    return out
+# a sparse row: the basis indices with a nonzero coefficient, and those
+# coefficients
+SparseRow = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e: int) -> Tuple[int, ...]:
     """Coefficients (ascending) of the e-th cyclotomic polynomial, computed
-    by dividing x^e - 1 by the polynomials of the proper divisors of e."""
+    as the product over d | e of (x^d - 1)^mobius(e/d): multiplications by
+    the binomials first, then exact divisions by them."""
     if e < 1:
         raise ValueError(f"positive level required, got {e}")
-    poly = [-1] + [0] * (e - 1) + [1]
-    for d in numth.divisors(e)[:-1]:
-        poly = _poly_divmod_exact(poly, list(cyclotomic_polynomial(d)))
+    poly = [1]
+    signs = [(d, numth.mobius(e // d)) for d in numth.divisors(e)]
+    for d, mu in signs:
+        if mu == 1:  # times x^d - 1
+            poly = [(poly[i - d] if i >= d else 0) - (poly[i] if i < len(poly) else 0)
+                    for i in range(len(poly) + d)]
+    for d, mu in signs:
+        if mu == -1:  # divided by x^d - 1: poly[i] = quot[i - d] - quot[i]
+            quot: List[int] = []
+            for i in range(len(poly) - d):
+                quot.append((quot[i - d] if i >= d else 0) - poly[i])
+            rest = [quot[i - d] if i >= d else 0 for i in range(len(quot), len(poly))]
+            if rest != poly[len(quot):]:
+                raise ConsistencyError("nonzero remainder in cyclotomic division")
+            poly = quot
     return tuple(poly)
 
 
@@ -57,71 +61,138 @@ def units(e: int) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(e: int) -> Tuple[Tuple[int, ...], ...]:
-    """Monomial z^i at level e expressed on the power basis, for every
-    exponent i that arithmetic can produce (i < max(e, 2*phi(e)-1))."""
-    phi = numth.totient(e)
+def _phi(e: int) -> int:
+    """totient(e), the dimension of the level-e field, once per level."""
+    return numth.totient(e)
+
+
+@lru_cache(maxsize=None)
+def _reduction_table(e: int) -> Tuple[SparseRow, ...]:
+    """Monomial z^i at level e expressed on the power basis, as a sparse
+    row, for every exponent 0 <= i < e.
+
+    The rows are the sparse index maps of every level change and Galois
+    map: row i * step of the level-(e * step) table embeds z^i of level e,
+    and row i * k mod e applies z -> z^k.  A product's exponents k < 2e use
+    row k mod e, since the e-th cyclotomic polynomial divides x^e - 1."""
+    phi = _phi(e)
     poly = cyclotomic_polynomial(e)
     tail = tuple(-c for c in poly[:phi])  # z^phi on the basis
-    limit = max(e, 2 * phi - 1)
-    rows: List[Tuple[int, ...]] = []
-    for i in range(phi):
-        rows.append(tuple(int(i == j) for j in range(phi)))
-    for i in range(phi, limit):
-        prev = rows[i - 1]
-        shifted = (0,) + prev[:-1]
-        carry = prev[-1]
+    rows: List[SparseRow] = [((i,), (1,)) for i in range(phi)]
+    dense = [0] * phi
+    dense[-1] = 1  # z^(phi-1)
+    for _ in range(phi, e):
+        carry = dense[-1]
+        dense = [0] + dense[:-1]
         if carry:
-            shifted = tuple(s + carry * t for s, t in zip(shifted, tail))
-        rows.append(shifted)
+            dense = [s + carry * t for s, t in zip(dense, tail)]
+        rows.append((
+            tuple(j for j, c in enumerate(dense) if c),
+            tuple(c for c in dense if c),
+        ))
     return tuple(rows)
 
 
 @lru_cache(maxsize=None)
-def _monomial_traces(e: int) -> Tuple[Fraction, ...]:
+def _monomial_traces(e: int) -> Tuple[int, ...]:
     """Trace to the rationals of each basis monomial at level e, by literal
     summation of all Galois images (no closed form used)."""
     red = _reduction_table(e)
-    phi = numth.totient(e)
     out = []
-    for i in range(phi):
-        out.append(Fraction(sum(red[(i * k) % e][0] for k in units(e))))
+    for i in range(_phi(e)):
+        total = 0
+        for k in units(e):
+            idx, val = red[(i * k) % e]
+            if idx[0] == 0:
+                total += val[0]
+        out.append(total)
     return tuple(out)
 
 
-class Cyclotomic:
-    """An exact element of the cyclotomic field at a fixed level."""
+def _make(level: int, nums: Sequence[int], den: int = 1) -> "Cyclotomic":
+    """A Cyclotomic from integer numerators over a positive denominator,
+    brought to lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+    out = object.__new__(Cyclotomic)
+    out.level = level
+    out.nums = tuple(nums)
+    out.den = den
+    return out
 
-    __slots__ = ("level", "coeffs")
+
+def _mapped(level: int, nums: Sequence[int], step: int) -> List[int]:
+    """sum_i nums[i] z^(i * step) at the level, on its power basis: an
+    embedding for step = big level / small level, a Galois map for a unit
+    step, a reduction of exponents for step 1."""
+    rows = _reduction_table(level)
+    out = [0] * _phi(level)
+    for i, x in enumerate(nums):
+        if x:
+            idx, val = rows[(i * step) % level]
+            if len(idx) == 1:
+                out[idx[0]] += x * val[0]
+            else:
+                for j, r in zip(idx, val):
+                    out[j] += x * r
+    return out
+
+
+class Cyclotomic:
+    """An exact element of the cyclotomic field at a fixed level: the value
+    sum_i nums[i] z^i / den."""
+
+    __slots__ = ("level", "nums", "den")
 
     def __init__(self, level: int, coeffs: Iterable[Rational]):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if level < 1 or len(coeffs) != numth.totient(level):
+        coeffs = tuple(coeffs)
+        if level < 1 or len(coeffs) != _phi(level):
             raise ValueError(
                 f"need exactly totient({level}) coefficients, got {len(coeffs)}"
             )
+        den = 1
+        if not all(type(c) is int for c in coeffs):
+            fracs = [Fraction(c) for c in coeffs]
+            den = math.lcm(*(q.denominator for q in fracs))
+            coeffs = tuple(q.numerator * (den // q.denominator) for q in fracs)
         self.level = level
-        self.coeffs = coeffs
+        self.nums = coeffs
+        self.den = den
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
 
     @staticmethod
     def rational(q: Rational) -> "Cyclotomic":
-        return Cyclotomic(1, (Fraction(q),))
+        if type(q) is int:
+            return _make(1, (q,))
+        q = Fraction(q)
+        return _make(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def from_terms(level: int, terms: Iterable[Tuple[int, Rational]]) -> "Cyclotomic":
         """Sum of coeff * z^exp at the given level."""
-        red = _reduction_table(level)
-        phi = numth.totient(level)
-        acc = [Fraction(0)] * phi
+        if level < 1:
+            raise ValueError(f"positive level required, got {level}")
+        acc = [0] * level
+        den = 1
         for exp, c in terms:
-            c = Fraction(c)
-            if not c:
-                continue
-            row = red[exp % level]
-            for j in range(phi):
-                if row[j]:
-                    acc[j] += c * row[j]
-        return Cyclotomic(level, acc)
+            if type(c) is not int:
+                c = Fraction(c)
+                d = c.denominator
+                if den % d:
+                    scale = d // math.gcd(den, d)
+                    acc = [x * scale for x in acc]
+                    den *= scale
+                c = c.numerator * (den // d)
+            acc[exp % level] += c
+        return _make(level, _mapped(level, acc, 1), den)
 
     # -- level handling -------------------------------------------------
 
@@ -130,17 +201,19 @@ class Cyclotomic:
             return self
         if level % self.level != 0:
             raise ValueError(f"{self.level} does not divide {level}")
-        step = level // self.level
-        return Cyclotomic.from_terms(
-            level, ((i * step, c) for i, c in enumerate(self.coeffs) if c)
-        )
+        return _make(level, _mapped(level, self.nums, level // self.level), self.den)
 
     def _projected(self, level: int) -> "Cyclotomic":
         """Rewrite at a divisor level; fails if the value is not there."""
         step = self.level // level
         red = _reduction_table(self.level)
-        phi_small = numth.totient(level)
-        cols = [red[(j * step) % self.level] for j in range(phi_small)]
+        cols = []
+        for j in range(_phi(level)):
+            col = [0] * len(self.nums)
+            idx, val = red[(j * step) % self.level]
+            for i, r in zip(idx, val):
+                col[i] = r
+            cols.append(col)
         sol = _solve_exact(cols, self.coeffs)
         if sol is None:
             raise ValueError(f"value is not contained in the level-{level} field")
@@ -179,12 +252,16 @@ class Cyclotomic:
         if other is None:
             return NotImplemented
         a, b = self._common(self, other)
-        return Cyclotomic(a.level, (x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.den == b.den:
+            return _make(a.level, tuple(map(add, a.nums, b.nums)), a.den)
+        den = math.lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        return _make(a.level, [x * fa + y * fb for x, y in zip(a.nums, b.nums)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.level, (-c for c in self.coeffs))
+        return _make(self.level, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -197,34 +274,37 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.level, (c * other for c in self.coeffs))
+            num, den = other.numerator, other.denominator
+            return _make(self.level, [x * num for x in self.nums], self.den * den)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        a, b = self._common(self, other)
-        phi = len(a.coeffs)
-        conv = [Fraction(0)] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    conv[i + j] += x * y
-        red = _reduction_table(a.level)
-        out = conv[:phi]
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
+        # both operands' basis indices become exponents at the lcm level e;
+        # the product's exponents stay below 2e and are reduced once
+        la, lb = self.level, other.level
+        e = la if la == lb else math.lcm(la, lb)
+        sa, sb = e // la, e // lb
+        xs = [(i * sa, x) for i, x in enumerate(self.nums) if x]
+        ys = [(j * sb, y) for j, y in enumerate(other.nums) if y]
+        phi = _phi(e)
+        acc = [0] * max(phi, xs[-1][0] + ys[-1][0] + 1 if xs and ys else 0)
+        for i, x in xs:
+            for j, y in ys:
+                acc[i + j] += x * y
+        out = acc[:phi]
+        red = _reduction_table(e)
+        for k in range(phi, len(acc)):
+            c = acc[k]
             if c:
-                row = red[k]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return Cyclotomic(a.level, out)
+                idx, val = red[k % e]
+                for j, r in zip(idx, val):
+                    out[j] += c * r
+        return _make(e, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+            return self * Fraction(1, other)
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -244,12 +324,12 @@ class Cyclotomic:
         if other is None:
             return NotImplemented
         a, b = self._common(self, other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     __hash__ = None  # cross-level equality makes hashing unsafe
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __repr__(self):
         if not self:
@@ -269,11 +349,10 @@ class Cyclotomic:
 
     def galois(self, k: int) -> "Cyclotomic":
         """Apply the field automorphism sending z to z^k (k coprime to level)."""
-        if math.gcd(k, self.level) != 1:
-            raise ValueError(f"{k} is not coprime to the level {self.level}")
-        return Cyclotomic.from_terms(
-            self.level, ((i * k, c) for i, c in enumerate(self.coeffs) if c)
-        )
+        e = self.level
+        if math.gcd(k, e) != 1:
+            raise ValueError(f"{k} is not coprime to the level {e}")
+        return _make(e, _mapped(e, self.nums, k), self.den)
 
     def conjugate(self) -> "Cyclotomic":
         return self.galois(-1)
@@ -281,21 +360,21 @@ class Cyclotomic:
     def rational_trace(self) -> Fraction:
         """Sum of all Galois images, as a rational."""
         tr = _monomial_traces(self.level)
-        return sum((c * tr[i] for i, c in enumerate(self.coeffs)), Fraction(0))
+        return Fraction(sum(x * t for x, t in zip(self.nums, tr)), self.den)
 
     # -- predicates / conversions ----------------------------------------
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Optional[Fraction]:
-        return self.coeffs[0] if self.is_rational() else None
+        return Fraction(self.nums[0], self.den) if self.is_rational() else None
 
     def as_integer(self) -> Optional[int]:
-        q = self.as_rational()
-        if q is None or q.denominator != 1:
+        # in lowest terms, a rational value is an integer iff den is 1
+        if self.den != 1 or any(self.nums[1:]):
             return None
-        return int(q)
+        return self.nums[0]
 
     def as_root_of_unity(self) -> Optional["RootOfUnity"]:
         """Return the root of unity equal to this value, if there is one."""
@@ -314,14 +393,15 @@ class Cyclotomic:
 
     def to_json(self):
         """Wire form: a bare int, a "num/den" string, or {level, terms}."""
-        q = self.as_rational()
-        if q is not None:
-            return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-        terms = [
-            [i, c.numerator, c.denominator]
-            for i, c in enumerate(self.coeffs)
-            if c
-        ]
+        den = self.den
+        if self.is_rational():
+            num = self.nums[0]
+            return num if den == 1 else f"{num}/{den}"
+        terms = []
+        for i, x in enumerate(self.nums):
+            if x:
+                g = math.gcd(x, den)
+                terms.append([i, x // g, den // g])
         return {"level": self.level, "terms": terms}
 
     @staticmethod
@@ -378,8 +458,11 @@ def _solve_exact(cols, target) -> Optional[Tuple[Fraction, ...]]:
 
 def zeta(e: int, k: int = 1) -> Cyclotomic:
     """The k-th power of a fixed primitive e-th root of unity."""
-    red = _reduction_table(e)
-    return Cyclotomic(e, red[k % e])
+    idx, val = _reduction_table(e)[k % e]
+    nums = [0] * _phi(e)
+    for j, r in zip(idx, val):
+        nums[j] = r
+    return _make(e, nums)
 
 
 def rational(q: Rational) -> Cyclotomic:

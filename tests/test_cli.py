@@ -1,5 +1,11 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
+
+import feitlab
 
 from feitlab import cli, runner
 from feitlab.chartab import load_table
@@ -220,6 +226,30 @@ def test_corpus_determinism(tmp_path, capsys):
     assert code1 == code2 == 0
     scrub = lambda s: re.sub(r'"(generated_at|elapsed_seconds)": [^,\n]*', "", s)
     assert scrub(out1) == scrub(out2)
+
+
+def test_one_process_matches_fresh_processes(capsys):
+    # main reuses one parser across calls; each call must still behave as a
+    # fresh `python -m feitlab.cli` run, a usage error in between included
+    requests = [
+        ["s", "sym:3", "--chi", "1", "--n", "2"],
+        ["s", "sym:3", "--chi", "7", "--n", "1"],
+        ["feit", "dihedral:8"],
+        ["verify", "sym:3"],
+    ]
+    src = str(Path(feitlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    codes = []
+    for argv in requests:
+        got = run_cli(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "feitlab.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(got[0])
+    assert codes == [0, 2, 0, 0]
 
 
 def test_unknown_spec_is_error(capsys):

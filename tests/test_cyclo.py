@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -200,3 +201,142 @@ def test_from_json_rejects_garbage():
         Cyclotomic.from_json(True)
     with pytest.raises(ValueError):
         Cyclotomic.from_json([1, 2])
+
+
+# -- a Fraction reference: sums of monomials reduced by long division by the
+# cyclotomic polynomial, sharing nothing with the integer representation
+
+
+def _ref_reduce(level, terms):
+    """sum c * z^exp on the level's power basis, as Fractions."""
+    mod = cyclotomic_polynomial(level)
+    phi = len(mod) - 1
+    low = [(j, m) for j, m in enumerate(mod[:phi]) if m]
+    poly = [Fraction(0)] * max(phi, 1 + max((exp for exp, _ in terms), default=0))
+    for exp, c in terms:
+        poly[exp] += c
+    for k in range(len(poly) - 1, phi - 1, -1):
+        c = poly[k]
+        if c:
+            for j, m in low:
+                poly[k - phi + j] -= c * m
+    return tuple(poly[:phi])
+
+
+def _ref_mul(level, x, y):
+    return _ref_reduce(level, [
+        (i + j, a * b) for i, a in enumerate(x) if a for j, b in enumerate(y) if b
+    ])
+
+
+def _ref_galois(level, x, k):
+    return _ref_reduce(level, [(i * k % level, a) for i, a in enumerate(x) if a])
+
+
+def _ref_embed(small, big, x):
+    step = big // small
+    return _ref_reduce(big, [(i * step, a) for i, a in enumerate(x) if a])
+
+
+def _ref_trace(level, x):
+    # Ramanujan's sum: z^i has order o = level / gcd(i, level), and trace
+    # mobius(o) * phi(level) / phi(o)
+    total = Fraction(0)
+    for i, a in enumerate(x):
+        o = level // math.gcd(i, level)
+        total += a * Fraction(numth.mobius(o) * numth.totient(level), numth.totient(o))
+    return total
+
+
+def _random_coeffs(rng, level, density=1.0):
+    return [
+        Fraction(rng.randint(-3, 3), rng.randint(1, 6)) if rng.random() < density
+        else Fraction(0)
+        for _ in range(numth.totient(level))
+    ]
+
+
+def _assert_canonical(v):
+    assert all(type(x) is int for x in v.nums) and type(v.den) is int
+    assert v.den > 0 and math.gcd(v.den, *v.nums) == 1
+    assert len(v.nums) == numth.totient(v.level)
+
+
+# (level, density of the random elements, how many elements to draw); the
+# reference takes about a second per element at level 805
+REFERENCE_LEVELS = ((1, 1.0, 3), (2, 1.0, 3), (3, 1.0, 3), (12, 1.0, 3),
+                    (35, 1.0, 3), (120, 1.0, 3), (805, 0.03, 1))
+
+
+def test_arithmetic_matches_fraction_reference():
+    rng = random.Random(805)
+    for level, density, draws in REFERENCE_LEVELS:
+        for _ in range(draws):
+            x = _random_coeffs(rng, level, density)
+            y = _random_coeffs(rng, level, density)
+            a, b = Cyclotomic(level, x), Cyclotomic(level, y)
+            assert a.coeffs == tuple(x)
+            assert (a + b).coeffs == tuple(p + q for p, q in zip(x, y))
+            assert (a - b).coeffs == tuple(p - q for p, q in zip(x, y))
+            assert (a * b).coeffs == _ref_mul(level, x, y)
+            assert (a * Fraction(-5, 4)).coeffs == tuple(p * Fraction(-5, 4) for p in x)
+            for k in rng.sample(units(level), min(2, len(units(level)))):
+                assert a.galois(k).coeffs == _ref_galois(level, x, k)
+            assert a.conjugate().coeffs == _ref_galois(level, x, -1)
+            assert a.rational_trace() == _ref_trace(level, x)
+            for v in (a, b, a + b, a - b, a * b, a - a, a * 0, a.galois(-1)):
+                _assert_canonical(v)
+
+
+def test_level_changes_match_fraction_reference():
+    rng = random.Random(120)
+    for small, big in ((1, 12), (3, 12), (12, 120), (8, 120), (35, 805), (23, 805)):
+        x = _random_coeffs(rng, small)
+        a = Cyclotomic(small, x)
+        up = a.at_level(big)
+        assert up.coeffs == _ref_embed(small, big, x)
+        _assert_canonical(up)
+        back = Cyclotomic(big, _ref_embed(small, big, x)).at_level(small)
+        assert back.coeffs == tuple(x)
+        _assert_canonical(back)
+    with pytest.raises(ValueError):
+        zeta(805).at_level(35)
+    with pytest.raises(ValueError):
+        (zeta(120) + Fraction(1, 3)).at_level(12)
+
+
+def test_equal_values_share_one_representation():
+    rng = random.Random(6)
+    for level in (1, 4, 12, 35, 120):
+        a, b, c = (Cyclotomic(level, _random_coeffs(rng, level)) for _ in range(3))
+        k1, k2 = units(level)[-1], units(level)[len(units(level)) // 2]
+        pairs = [
+            ((a * b) * c, a * (b * c)),
+            ((a + b) - b, a),
+            (a * b + a * c, a * (b + c)),
+            (a.galois(k1).galois(k2), a.galois(k1 * k2 % level)),
+            (a * Fraction(3, 7) * Fraction(7, 3), a),
+            (Cyclotomic.from_terms(level, enumerate(a.coeffs)), a),
+            (Cyclotomic.from_json(a.to_json()), a),
+            (a.at_level(2 * level).at_level(level), a),
+        ]
+        for u, v in pairs:
+            assert u.level == v.level == level
+            assert (u.nums, u.den) == (v.nums, v.den)
+            _assert_canonical(u)
+    half = Cyclotomic(3, [Fraction(1, 2), Fraction(-1, 2)])
+    assert (half.nums, half.den) == ((1, -1), 2)
+    assert ((half * 2).nums, (half * 2).den) == ((1, -1), 1)
+    assert ((half - half).nums, (half - half).den) == ((0, 0), 1)
+    with pytest.raises(ValueError, match=r"need exactly totient\(3\) coefficients"):
+        Cyclotomic(3, [Fraction(1, 2)])
+
+
+def test_level_805_root_product():
+    # the product that used to take about half a second, against the
+    # 200 ms deadline of test_root_products_match_cyclotomic
+    a, b = RootOfUnity(35, 23), RootOfUnity(23, 16)
+    prod = a.to_cyclotomic() * b.to_cyclotomic()
+    assert prod.level == 805
+    assert prod == (a * b).to_cyclotomic()
+    assert prod.coeffs == _ref_reduce(805, [((23 * 23 + 16 * 35) % 805, Fraction(1))])
