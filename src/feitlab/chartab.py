@@ -316,8 +316,9 @@ def _scaled_inner_product(table: CharacterTable, u, v) -> Tuple[int, ...]:
                 w = cls.size * m
                 for b, n in ys:
                     acc[(a - b) % t * step] += w * n
-    out = [0] * numth.totient(e)
-    for (idx, val), s in zip(_reduction_table(e), acc):
+    phi, red = _reduction_table(e)
+    out = [0] * phi
+    for (idx, val), s in zip(red, acc):
         if s:
             for k, r in zip(idx, val):
                 out[k] += s * r
@@ -642,8 +643,7 @@ def compute_table(
 
     # Rows sort on the degree, then on each value's power-basis coordinates
     # at level e: sum_j m_j zeta_t^j = sum_j m_j zeta_e^(j e/t), reduced.
-    red = _reduction_table(e)
-    phi = numth.totient(e)
+    phi, red = _reduction_table(e)
     coords = {}
 
     def value_coords(t: int, mults: Tuple[int, ...]) -> Tuple[int, ...]:

@@ -61,21 +61,17 @@ def units(e: int) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _phi(e: int) -> int:
-    """totient(e), the dimension of the level-e field, once per level."""
-    return numth.totient(e)
-
-
-@lru_cache(maxsize=None)
-def _reduction_table(e: int) -> Tuple[SparseRow, ...]:
-    """Monomial z^i at level e expressed on the power basis, as a sparse
-    row, for every exponent 0 <= i < e.
+def _reduction_table(e: int) -> Tuple[int, Tuple[SparseRow, ...]]:
+    """The dimension phi(e) of the level-e field, and the monomial z^i
+    expressed on its power basis, as a sparse row, for every exponent
+    0 <= i < e.  The arithmetic reads the dimension here, next to the rows
+    it indexes, rather than calling totient once per operation.
 
     The rows are the sparse index maps of every level change and Galois
     map: row i * step of the level-(e * step) table embeds z^i of level e,
     and row i * k mod e applies z -> z^k.  A product's exponents k < 2e use
     row k mod e, since the e-th cyclotomic polynomial divides x^e - 1."""
-    phi = _phi(e)
+    phi = numth.totient(e)
     poly = cyclotomic_polynomial(e)
     tail = tuple(-c for c in poly[:phi])  # z^phi on the basis
     rows: List[SparseRow] = [((i,), (1,)) for i in range(phi)]
@@ -90,16 +86,16 @@ def _reduction_table(e: int) -> Tuple[SparseRow, ...]:
             tuple(j for j, c in enumerate(dense) if c),
             tuple(c for c in dense if c),
         ))
-    return tuple(rows)
+    return phi, tuple(rows)
 
 
 @lru_cache(maxsize=None)
 def _monomial_traces(e: int) -> Tuple[int, ...]:
     """Trace to the rationals of each basis monomial at level e, by literal
     summation of all Galois images (no closed form used)."""
-    red = _reduction_table(e)
+    phi, red = _reduction_table(e)
     out = []
-    for i in range(_phi(e)):
+    for i in range(phi):
         total = 0
         for k in units(e):
             idx, val = red[(i * k) % e]
@@ -107,6 +103,16 @@ def _monomial_traces(e: int) -> Tuple[int, ...]:
                 total += val[0]
         out.append(total)
     return tuple(out)
+
+
+def _over_common_den(coeffs: Sequence[Rational]) -> Tuple[Tuple[int, ...], int]:
+    """Integer numerators over the least common denominator of the
+    coefficients; their gcd with that denominator is 1."""
+    if all(type(c) is int for c in coeffs):
+        return tuple(coeffs), 1
+    fracs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(q.denominator for q in fracs))
+    return tuple(q.numerator * (den // q.denominator) for q in fracs), den
 
 
 def _make(level: int, nums: Sequence[int], den: int = 1) -> "Cyclotomic":
@@ -128,16 +134,13 @@ def _mapped(level: int, nums: Sequence[int], step: int) -> List[int]:
     """sum_i nums[i] z^(i * step) at the level, on its power basis: an
     embedding for step = big level / small level, a Galois map for a unit
     step, a reduction of exponents for step 1."""
-    rows = _reduction_table(level)
-    out = [0] * _phi(level)
+    phi, rows = _reduction_table(level)
+    out = [0] * phi
     for i, x in enumerate(nums):
         if x:
             idx, val = rows[(i * step) % level]
-            if len(idx) == 1:
-                out[idx[0]] += x * val[0]
-            else:
-                for j, r in zip(idx, val):
-                    out[j] += x * r
+            for j, r in zip(idx, val):
+                out[j] += x * r
     return out
 
 
@@ -149,18 +152,12 @@ class Cyclotomic:
 
     def __init__(self, level: int, coeffs: Iterable[Rational]):
         coeffs = tuple(coeffs)
-        if level < 1 or len(coeffs) != _phi(level):
+        if level < 1 or len(coeffs) != numth.totient(level):
             raise ValueError(
                 f"need exactly totient({level}) coefficients, got {len(coeffs)}"
             )
-        den = 1
-        if not all(type(c) is int for c in coeffs):
-            fracs = [Fraction(c) for c in coeffs]
-            den = math.lcm(*(q.denominator for q in fracs))
-            coeffs = tuple(q.numerator * (den // q.denominator) for q in fracs)
         self.level = level
-        self.nums = coeffs
-        self.den = den
+        self.nums, self.den = _over_common_den(coeffs)
 
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:
@@ -180,19 +177,11 @@ class Cyclotomic:
         """Sum of coeff * z^exp at the given level."""
         if level < 1:
             raise ValueError(f"positive level required, got {level}")
-        acc = [0] * level
-        den = 1
+        acc: List[Rational] = [0] * level
         for exp, c in terms:
-            if type(c) is not int:
-                c = Fraction(c)
-                d = c.denominator
-                if den % d:
-                    scale = d // math.gcd(den, d)
-                    acc = [x * scale for x in acc]
-                    den *= scale
-                c = c.numerator * (den // d)
             acc[exp % level] += c
-        return _make(level, _mapped(level, acc, 1), den)
+        nums, den = _over_common_den(acc)
+        return _make(level, _mapped(level, nums, 1), den)
 
     # -- level handling -------------------------------------------------
 
@@ -206,9 +195,9 @@ class Cyclotomic:
     def _projected(self, level: int) -> "Cyclotomic":
         """Rewrite at a divisor level; fails if the value is not there."""
         step = self.level // level
-        red = _reduction_table(self.level)
+        red = _reduction_table(self.level)[1]
         cols = []
-        for j in range(_phi(level)):
+        for j in range(numth.totient(level)):
             col = [0] * len(self.nums)
             idx, val = red[(j * step) % self.level]
             for i, r in zip(idx, val):
@@ -285,13 +274,12 @@ class Cyclotomic:
         sa, sb = e // la, e // lb
         xs = [(i * sa, x) for i, x in enumerate(self.nums) if x]
         ys = [(j * sb, y) for j, y in enumerate(other.nums) if y]
-        phi = _phi(e)
+        phi, red = _reduction_table(e)
         acc = [0] * max(phi, xs[-1][0] + ys[-1][0] + 1 if xs and ys else 0)
         for i, x in xs:
             for j, y in ys:
                 acc[i + j] += x * y
         out = acc[:phi]
-        red = _reduction_table(e)
         for k in range(phi, len(acc)):
             c = acc[k]
             if c:
@@ -458,8 +446,9 @@ def _solve_exact(cols, target) -> Optional[Tuple[Fraction, ...]]:
 
 def zeta(e: int, k: int = 1) -> Cyclotomic:
     """The k-th power of a fixed primitive e-th root of unity."""
-    idx, val = _reduction_table(e)[k % e]
-    nums = [0] * _phi(e)
+    phi, rows = _reduction_table(e)
+    idx, val = rows[k % e]
+    nums = [0] * phi
     for j, r in zip(idx, val):
         nums[j] = r
     return _make(e, nums)

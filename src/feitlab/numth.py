@@ -83,8 +83,9 @@ def mobius(n: int) -> int:
     return -1 if len(fact) % 2 else 1
 
 
+@lru_cache(maxsize=None)
 def totient(n: int) -> int:
-    """Euler totient |(Z/nZ)^x|."""
+    """Euler totient |(Z/nZ)^x|, computed once per n."""
     t = n
     for p, _ in prime_factorization(n):
         t = t // p * (p - 1)

@@ -28,6 +28,28 @@ def test_cyclotomic_polynomials():
         assert len(cyclotomic_polynomial(e)) == numth.totient(e) + 1
 
 
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_binomials():
+    # x^e - 1 is the product of the d-th cyclotomic polynomials over d | e
+    for e in range(1, 241):
+        prod = [1]
+        for d in numth.divisors(e):
+            prod = _poly_mul(prod, cyclotomic_polynomial(d))
+        assert prod == [-1] + [0] * (e - 1) + [1], e
+    # the first cyclotomic polynomial with a coefficient other than 0, +-1
+    phi105 = cyclotomic_polynomial(105)
+    assert min(phi105) == -2 and [i for i, c in enumerate(phi105) if c == -2] == [7, 41]
+    assert all(abs(c) <= 1 for e in range(1, 105) for c in cyclotomic_polynomial(e))
+
+
 def test_basic_arithmetic():
     z3 = zeta(3)
     assert z3 + z3 * z3 == -1
@@ -204,7 +226,8 @@ def test_from_json_rejects_garbage():
 
 
 # -- a Fraction reference: sums of monomials reduced by long division by the
-# cyclotomic polynomial, sharing nothing with the integer representation
+# cyclotomic polynomial.  It shares only cyclotomic_polynomial with the
+# integer representation, and that is checked on its own above
 
 
 def _ref_reduce(level, terms):
@@ -284,6 +307,12 @@ def test_arithmetic_matches_fraction_reference():
                 assert a.galois(k).coeffs == _ref_galois(level, x, k)
             assert a.conjugate().coeffs == _ref_galois(level, x, -1)
             assert a.rational_trace() == _ref_trace(level, x)
+            # terms mixing int and Fraction coefficients, ints after Fractions
+            terms = [(rng.randrange(3 * level), rng.choice((c, 1 + int(6 * c))))
+                     for c in x]
+            mixed = Cyclotomic.from_terms(level, terms)
+            assert mixed.coeffs == _ref_reduce(level, [(e % level, c) for e, c in terms])
+            _assert_canonical(mixed)
             for v in (a, b, a + b, a - b, a * b, a - a, a * 0, a.galois(-1)):
                 _assert_canonical(v)
 
@@ -324,6 +353,9 @@ def test_equal_values_share_one_representation():
             assert u.level == v.level == level
             assert (u.nums, u.den) == (v.nums, v.den)
             _assert_canonical(u)
+    mixed = Cyclotomic.from_terms(3, [(0, Fraction(1, 2)), (1, 1)])
+    assert (mixed.nums, mixed.den) == ((1, 2), 2)
+    assert mixed == Cyclotomic(3, [Fraction(1, 2), 1])
     half = Cyclotomic(3, [Fraction(1, 2), Fraction(-1, 2)])
     assert (half.nums, half.den) == ((1, -1), 2)
     assert ((half * 2).nums, (half * 2).den) == ((1, -1), 1)
