@@ -4,8 +4,9 @@ Everything here enumerates explicitly: all (subgroup, linear character)
 pairs, all strict chains between them, all orbits of pairs and of chains.
 The canonical induction coefficients are then exact integer data, and the
 fast Adams-route invariant can be cross-checked coefficient by
-coefficient.  Deliberately trades speed for transparency; bounded to small
-groups.
+coefficient.  Multiplicities and induced characters are both read from
+each pair's class counts and the table's values, never from the Adams
+route.  Deliberately trades speed for transparency; bounded to small groups.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 
 from .adams import ChiLike, _as_class_function, adams_operation
 from .chartab import CharacterTable, ClassFunction, integral_inner_product
-from .cyclo import Cyclotomic, zeta
+from .cyclo import Cyclotomic
 from .errors import BoundExceeded, ConsistencyError
 from .groups import (
     LinearChar,
@@ -53,10 +54,20 @@ def resolve_oracle_bound(bound: Optional[int] = None) -> int:
     return bound
 
 
+def class_counts(group: PermGroup, pair: MonomialPair) -> Dict[int, Dict[int, int]]:
+    """N[c][k]: the number of elements of the pair's subgroup that lie in
+    class c of the group and have character exponent k."""
+    counts: Dict[int, Dict[int, int]] = defaultdict(lambda: defaultdict(int))
+    for h, k in pair.character.exponents.items():
+        counts[group.class_index(h)][k] += 1
+    return counts
+
+
 class MonomialContext:
     """Per-group cache: the monomial poset, its conjugation action, orbits,
-    and the signed chain counts both over all chains and over orbit
-    representatives of chains."""
+    the signed chain counts both over all chains and over orbit
+    representatives of chains, and the multiplicity of every pair in each
+    class function it has been asked about."""
 
     def __init__(self, group: PermGroup):
         self.group = group
@@ -118,11 +129,51 @@ class MonomialContext:
             dfs(start, 1)
         self.chain_weight = dict(chain_weight)
         self.orbit_chain_weight = dict(orbit_weight)
+        self._multiplicities: Dict[tuple, Tuple[int, ...]] = {}
 
     @cached_property
     def cyclic(self) -> Tuple[bool, ...]:
         """Whether each pair's subgroup is cyclic, computed on first use."""
         return tuple(p.subgroup.is_cyclic() for p in self.pairs)
+
+    @cached_property
+    def _restriction_sums(self) -> Tuple[Tuple[Tuple[int, Cyclotomic], ...], ...]:
+        """For every pair of order o, the sums sum_k N[c][k] z_o^-k over the
+        classes c that meet its subgroup."""
+        return tuple(
+            tuple(
+                (c, Cyclotomic.from_terms(
+                    p.character.order, [(-k, n) for k, n in row.items()]
+                ))
+                for c, row in class_counts(self.group, p).items()
+            )
+            for p in self.pairs
+        )
+
+    def multiplicities(self, values: Mapping[Perm, Cyclotomic]) -> Tuple[int, ...]:
+        """<chi|_H, phi> for every pair (H, phi), with chi the class function
+        given by its element values; computed once per class function."""
+        group = self.group
+        classes = group.conjugacy_classes()
+        row = [values[cls.rep] for cls in classes]
+        if any(values[x] != v for cls, v in zip(classes, row) for x in cls.elements):
+            raise ValueError(f"values are not constant on the classes of {group.name}")
+        key = tuple((v.level, v.nums, v.den) for v in row)
+        if key not in self._multiplicities:
+            mults = []
+            for pair, sums in zip(self.pairs, self._restriction_sums):
+                acc = Cyclotomic.rational(0)
+                for c, s in sums:
+                    acc = acc + row[c] * s
+                m = acc / pair.subgroup.order
+                mults.append(m.as_integer())
+                if mults[-1] is None:
+                    raise ConsistencyError(
+                        f"non-integral character multiplicity {m} at {pair!r}"
+                        f" of {group.name}"
+                    )
+            self._multiplicities[key] = tuple(mults)
+        return self._multiplicities[key]
 
     def orbit_of(self, pair: MonomialPair) -> Tuple[MonomialPair, int, int]:
         """Canonical representative, orbit size, and stabilizer size."""
@@ -152,13 +203,6 @@ def monomial_context(group: PermGroup, bound: Optional[int] = None) -> MonomialC
 def monomial_pairs(group: PermGroup, bound: Optional[int] = None) -> Tuple[MonomialPair, ...]:
     """The full monomial poset of the group."""
     return monomial_context(group, bound).pairs
-
-
-def orbit_of(
-    group: PermGroup, pair: MonomialPair, bound: Optional[int] = None
-) -> Tuple[MonomialPair, int, int]:
-    """Canonical representative, orbit size, and stabilizer size of a pair."""
-    return monomial_context(group, bound).orbit_of(pair)
 
 
 class PairCombination:
@@ -251,20 +295,6 @@ def element_values(table: CharacterTable, chi: ChiLike) -> Dict[Perm, Cyclotomic
     return {x: chi.values[g.class_index(x)] for x in g.elements}
 
 
-def _pair_multiplicity(values: Mapping[Perm, Cyclotomic], pair: MonomialPair) -> int:
-    """Multiplicity of the pair's character in the restriction of the class
-    function given by values."""
-    o = pair.character.order
-    exps = pair.character.exponents
-    acc = Cyclotomic.rational(0)
-    for h in pair.subgroup.elements:
-        acc = acc + values[h] * zeta(o, -exps[h])
-    out = (acc / pair.subgroup.order).as_integer()
-    if out is None:
-        raise ConsistencyError("non-integral character multiplicity")
-    return out
-
-
 def induction_by_chains(
     table: CharacterTable, chi: ChiLike, bound: Optional[int] = None
 ) -> PairCombination:
@@ -278,26 +308,19 @@ def induction_by_chains_values(
     group: PermGroup, values: Mapping[Perm, Cyclotomic], bound: Optional[int] = None
 ) -> PairCombination:
     ctx = monomial_context(group, bound)
-    mult_cache: Dict[int, int] = {}
-
-    def mult(i: int) -> int:
-        if i not in mult_cache:
-            mult_cache[i] = _pair_multiplicity(values, ctx.pairs[i])
-        return mult_cache[i]
-
+    mult = ctx.multiplicities(values)
     acc: Dict[int, int] = defaultdict(int)
     for (i0, top), w in ctx.chain_weight.items():
-        if not w:
-            continue
-        m = mult(top)
-        if m:
-            acc[ctx.orbit_rep[i0]] += w * ctx.pairs[i0].subgroup.order * m
+        if w and mult[top]:
+            acc[ctx.orbit_rep[i0]] += w * ctx.pairs[i0].subgroup.order * mult[top]
     coeffs: Dict[MonomialPair, int] = {}
     for rep, raw in acc.items():
         q, r = divmod(raw, group.order)
         if r:
             raise ConsistencyError(
-                "chain sum produced a coefficient not divisible by the group order"
+                f"chain sum produced a coefficient not divisible by the group"
+                f" order {group.order} at the orbit of {ctx.pairs[rep]!r}"
+                f" of {ctx.group.name}"
             )
         if q:
             coeffs[ctx.pairs[rep]] = q
@@ -318,45 +341,33 @@ def induction_by_orbit_chains_values(
     group: PermGroup, values: Mapping[Perm, Cyclotomic], bound: Optional[int] = None
 ) -> PairCombination:
     ctx = monomial_context(group, bound)
-    mult_cache: Dict[int, int] = {}
-
-    def mult(i: int) -> int:
-        if i not in mult_cache:
-            mult_cache[i] = _pair_multiplicity(values, ctx.pairs[i])
-        return mult_cache[i]
-
+    mult = ctx.multiplicities(values)
     acc: Dict[int, int] = defaultdict(int)
     for (rep0, rep_top), w in ctx.orbit_chain_weight.items():
-        if not w:
-            continue
-        m = mult(rep_top)
-        if m:
-            acc[rep0] += w * m
+        if w and mult[rep_top]:
+            acc[rep0] += w * mult[rep_top]
     coeffs = {ctx.pairs[rep]: c for rep, c in acc.items() if c}
     return PairCombination(_group_key(group), coeffs)
 
 
 def induced_character(table: CharacterTable, comb: PairCombination) -> ClassFunction:
     """Map a combination of pair orbits to the corresponding integer
-    combination of induced characters."""
+    combination of induced characters: at a class c,
+    Ind phi = |G| / (|H| |c|) sum_k N[c][k] z_o^k."""
     if table.group is None:
         raise ValueError("a group-backed table is required for induction")
     group = table.group
     if comb.group_key != _group_key(group):
         raise ValueError("combination lives over a different group")
-    reps = table.class_reps
-    out = [Cyclotomic.rational(0) for _ in reps]
-    for pair, c in comb.coefficients.items():
-        h_elems = pair.subgroup.elements
+    column = {group.class_index(z): ci for ci, z in enumerate(table.class_reps)}
+    out = [Cyclotomic.rational(0) for _ in table.class_reps]
+    for pair, coeff in comb.coefficients.items():
         o = pair.character.order
-        exps = pair.character.exponents
-        for ci, z in enumerate(reps):
-            acc = Cyclotomic.rational(0)
-            for x in group.elements:
-                y = conjugate_perm(inverse(x), z)
-                if y in h_elems:
-                    acc = acc + zeta(o, exps[y])
-            out[ci] = out[ci] + acc * Fraction(c, pair.subgroup.order)
+        weight = Fraction(coeff * group.order, pair.subgroup.order)
+        for c, row in class_counts(group, pair).items():
+            ci = column[c]
+            value = Cyclotomic.from_terms(o, row.items())
+            out[ci] = out[ci] + value * (weight / table.classes[ci].size)
     return ClassFunction(table, out)
 
 
@@ -462,43 +473,32 @@ class MaxSetsCheck:
         return self.support_contained and self.max_equal
 
 
-_POSET_CACHE: Dict[tuple, tuple] = {}
-
-
 def _poset_data(table: CharacterTable, chi: ChiLike, bound: Optional[int]):
-    chi_cf, _ = _as_class_function(table, chi)
+    """The context and four flags per pair: constituent of chi, in the
+    coefficient support, and maximal among the pairs with each flag."""
+    values = element_values(table, chi)
     ctx = monomial_context(table.group, bound)
-    cache_key = (_group_key(table.group), table.row_key(chi_cf.values))
-    hit = _POSET_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    values = element_values(table, chi_cf)
-    mults = [_pair_multiplicity(values, p) for p in ctx.pairs]
     comb = induction_by_chains_values(table.group, values, bound)
     support_reps = {ctx.index[p.key()] for p in comb.coefficients}
-    in_constituents = [m > 0 for m in mults]
-    in_support = [ctx.orbit_rep[i] in support_reps for i in range(len(ctx.pairs))]
-    out = (ctx, in_constituents, in_support, comb)
-    _POSET_CACHE[cache_key] = out
-    return out
+    in_m = [m > 0 for m in ctx.multiplicities(values)]
+    in_mt = [ctx.orbit_rep[i] in support_reps for i in range(len(ctx.pairs))]
+
+    def maximal(flags: Sequence[bool]) -> List[bool]:
+        return [
+            ok and not any(flags[j] for j in ctx.above[i])
+            for i, ok in enumerate(flags)
+        ]
+
+    return ctx, in_m, in_mt, maximal(in_m), maximal(in_mt)
 
 
 def check_max_sets(
     table: CharacterTable, chi: ChiLike, bound: Optional[int] = None
 ) -> MaxSetsCheck:
-    ctx, in_m, in_mt, _ = _poset_data(table, chi, bound)
-
-    def maximal(flags: Sequence[bool]) -> Set[int]:
-        return {
-            i
-            for i, ok in enumerate(flags)
-            if ok and not any(flags[j] for j in ctx.above[i])
-        }
-
-    m_set = {i for i, ok in enumerate(in_m) if ok}
-    mt_set = {i for i, ok in enumerate(in_mt) if ok}
-    max_m = maximal(in_m)
-    max_mt = maximal(in_mt)
+    ctx, *flags = _poset_data(table, chi, bound)
+    m_set, mt_set, max_m, max_mt = (
+        {i for i, ok in enumerate(f) if ok} for f in flags
+    )
     return MaxSetsCheck(
         constituent_pairs=frozenset(ctx.pairs[i] for i in m_set),
         support_pairs=frozenset(ctx.pairs[i] for i in mt_set),
@@ -543,16 +543,7 @@ class EquivalenceCheck:
 def check_equivalences(
     table: CharacterTable, chi: ChiLike, n: int, bound: Optional[int] = None
 ) -> EquivalenceCheck:
-    ctx, in_m, in_mt, _ = _poset_data(table, chi, bound)
-
-    def maximal_flags(flags: Sequence[bool]) -> List[bool]:
-        return [
-            ok and not any(flags[j] for j in ctx.above[i])
-            for i, ok in enumerate(flags)
-        ]
-
-    max_m = maximal_flags(in_m)
-    max_mt = maximal_flags(in_mt)
+    ctx, in_m, in_mt, max_m, max_mt = _poset_data(table, chi, bound)
     orders, cyclic = ctx.orders, ctx.cyclic
     idx = range(len(ctx.pairs))
     return EquivalenceCheck(

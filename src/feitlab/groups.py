@@ -525,10 +525,12 @@ class LinearChar:
         return LinearChar(sub, self.order, {h: self.exponents[h] for h in sub.elements})
 
     def conjugate(self, g: Perm) -> "LinearChar":
-        dom = self.domain.conjugate(g)
+        """h -> phi(g^-1 h g) on the conjugate subgroup, its exponent keys."""
+        g_inv = inverse(g)
         exps = {
-            conjugate_perm(g, h): e for h, e in self.exponents.items()
+            compose(compose(g, h), g_inv): e for h, e in self.exponents.items()
         }
+        dom = Subgroup(self.domain.parent, frozenset(exps), validate=False)
         return LinearChar(dom, self.order, exps)
 
     def __mul__(self, other: "LinearChar") -> "LinearChar":
@@ -598,8 +600,8 @@ class MonomialPair:
         return self.subgroup.order < other.subgroup.order and self <= other
 
     def conjugate(self, g: Perm) -> "MonomialPair":
-        sub = self.subgroup.conjugate(g)
-        return MonomialPair(sub, self.character.conjugate(g))
+        phi = self.character.conjugate(g)
+        return MonomialPair(phi.domain, phi)
 
     def __repr__(self):
         return (

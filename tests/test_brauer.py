@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from feitlab import adams, brauer, chartab, groups, numth
+from feitlab import adams, brauer, chartab, groups, numth, runner
 from feitlab.brauer import (
     MonomialContext,
     PairCombination,
@@ -17,8 +19,9 @@ from feitlab.brauer import (
     restrict_combination,
 )
 from feitlab.chartab import compute_table, inner_product
-from feitlab.errors import BoundExceeded
-from feitlab.groups import MonomialPair
+from feitlab.cyclo import Cyclotomic, zeta
+from feitlab.errors import BoundExceeded, ConsistencyError
+from feitlab.groups import MonomialPair, conjugate_perm, inverse
 
 
 def table(spec):
@@ -343,3 +346,84 @@ def test_pair_combination_arithmetic_and_json():
     assert all(
         set(rec) == {"subgroup", "phi", "coefficient"} for rec in blob
     )
+
+
+def _reference_multiplicity(values, pair):
+    """<chi|_H, phi> element by element: (1/|H|) sum_h chi(h) phi(h)^-1."""
+    o = pair.character.order
+    acc = Cyclotomic.rational(0)
+    for h, k in pair.character.exponents.items():
+        acc = acc + values[h] * zeta(o, -k)
+    return (acc / pair.subgroup.order).as_integer()
+
+
+def _reference_induced(t, pair):
+    """Ind_H^G phi element by element: (1/|H|) sum_x phi(x^-1 z x) at every
+    class representative z."""
+    o = pair.character.order
+    exps = pair.character.exponents
+    out = []
+    for z in t.class_reps:
+        acc = Cyclotomic.rational(0)
+        for x in t.group.elements:
+            y = conjugate_perm(inverse(x), z)
+            if y in exps:
+                acc = acc + zeta(o, exps[y])
+        out.append(acc / pair.subgroup.order)
+    return t.class_function(out)
+
+
+def test_class_counts_match_element_loops_over_corpus():
+    # multiplicities and induced characters read from the per-pair class
+    # counts agree with the element-by-element definitions on every bundled
+    # corpus group
+    for spec in runner.C_SMALL:
+        t = compute_table(groups.from_spec(spec), name=spec)
+        g = t.group
+        ctx = monomial_context(g)
+        rows = [t.irreducible(i) for i in range(t.num_classes)]
+        virtual = t.class_function((0,) * t.num_classes)
+        for i, row in enumerate(rows):
+            virtual = virtual + (i + 1) * (-1) ** i * row
+        for chi in rows + [virtual, t.regular_character()]:
+            values = brauer.element_values(t, chi)
+            expect = tuple(_reference_multiplicity(values, p) for p in ctx.pairs)
+            assert None not in expect
+            assert ctx.multiplicities(values) == expect, spec
+        key = brauer._group_key(g)
+        for p in ctx.pairs:
+            comb = PairCombination(key, {p: 1})
+            assert induced_character(t, comb) == _reference_induced(t, p), spec
+
+
+def test_oracle_errors_name_group_and_pair():
+    g = groups.from_spec("sym:3")
+    half = {x: Cyclotomic.rational(Fraction(1, 2)) for x in g.elements}
+    with pytest.raises(ConsistencyError) as err:
+        induction_by_chains_values(g, half)
+    msg = str(err.value)
+    assert "non-integral" in msg and "sym:3" in msg
+    assert "|H|=1" in msg and "o(phi)=1" in msg
+    # values that are not constant on conjugacy classes are refused
+    swap = groups.perm_from_cycles([(1, 2)], 3)
+    skewed = {x: Cyclotomic.rational(int(x == swap)) for x in g.elements}
+    with pytest.raises(ValueError, match="sym:3"):
+        induction_by_chains_values(g, skewed)
+
+
+def test_multiplicity_memo_keys_on_level_and_denominator():
+    # values with the same numerators at another level, or over another
+    # denominator, are other class functions and must miss the memo
+    t = table("cyclic:3")
+    ctx = monomial_context(t.group)
+    i = next(i for i in range(3) if not t.irreducible(i)[1].is_rational())
+    chi = {x: v.at_level(3) for x, v in brauer.element_values(t, i).items()}
+    expect = tuple(_reference_multiplicity(chi, p) for p in ctx.pairs)
+    assert ctx.multiplicities(chi) == expect
+    for other in (
+        {x: Cyclotomic(6, v.nums) for x, v in chi.items()},
+        {x: v / 2 for x, v in chi.items()},
+    ):
+        with pytest.raises(ConsistencyError):
+            ctx.multiplicities(other)
+    assert ctx.multiplicities(chi) == expect
