@@ -1,54 +1,71 @@
 """Brute-force route through the monomial poset.
 
-Everything here enumerates explicitly: all (subgroup, linear character)
-pairs, all strict chains between them, all orbits of pairs and of chains.
-The canonical induction coefficients are then exact integer data, and the
-fast Adams-route invariant can be cross-checked coefficient by
-coefficient.  Multiplicities and induced characters are both read from
-each pair's class counts and the table's values, never from the Adams
-route.  Deliberately trades speed for transparency; bounded to small groups.
+Everything here is exact and explicit: all (subgroup, linear character)
+pairs, the conjugation action on them, and their orbits.  The signed chain
+counts of the canonical induction formula (R. Boltje, "A canonical Brauer
+induction formula", Asterisque 181-182, 1990) are P. Hall's Moebius
+function of the poset ("The Eulerian functions of a group", 1936),
+computed by Hall's recursion over intervals; the signed counts of chain
+orbits follow by Burnside's lemma from the Moebius functions of the
+fixed-point subposets.  The canonical induction coefficients are then
+exact integer data, and the fast Adams-route invariant can be
+cross-checked coefficient by coefficient.  Multiplicities and induced
+characters are both read from each pair's class counts and the table's
+values, never from the Adams route.  Bounded to small groups (order <= 60),
+where the group is held as index tables: elements are 0..|G|-1, subgroups
+are bitmasks, and conjugation is an index permutation of the pairs.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .adams import ChiLike, _as_class_function, adams_operation
 from .chartab import CharacterTable, ClassFunction, integral_inner_product
 from .cyclo import Cyclotomic
-from .errors import BoundExceeded, ConsistencyError
-from .groups import (
-    LinearChar,
-    MonomialPair,
-    Perm,
-    PermGroup,
-    Subgroup,
-    compose,
-    conjugate_perm,
-    inverse,
-)
+from .errors import BoundExceeded, ConsistencyError, UsageError
+from .groups import MonomialPair, Perm, PermGroup, Subgroup, compose
 
 DEFAULT_ORACLE_BOUND = 24
 HARD_ORACLE_CAP = 60
 ENV_ORACLE_BOUND = "FEITLAB_ORACLE_BOUND"
 
 
-def resolve_oracle_bound(bound: Optional[int] = None) -> int:
+def check_oracle_bound(bound: Optional[int] = None, label: str = "oracle bound") -> int:
+    """The oracle's order bound: ``bound``, or else the environment variable,
+    or else the default.  Raises UsageError, naming ``label`` or the
+    variable, unless it is an integer in 1..HARD_ORACLE_CAP."""
+    shown = f"{label} {bound!r}"
     if bound is None:
-        bound = int(os.environ.get(ENV_ORACLE_BOUND, DEFAULT_ORACLE_BOUND))
+        raw = os.environ.get(ENV_ORACLE_BOUND)
+        if raw is None:
+            return DEFAULT_ORACLE_BOUND
+        shown = f"{ENV_ORACLE_BOUND}={raw!r}"
+        try:
+            bound = int(raw)
+        except ValueError:
+            raise UsageError(f"{shown} is not an integer") from None
+    if isinstance(bound, bool) or not isinstance(bound, int):
+        raise UsageError(f"{shown} is not an integer")
+    if bound < 1:
+        raise UsageError(f"{shown} must be at least 1")
     if bound > HARD_ORACLE_CAP:
-        raise ValueError(
-            f"oracle bound {bound} exceeds the hard cap {HARD_ORACLE_CAP}"
-        )
+        raise UsageError(f"{shown} exceeds the hard cap {HARD_ORACLE_CAP}")
+    return bound
+
+
+def resolve_oracle_bound(bound: Optional[int] = None) -> int:
+    bound = check_oracle_bound(bound)
     if bound > DEFAULT_ORACLE_BOUND:
         warnings.warn(
-            f"oracle bound raised to {bound}; chain enumeration grows steeply",
+            f"oracle bound raised to {bound}; the monomial poset grows steeply",
             stacklevel=3,
         )
     return bound
@@ -63,117 +80,327 @@ def class_counts(group: PermGroup, pair: MonomialPair) -> Dict[int, Dict[int, in
     return counts
 
 
-class MonomialContext:
-    """Per-group cache: the monomial poset, its conjugation action, orbits,
-    the signed chain counts both over all chains and over orbit
-    representatives of chains, and the multiplicity of every pair in each
-    class function it has been asked about."""
+def _mobius(subs: Sequence[int], masks: Sequence[int]) -> Dict[int, List[Tuple[int, int]]]:
+    """Hall's recursion mu(k, k) = 1, mu(k, s) = -sum_{k <= l < s} mu(k, l)
+    on the subposet ``subs`` of the subgroup lattice (subgroup ids, in
+    increasing order, with ``masks`` their element bitmasks): for every s,
+    the (k, mu(k, s)) with k <= s and mu(k, s) nonzero."""
+    out: Dict[int, List[Tuple[int, int]]] = {s: [] for s in subs}
+    for a, k in enumerate(subs):
+        mk = masks[k]
+        nonzero = [(mk, 1)]  # (mask of l, mu(k, l)) over the l reached so far
+        out[k].append((k, 1))
+        for s in subs[a + 1:]:
+            ms = masks[s]
+            if mk & ms != mk:
+                continue
+            w = -sum(m for ml, m in nonzero if ml & ms == ml)
+            if w:
+                nonzero.append((ms, w))
+                out[s].append((k, w))
+    return out
+
+
+class _IndexedPoset:
+    """The monomial poset of one group, on indices.
+
+    Elements are 0..|G|-1 in the order of ``group.elements``, with a
+    multiplication and an inverse table; subgroups are element bitmasks in
+    the order of ``all_subgroups``; pairs are the subgroup id, the character
+    order and its exponents on the subgroup's elements in increasing index
+    order, sorted like ``MonomialPair.key()``.  Shared by the context of the
+    group and by the contexts of its subgroups, which are down-sets of it."""
 
     def __init__(self, group: PermGroup):
-        self.group = group
-        subs = group.all_subgroups()
-        pairs: List[MonomialPair] = [
-            MonomialPair(h, phi) for h in subs for phi in h.linear_characters()
-        ]
-        pairs.sort(key=lambda p: p.key())
+        elems = group.elements
+        n = len(elems)
+        pos = {g: i for i, g in enumerate(elems)}
+        self.pos = pos
+        self.mul = tuple(tuple(pos[compose(a, b)] for b in elems) for a in elems)
+        e = pos[group.identity]
+        self.inv = tuple(row.index(e) for row in self.mul)
+
+        self.subgroups = group.all_subgroups()
+        self.masks = tuple(self.mask(h.elements) for h in self.subgroups)
+        self.sid = {m: s for s, m in enumerate(self.masks)}
+        self.members = tuple(
+            tuple(x for x in range(n) if m >> x & 1) for m in self.masks
+        )
+        place = [{x: t for t, x in enumerate(mem)} for mem in self.members]
+
+        pairs: List[MonomialPair] = []
+        self.psub: List[int] = []
+        self.pexps: List[Tuple[int, ...]] = []
+        self.chars_of: List[Tuple[int, ...]] = []
+        char_index: List[Dict[Tuple[int, Tuple[int, ...]], int]] = []
+        for s, h in enumerate(self.subgroups):
+            chars = sorted(
+                (phi.order, tuple(phi.exponents[elems[x]] for x in self.members[s]), phi)
+                for phi in h.linear_characters()
+            )
+            start = len(pairs)
+            char_index.append({})
+            for o, exps, phi in chars:
+                char_index[s][(o, exps)] = len(pairs)
+                pairs.append(MonomialPair(h, phi))
+                self.psub.append(s)
+                self.pexps.append(exps)
+            self.chars_of.append(tuple(range(start, len(pairs))))
         self.pairs = tuple(pairs)
-        self.index = {p.key(): i for i, p in enumerate(pairs)}
         self.orders = tuple(p.character.order for p in pairs)
 
-        npairs = len(pairs)
-        above: List[List[int]] = [[] for _ in range(npairs)]
-        for i, p in enumerate(pairs):
-            for j, q in enumerate(pairs):
-                if q.subgroup.order > p.subgroup.order and p <= q:
-                    above[i].append(j)
-        self.above = tuple(tuple(a) for a in above)
+        # restrict[j][k]: the pair that pair j restricts to on subgroup k
+        self.restrict: List[Dict[int, int]] = [{} for _ in pairs]
+        for s, ms in enumerate(self.masks):
+            for k in range(s + 1):
+                if self.masks[k] | ms != ms:
+                    continue
+                at = [place[s][x] for x in self.members[k]]
+                for j in self.chars_of[s]:
+                    o, exps = self.orders[j], self.pexps[j]
+                    r = [exps[t] for t in at]
+                    d = math.gcd(o, *r)
+                    key = (o // d, tuple(x // d for x in r))
+                    self.restrict[j][k] = char_index[k][key]
 
-        act: List[Tuple[int, ...]] = []
-        for g in group.elements:
-            act.append(
-                tuple(self.index[p.conjugate(g).key()] for p in pairs)
-            )
+        # below[j]: the (i, mu(i, j)) with i <= j and mu nonzero; the
+        # interval under j is the subgroup lattice under its subgroup
+        mobius = _mobius(range(len(self.masks)), self.masks)
+        self.below = tuple(
+            tuple((self.restrict[j][k], w) for k, w in mobius[self.psub[j]])
+            for j in range(len(pairs))
+        )
+
+        # act[g][j]: the pair g p_j g^-1, from the generators' rows and
+        # c_{ga} = c_g c_a over the multiplication table
+        gen_rows = []
+        for gen in group.generators:
+            g = pos[gen]
+            conj = [self.mul[self.mul[g][x]][self.inv[g]] for x in range(n)]
+            back = [self.mul[self.mul[self.inv[g]][x]][g] for x in range(n)]
+            row = [0] * len(pairs)
+            for s, mem in enumerate(self.members):
+                s2 = self.sid[sum(1 << conj[x] for x in mem)]
+                src = [place[s][back[y]] for y in self.members[s2]]
+                for j in self.chars_of[s]:
+                    exps = self.pexps[j]
+                    row[j] = char_index[s2][(self.orders[j], tuple(exps[t] for t in src))]
+            gen_rows.append((g, row))
+        act: List[Optional[Tuple[int, ...]]] = [None] * n
+        act[e] = tuple(range(len(pairs)))
+        frontier = [e]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                row_a = act[a]
+                for g, row_g in gen_rows:
+                    b = self.mul[g][a]
+                    if act[b] is None:
+                        act[b] = tuple([row_g[j] for j in row_a])
+                        nxt.append(b)
+            frontier = nxt
         self.act = tuple(act)
+        # the multiplicities of each subgroup's characters in each class
+        # function, keyed by the function's values on the subgroup; shared by
+        # every context on this poset
+        self.mult_memo: Dict[tuple, Tuple[int, ...]] = {}
 
-        orbit_rep = list(range(npairs))
+    def mask(self, elements: Iterable[Perm]) -> int:
+        return sum(1 << self.pos[x] for x in elements)
+
+    @cached_property
+    def cyclic(self) -> Tuple[bool, ...]:
+        return tuple(h.is_cyclic() for h in self.subgroups)
+
+
+class MonomialContext:
+    """The monomial poset of one group with its conjugation action, orbits,
+    Moebius function (the signed chain counts) and the signed counts of
+    chain orbits, and the multiplicity of every pair in a class function.
+
+    Built on the indexed poset of the group itself, or, for a subgroup U of
+    a larger group G, on G's poset: U's poset is the down-set of the pairs
+    (H, phi) with H <= U, the Moebius function of an interval depends only
+    on the interval, and only U's orbits and orbit weights are new."""
+
+    def __init__(self, group: PermGroup, poset: Optional[_IndexedPoset] = None):
+        self.group = group
+        self.poset = P = poset or _IndexedPoset(group)
+        umask = P.mask(group.elements)
+        self._subs = tuple(s for s, m in enumerate(P.masks) if m | umask == umask)
+        glob = tuple(j for s in self._subs for j in P.chars_of[s])
+        self._glob = glob
+        self.pairs = tuple(P.pairs[j] for j in glob)
+        self.orders = tuple(P.orders[j] for j in glob)
+        if len(glob) == len(P.pairs):
+            self._local: Mapping[int, int] = range(len(glob))
+            self.act = P.act
+        else:
+            self._local = {j: a for a, j in enumerate(glob)}
+            loc = self._local
+            self.act = tuple(
+                tuple([loc[row[j]] for j in glob])
+                for row in (P.act[P.pos[x]] for x in group.elements)
+            )
+
+        npairs = len(glob)
+        orbit_rep: List[int] = [-1] * npairs
+        self.orbit_size: Dict[int, int] = {}
         for i in range(npairs):
-            members = {row[i] for row in act}
-            rep = min(members)
-            for m in members:
-                orbit_rep[m] = min(orbit_rep[m], rep)
+            if orbit_rep[i] < 0:
+                members = {row[i] for row in self.act}
+                rep = min(members)
+                for m in members:
+                    orbit_rep[m] = rep
+                self.orbit_size[rep] = len(members)
         self.orbit_rep = tuple(orbit_rep)
-        self.orbit_size = {
-            rep: sum(1 for i in range(npairs) if orbit_rep[i] == rep)
-            for rep in set(orbit_rep)
-        }
+        self._down_sets: Dict[PermGroup, MonomialContext] = {}
+        self._sums: Dict[int, Tuple[Tuple[int, Cyclotomic], ...]] = {}
 
-        chain_weight: Dict[Tuple[int, int], int] = defaultdict(int)
-        orbit_weight: Dict[Tuple[int, int], int] = defaultdict(int)
-        seen_orbits: Set[Tuple[int, ...]] = set()
-        chain: List[int] = []
+    def down_set(self, sub: Subgroup) -> "MonomialContext":
+        """The context of a subgroup of this context's group, as a down-set
+        of the same poset; owned by this context."""
+        group = sub.as_group()
+        ctx = self._down_sets.get(group)
+        if ctx is None:
+            ctx = self._down_sets[group] = MonomialContext(group, self.poset)
+        return ctx
 
-        def dfs(top: int, sign: int):
-            chain.append(top)
-            start = chain[0]
-            chain_weight[(start, top)] += sign
-            tup = tuple(chain)
-            canon = min(tuple(row[i] for i in tup) for row in self.act)
-            if canon not in seen_orbits:
-                seen_orbits.add(canon)
-                orbit_weight[(orbit_rep[canon[0]], orbit_rep[canon[-1]])] += sign
-            for nxt in self.above[top]:
-                dfs(nxt, -sign)
-            chain.pop()
+    @cached_property
+    def index(self) -> Dict[tuple, int]:
+        return {p.key(): i for i, p in enumerate(self.pairs)}
 
-        for start in range(npairs):
-            dfs(start, 1)
-        self.chain_weight = dict(chain_weight)
-        self.orbit_chain_weight = dict(orbit_weight)
-        self._multiplicities: Dict[tuple, Tuple[int, ...]] = {}
+    @cached_property
+    def above(self) -> Tuple[Tuple[int, ...], ...]:
+        """For every pair, the pairs over a strictly larger subgroup that
+        restrict to it, in increasing order."""
+        P, loc = self.poset, self._local
+        out: List[List[int]] = [[] for _ in self._glob]
+        for a, j in enumerate(self._glob):
+            s = P.psub[j]
+            for k, i in P.restrict[j].items():
+                if k != s:
+                    out[loc[i]].append(a)
+        return tuple(tuple(x) for x in out)
+
+    @cached_property
+    def below(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """For every pair q, the (p, mu(p, q)) with p <= q and mu nonzero."""
+        P, loc = self.poset, self._local
+        if isinstance(loc, range):
+            return P.below
+        return tuple(
+            tuple((loc[i], w) for i, w in P.below[j]) for j in self._glob
+        )
+
+    @cached_property
+    def chain_weight(self) -> Dict[Tuple[int, int], int]:
+        """mu(p, q), the signed count of strict chains from p up to q, for
+        every p <= q where it is nonzero."""
+        return {(i, j): w for j, low in enumerate(self.below) for i, w in low}
+
+    @cached_property
+    def orbit_chain_weight(self) -> Dict[Tuple[int, int], int]:
+        """The signed count of G-orbits of chains, by the orbit
+        representatives of their bottom and top, where it is nonzero.  By
+        Burnside it is (1/|G|) sum over g of the Moebius function of the
+        pairs fixed by g, one g per class weighted by the class size.  For
+        fixed q = (H, phi), the fixed pairs under q are the restrictions of
+        phi to the g-invariant subgroups of H."""
+        P, glob, loc, rep = self.poset, self._glob, self._local, self.orbit_rep
+        weight: Dict[Tuple[int, ...], int] = defaultdict(int)
+        for cls in self.group.conjugacy_classes():
+            row = P.act[P.pos[cls.rep]]
+            weight[tuple(a for a, j in enumerate(glob) if row[j] == j)] += cls.size
+        raw: Dict[Tuple[int, int], int] = defaultdict(int)
+        for fixed, size in weight.items():
+            if len(fixed) == len(glob):
+                below = self.below
+            else:
+                mob = _mobius(sorted({P.psub[glob[a]] for a in fixed}), P.masks)
+                below = {
+                    a: [(loc[P.restrict[glob[a]][k]], w) for k, w in mob[P.psub[glob[a]]]]
+                    for a in fixed
+                }
+            for a in fixed:
+                for i, w in below[a]:
+                    raw[(rep[i], rep[a])] += size * w
+        out = {}
+        for key, total in raw.items():
+            q, r = divmod(total, self.group.order)
+            if r:
+                raise ConsistencyError(
+                    f"Burnside sum {total} over the chains from the orbit of"
+                    f" {self.pairs[key[0]]!r} to that of {self.pairs[key[1]]!r}"
+                    f" is not divisible by the order of {self.group.name}"
+                )
+            if q:
+                out[key] = q
+        return out
 
     @cached_property
     def cyclic(self) -> Tuple[bool, ...]:
         """Whether each pair's subgroup is cyclic, computed on first use."""
-        return tuple(p.subgroup.is_cyclic() for p in self.pairs)
+        cyc = self.poset.cyclic
+        return tuple(cyc[self.poset.psub[j]] for j in self._glob)
 
     @cached_property
-    def _restriction_sums(self) -> Tuple[Tuple[Tuple[int, Cyclotomic], ...], ...]:
-        """For every pair of order o, the sums sum_k N[c][k] z_o^-k over the
-        classes c that meet its subgroup."""
-        return tuple(
-            tuple(
+    def _member_classes(self) -> Dict[int, Tuple[int, ...]]:
+        """For every subgroup, the class of this context's group of each of
+        its elements."""
+        P = self.poset
+        cls_of = {
+            P.pos[x]: c
+            for c, cls in enumerate(self.group.conjugacy_classes())
+            for x in cls.elements
+        }
+        return {s: tuple(cls_of[x] for x in P.members[s]) for s in self._subs}
+
+    def _multiplicity(self, j: int, row: Sequence[Cyclotomic]) -> int:
+        """<chi|_H, phi> for the poset's pair j from the class values, as
+        sum_c chi(c) sum_k N[c][k] z_o^-k / |H| over this group's classes."""
+        sums = self._sums.get(j)
+        pair = self.poset.pairs[j]
+        if sums is None:
+            sums = self._sums[j] = tuple(
                 (c, Cyclotomic.from_terms(
-                    p.character.order, [(-k, n) for k, n in row.items()]
+                    pair.character.order, [(-k, n) for k, n in counts.items()]
                 ))
-                for c, row in class_counts(self.group, p).items()
+                for c, counts in class_counts(self.group, pair).items()
             )
-            for p in self.pairs
-        )
+        acc = Cyclotomic.rational(0)
+        for c, s in sums:
+            acc = acc + row[c] * s
+        m = acc / pair.subgroup.order
+        out = m.as_integer()
+        if out is None:
+            raise ConsistencyError(
+                f"non-integral character multiplicity {m} at {pair!r}"
+                f" of {self.group.name}"
+            )
+        return out
 
     def multiplicities(self, values: Mapping[Perm, Cyclotomic]) -> Tuple[int, ...]:
         """<chi|_H, phi> for every pair (H, phi), with chi the class function
-        given by its element values; computed once per class function."""
+        given by its element values.  The poset keeps them per subgroup and
+        per values on that subgroup, so each is computed once for all the
+        contexts on the poset."""
         group = self.group
         classes = group.conjugacy_classes()
         row = [values[cls.rep] for cls in classes]
         if any(values[x] != v for cls, v in zip(classes, row) for x in cls.elements):
             raise ValueError(f"values are not constant on the classes of {group.name}")
-        key = tuple((v.level, v.nums, v.den) for v in row)
-        if key not in self._multiplicities:
-            mults = []
-            for pair, sums in zip(self.pairs, self._restriction_sums):
-                acc = Cyclotomic.rational(0)
-                for c, s in sums:
-                    acc = acc + row[c] * s
-                m = acc / pair.subgroup.order
-                mults.append(m.as_integer())
-                if mults[-1] is None:
-                    raise ConsistencyError(
-                        f"non-integral character multiplicity {m} at {pair!r}"
-                        f" of {group.name}"
-                    )
-            self._multiplicities[key] = tuple(mults)
-        return self._multiplicities[key]
+        keys = [(v.level, v.nums, v.den) for v in row]
+        memo, chars_of = self.poset.mult_memo, self.poset.chars_of
+        out: List[int] = []
+        for s, cls in self._member_classes.items():
+            key = (s, tuple([keys[c] for c in cls]))
+            mults = memo.get(key)
+            if mults is None:
+                mults = tuple(self._multiplicity(j, row) for j in chars_of[s])
+                memo[key] = mults
+            out.extend(mults)
+        return tuple(out)
 
     def orbit_of(self, pair: MonomialPair) -> Tuple[MonomialPair, int, int]:
         """Canonical representative, orbit size, and stabilizer size."""
@@ -183,20 +410,24 @@ class MonomialContext:
         return self.pairs[rep], size, self.group.order // size
 
 
-_CONTEXT_CACHE: Dict[Tuple[int, Tuple[Perm, ...]], MonomialContext] = {}
-
-
 def monomial_context(group: PermGroup, bound: Optional[int] = None) -> MonomialContext:
-    limit = resolve_oracle_bound(bound)
+    """The group's context, built once and kept on the group.  A group
+    promoted from a subgroup of a larger group within the bound gets the
+    down-set of the larger group's context instead, owned by that context."""
+    return _context(group, resolve_oracle_bound(bound))
+
+
+def _context(group: PermGroup, limit: int) -> MonomialContext:
     if group.order > limit:
         raise BoundExceeded(
-            f"oracle route needs order <= {limit}, group has {group.order}"
+            f"oracle route needs order <= {limit}, {group.name} has order {group.order}"
         )
-    key = (group.degree, group.elements)
-    ctx = _CONTEXT_CACHE.get(key)
+    ctx = group.oracle_context
     if ctx is None:
-        ctx = MonomialContext(group)
-        _CONTEXT_CACHE[key] = ctx
+        sub = group.ambient
+        if sub is not None and sub.parent.order <= limit:
+            return _context(sub.parent, limit).down_set(sub)
+        ctx = group.oracle_context = MonomialContext(group)
     return ctx
 
 
@@ -310,9 +541,10 @@ def induction_by_chains_values(
     ctx = monomial_context(group, bound)
     mult = ctx.multiplicities(values)
     acc: Dict[int, int] = defaultdict(int)
-    for (i0, top), w in ctx.chain_weight.items():
-        if w and mult[top]:
-            acc[ctx.orbit_rep[i0]] += w * ctx.pairs[i0].subgroup.order * mult[top]
+    for top, m in enumerate(mult):
+        if m:
+            for i0, w in ctx.below[top]:
+                acc[ctx.orbit_rep[i0]] += w * ctx.pairs[i0].subgroup.order * m
     coeffs: Dict[MonomialPair, int] = {}
     for rep, raw in acc.items():
         q, r = divmod(raw, group.order)
@@ -374,36 +606,36 @@ def induced_character(table: CharacterTable, comb: PairCombination) -> ClassFunc
 def restrict_combination(
     comb: PairCombination, sub: Subgroup, bound: Optional[int] = None
 ) -> PairCombination:
-    """Push a combination down to a subgroup through the double-coset sum."""
+    """Push a combination down to a subgroup through the double-coset sum:
+    [H, phi] restricts to the sum over the double cosets U g H of the pairs
+    (U n gHg^-1, phi^g restricted), each counted by its orbit under U."""
     group = sub.parent
     if comb.group_key != _group_key(group):
         raise ValueError("combination lives over a different group")
-    sub_group = sub.as_group()
-    ctx_u = monomial_context(sub_group, bound)
+    ctx = monomial_context(group, bound)
+    down = ctx.down_set(sub)
+    P = ctx.poset
+    mul = P.mul
+    g_elems = P.members[P.sid[P.mask(group.elements)]]
+    umask = P.mask(sub.elements)
+    u_elems = P.members[P.sid[umask]]
     acc: Dict[MonomialPair, int] = defaultdict(int)
     for pair, c in comb.coefficients.items():
-        h_elems = pair.subgroup.elements
-        seen: Set[Perm] = set()
-        for g in group.elements:
-            if g in seen:
+        j = ctx._glob[ctx.index[pair.key()]]
+        h_elems = P.members[P.psub[j]]
+        seen = bytearray(len(mul))
+        for g in g_elems:
+            if seen[g]:
                 continue
             # mark the whole double coset U g H
-            for u in sub.elements:
-                ug = compose(u, g)
+            for u in u_elems:
+                row = mul[mul[u][g]]
                 for h in h_elems:
-                    seen.add(compose(ug, h))
-            g_inv = inverse(g)
-            conj_h = {conjugate_perm(g, h) for h in h_elems}
-            k_elems = sub.elements & conj_h
-            exps = {
-                x: pair.character.exponents[conjugate_perm(g_inv, x)]
-                for x in k_elems
-            }
-            k_sub = Subgroup(sub_group, k_elems, validate=False)
-            psi = LinearChar(k_sub, pair.character.order, exps)
-            rep, _, _ = ctx_u.orbit_of(MonomialPair(k_sub, psi))
-            acc[rep] += c
-    return PairCombination(_group_key(sub_group), acc)
+                    seen[row[h]] = 1
+            jg = P.act[g][j]
+            i = P.restrict[jg][P.sid[umask & P.masks[P.psub[jg]]]]
+            acc[down.pairs[down.orbit_rep[down._local[i]]]] += c
+    return PairCombination(_group_key(down.group), acc)
 
 
 def invariant_via_coefficients(

@@ -6,7 +6,8 @@ group), corpus (verify + feit over a list of entries).
 
 Exit codes: 0 all good; 1 failed checks or internal errors; 2 usage
 errors (an unknown or malformed group spec, an out-of-range --chi, an --n
-that is not a positive divisor of the exponent); 3 a conductor indicator
+that is not a positive divisor of the exponent, an oracle bound that is not
+an integer in 1..60); 3 a conductor indicator
 of zero was found (a conjecture counterexample candidate, the most
 interesting possible output, reported rather than treated as an error).
 """
@@ -24,10 +25,10 @@ from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional
 
-from . import adams, runner
+from . import adams, brauer, runner
 from .chartab import save_table
 from .cyclo import Cyclotomic
-from .errors import SpecError
+from .errors import SpecError, UsageError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -133,8 +134,9 @@ def cmd_feit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    bound = brauer.check_oracle_bound(args.oracle_bound, "--oracle-bound")
     table = runner.resolve_input(args.group)
-    report = runner.verify_table(table, args.oracle_bound)
+    report = runner.verify_table(table, bound)
     report["generated_at"] = _timestamp()
     if args.json:
         print(json.dumps(report, indent=1))
@@ -168,7 +170,8 @@ def _timestamp() -> str:
 def cmd_corpus(args) -> int:
     doc = json.loads(Path(args.file).read_text())
     entries = doc["entries"]
-    bound = doc.get("oracle_bound")
+    bound = brauer.check_oracle_bound(
+        doc.get("oracle_bound"), f"{args.file}: oracle_bound")
     fmt = args.format or doc.get("format", "json")
     payloads = [(e, bound) for e in entries]
     if args.jobs > 1:
@@ -267,7 +270,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_ERROR
-    except SpecError as exc:
+    except (SpecError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises

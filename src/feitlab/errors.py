@@ -20,3 +20,8 @@ class TableFormatError(ValueError):
 class SpecError(ValueError):
     """A group spec string is unknown or malformed: a usage error, reported
     with the form that was expected."""
+
+
+class UsageError(ValueError):
+    """An option or environment setting is out of range or malformed: a
+    usage error, reported with the option or variable it came from."""

@@ -1,3 +1,5 @@
+import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,14 @@ from feitlab.brauer import (
 from feitlab.chartab import compute_table, inner_product
 from feitlab.cyclo import Cyclotomic, zeta
 from feitlab.errors import BoundExceeded, ConsistencyError
-from feitlab.groups import MonomialPair, conjugate_perm, inverse
+from feitlab.groups import (
+    LinearChar,
+    MonomialPair,
+    Subgroup,
+    compose,
+    conjugate_perm,
+    inverse,
+)
 
 
 def table(spec):
@@ -427,3 +436,158 @@ def test_multiplicity_memo_keys_on_level_and_denominator():
         with pytest.raises(ConsistencyError):
             ctx.multiplicities(other)
     assert ctx.multiplicities(chi) == expect
+
+
+def test_context_errors_name_the_group_passed_in():
+    # the oracle's errors name the group they were asked about, also when a
+    # group with the same degree and elements has been seen before
+    g = groups.from_spec("sym:3")
+    for u in g.all_subgroups():
+        ones = {x: Cyclotomic.rational(1) for x in u.elements}
+        induction_by_chains_values(u.as_group(), ones)
+    c3 = groups.from_spec("cyclic:3")
+    half = {x: Cyclotomic.rational(Fraction(1, 2)) for x in c3.elements}
+    with pytest.raises(ConsistencyError) as err:
+        induction_by_chains_values(c3, half)
+    assert "of cyclic:3" in str(err.value) and "sym:3" not in str(err.value)
+
+
+class _LiteralContext:
+    """The element-level monomial poset, kept as a test-only reference:
+    pairs compared pairwise with ``MonomialPair.__le__``, the action by
+    ``MonomialPair.conjugate`` and ``key()``, and the chain weights and
+    chain-orbit weights by enumerating every strict chain (zeros dropped)."""
+
+    def __init__(self, group):
+        pairs = sorted(
+            (MonomialPair(h, phi) for h in group.all_subgroups()
+             for phi in h.linear_characters()),
+            key=lambda p: p.key(),
+        )
+        self.pairs = pairs
+        self.index = {p.key(): i for i, p in enumerate(pairs)}
+        self.above = tuple(
+            tuple(j for j, q in enumerate(pairs)
+                  if q.subgroup.order > p.subgroup.order and p <= q)
+            for p in pairs
+        )
+        self.act = tuple(
+            tuple(self.index[p.conjugate(g).key()] for p in pairs)
+            for g in group.elements
+        )
+        self.orbit_rep = tuple(
+            min(row[i] for row in self.act) for i in range(len(pairs))
+        )
+        self.orbit_size = dict(Counter(self.orbit_rep))
+
+        chain_weight, orbit_weight = Counter(), Counter()
+        seen_orbits = set()
+        chain = []
+
+        def dfs(top, sign):
+            chain.append(top)
+            chain_weight[(chain[0], top)] += sign
+            canon = min(tuple(row[i] for i in chain) for row in self.act)
+            if canon not in seen_orbits:
+                seen_orbits.add(canon)
+                key = (self.orbit_rep[canon[0]], self.orbit_rep[canon[-1]])
+                orbit_weight[key] += sign
+            for nxt in self.above[top]:
+                dfs(nxt, -sign)
+            chain.pop()
+
+        for start in range(len(pairs)):
+            dfs(start, 1)
+        self.chain_weight = {k: w for k, w in chain_weight.items() if w}
+        self.orbit_chain_weight = {k: w for k, w in orbit_weight.items() if w}
+
+
+def test_chain_weights_hall_and_burnside_match_chain_enumeration():
+    # three ways to the same numbers on every bundled corpus group: strict
+    # chains enumerated one by one, Hall's recursion for the Moebius
+    # function, and Burnside over the fixed-point subposets for the orbits
+    for spec in runner.C_SMALL:
+        g = groups.from_spec(spec)
+        ctx = MonomialContext(g)
+        ref = _LiteralContext(g)
+        assert [p.key() for p in ctx.pairs] == [p.key() for p in ref.pairs], spec
+        assert ctx.above == ref.above, spec
+        assert ctx.act == ref.act, spec
+        assert ctx.orbit_rep == ref.orbit_rep, spec
+        assert ctx.orbit_size == ref.orbit_size, spec
+        assert ctx.chain_weight == ref.chain_weight, spec
+        assert ctx.orbit_chain_weight == ref.orbit_chain_weight, spec
+
+
+def _reference_restrict(comb, sub, lit):
+    """Restriction element by element: mark each double coset U g H with
+    ``compose``, build U n gHg^-1 and its character as a Subgroup and a
+    LinearChar, and find its orbit by key in ``lit``, the literal poset of
+    U."""
+    group = sub.parent
+    sub_group = sub.as_group()
+    acc = Counter()
+    for pair, c in comb.coefficients.items():
+        h_elems = pair.subgroup.elements
+        seen = set()
+        for g in group.elements:
+            if g in seen:
+                continue
+            for u in sub.elements:
+                ug = compose(u, g)
+                for h in h_elems:
+                    seen.add(compose(ug, h))
+            g_inv = inverse(g)
+            k_elems = sub.elements & {conjugate_perm(g, h) for h in h_elems}
+            exps = {
+                x: pair.character.exponents[conjugate_perm(g_inv, x)]
+                for x in k_elems
+            }
+            k_sub = Subgroup(sub_group, k_elems, validate=False)
+            psi = LinearChar(k_sub, pair.character.order, exps)
+            rep = lit.orbit_rep[lit.index[MonomialPair(k_sub, psi).key()]]
+            acc[lit.pairs[rep]] += c
+    return PairCombination(brauer._group_key(sub_group), acc)
+
+
+def test_indexed_restriction_matches_element_loop_over_corpus():
+    for spec in runner.C_SMALL:
+        t = compute_table(groups.from_spec(spec), name=spec)
+        combs = [induction_by_chains(t, i) for i in range(t.num_classes)]
+        for u in t.group.all_subgroups():
+            lit = _LiteralContext(u.as_group())
+            for i, comb in enumerate(combs):
+                assert restrict_combination(comb, u) == \
+                    _reference_restrict(comb, u, lit), (spec, i, u.order)
+
+
+def test_down_set_context_equals_standalone_context():
+    for spec in ("sym:4", "sl2:3", "dihedral:12"):
+        g = groups.from_spec(spec)
+        ctx = monomial_context(g)
+        for u in g.all_subgroups():
+            down = monomial_context(u.as_group())
+            assert down is ctx.down_set(u) and down.poset is ctx.poset
+            alone = MonomialContext(u.as_group())
+            assert alone.poset is not ctx.poset
+            assert [p.key() for p in down.pairs] == \
+                [p.key() for p in alone.pairs], (spec, u.order)
+            assert down.chain_weight == alone.chain_weight, (spec, u.order)
+            assert down.orbit_rep == alone.orbit_rep, (spec, u.order)
+            assert down.orbit_size == alone.orbit_size, (spec, u.order)
+            assert down.act == alone.act and down.above == alone.above
+            assert down.orbit_chain_weight == alone.orbit_chain_weight
+
+
+def test_oracle_reaches_order_32_poset():
+    # 819 pairs: chain enumeration took seconds here; Hall's recursion does not
+    t = table("product:elementary:2,3,cyclic:4")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ctx = monomial_context(t.group, bound=60)
+        assert len(ctx.pairs) == 819
+        i = next(i for i in range(t.num_classes) if t.irreducible(i)[1] != 1)
+        comb = induction_by_chains(t, i, bound=60)
+    for n in numth.divisors(t.exponent):
+        assert invariant_via_coefficients(t, i, n, comb=comb) == \
+            adams.invariant(t, i, n).value, n

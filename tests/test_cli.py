@@ -141,6 +141,31 @@ def test_oracle_bound_env_override(capsys, monkeypatch):
     assert "SKIP oracle_suite" in out and "exceeds oracle bound 4" in out
 
 
+def test_bad_oracle_bounds_are_usage_errors(tmp_path, capsys, monkeypatch):
+    # refused with exit 2 before any table is built, naming the option or
+    # the variable the bound came from
+    def no_table(entry):
+        raise AssertionError("table built before the bound was checked")
+
+    monkeypatch.setattr(runner, "resolve_input", no_table)
+    for bound in ("100", "-1", "0"):
+        code, out, err = run_cli(capsys, "verify", "sym:3", "--oracle-bound", bound)
+        assert code == 2 and out == "", bound
+        assert f"--oracle-bound {bound}" in err, err
+    assert "hard cap 60" in run_cli(
+        capsys, "verify", "sym:3", "--oracle-bound", "100")[2]
+
+    cfile = tmp_path / "corpus.json"
+    cfile.write_text(json.dumps({"entries": ["sym:3"], "oracle_bound": 100}))
+    code, _, err = run_cli(capsys, "corpus", str(cfile))
+    assert code == 2 and "oracle_bound" in err and "100" in err
+
+    for value, why in (("abc", "not an integer"), ("61", "hard cap 60")):
+        monkeypatch.setenv("FEITLAB_ORACLE_BOUND", value)
+        code, _, err = run_cli(capsys, "verify", "sym:3")
+        assert code == 2 and "FEITLAB_ORACLE_BOUND" in err and why in err, err
+
+
 def test_verify_json_deterministic(capsys):
     code, out1, _ = run_cli(capsys, "verify", "quaternion:8", "--json")
     code2, out2, _ = run_cli(capsys, "verify", "quaternion:8", "--json")
