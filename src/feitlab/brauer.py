@@ -413,8 +413,10 @@ class MonomialContext:
 def monomial_context(group: PermGroup, bound: Optional[int] = None) -> MonomialContext:
     """The group's context, built once and kept on the group.  A group
     promoted from a subgroup of a larger group within the bound gets the
-    down-set of the larger group's context instead, owned by that context."""
-    return _context(group, resolve_oracle_bound(bound))
+    down-set of the larger group's context instead, owned by that context.
+    The bound is checked without a warning: ``runner.verify_table`` warns
+    once where it resolves the bound for a whole verification."""
+    return _context(group, check_oracle_bound(bound))
 
 
 def _context(group: PermGroup, limit: int) -> MonomialContext:

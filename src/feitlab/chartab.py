@@ -10,16 +10,23 @@ eigenvalue-multiplicity transform, which is known to produce small
 non-negative integers.  Each group fact is computed once: one power map
 per class (the class of every power of its representative, which also
 gives the inverse classes and the prime power maps), the class-sum
-constants of a class only when the splitting reaches it, the eigenvalues of
-each restricted class-sum matrix as the roots over F_p of its
-characteristic polynomial, and one cyclotomic value per distinct
-multiplicity vector.  A computed table keeps its power map and
-multiplicities; any other table derives them on first use, from its prime
-power maps and by the exact cyclotomic transform in ``eigenvalue_dft``.
-Floating point never occurs.
+constants of a class, as its nonzero entries, only when the splitting
+reaches it, one row reduction per eigenspace for the coordinates of all
+its basis images, the eigenvalues of each restricted class-sum matrix as
+the roots over F_p of its characteristic polynomial, and one cyclotomic
+value per distinct multiplicity vector.  The multiplicity transform runs
+only at root classes: taken by element order, high to low, each class not
+yet reached as a power rep_k0^a of an earlier one.  A power class of order
+t = t0/g, g = gcd(t0, a), reads its vector from its root's by
+j -> j (a/g) mod t, and is checked against its own residue.  A computed
+table keeps its power map and multiplicities; any other table derives them
+on first use, from its prime power maps and by the exact cyclotomic
+transform in ``eigenvalue_dft``.  Floating point never occurs.
 
-A computed table is validated in integers from its multiplicities; a table
-loaded from JSON is validated on its cyclotomic values.
+A computed table is validated in integers from its multiplicities, in one
+Gram pass over sparse class vectors built once per row; a table loaded from
+JSON is validated on its cyclotomic values.  Errors raised while a table is
+built name the group and, where there is one, the class and the row.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from functools import reduce
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import numth
 from .cyclo import Cyclotomic, _reduction_table, units, zeta
@@ -305,17 +312,29 @@ def _scaled_inner_product(table: CharacterTable, u, v) -> Tuple[int, ...]:
     At class c, eigenvalues zeta_t^a of u and zeta_t^b of v contribute
     zeta_t^(a - b) = zeta_e^((a - b) e/t); the level-e sum is then reduced
     exactly, so an irrational inner product is seen as one."""
+    return _scaled_pair(table, _level_terms(table, u), _level_terms(table, v))
+
+
+def _level_terms(table: CharacterTable, vectors) -> List[List[Tuple[int, int]]]:
+    """Per class, the eigenvalues of a class function with a nonzero
+    multiplicity, as (exponent at level e, multiplicity)."""
+    e = table.exponent
+    out = []
+    for cls, vec in zip(table.classes, vectors):
+        step = e // cls.rep_order
+        out.append([(j * step, m) for j, m in enumerate(vec) if m])
+    return out
+
+
+def _scaled_pair(table: CharacterTable, us, vs) -> Tuple[int, ...]:
+    """``_scaled_inner_product`` from the ``_level_terms`` of u and v."""
     e = table.exponent
     acc = [0] * e
-    for cls, x, y in zip(table.classes, u, v):
-        t = cls.rep_order
-        step = e // t
-        ys = [(b, m) for b, m in enumerate(y) if m]
-        for a, m in enumerate(x):
-            if m:
-                w = cls.size * m
-                for b, n in ys:
-                    acc[(a - b) % t * step] += w * n
+    for cls, u, v in zip(table.classes, us, vs):
+        for x, m in u:
+            w = cls.size * m
+            for y, n in v:
+                acc[(x - y) % e] += w * n
     phi, red = _reduction_table(e)
     out = [0] * phi
     for (idx, val), s in zip(red, acc):
@@ -450,15 +469,21 @@ def _nullspace_mod(mat: List[List[int]], p: int) -> List[List[int]]:
     return basis
 
 
-def _coords_in_basis(basis: List[List[int]], w: List[int], p: int) -> List[int]:
-    """Coordinates of w in the span of the given independent vectors."""
+def _coords_in_basis(
+    basis: List[List[int]], images: List[List[int]], p: int, where: str
+) -> List[List[int]]:
+    """Coordinates of the images in the span of the given independent
+    vectors, as the matrix whose column j holds those of image j, by one row
+    reduction of the basis augmented with every image."""
     d = len(basis)
-    aug = [[b[i] for b in basis] + [w[i]] for i in range(len(w))]
+    aug = [
+        [b[i] for b in basis] + [w[i] for w in images] for i in range(len(basis[0]))
+    ]
     if len(_row_reduce_mod(aug, d, p)) != d:
-        raise ConsistencyError("dependent basis in eigenspace splitting")
-    if any(row[d] % p for row in aug[d:]):
-        raise ConsistencyError("vector left the invariant subspace")
-    return [row[d] for row in aug[:d]]
+        raise ConsistencyError(f"dependent basis in eigenspace splitting at {where}")
+    if any(v % p for row in aug[d:] for v in row[d:]):
+        raise ConsistencyError(f"vector left the invariant subspace at {where}")
+    return [row[d:] for row in aug[:d]]
 
 
 def _charpoly_mod(mat: List[List[int]], p: int) -> List[int]:
@@ -500,6 +525,20 @@ def _charpoly_mod(mat: List[List[int]], p: int) -> List[int]:
     return polys[n]
 
 
+def _power_vector(vec: Sequence[int], a: int) -> Tuple[int, ...]:
+    """Eigenvalue multiplicities at g^a from those at g, g of order
+    t = len(vec): zeta_t^j becomes zeta_t^(j a) = zeta_u^(j a/c), where
+    c = gcd(t, a) and u = t/c is the order of g^a."""
+    t = len(vec)
+    c = math.gcd(t, a)
+    u, b = t // c, a // c
+    out = [0] * u
+    for j, m in enumerate(vec):
+        if m:
+            out[j * b % u] += m
+    return tuple(out)
+
+
 def compute_table(
     group: PermGroup,
     name: Optional[str] = None,
@@ -510,6 +549,7 @@ def compute_table(
         raise BoundExceeded(
             f"table computation needs order <= {bound}, group has {group.order}"
         )
+    label = name or group.name
     classes = group.conjugacy_classes()
     r = len(classes)
     n_order = group.order
@@ -529,14 +569,26 @@ def compute_table(
         powmap.append(tuple(row))
     inv_class = [pm[-1] for pm in powmap]
 
-    def class_sum_matrix(i: int) -> List[List[int]]:
-        # entry [j][k] counts the x in class i with x^-1 * rep_k in class j
-        mat = [[0] * r for _ in range(r)]
+    def class_sum_columns(i: int) -> List[Tuple[Tuple[int, int], ...]]:
+        # column k of the class-sum matrix of class i as its nonzero entries
+        # (j, n): n counts the x in class i with x^-1 * rep_k in class j
         inverses = [inverse(x) for x in classes[i].elements]
-        for k, ck in enumerate(classes):
+        cols = []
+        for ck in classes:
+            counts: Dict[int, int] = {}
             for y in inverses:
-                mat[cls_of(compose(y, ck.rep))][k] += 1
-        return mat
+                j = cls_of(compose(y, ck.rep))
+                counts[j] = counts.get(j, 0) + 1
+            cols.append(tuple(counts.items()))
+        return cols
+
+    def image(cols, vec: List[int]) -> List[int]:
+        out = [0] * r
+        for k, x in enumerate(vec):
+            if x:
+                for j, n in cols[k]:
+                    out[j] += n * x
+        return [v % p for v in out]
 
     p = _choose_prime(n_order, e)
     w = _primitive_root(p)
@@ -549,21 +601,17 @@ def compute_table(
     for i in range(1, r):
         if all(len(s) == 1 for s in spaces):
             break
-        mat_i = class_sum_matrix(i)
+        cols = class_sum_columns(i)
+        where = f"class {i} of {label}"
         new_spaces = []
         for basis in spaces:
             if len(basis) == 1:
                 new_spaces.append(basis)
                 continue
-            images = []
-            for b in basis:
-                wv = [
-                    sum(mat_i[jj][k] * b[k] for k in range(r)) % p
-                    for jj in range(r)
-                ]
-                images.append(_coords_in_basis(basis, wv, p))
             d = len(basis)
-            small = [[images[j][l] for j in range(d)] for l in range(d)]
+            small = _coords_in_basis(
+                basis, [image(cols, b) for b in basis], p, where
+            )
             poly = _charpoly_mod(small, p)
             found = 0
             for lam in range(p):
@@ -579,67 +627,111 @@ def compute_table(
                 kernel = _nullspace_mod(shifted, p)
                 sub = []
                 for vec in kernel:
-                    amb = [
-                        sum(vec[j] * basis[j][k] for j in range(d)) % p
-                        for k in range(r)
-                    ]
-                    sub.append(amb)
+                    amb = [0] * r
+                    for x, b in zip(vec, basis):
+                        if x:
+                            amb = [u + x * y for u, y in zip(amb, b)]
+                    sub.append([u % p for u in amb])
                 new_spaces.append(sub)
                 found += len(kernel)
                 if found == d:
                     break
             if found != d:
-                raise ConsistencyError("class-sum matrix failed to split")
+                raise ConsistencyError(
+                    f"class-sum matrix failed to split at {where}:"
+                    f" eigenspaces of dimension {found} in a space of {d}"
+                )
         spaces = new_spaces
     if any(len(s) != 1 for s in spaces):
-        raise ConsistencyError("common eigenspaces did not become lines")
+        raise ConsistencyError(f"common eigenspaces did not become lines for {label}")
 
-    # z_pow[a] = z_e^a; the eigenvalue DFT at class k runs over the powers
-    # of z_t = z_e^(e/t)
+    # The multiplicities at a power rep_k0^a of a class are those at k0
+    # pushed forward (``_power_vector``), so the DFT runs only at root
+    # classes: taken by order, high to low, each class not yet reached as a
+    # power of an earlier one.  source[k] = (k0, a) names the root and power.
+    source: List[Optional[Tuple[int, int]]] = [None] * r
+    for k0 in sorted(range(r), key=orders.__getitem__, reverse=True):
+        if source[k0] is None:
+            for a, k in enumerate(powmap[k0]):
+                if source[k] is None:
+                    source[k] = (k0, a)
+    roots = [k for k, (k0, _) in enumerate(source) if k0 == k]
+
+    # The DFT at a root k of order t, as a map from class values: m_j is
+    # the sum over the classes c among its powers of vals[c] times
+    # dft[k][j][c] = (1/t) sum of z_t^(-j a) over the a with rep_k^a in c,
+    # z_t = z_e^(e/t).  It does not depend on the row.
     z_pow = [1] * e
     for a in range(1, e):
         z_pow[a] = z_pow[a - 1] * z_e % p
+    dft = {}
+    for k in roots:
+        t, step = orders[k], e // orders[k]
+        inv_t = pow(t, p - 2, p)
+        dft[k] = []
+        for j in range(t):
+            coef: Dict[int, int] = {}
+            for a, c in enumerate(powmap[k]):
+                coef[c] = coef.get(c, 0) + z_pow[-j * a * step % e]
+            dft[k].append([(c, x * inv_t % p) for c, x in coef.items()])
     inv_sizes = [pow(s, p - 2, p) for s in sizes]
-    inv_orders = [pow(t, p - 2, p) for t in orders]
     rows = []
-    for basis in spaces:
+    for s, basis in enumerate(spaces):
+        where = f"unsorted row {s} of {label}"
         v = basis[0]
         if v[0] % p == 0:
-            raise ConsistencyError("eigenvector vanishes on the identity class")
+            raise ConsistencyError(
+                f"eigenvector vanishes on the identity class at {where}"
+            )
         norm = pow(v[0], p - 2, p)
         v = [x * norm % p for x in v]
         denom = sum(v[k] * v[inv_class[k]] * inv_sizes[k] for k in range(r)) % p
         if denom == 0:
-            raise ConsistencyError("degree denominator vanished")
+            raise ConsistencyError(f"degree denominator vanished at {where}")
         deg_sq = n_order * pow(denom, p - 2, p) % p
         deg = next(
             (d for d in range(1, math.isqrt(n_order) + 1) if d * d % p == deg_sq),
             None,
         )
         if deg is None:
-            raise ConsistencyError("no integral degree matches the residue")
+            raise ConsistencyError(
+                f"no integral degree matches the residue at {where}"
+            )
         vals_mod = [deg * v[k] * inv_sizes[k] % p for k in range(r)]
 
-        eigen = []
-        for k in range(r):
-            t, step = orders[k], e // orders[k]
-            powers = [vals_mod[c] for c in powmap[k]]
+        eigen: List[Tuple[int, ...]] = [()] * r
+        for k in roots:
             mults = []
-            for j in range(t):
-                s = sum(x * z_pow[-j * a * step % e] for a, x in enumerate(powers))
-                m_j = s * inv_orders[k] % p
+            for j, col in enumerate(dft[k]):
+                m_j = sum(vals_mod[c] * x for c, x in col) % p
                 if m_j > deg:
                     raise ConsistencyError(
-                        "eigenvalue multiplicity exceeds the degree"
+                        f"eigenvalue multiplicity exceeds the degree at class"
+                        f" {k}, exponent {j}, {where}"
                     )
                 mults.append(m_j)
             if sum(mults) != deg:
-                raise ConsistencyError("eigenvalue multiplicities do not sum up")
-            eigen.append(tuple(mults))
+                raise ConsistencyError(
+                    f"eigenvalue multiplicities do not sum up at class {k}, {where}"
+                )
+            eigen[k] = tuple(mults)
+        for k, (k0, a) in enumerate(source):
+            if k0 == k:
+                continue
+            vec = _power_vector(eigen[k0], a)
+            step = e // len(vec)
+            if sum(m * z_pow[j * step] for j, m in enumerate(vec)) % p != vals_mod[k]:
+                raise ConsistencyError(
+                    f"power class {k} disagrees with its root class {k0}"
+                    f" (power {a}) at {where}"
+                )
+            eigen[k] = vec
         rows.append((deg, tuple(eigen)))
 
     if sum(deg * deg for deg, _ in rows) != n_order:
-        raise ConsistencyError("degree squares do not sum to the group order")
+        raise ConsistencyError(
+            f"degree squares do not sum to the group order of {label}"
+        )
 
     # Rows sort on the degree, then on each value's power-basis coordinates
     # at level e: sum_j m_j zeta_t^j = sum_j m_j zeta_e^(j e/t), reduced.
@@ -692,7 +784,7 @@ def compute_table(
 
 def _validate(table: CharacterTable) -> None:
     def fail(check: str):
-        raise TableFormatError(f"table validation failed: {check}")
+        raise TableFormatError(f"table validation failed for {table.name}: {check}")
 
     if table.order < 1 or table.exponent < 1:
         fail("positive order and exponent")
@@ -735,14 +827,21 @@ def _validate(table: CharacterTable) -> None:
     # a transform that trusts the power maps and values under test, so it is
     # checked on the cyclotomic values instead.
     r = len(table.irreducibles)
+    if table._eigen is not None:
+        # one pass over sparse class vectors, built once per row
+        terms = [_level_terms(table, row) for row in table.eigen]
+
+        def orthonormal(i: int, j: int) -> bool:
+            got = _scaled_pair(table, terms[i], terms[j])
+            return got[0] == (table.order if i == j else 0) and not any(got[1:])
+    else:
+        rows = [table.irreducible(i) for i in range(r)]
+
+        def orthonormal(i: int, j: int) -> bool:
+            return inner_product(rows[i], rows[j]) == (1 if i == j else 0)
     for i in range(r):
-        chi = table.irreducible(i)
         for j in range(i, r):
-            if table._eigen is not None:
-                ok = _orthonormal(table, i, j)
-            else:
-                ok = inner_product(chi, table.irreducible(j)) == (1 if i == j else 0)
-            if not ok:
+            if not orthonormal(i, j):
                 fail(f"row orthogonality of characters {i} and {j}")
     # Column orthogonality needs no check of its own: the table is square, so
     # with D the diagonal of class sizes, X D X* = |G| I makes X invertible

@@ -771,5 +771,62 @@ def test_split_fails_when_a_root_is_missed(monkeypatch):
         return poly
 
     monkeypatch.setattr(chartab, "_charpoly_mod", drop_least_root)
-    with pytest.raises(ConsistencyError, match="class-sum matrix failed to split"):
+    with pytest.raises(ConsistencyError, match="class-sum matrix failed to split") \
+            as err:
         compute_table(groups.symmetric(3))
+    assert "of sym:3" in str(err.value) and "class 1" in str(err.value)
+
+
+# groups outside GOLDEN_TABLES with most classes powers of a few classes of
+# higher order, so most of their stored vectors are pushed forward from
+# another class's vector rather than transformed on their own
+PUSHED_FORWARD = ("cyclic:60", "elementary:2,6", "dihedral:120",
+                  "product:sym:5,cyclic:4")
+
+
+def test_pushed_forward_vectors_match_the_transform():
+    # every stored vector is the cyclotomic transform of its row's values
+    # on the powers of its class; the transform is a function of those
+    # values, so it runs once per distinct tuple of them
+    for spec in PUSHED_FORWARD:
+        t = table(spec)
+        done = {}
+        for i, row in enumerate(t.irreducibles):
+            for c, powers in enumerate(t.power_map):
+                key = t.row_key([row[k] for k in powers])
+                if key not in done:
+                    done[key] = chartab.eigenvalue_dft(t.irreducible(i), c)
+                assert t.eigen[i][c] == done[key], (spec, i, c)
+        chartab._validate(t)
+
+
+def test_power_class_is_checked_against_its_own_values(monkeypatch):
+    # a vector pushed forward to the wrong exponents still sums to the
+    # degree; only its residue at the power class reveals it
+    push = chartab._power_vector
+
+    def shifted(vec, a):
+        out = push(vec, a)
+        return out[-1:] + out[:-1]
+
+    monkeypatch.setattr(chartab, "_power_vector", shifted)
+    with pytest.raises(ConsistencyError, match="disagrees with its root class") \
+            as err:
+        compute_table(groups.cyclic(4))
+    assert "of cyclic:4" in str(err.value)
+
+
+def test_validate_checks_every_row_norm():
+    # a row's vectors doubled keep it orthogonal to every other row and its
+    # values and degree untouched: only its own norm, 4 instead of 1, tells
+    for spec in ("sym:3", "quaternion:8", "alt:5"):
+        t = table(spec)
+        eigen = t.eigen
+        for i, row in enumerate(eigen):
+            t._eigen = eigen[:i] + (tuple(tuple(2 * m for m in vec) for vec in row),) \
+                + eigen[i + 1:]
+            with pytest.raises(TableFormatError,
+                               match=f"row orthogonality of characters {i} and {i}"):
+                chartab._validate(t)
+        t._eigen = eigen
+        chartab._validate(t)

@@ -134,6 +134,20 @@ def test_verify_raised_bound_runs_oracle(capsys):
     assert "PASS restriction_naturality" in out
 
 
+def test_raised_oracle_bound_warns_once_per_verify(capsys):
+    # one warning where verify resolves the bound, none from the oracle's
+    # own entry points that it calls
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run_cli(capsys, "verify", "alt:4", "--oracle-bound", "25")
+    assert code == 0 and "PASS restriction_naturality" in out
+    raised = [w for w in caught if issubclass(w.category, UserWarning)]
+    assert len(raised) == 1, [str(w.message) for w in raised]
+    assert "oracle bound raised to 25" in str(raised[0].message)
+
+
 def test_oracle_bound_env_override(capsys, monkeypatch):
     monkeypatch.setenv("FEITLAB_ORACLE_BOUND", "4")
     code, out, _ = run_cli(capsys, "verify", "sym:3")
