@@ -20,7 +20,7 @@ from .chartab import (
     ClassFunction,
     _orthonormal,
     _row_conductor,
-    eigenvalue_dft,
+    integral_inner_product,
 )
 from .errors import ConsistencyError
 
@@ -40,12 +40,19 @@ def _as_class_function(table: CharacterTable, chi: ChiLike) -> Tuple[ClassFuncti
 
 def _eigen_vectors(table: CharacterTable, chi: ClassFunction, idx: Optional[int]):
     """Eigenvalue multiplicity vectors of chi at every class: the table's own
-    for a row, those chi carries if any, else the transform of the values."""
+    for a row; for any other virtual character, the combination of the rows'
+    vectors with its coordinates <chi, chi_i>, which must be integers."""
     if idx is not None:
         return table.eigen[idx]
-    if chi.eigen is not None:
-        return chi.eigen
-    return tuple(eigenvalue_dft(chi, c) for c in range(table.num_classes))
+    coords = []
+    for i, vectors in enumerate(table.eigen):
+        a = integral_inner_product(chi, table.irreducible(i))
+        if a:
+            coords.append((a, vectors))
+    return tuple(
+        tuple(sum(a * vectors[c][j] for a, vectors in coords) for j in range(t))
+        for c, t in enumerate(cls.rep_order for cls in table.classes)
+    )
 
 
 def _trivial_multiplicity(table: CharacterTable, vectors, m: int) -> int:
@@ -65,7 +72,8 @@ def _trivial_multiplicity(table: CharacterTable, vectors, m: int) -> int:
     q, r = divmod(total, table.order * numth.totient(e))
     if r:
         raise ConsistencyError(
-            f"trivial multiplicity of the {m}-th Adams operation is not integral"
+            f"trivial multiplicity of the {m}-th Adams operation on {table.name}"
+            f" is not integral"
         )
     return q
 
@@ -168,25 +176,20 @@ def alternating_adams_character(table: CharacterTable, chi: ChiLike, n: int) -> 
 def eigenvalue_multiplicities(table: CharacterTable, chi: ChiLike, c: int) -> Tuple[int, ...]:
     """Multiplicity of each power of a primitive t-th root of unity among the
     eigenvalues of a representing matrix at class c (t = representative
-    order): stored on the table for a row, carried by the class function if
-    it has them (the regular character), else transformed from the values,
-    which must then be those of a character."""
+    order), read from the rows' vectors (``_eigen_vectors``); chi must be a
+    character."""
     chi, idx = _as_class_function(table, chi)
-    if idx is not None:
-        out = table.eigen[idx][c]
-    elif chi.eigen is not None:
-        out = chi.eigen[c]
-    else:
-        out = eigenvalue_dft(chi, c)
+    out = _eigen_vectors(table, chi, idx)[c]
+    where = f"class {c} of {table.name} for " + (
+        f"character {idx}" if idx is not None else "a class function"
+    )
     if any(m < 0 for m in out):
-        raise ConsistencyError(
-            f"negative eigenvalue multiplicity at class {c}: {out}"
-        )
+        raise ConsistencyError(f"negative eigenvalue multiplicity at {where}: {out}")
     total = sum(out)
     degree = chi.values[0].as_integer()
     if degree is None or total != degree:
         raise ConsistencyError(
-            f"eigenvalue multiplicities at class {c} sum to {total}, not the degree"
+            f"eigenvalue multiplicities at {where} sum to {total}, not the degree"
         )
     return out
 

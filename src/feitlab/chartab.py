@@ -14,14 +14,16 @@ constants of a class, as its nonzero entries, only when the splitting
 reaches it, one row reduction per eigenspace for the coordinates of all
 its basis images, the eigenvalues of each restricted class-sum matrix as
 the roots over F_p of its characteristic polynomial, and one cyclotomic
-value per distinct multiplicity vector.  The multiplicity transform runs
-only at root classes: taken by element order, high to low, each class not
-yet reached as a power rep_k0^a of an earlier one.  A power class of order
-t = t0/g, g = gcd(t0, a), reads its vector from its root's by
-j -> j (a/g) mod t, and is checked against its own residue.  A computed
-table keeps its power map and multiplicities; any other table derives them
-on first use, from its prime power maps and by the exact cyclotomic
-transform in ``eigenvalue_dft``.  Floating point never occurs.
+value per distinct multiplicity vector.  The multiplicity transform
+(``_eigen_from_residues``) runs only at root classes: taken by element
+order, high to low, each class not yet reached as a power rep_k0^a of an
+earlier one.  A power class of order t = t0/g, g = gcd(t0, a), reads its
+vector from its root's by j -> j (a/g) mod t, and is checked against its
+own residue.  A computed table keeps its power map and multiplicities; any
+other table derives them on first use, the power map from its prime power
+maps and the multiplicities by the same transform, from its values reduced
+mod the same p, each vector then checked to give back its value exactly.
+Floating point never occurs.
 
 A computed table is validated in integers from its multiplicities, in one
 Gram pass over sparse class vectors built once per row; a table loaded from
@@ -37,7 +39,7 @@ from functools import reduce
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import numth
-from .cyclo import Cyclotomic, _reduction_table, units, zeta
+from .cyclo import Cyclotomic, _reduction_table, units
 from .errors import BoundExceeded, ConsistencyError, TableFormatError
 from .groups import PermGroup, Perm, compose, inverse
 
@@ -59,15 +61,11 @@ class ClassData:
 
 
 class ClassFunction:
-    """A vector of exact cyclotomic values indexed by conjugacy classes.
+    """A vector of exact cyclotomic values indexed by conjugacy classes."""
 
-    ``eigen``, when given, holds the eigenvalue multiplicity vectors of the
-    class function at every class (see ``CharacterTable``); arithmetic on
-    class functions does not carry it over."""
+    __slots__ = ("table", "values")
 
-    __slots__ = ("table", "values", "eigen")
-
-    def __init__(self, table: "CharacterTable", values: Sequence, eigen=None):
+    def __init__(self, table: "CharacterTable", values: Sequence):
         vals = tuple(
             v if isinstance(v, Cyclotomic) else Cyclotomic.rational(v)
             for v in values
@@ -76,7 +74,6 @@ class ClassFunction:
             raise ValueError("one value per conjugacy class required")
         self.table = table
         self.values = vals
-        self.eigen = eigen
 
     def __getitem__(self, c: int) -> Cyclotomic:
         return self.values[c]
@@ -146,7 +143,9 @@ class CharacterTable:
     ``eigen[i][c][j]`` is the multiplicity of zeta_t^j, t the order of class
     c, among the eigenvalues of a representation affording character i at
     class c.  ``compute_table`` stores the vectors its splitting produced;
-    other tables derive them once, on first use, by ``eigenvalue_dft``.
+    other tables derive them once, on first use, by the same modular
+    transform from their values mod p, and check that each vector gives
+    back its value exactly.
 
     ``power_map[c][a]`` is the class of rep(c)^a for a below the order of
     class c.  ``compute_table`` stores the map it built from the
@@ -187,17 +186,38 @@ class CharacterTable:
     @property
     def eigen(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
         if self._eigen is None:
-            self._eigen = tuple(
-                tuple(eigenvalue_dft(self.irreducible(i), c)
-                      for c in range(self.num_classes))
-                for i in range(len(self.irreducibles))
+            e = self.exponent
+            p = _choose_prime(self.order, e)
+            z_e = pow(_primitive_root(p), (p - 1) // e, p)
+            orders = [cls.rep_order for cls in self.classes]
+            rows = [
+                (self.degree(i), [_residue(v, e, p, z_e) for v in row])
+                for i, row in enumerate(self.irreducibles)
+            ]
+            eigen = _eigen_from_residues(
+                orders, self.power_map, p, z_e, rows, self.name, "character"
             )
+            # the transform saw the values only mod p
+            values: Dict[Tuple[int, Tuple[int, ...]], Cyclotomic] = {}
+            for i, (row, vectors) in enumerate(zip(self.irreducibles, eigen)):
+                for c, (t, v, vec) in enumerate(zip(orders, row, vectors)):
+                    if (t, vec) not in values:
+                        values[t, vec] = Cyclotomic.from_terms(t, enumerate(vec))
+                    if values[t, vec] != v:
+                        raise ConsistencyError(
+                            f"eigenvalue multiplicities {vec} do not give back"
+                            f" the value {v!r} of character {i} of {self.name}"
+                            f" at class {c}"
+                        )
+            self._eigen = tuple(eigen)
         return self._eigen
 
     def degree(self, i: int) -> int:
         d = self.irreducibles[i][0].as_integer()
         if d is None or d < 1:
-            raise ConsistencyError(f"character {i} has invalid degree")
+            raise ConsistencyError(
+                f"character {i} of {self.name} has invalid degree {d}"
+            )
         return d
 
     def irreducible(self, i: int) -> ClassFunction:
@@ -214,22 +234,11 @@ class CharacterTable:
         for i, row in enumerate(self.irreducibles):
             if all(v == 1 for v in row):
                 return i
-        raise ConsistencyError("table has no trivial character")
+        raise ConsistencyError(f"table {self.name} has no trivial character")
 
     def regular_character(self) -> ClassFunction:
-        """The character of the regular representation, with its eigenvalue
-        multiplicities: the degree-weighted sum of the rows' vectors."""
-        degrees = [self.degree(i) for i in range(len(self.irreducibles))]
-        eigen = tuple(
-            tuple(
-                sum(d * row[c][j] for d, row in zip(degrees, self.eigen))
-                for j in range(cls.rep_order)
-            )
-            for c, cls in enumerate(self.classes)
-        )
-        return ClassFunction(
-            self, (self.order,) + (0,) * (self.num_classes - 1), eigen
-        )
+        """The character of the regular representation."""
+        return ClassFunction(self, (self.order,) + (0,) * (self.num_classes - 1))
 
     def class_of_element(self, g: Perm) -> int:
         if self.group is None:
@@ -277,7 +286,8 @@ class CharacterTable:
         ]
         if len(matches) != 1:
             raise ConsistencyError(
-                f"power map match failed for class {c}, exponent {k}"
+                f"power map match failed for class {c}, exponent {k},"
+                f" of {self.name}: {len(matches)} matching classes"
             )
         return matches[0]
 
@@ -294,14 +304,20 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
     table = a.table
     total = Cyclotomic.rational(0)
     for cls, x, y in zip(table.classes, a.values, b.values):
-        total = total + x * y.conjugate() * cls.size
+        if x and y:
+            total = total + x * y.conjugate() * cls.size
     return total / table.order
 
 
 def integral_inner_product(a: ClassFunction, b: ClassFunction) -> int:
-    v = inner_product(a, b).as_integer()
+    """``inner_product`` of two virtual characters, which is an integer."""
+    prod = inner_product(a, b)
+    v = prod.as_integer()
     if v is None:
-        raise ConsistencyError("inner product of virtual characters must be integral")
+        raise ConsistencyError(
+            f"inner product of class functions of {a.table.name} is {prod!r},"
+            f" not an integer: they are not both virtual characters"
+        )
     return v
 
 
@@ -367,28 +383,6 @@ def _row_conductor(table: CharacterTable, i: int) -> int:
         ):
             return n
     raise ConsistencyError("conductor search failed")  # unreachable: n = e works
-
-
-def eigenvalue_dft(chi: ClassFunction, c: int) -> Tuple[int, ...]:
-    """Multiplicity of each power zeta_t^j (t the order of class c) in the
-    class function, by the inverse discrete Fourier transform of its values
-    on the powers of the class: integers, negative only for a virtual
-    character.  Tables that store their vectors never need it for a row."""
-    table = chi.table
-    t = table.classes[c].rep_order
-    powers = [chi.values[k] for k in table.power_map[c]]
-    out = []
-    for j in range(t):
-        acc = Cyclotomic.rational(0)
-        for a in range(t):
-            acc = acc + powers[a] * zeta(t, -j * a)
-        m = (acc / t).as_integer()
-        if m is None:
-            raise ConsistencyError(
-                f"eigenvalue multiplicity at class {c}, exponent {j} is {acc / t!r}"
-            )
-        out.append(m)
-    return tuple(out)
 
 
 def galois_conjugate(chi: ClassFunction, k: int) -> ClassFunction:
@@ -525,6 +519,18 @@ def _charpoly_mod(mat: List[List[int]], p: int) -> List[int]:
     return polys[n]
 
 
+def _residue(v: Cyclotomic, e: int, p: int, z_e: int) -> int:
+    """The image of v mod p under zeta_e -> z_e, a root of unity of order e
+    mod p; a denominator divisible by p maps to 0."""
+    if e % v.level:
+        v = v.at_level(e)
+    z = pow(z_e, e // v.level, p)
+    acc = 0
+    for x in reversed(v.nums):
+        acc = (acc * z + x) % p
+    return acc * pow(v.den, p - 2, p) % p
+
+
 def _power_vector(vec: Sequence[int], a: int) -> Tuple[int, ...]:
     """Eigenvalue multiplicities at g^a from those at g, g of order
     t = len(vec): zeta_t^j becomes zeta_t^(j a) = zeta_u^(j a/c), where
@@ -537,6 +543,95 @@ def _power_vector(vec: Sequence[int], a: int) -> Tuple[int, ...]:
         if m:
             out[j * b % u] += m
     return tuple(out)
+
+
+def _eigen_from_residues(
+    orders: Sequence[int],
+    powmap: Sequence[Sequence[int]],
+    p: int,
+    z_e: int,
+    rows: Sequence[Tuple[int, Sequence[int]]],
+    label: str,
+    noun: str,
+) -> List[Tuple[Tuple[int, ...], ...]]:
+    """Eigenvalue multiplicity vectors of each row, given as its degree and
+    its class values mod p under zeta_e -> z_e (e the exponent, the lcm of
+    the class orders); ``powmap[k][a]`` is the class of rep_k^a.  Errors
+    name row s as "{noun} s of {label}".
+
+    The multiplicities at a power rep_k0^a of a class are those at k0
+    pushed forward (``_power_vector``), so the transform runs only at root
+    classes: taken by order, high to low, each class not yet reached as a
+    power of an earlier one.  Each pushed vector is checked against the
+    residue of its own class, and each power class's power map against its
+    root's."""
+    r = len(orders)
+    e = math.lcm(*orders)
+    # source[k] = (k0, a) names the root and power
+    source: List[Optional[Tuple[int, int]]] = [None] * r
+    for k0 in sorted(range(r), key=orders.__getitem__, reverse=True):
+        if source[k0] is None:
+            for a, k in enumerate(powmap[k0]):
+                if source[k] is None:
+                    source[k] = (k0, a)
+    for k, (k0, a) in enumerate(source):
+        if any(c != powmap[k0][a * b % orders[k0]] for b, c in enumerate(powmap[k])):
+            raise ConsistencyError(
+                f"power map of class {k} disagrees with its root class {k0}"
+                f" (power {a}) of {label}"
+            )
+    roots = [k for k, (k0, _) in enumerate(source) if k0 == k]
+
+    # The DFT at a root k of order t, as a map from class values: m_j is
+    # the sum over the classes c among its powers of vals[c] times
+    # dft[k][j][c] = (1/t) sum of z_t^(-j a) over the a with rep_k^a in c,
+    # z_t = z_e^(e/t).  It does not depend on the row.
+    z_pow = [1] * e
+    for a in range(1, e):
+        z_pow[a] = z_pow[a - 1] * z_e % p
+    dft = {}
+    for k in roots:
+        t, step = orders[k], e // orders[k]
+        inv_t = pow(t, p - 2, p)
+        dft[k] = []
+        for j in range(t):
+            coef: Dict[int, int] = {}
+            for a, c in enumerate(powmap[k]):
+                coef[c] = coef.get(c, 0) + z_pow[-j * a * step % e]
+            dft[k].append([(c, x * inv_t % p) for c, x in coef.items()])
+
+    out = []
+    for s, (deg, vals_mod) in enumerate(rows):
+        where = f"{noun} {s} of {label}"
+        eigen: List[Tuple[int, ...]] = [()] * r
+        for k in roots:
+            mults = []
+            for j, col in enumerate(dft[k]):
+                m_j = sum(vals_mod[c] * x for c, x in col) % p
+                if m_j > deg:
+                    raise ConsistencyError(
+                        f"eigenvalue multiplicity exceeds the degree at class"
+                        f" {k}, exponent {j}, {where}"
+                    )
+                mults.append(m_j)
+            if sum(mults) != deg:
+                raise ConsistencyError(
+                    f"eigenvalue multiplicities do not sum up at class {k}, {where}"
+                )
+            eigen[k] = tuple(mults)
+        for k, (k0, a) in enumerate(source):
+            if k0 == k:
+                continue
+            vec = _power_vector(eigen[k0], a)
+            step = e // len(vec)
+            if sum(m * z_pow[j * step] for j, m in enumerate(vec)) % p != vals_mod[k]:
+                raise ConsistencyError(
+                    f"power class {k} disagrees with its root class {k0}"
+                    f" (power {a}) at {where}"
+                )
+            eigen[k] = vec
+        out.append(tuple(eigen))
+    return out
 
 
 def compute_table(
@@ -645,37 +740,8 @@ def compute_table(
     if any(len(s) != 1 for s in spaces):
         raise ConsistencyError(f"common eigenspaces did not become lines for {label}")
 
-    # The multiplicities at a power rep_k0^a of a class are those at k0
-    # pushed forward (``_power_vector``), so the DFT runs only at root
-    # classes: taken by order, high to low, each class not yet reached as a
-    # power of an earlier one.  source[k] = (k0, a) names the root and power.
-    source: List[Optional[Tuple[int, int]]] = [None] * r
-    for k0 in sorted(range(r), key=orders.__getitem__, reverse=True):
-        if source[k0] is None:
-            for a, k in enumerate(powmap[k0]):
-                if source[k] is None:
-                    source[k] = (k0, a)
-    roots = [k for k, (k0, _) in enumerate(source) if k0 == k]
-
-    # The DFT at a root k of order t, as a map from class values: m_j is
-    # the sum over the classes c among its powers of vals[c] times
-    # dft[k][j][c] = (1/t) sum of z_t^(-j a) over the a with rep_k^a in c,
-    # z_t = z_e^(e/t).  It does not depend on the row.
-    z_pow = [1] * e
-    for a in range(1, e):
-        z_pow[a] = z_pow[a - 1] * z_e % p
-    dft = {}
-    for k in roots:
-        t, step = orders[k], e // orders[k]
-        inv_t = pow(t, p - 2, p)
-        dft[k] = []
-        for j in range(t):
-            coef: Dict[int, int] = {}
-            for a, c in enumerate(powmap[k]):
-                coef[c] = coef.get(c, 0) + z_pow[-j * a * step % e]
-            dft[k].append([(c, x * inv_t % p) for c, x in coef.items()])
     inv_sizes = [pow(s, p - 2, p) for s in sizes]
-    rows = []
+    residues = []
     for s, basis in enumerate(spaces):
         where = f"unsorted row {s} of {label}"
         v = basis[0]
@@ -697,36 +763,11 @@ def compute_table(
             raise ConsistencyError(
                 f"no integral degree matches the residue at {where}"
             )
-        vals_mod = [deg * v[k] * inv_sizes[k] % p for k in range(r)]
-
-        eigen: List[Tuple[int, ...]] = [()] * r
-        for k in roots:
-            mults = []
-            for j, col in enumerate(dft[k]):
-                m_j = sum(vals_mod[c] * x for c, x in col) % p
-                if m_j > deg:
-                    raise ConsistencyError(
-                        f"eigenvalue multiplicity exceeds the degree at class"
-                        f" {k}, exponent {j}, {where}"
-                    )
-                mults.append(m_j)
-            if sum(mults) != deg:
-                raise ConsistencyError(
-                    f"eigenvalue multiplicities do not sum up at class {k}, {where}"
-                )
-            eigen[k] = tuple(mults)
-        for k, (k0, a) in enumerate(source):
-            if k0 == k:
-                continue
-            vec = _power_vector(eigen[k0], a)
-            step = e // len(vec)
-            if sum(m * z_pow[j * step] for j, m in enumerate(vec)) % p != vals_mod[k]:
-                raise ConsistencyError(
-                    f"power class {k} disagrees with its root class {k0}"
-                    f" (power {a}) at {where}"
-                )
-            eigen[k] = vec
-        rows.append((deg, tuple(eigen)))
+        residues.append((deg, [deg * v[k] * inv_sizes[k] % p for k in range(r)]))
+    eigens = _eigen_from_residues(
+        orders, powmap, p, z_e, residues, label, "unsorted row"
+    )
+    rows = [(deg, eigen) for (deg, _), eigen in zip(residues, eigens)]
 
     if sum(deg * deg for deg, _ in rows) != n_order:
         raise ConsistencyError(

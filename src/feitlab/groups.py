@@ -178,7 +178,6 @@ class PermGroup:
         self.elements: Tuple[Perm, ...] = tuple(sorted(self._element_set))
         self.order = len(self.elements)
         self.identity = identity_perm(degree)
-        self._index = {g: i for i, g in enumerate(self.elements)}
         self._classes: Optional[Tuple[ConjugacyClass, ...]] = None
         self._class_of: Optional[Dict[Perm, int]] = None
         self._subgroups: Optional[Tuple["Subgroup", ...]] = None

@@ -273,3 +273,15 @@ def test_eigenvalue_multiplicities_rejects_non_characters():
     half = t.class_function([Fraction(1, 2)] * 3)
     with pytest.raises(ConsistencyError):
         eigenvalue_multiplicities(t, half, 1)
+
+
+def test_non_characters_are_rejected_with_the_table_name():
+    t = table("cyclic:3")
+    chi = next(i for i in range(3) if char_order(t, i) == 3)
+    with pytest.raises(ConsistencyError, match="cyclic:3"):
+        eigenvalue_multiplicities(t, t.trivial_character() - t.irreducible(chi), 1)
+    half = t.class_function([Fraction(1, 2)] * 3)
+    with pytest.raises(ConsistencyError, match="cyclic:3"):
+        eigenvalue_multiplicities(t, half, 1)
+    with pytest.raises(ConsistencyError, match="cyclic:3"):
+        invariant(t, half, 3)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from feitlab import chartab, groups, numth, runner
+from feitlab import adams, chartab, groups, numth, runner
 from feitlab.chartab import (
     compute_table,
     conductor,
@@ -19,6 +19,28 @@ from feitlab.errors import BoundExceeded, ConsistencyError, TableFormatError
 
 def table(spec):
     return compute_table(groups.from_spec(spec))
+
+
+def _eigenvalue_dft(chi, c):
+    """Multiplicity of each power zeta_t^j (t the order of class c) in the
+    class function, by the inverse discrete Fourier transform of its values
+    on the powers of the class, in cyclotomic arithmetic: the reference the
+    modular transform of ``chartab`` is compared against."""
+    table = chi.table
+    t = table.classes[c].rep_order
+    powers = [chi.values[k] for k in table.power_map[c]]
+    out = []
+    for j in range(t):
+        acc = Cyclotomic.rational(0)
+        for a in range(t):
+            acc = acc + powers[a] * zeta(t, -j * a)
+        m = (acc / t).as_integer()
+        if m is None:
+            raise ConsistencyError(
+                f"eigenvalue multiplicity at class {c}, exponent {j} is {acc / t!r}"
+            )
+        out.append(m)
+    return tuple(out)
 
 
 def test_cyclic_tables():
@@ -297,8 +319,9 @@ def test_regular_character_vectors_match_the_transform():
         reg = t.regular_character()
         for c, cls in enumerate(t.classes):
             t_c = cls.rep_order
-            want = chartab.eigenvalue_dft(reg, c)
-            assert reg.eigen[c] == want == (t.order // t_c,) * t_c, (spec, c)
+            want = _eigenvalue_dft(reg, c)
+            got = adams.eigenvalue_multiplicities(t, reg, c)
+            assert got == want == (t.order // t_c,) * t_c, (spec, c)
 
 
 # the groups of order 25..720 that the feit_scan benchmark draws from
@@ -795,9 +818,50 @@ def test_pushed_forward_vectors_match_the_transform():
             for c, powers in enumerate(t.power_map):
                 key = t.row_key([row[k] for k in powers])
                 if key not in done:
-                    done[key] = chartab.eigenvalue_dft(t.irreducible(i), c)
+                    done[key] = _eigenvalue_dft(t.irreducible(i), c)
                 assert t.eigen[i][c] == done[key], (spec, i, c)
         chartab._validate(t)
+
+
+def test_loaded_tables_derive_the_stored_vectors():
+    # a loaded table runs the modular transform on its values mod p and
+    # lifts every vector back to its value; it must land on the vectors the
+    # splitting stored, pushed-forward classes included
+    for spec in PUSHED_FORWARD:
+        t = table(spec)
+        assert load_table(save_table(t)).eigen == t.eigen, spec
+
+
+def test_loaded_values_at_a_level_off_the_exponent():
+    # the JSON format takes a value at any level; one whose level does not
+    # divide the exponent is reduced mod p from its exponent-level form
+    t = table("cyclic:3")
+    doc = json.loads(save_table(t))
+
+    def at_level_15(v):
+        terms = [[0, v, 1]] if isinstance(v, int) else v["terms"]
+        return {"level": 15, "terms": [[5 * i, num, den] for i, num, den in terms]}
+
+    doc["irreducibles"] = [[at_level_15(v) for v in row] for row in doc["irreducibles"]]
+    loaded = load_table(json.dumps(doc))
+    assert {v.level for row in loaded.irreducibles for v in row} == {15}
+    assert loaded.eigen == t.eigen
+
+
+@pytest.mark.parametrize("pick", [0, -1])
+def test_loaded_power_map_is_checked_by_the_transform(pick):
+    # an order-9 class whose 3-power is moved to the other order-3 class
+    # keeps the orders right, so the table loads; deriving the vectors finds
+    # it, whether the class is the root the transform runs at or one of the
+    # power classes that read their vectors from it
+    doc = json.loads(save_table(table("cyclic:9")))
+    order9 = [k for k, c in enumerate(doc["classes"]) if c["rep_order"] == 9]
+    order3 = [k for k, c in enumerate(doc["classes"]) if c["rep_order"] == 3]
+    pm = doc["classes"][order9[pick]]["powermap"]
+    pm["3"] = next(k for k in order3 if k != pm["3"])
+    t = load_table(json.dumps(doc))
+    with pytest.raises(ConsistencyError, match="cyclic:9"):
+        t.eigen
 
 
 def test_power_class_is_checked_against_its_own_values(monkeypatch):

@@ -200,6 +200,16 @@ def test_verify_loaded_table(tmp_path, capsys):
     assert "SKIP" in out  # no group attached: oracle + regular-character skip
 
 
+def test_s_on_a_loaded_table_matches_the_spec(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "table", "dihedral:120", "--json")
+    path = tmp_path / "d120.json"
+    path.write_text(out)
+    args = ("--chi", "1", "--n", "2", "--json")
+    code, loaded, _ = run_cli(capsys, "s", str(path), *args)
+    assert code == 0
+    assert loaded == run_cli(capsys, "s", "dihedral:120", *args)[1]
+
+
 def test_corpus_run(tmp_path, capsys):
     corpus = {
         "entries": ["cyclic:6", "sym:3"],
