@@ -19,16 +19,16 @@ value per distinct multiplicity vector.  The multiplicity transform
 order, high to low, each class not yet reached as a power rep_k0^a of an
 earlier one.  A power class of order t = t0/g, g = gcd(t0, a), reads its
 vector from its root's by j -> j (a/g) mod t, and is checked against its
-own residue.  A computed table keeps its power map and multiplicities; any
-other table derives them on first use, the power map from its prime power
-maps and the multiplicities by the same transform, from its values reduced
-mod the same p, each vector then checked to give back its value exactly.
-Floating point never occurs.
+own residue.  A computed table keeps its power map and multiplicities; a
+table loaded from JSON derives them while it is validated, the power map
+from its prime power maps and the multiplicities by the same transform,
+from its values reduced mod the same p, each vector then checked to give
+back its value exactly.  Floating point never occurs.
 
-A computed table is validated in integers from its multiplicities, in one
-Gram pass over sparse class vectors built once per row; a table loaded from
-JSON is validated on its cyclotomic values.  Errors raised while a table is
-built name the group and, where there is one, the class and the row.
+Every table is validated in integers from its multiplicities, in one Gram
+pass over sparse class vectors built once per row.  Errors raised while a
+table is built name the group and, where there is one, the class and the
+row.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import numth
 from .cyclo import Cyclotomic, _reduction_table, units
 from .errors import BoundExceeded, ConsistencyError, TableFormatError
-from .groups import PermGroup, Perm, compose, inverse
+from .groups import DEFAULT_ORDER_BOUND, PermGroup, Perm, compose, inverse
 
 DEFAULT_TABLE_BOUND = 2000
 
@@ -143,14 +143,13 @@ class CharacterTable:
     ``eigen[i][c][j]`` is the multiplicity of zeta_t^j, t the order of class
     c, among the eigenvalues of a representation affording character i at
     class c.  ``compute_table`` stores the vectors its splitting produced;
-    other tables derive them once, on first use, by the same modular
-    transform from their values mod p, and check that each vector gives
-    back its value exactly.
+    ``load_table`` derives them while it validates the table, by the same
+    modular transform from its values mod p, and checks that each vector
+    gives back its value exactly.
 
     ``power_map[c][a]`` is the class of rep(c)^a for a below the order of
     class c.  ``compute_table`` stores the map it built from the
-    representatives; other tables derive it once, on first use, from the
-    prime power maps.
+    representatives; ``load_table`` derives it from the prime power maps.
     """
 
     def __init__(
@@ -278,7 +277,14 @@ class CharacterTable:
         return cur
 
     def _galois_class(self, c: int, k: int) -> int:
-        target = [row[c].galois(k) for row in self.irreducibles]
+        # k acts on the level-e field; a value stored at a level L that e
+        # does not divide takes it as some k' = k (mod e) coprime to L
+        target = []
+        for row in self.irreducibles:
+            k_v = k
+            while math.gcd(k_v, row[c].level) != 1:
+                k_v += self.exponent
+            target.append(row[c].galois(k_v))
         matches = [
             c2
             for c2 in range(self.num_classes)
@@ -521,9 +527,11 @@ def _charpoly_mod(mat: List[List[int]], p: int) -> List[int]:
 
 def _residue(v: Cyclotomic, e: int, p: int, z_e: int) -> int:
     """The image of v mod p under zeta_e -> z_e, a root of unity of order e
-    mod p; a denominator divisible by p maps to 0."""
+    mod p; a denominator divisible by p maps to 0.  A value at a level L
+    that e does not divide is first written at level gcd(L, e), where it
+    lies if it lies in the level-e field."""
     if e % v.level:
-        v = v.at_level(e)
+        v = v.at_level(math.gcd(v.level, e))
     z = pow(z_e, e // v.level, p)
     acc = 0
     for x in reversed(v.nums):
@@ -774,28 +782,18 @@ def compute_table(
             f"degree squares do not sum to the group order of {label}"
         )
 
-    # Rows sort on the degree, then on each value's power-basis coordinates
-    # at level e: sum_j m_j zeta_t^j = sum_j m_j zeta_e^(j e/t), reduced.
-    phi, red = _reduction_table(e)
-    coords = {}
-
-    def value_coords(t: int, mults: Tuple[int, ...]) -> Tuple[int, ...]:
-        key = (t, mults)
-        if key not in coords:
-            out = [0] * phi
-            for j, m in enumerate(mults):
-                if m:
-                    idx, val = red[j * (e // t)]
-                    for k, c in zip(idx, val):
-                        out[k] += m * c
-            coords[key] = tuple(out)
-        return coords[key]
-
-    rows.sort(key=lambda row: (
-        row[0], tuple(value_coords(t, vec) for t, vec in zip(orders, row[1]))
-    ))
     # one value per distinct (order, vector), shared by the rows holding it
-    values = {key: Cyclotomic.from_terms(key[0], enumerate(key[1])) for key in coords}
+    values = {}
+    for _, eigen in rows:
+        for key in zip(orders, eigen):
+            if key not in values:
+                values[key] = Cyclotomic.from_terms(key[0], enumerate(key[1]))
+    # Rows sort on the degree, then on each value's power-basis coordinates
+    # at level e (character values have denominator 1).
+    coords = {key: v.at_level(e).nums for key, v in values.items()}
+    rows.sort(key=lambda row: (
+        row[0], tuple(coords[key] for key in zip(orders, row[1]))
+    ))
 
     table = CharacterTable(
         name or group.name,
@@ -835,6 +833,16 @@ def _validate(table: CharacterTable) -> None:
         fail("class 0 must be the identity class")
     if sum(c.size for c in table.classes) != table.order:
         fail("class sizes must sum to the group order")
+    for idx, c in enumerate(table.classes[1:], 1):
+        if c.size < 1 or table.order % c.size:
+            fail(f"size of class {idx} must divide the group order")
+        if c.rep_order < 2:
+            fail(f"representative order of class {idx} must be above 1, as only"
+                 f" class 0 is the identity class")
+        # the centralizer, of order |G| / size, contains the representative
+        if table.order // c.size % c.rep_order:
+            fail(f"representative order of class {idx} must divide its"
+                 f" centralizer order")
     if reduce(math.lcm, (c.rep_order for c in table.classes), 1) != table.exponent:
         fail("exponent must be the lcm of the representative orders")
     primes = [q for q, _ in numth.prime_factorization(table.exponent)]
@@ -863,26 +871,35 @@ def _validate(table: CharacterTable) -> None:
         degs.append(d)
     if sum(d * d for d in degs) != table.order:
         fail("degree squares must sum to the group order")
-    # A table that holds its eigenvalue multiplicities (every computed one)
-    # is checked in integers from them.  A loaded table would derive them by
-    # a transform that trusts the power maps and values under test, so it is
-    # checked on the cyclotomic values instead.
-    r = len(table.irreducibles)
-    if table._eigen is not None:
-        # one pass over sparse class vectors, built once per row
-        terms = [_level_terms(table, row) for row in table.eigen]
-
-        def orthonormal(i: int, j: int) -> bool:
-            got = _scaled_pair(table, terms[i], terms[j])
-            return got[0] == (table.order if i == j else 0) and not any(got[1:])
-    else:
-        rows = [table.irreducible(i) for i in range(r)]
-
-        def orthonormal(i: int, j: int) -> bool:
-            return inner_product(rows[i], rows[j]) == (1 if i == j else 0)
+    e = table.exponent
+    for i, row in enumerate(table.irreducibles):
+        for c, v in enumerate(row):
+            # Q(zeta_L) meets the level-e field in Q(zeta_gcd(L, e)); the
+            # value meets the other values at level lcm(L, e)
+            if e % v.level:
+                if math.lcm(v.level, e) > DEFAULT_ORDER_BOUND:
+                    fail(f"level {v.level} of character {i} at class {c} and the"
+                         f" exponent {e} have an lcm above the bound"
+                         f" {DEFAULT_ORDER_BOUND}")
+                try:
+                    v.at_level(math.gcd(v.level, e))
+                except ValueError:
+                    fail(f"value of character {i} at class {c} is not in the"
+                         f" level-{e} field")
+    # a loaded table derives its power map and multiplicities here, each
+    # vector checked to give back its value exactly, so that the integer
+    # Gram pass below decides orthonormality of the values as given
+    try:
+        eigen = table.eigen
+    except ConsistencyError as exc:
+        fail(str(exc))
+    # one pass over sparse class vectors, built once per row
+    terms = [_level_terms(table, row) for row in eigen]
+    r = len(terms)
     for i in range(r):
         for j in range(i, r):
-            if not orthonormal(i, j):
+            got = _scaled_pair(table, terms[i], terms[j])
+            if got[0] != (table.order if i == j else 0) or any(got[1:]):
                 fail(f"row orthogonality of characters {i} and {j}")
     # Column orthogonality needs no check of its own: the table is square, so
     # with D the diagonal of class sizes, X D X* = |G| I makes X invertible
@@ -924,6 +941,22 @@ def load_table(data) -> CharacterTable:
     else:
         doc = data
     try:
+        name, order = str(doc["name"]), int(doc["order"])
+        # every group the toolkit builds is within the bound; refused here,
+        # before a value or a reduction table at a larger level is built
+        if order > DEFAULT_ORDER_BOUND:
+            raise TableFormatError(
+                f"table validation failed for {name}: order {order} exceeds"
+                f" the bound {DEFAULT_ORDER_BOUND}"
+            )
+        for i, row in enumerate(doc["irreducibles"]):
+            for c, v in enumerate(row):
+                if isinstance(v, dict) and v["level"] > DEFAULT_ORDER_BOUND:
+                    raise TableFormatError(
+                        f"table validation failed for {name}: level {v['level']}"
+                        f" of character {i} at class {c} exceeds the bound"
+                        f" {DEFAULT_ORDER_BOUND}"
+                    )
         classes = [
             ClassData(
                 int(c["rep_order"]),
@@ -935,13 +968,9 @@ def load_table(data) -> CharacterTable:
         irreducibles = [
             [Cyclotomic.from_json(v) for v in row] for row in doc["irreducibles"]
         ]
-        table = CharacterTable(
-            str(doc["name"]),
-            int(doc["order"]),
-            int(doc["exponent"]),
-            classes,
-            irreducibles,
-        )
+        table = CharacterTable(name, order, int(doc["exponent"]), classes, irreducibles)
+    except TableFormatError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise TableFormatError(f"malformed table document: {exc}") from None
     _validate(table)

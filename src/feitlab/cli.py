@@ -7,9 +7,10 @@ group), corpus (verify + feit over a list of entries).
 Exit codes: 0 all good; 1 failed checks or internal errors; 2 usage
 errors (an unknown or malformed group spec, an out-of-range --chi, an --n
 that is not a positive divisor of the exponent, an oracle bound that is not
-an integer in 1..60); 3 a conductor indicator
-of zero was found (a conjecture counterexample candidate, the most
-interesting possible output, reported rather than treated as an error).
+an integer in 1..60, a corpus file that cannot be read or is malformed); 3
+a conductor indicator of zero was found (a conjecture counterexample
+candidate, the most interesting possible output, reported rather than
+treated as an error).
 """
 
 from __future__ import annotations
@@ -168,8 +169,22 @@ def _timestamp() -> str:
 
 
 def cmd_corpus(args) -> int:
-    doc = json.loads(Path(args.file).read_text())
-    entries = doc["entries"]
+    # the whole file is checked before any entry runs
+    try:
+        doc = json.loads(Path(args.file).read_text())
+    except OSError as exc:
+        raise UsageError(
+            f"{args.file}: cannot read the corpus file: {exc.strerror}") from None
+    except ValueError as exc:
+        raise UsageError(f"{args.file}: corpus file is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise UsageError(f"{args.file}: corpus file must hold a JSON object")
+    entries = doc.get("entries")
+    if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
+        raise UsageError(
+            f"{args.file}: entries must be a list of group specs or table paths")
+    if doc.get("format", "json") not in ("json", "csv"):
+        raise UsageError(f"{args.file}: format {doc['format']!r} is not json or csv")
     bound = brauer.check_oracle_bound(
         doc.get("oracle_bound"), f"{args.file}: oracle_bound")
     fmt = args.format or doc.get("format", "json")

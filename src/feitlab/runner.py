@@ -89,7 +89,8 @@ def verify_table(table: CharacterTable, oracle_bound: Optional[int] = None) -> D
 
     try:
         # load_table validates the serialized table
-        stable = save_table(load_table(save_table(table))) == save_table(table)
+        blob = save_table(table)
+        stable = save_table(load_table(blob)) == blob
         _check(checks, "table_integrity", stable,
                "" if stable else "serialization round trip is not byte-stable")
     except TableFormatError as exc:

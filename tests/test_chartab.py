@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from feitlab import adams, chartab, groups, numth, runner
+from feitlab import adams, chartab, cyclo, groups, numth, runner
 from feitlab.chartab import (
     compute_table,
     conductor,
@@ -263,12 +263,127 @@ def test_load_rejects_missing_powermap():
 
 
 def test_load_rejects_tampered_value():
+    # 5 is no sum of two square roots of unity, so deriving the vectors
+    # finds it; the trivial row replaced by the sign row is a genuine
+    # character of the right degree, so only row orthogonality finds that
     t = table("sym:3")
     doc = json.loads(save_table(t))
     doc["irreducibles"][2][1] = 5
     with pytest.raises(TableFormatError) as err:
         load_table(json.dumps(doc))
-    assert "orthogonality" in str(err.value)
+    assert "character 2 of sym:3" in str(err.value)
+    doc = json.loads(save_table(t))
+    doc["irreducibles"][1] = doc["irreducibles"][0]
+    with pytest.raises(TableFormatError) as err:
+        load_table(json.dumps(doc))
+    assert "row orthogonality" in str(err.value)
+
+
+def test_load_rejects_a_value_outside_the_exponent_field():
+    doc = json.loads(save_table(table("cyclic:3")))
+    doc["irreducibles"][1][1] = {"level": 5, "terms": [[1, 1, 1]]}
+    with pytest.raises(TableFormatError) as err:
+        load_table(json.dumps(doc))
+    assert "character 1 at class 1 is not in the level-3 field" in str(err.value)
+
+
+def _cyclotomic_orthonormal(t):
+    """Row orthonormality of a table's values by cyclotomic inner products:
+    the reference the integer Gram pass of ``_validate`` is checked
+    against."""
+    rows = [t.irreducible(i) for i in range(t.num_classes)]
+    return all(
+        inner_product(rows[i], rows[j]) == (1 if i == j else 0)
+        for i in range(len(rows))
+        for j in range(i, len(rows))
+    )
+
+
+VALUE_TAMPERS = (
+    lambda t, i, c: -t.irreducibles[i][c],
+    lambda t, i, c: t.irreducibles[i][c] + 1,
+    lambda t, i, c: t.irreducibles[i][c].conjugate(),
+    lambda t, i, c: t.irreducibles[i][c] * zeta(t.classes[c].rep_order, 1),
+    lambda t, i, c: t.irreducibles[(i + 1) % t.num_classes][c],
+    lambda t, i, c: t.irreducibles[i][-c],
+    # the same residue mod the transform's prime: only the give-back of the
+    # derived vectors tells
+    lambda t, i, c: t.irreducibles[i][c] + chartab._choose_prime(t.order, t.exponent),
+)
+
+
+def test_load_rejects_every_table_the_cyclotomic_check_rejects():
+    # one value changed at a time: whenever the reference finds the rows
+    # not orthonormal, load_table refuses the table
+    rejected = 0
+    for spec in runner.C_SMALL:
+        t = table(spec)
+        r = t.num_classes
+        for i in sorted({0, r // 2, r - 1}):
+            for c in sorted({1, r // 2, r - 1} - {0}) if r > 1 else ():
+                for tamper in VALUE_TAMPERS:
+                    rows = [list(row) for row in t.irreducibles]
+                    rows[i][c] = tamper(t, i, c)
+                    bad = chartab.CharacterTable(
+                        spec, t.order, t.exponent, t.classes, rows
+                    )
+                    if _cyclotomic_orthonormal(bad):
+                        continue
+                    doc = json.loads(save_table(t))
+                    doc["irreducibles"][i][c] = rows[i][c].to_json()
+                    with pytest.raises(TableFormatError, match=spec):
+                        load_table(json.dumps(doc))
+                    rejected += 1
+    assert rejected > 700
+
+
+@pytest.mark.parametrize(
+    "doc, fragment",
+    [
+        # a class of order 100003 in a group of order 2
+        ({"name": "x", "order": 2, "exponent": 100003,
+          "classes": [{"rep_order": 1, "size": 1, "powermap": {"100003": 0}},
+                      {"rep_order": 100003, "size": 1, "powermap": {"100003": 0}}],
+          "irreducibles": [[1, 1], [1, -1]]},
+         "representative order of class 1 must divide its centralizer order"),
+        ({"name": "x", "order": 3, "exponent": 1,
+          "classes": [{"rep_order": 1, "size": 1, "powermap": {}},
+                      {"rep_order": 1, "size": 2, "powermap": {}}],
+          "irreducibles": [[1, 1], [1, 1]]},
+         "size of class 1 must divide the group order"),
+        ({"name": "x", "order": 2, "exponent": 1,
+          "classes": [{"rep_order": 1, "size": 1, "powermap": {}},
+                      {"rep_order": 1, "size": 1, "powermap": {}}],
+          "irreducibles": [[1, 1], [1, -1]]},
+         "representative order of class 1 must be above 1"),
+        ({"name": "x", "order": 10**6, "exponent": 1,
+          "classes": [{"rep_order": 1, "size": 1, "powermap": {}}],
+          "irreducibles": [[1]]},
+         "order 1000000 exceeds the bound 10080"),
+        ({"name": "x", "order": 1, "exponent": 1,
+          "classes": [{"rep_order": 1, "size": 1, "powermap": {}}],
+          "irreducibles": [[{"level": 10**6, "terms": [[0, 1, 1]]}]]},
+         "level 1000000 of character 0 at class 0 exceeds the bound 10080"),
+        # a rational value written at level 10069 in a table of exponent 2
+        ({"name": "x", "order": 2, "exponent": 2,
+          "classes": [{"rep_order": 1, "size": 1, "powermap": {"2": 0}},
+                      {"rep_order": 2, "size": 1, "powermap": {"2": 0}}],
+          "irreducibles": [[1, 1], [1, {"level": 10069, "terms": [[0, -1, 1]]}]]},
+         "level 10069 of character 1 at class 1 and the exponent 2 have an lcm"),
+    ],
+)
+def test_load_refuses_impossible_documents_before_building_them(
+    doc, fragment, monkeypatch
+):
+    def no_large_level(e):
+        assert e <= groups.DEFAULT_ORDER_BOUND, e
+        return reduction_table(e)
+
+    reduction_table = chartab._reduction_table
+    monkeypatch.setattr(chartab, "_reduction_table", no_large_level)
+    monkeypatch.setattr(cyclo, "_reduction_table", no_large_level)
+    with pytest.raises(TableFormatError, match=fragment):
+        load_table(json.dumps(doc))
 
 
 def test_load_rejects_garbage():
@@ -729,7 +844,6 @@ def test_power_map_is_kept_and_derived_for_loaded_tables():
     for spec in runner.C_SMALL:
         t = table(spec)
         loaded = load_table(save_table(t))
-        assert loaded._power_map is None
         assert loaded.power_map == t.power_map, spec
         for a in range(t.exponent):
             want = list(t.group.class_power_map(a))
@@ -848,20 +962,36 @@ def test_loaded_values_at_a_level_off_the_exponent():
     assert loaded.eigen == t.eigen
 
 
+def test_loaded_values_at_a_level_sharing_a_galois_exponent():
+    # zeta_3 written at level 6: the power map's Galois exponent 2 is a
+    # unit mod 3 but not mod 6, so it acts at level 6 as 5 = 2 (mod 3)
+    t = table("cyclic:3")
+    doc = json.loads(save_table(t))
+
+    def at_level_6(v):
+        terms = [[0, v, 1]] if isinstance(v, int) else v["terms"]
+        return {"level": 6, "terms": [[2 * i, num, den] for i, num, den in terms]}
+
+    doc["irreducibles"] = [[at_level_6(v) for v in row] for row in doc["irreducibles"]]
+    loaded = load_table(json.dumps(doc))
+    assert {v.level for row in loaded.irreducibles for v in row} == {6}
+    assert loaded.power_map == t.power_map
+    assert loaded.eigen == t.eigen
+
+
 @pytest.mark.parametrize("pick", [0, -1])
 def test_loaded_power_map_is_checked_by_the_transform(pick):
     # an order-9 class whose 3-power is moved to the other order-3 class
-    # keeps the orders right, so the table loads; deriving the vectors finds
-    # it, whether the class is the root the transform runs at or one of the
-    # power classes that read their vectors from it
+    # keeps the orders right; deriving the vectors at load finds it, whether
+    # the class is the root the transform runs at or one of the power
+    # classes that read their vectors from it
     doc = json.loads(save_table(table("cyclic:9")))
     order9 = [k for k, c in enumerate(doc["classes"]) if c["rep_order"] == 9]
     order3 = [k for k, c in enumerate(doc["classes"]) if c["rep_order"] == 3]
     pm = doc["classes"][order9[pick]]["powermap"]
     pm["3"] = next(k for k in order3 if k != pm["3"])
-    t = load_table(json.dumps(doc))
-    with pytest.raises(ConsistencyError, match="cyclic:9"):
-        t.eigen
+    with pytest.raises(TableFormatError, match="cyclic:9"):
+        load_table(json.dumps(doc))
 
 
 def test_power_class_is_checked_against_its_own_values(monkeypatch):

@@ -180,6 +180,30 @@ def test_bad_oracle_bounds_are_usage_errors(tmp_path, capsys, monkeypatch):
         assert code == 2 and "FEITLAB_ORACLE_BOUND" in err and why in err, err
 
 
+def test_malformed_corpus_files_are_usage_errors(tmp_path, capsys, monkeypatch):
+    # refused with exit 2, naming the file, before any entry runs
+    def no_entry(payload):
+        raise AssertionError("an entry ran before the corpus file was checked")
+
+    monkeypatch.setattr(cli, "_corpus_worker", no_entry)
+    cases = [
+        (None, "cannot read"),
+        ("{not json", "not valid JSON"),
+        ("[]", "JSON object"),
+        (json.dumps({"format": "json"}), "entries"),
+        (json.dumps({"entries": "cyclic:3"}), "entries"),
+        (json.dumps({"entries": [3]}), "entries"),
+        (json.dumps({"entries": ["cyclic:3"], "format": "xml"}), "'xml'"),
+    ]
+    for k, (text, why) in enumerate(cases):
+        cfile = tmp_path / f"corpus{k}.json"
+        if text is not None:
+            cfile.write_text(text)
+        code, out, err = run_cli(capsys, "corpus", str(cfile))
+        assert code == 2 and out == "", (text, err)
+        assert str(cfile) in err and why in err, (text, err)
+
+
 def test_verify_json_deterministic(capsys):
     code, out1, _ = run_cli(capsys, "verify", "quaternion:8", "--json")
     code2, out2, _ = run_cli(capsys, "verify", "quaternion:8", "--json")
