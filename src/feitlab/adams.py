@@ -18,7 +18,6 @@ from . import numth
 from .chartab import (
     CharacterTable,
     ClassFunction,
-    _orthonormal,
     _row_conductor,
     integral_inner_product,
 )
@@ -209,7 +208,7 @@ def feit_indicator(table: CharacterTable, chi: ChiLike) -> FeitReport:
     characters are the rows of the table; any other class function is
     rejected."""
     _, idx = _as_class_function(table, chi)
-    if idx is None or not _orthonormal(table, idx, idx):
+    if idx is None:  # the rows are the irreducibles, as _validate proved
         raise ValueError("the character is not irreducible")
     c = _row_conductor(table, idx)
     rep = invariant(table, idx, c)

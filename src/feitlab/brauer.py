@@ -11,9 +11,11 @@ fixed-point subposets.  The canonical induction coefficients are then
 exact integer data, and the fast Adams-route invariant can be
 cross-checked coefficient by coefficient.  Multiplicities and induced
 characters are both read from each pair's class counts and the table's
-values, never from the Adams route.  Bounded to small groups (order <= 60),
-where the group is held as index tables: elements are 0..|G|-1, subgroups
-are bitmasks, and conjugation is an index permutation of the pairs.
+values, never from the Adams route.  Bounded to small groups (order <= 60).
+The poset reads the indexed form of its group from ``groups``: elements
+numbered 0..|G|-1 with their multiplication and inverse tables, subgroups as
+bitmasks, and characters as exponent tuples over their members; conjugation
+is an index permutation of the pairs.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .adams import ChiLike, _as_class_function, adams_operation
 from .chartab import CharacterTable, ClassFunction, integral_inner_product
 from .cyclo import Cyclotomic
 from .errors import BoundExceeded, ConsistencyError, UsageError
-from .groups import MonomialPair, Perm, PermGroup, Subgroup, compose
+from .groups import MonomialPair, Perm, PermGroup, Subgroup
 
 DEFAULT_ORACLE_BOUND = 24
 HARD_ORACLE_CAP = 60
@@ -75,7 +77,7 @@ def class_counts(group: PermGroup, pair: MonomialPair) -> Dict[int, Dict[int, in
     """N[c][k]: the number of elements of the pair's subgroup that lie in
     class c of the group and have character exponent k."""
     counts: Dict[int, Dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    for h, k in pair.character.exponents.items():
+    for h, k in zip(pair.subgroup.elements, pair.character.exponents):
         counts[group.class_index(h)][k] += 1
     return counts
 
@@ -102,52 +104,36 @@ def _mobius(subs: Sequence[int], masks: Sequence[int]) -> Dict[int, List[Tuple[i
 
 
 class _IndexedPoset:
-    """The monomial poset of one group, on indices.
+    """The monomial poset of one group, on the group's indexed form.
 
-    Elements are 0..|G|-1 in the order of ``group.elements``, with a
-    multiplication and an inverse table; subgroups are element bitmasks in
-    the order of ``all_subgroups``; pairs are the subgroup id, the character
-    order and its exponents on the subgroup's elements in increasing index
-    order, sorted like ``MonomialPair.key()``.  Shared by the context of the
-    group and by the contexts of its subgroups, which are down-sets of it."""
+    Subgroups are in the order of ``all_subgroups``; pairs are the subgroup
+    id, the character order and its exponents on the subgroup's members,
+    sorted like ``MonomialPair.key()``.  Shared by the context of the group
+    and by the contexts of its subgroups, which are down-sets of it."""
 
     def __init__(self, group: PermGroup):
-        elems = group.elements
-        n = len(elems)
-        pos = {g: i for i, g in enumerate(elems)}
-        self.pos = pos
-        self.mul = tuple(tuple(pos[compose(a, b)] for b in elems) for a in elems)
-        e = pos[group.identity]
-        self.inv = tuple(row.index(e) for row in self.mul)
-
+        self.index, self.mul = group.index, group.mul
         self.subgroups = group.all_subgroups()
-        self.masks = tuple(self.mask(h.elements) for h in self.subgroups)
+        self.masks = tuple(h.mask for h in self.subgroups)
         self.sid = {m: s for s, m in enumerate(self.masks)}
-        self.members = tuple(
-            tuple(x for x in range(n) if m >> x & 1) for m in self.masks
-        )
+        self.members = tuple(h.members for h in self.subgroups)
         place = [{x: t for t, x in enumerate(mem)} for mem in self.members]
 
         pairs: List[MonomialPair] = []
         self.psub: List[int] = []
-        self.pexps: List[Tuple[int, ...]] = []
         self.chars_of: List[Tuple[int, ...]] = []
         char_index: List[Dict[Tuple[int, Tuple[int, ...]], int]] = []
         for s, h in enumerate(self.subgroups):
-            chars = sorted(
-                (phi.order, tuple(phi.exponents[elems[x]] for x in self.members[s]), phi)
-                for phi in h.linear_characters()
-            )
             start = len(pairs)
             char_index.append({})
-            for o, exps, phi in chars:
-                char_index[s][(o, exps)] = len(pairs)
+            for phi in h.linear_characters():
+                char_index[s][(phi.order, phi.exponents)] = len(pairs)
                 pairs.append(MonomialPair(h, phi))
                 self.psub.append(s)
-                self.pexps.append(exps)
             self.chars_of.append(tuple(range(start, len(pairs))))
         self.pairs = tuple(pairs)
         self.orders = tuple(p.character.order for p in pairs)
+        self.pexps = tuple(p.character.exponents for p in pairs)
 
         # restrict[j][k]: the pair that pair j restricts to on subgroup k
         self.restrict: List[Dict[int, int]] = [{} for _ in pairs]
@@ -173,11 +159,12 @@ class _IndexedPoset:
 
         # act[g][j]: the pair g p_j g^-1, from the generators' rows and
         # c_{ga} = c_g c_a over the multiplication table
+        mul, inv, n = self.mul, group.inv, group.order
         gen_rows = []
         for gen in group.generators:
-            g = pos[gen]
-            conj = [self.mul[self.mul[g][x]][self.inv[g]] for x in range(n)]
-            back = [self.mul[self.mul[self.inv[g]][x]][g] for x in range(n)]
+            g = self.index[gen]
+            conj = [mul[mul[g][x]][inv[g]] for x in range(n)]
+            back = [mul[mul[inv[g]][x]][g] for x in range(n)]
             row = [0] * len(pairs)
             for s, mem in enumerate(self.members):
                 s2 = self.sid[sum(1 << conj[x] for x in mem)]
@@ -187,14 +174,14 @@ class _IndexedPoset:
                     row[j] = char_index[s2][(self.orders[j], tuple(exps[t] for t in src))]
             gen_rows.append((g, row))
         act: List[Optional[Tuple[int, ...]]] = [None] * n
-        act[e] = tuple(range(len(pairs)))
-        frontier = [e]
+        act[0] = tuple(range(len(pairs)))
+        frontier = [0]
         while frontier:
             nxt = []
             for a in frontier:
                 row_a = act[a]
                 for g, row_g in gen_rows:
-                    b = self.mul[g][a]
+                    b = mul[g][a]
                     if act[b] is None:
                         act[b] = tuple([row_g[j] for j in row_a])
                         nxt.append(b)
@@ -204,9 +191,6 @@ class _IndexedPoset:
         # function, keyed by the function's values on the subgroup; shared by
         # every context on this poset
         self.mult_memo: Dict[tuple, Tuple[int, ...]] = {}
-
-    def mask(self, elements: Iterable[Perm]) -> int:
-        return sum(1 << self.pos[x] for x in elements)
 
     @cached_property
     def cyclic(self) -> Tuple[bool, ...]:
@@ -226,7 +210,8 @@ class MonomialContext:
     def __init__(self, group: PermGroup, poset: Optional[_IndexedPoset] = None):
         self.group = group
         self.poset = P = poset or _IndexedPoset(group)
-        umask = P.mask(group.elements)
+        # the group's elements, in the numbering of the poset's group
+        self.umask = umask = sum(1 << P.index[x] for x in group.elements)
         self._subs = tuple(s for s, m in enumerate(P.masks) if m | umask == umask)
         glob = tuple(j for s in self._subs for j in P.chars_of[s])
         self._glob = glob
@@ -239,8 +224,8 @@ class MonomialContext:
             self._local = {j: a for a, j in enumerate(glob)}
             loc = self._local
             self.act = tuple(
-                tuple([loc[row[j]] for j in glob])
-                for row in (P.act[P.pos[x]] for x in group.elements)
+                tuple([loc[P.act[x][j]] for j in glob])
+                for x in P.members[P.sid[umask]]
             )
 
         npairs = len(glob)
@@ -256,6 +241,8 @@ class MonomialContext:
         self.orbit_rep = tuple(orbit_rep)
         self._down_sets: Dict[PermGroup, MonomialContext] = {}
         self._sums: Dict[int, Tuple[Tuple[int, Cyclotomic], ...]] = {}
+        # _poset_data's flags, per class function given by its class values
+        self._flags: Dict[tuple, Tuple[List[bool], ...]] = {}
 
     def down_set(self, sub: Subgroup) -> "MonomialContext":
         """The context of a subgroup of this context's group, as a down-set
@@ -310,7 +297,7 @@ class MonomialContext:
         P, glob, loc, rep = self.poset, self._glob, self._local, self.orbit_rep
         weight: Dict[Tuple[int, ...], int] = defaultdict(int)
         for cls in self.group.conjugacy_classes():
-            row = P.act[P.pos[cls.rep]]
+            row = P.act[P.index[cls.rep]]
             weight[tuple(a for a, j in enumerate(glob) if row[j] == j)] += cls.size
         raw: Dict[Tuple[int, int], int] = defaultdict(int)
         for fixed, size in weight.items():
@@ -350,7 +337,7 @@ class MonomialContext:
         its elements."""
         P = self.poset
         cls_of = {
-            P.pos[x]: c
+            P.index[x]: c
             for c, cls in enumerate(self.group.conjugacy_classes())
             for x in cls.elements
         }
@@ -492,13 +479,10 @@ class PairCombination:
     def to_json(self) -> list:
         records = []
         for p in sorted(self.coefficients, key=lambda p: p.key()):
-            dom = p.subgroup.sorted_elements
             records.append(
                 {
-                    "subgroup": [list(g) for g in dom],
-                    "phi": [
-                        [p.character.order, p.character.exponents[g]] for g in dom
-                    ],
+                    "subgroup": [list(g) for g in p.subgroup.elements],
+                    "phi": [[p.character.order, k] for k in p.character.exponents],
                     "coefficient": self.coefficients[p],
                 }
             )
@@ -618,8 +602,8 @@ def restrict_combination(
     down = ctx.down_set(sub)
     P = ctx.poset
     mul = P.mul
-    g_elems = P.members[P.sid[P.mask(group.elements)]]
-    umask = P.mask(sub.elements)
+    g_elems = P.members[P.sid[ctx.umask]]
+    umask = down.umask
     u_elems = P.members[P.sid[umask]]
     acc: Dict[MonomialPair, int] = defaultdict(int)
     for pair, c in comb.coefficients.items():
@@ -709,21 +693,28 @@ class MaxSetsCheck:
 
 def _poset_data(table: CharacterTable, chi: ChiLike, bound: Optional[int]):
     """The context and four flags per pair: constituent of chi, in the
-    coefficient support, and maximal among the pairs with each flag."""
-    values = element_values(table, chi)
+    coefficient support, and maximal among the pairs with each flag.  The
+    context keeps the flags of each class function, which
+    ``check_equivalences`` reads at every n."""
     ctx = monomial_context(table.group, bound)
-    comb = induction_by_chains_values(table.group, values, bound)
-    support_reps = {ctx.index[p.key()] for p in comb.coefficients}
-    in_m = [m > 0 for m in ctx.multiplicities(values)]
-    in_mt = [ctx.orbit_rep[i] in support_reps for i in range(len(ctx.pairs))]
+    chi, _ = _as_class_function(table, chi)
+    key = tuple((v.level, v.nums, v.den) for v in chi.values)
+    flags = ctx._flags.get(key)
+    if flags is None:
+        values = element_values(table, chi)
+        comb = induction_by_chains_values(table.group, values, bound)
+        support_reps = {ctx.index[p.key()] for p in comb.coefficients}
+        in_m = [m > 0 for m in ctx.multiplicities(values)]
+        in_mt = [ctx.orbit_rep[i] in support_reps for i in range(len(ctx.pairs))]
 
-    def maximal(flags: Sequence[bool]) -> List[bool]:
-        return [
-            ok and not any(flags[j] for j in ctx.above[i])
-            for i, ok in enumerate(flags)
-        ]
+        def maximal(flags: Sequence[bool]) -> List[bool]:
+            return [
+                ok and not any(flags[j] for j in ctx.above[i])
+                for i, ok in enumerate(flags)
+            ]
 
-    return ctx, in_m, in_mt, maximal(in_m), maximal(in_mt)
+        flags = ctx._flags[key] = (in_m, in_mt, maximal(in_m), maximal(in_mt))
+    return (ctx, *flags)
 
 
 def check_max_sets(

@@ -239,11 +239,6 @@ class CharacterTable:
         """The character of the regular representation."""
         return ClassFunction(self, (self.order,) + (0,) * (self.num_classes - 1))
 
-    def class_of_element(self, g: Perm) -> int:
-        if self.group is None:
-            raise ValueError("table carries no group data")
-        return self.group.class_index(g)
-
     @property
     def power_map(self) -> Tuple[Tuple[int, ...], ...]:
         if self._power_map is None:
@@ -277,14 +272,7 @@ class CharacterTable:
         return cur
 
     def _galois_class(self, c: int, k: int) -> int:
-        # k acts on the level-e field; a value stored at a level L that e
-        # does not divide takes it as some k' = k (mod e) coprime to L
-        target = []
-        for row in self.irreducibles:
-            k_v = k
-            while math.gcd(k_v, row[c].level) != 1:
-                k_v += self.exponent
-            target.append(row[c].galois(k_v))
+        target = [row[c].galois(k) for row in self.irreducibles]
         matches = [
             c2
             for c2 in range(self.num_classes)
@@ -327,16 +315,6 @@ def integral_inner_product(a: ClassFunction, b: ClassFunction) -> int:
     return v
 
 
-def _scaled_inner_product(table: CharacterTable, u, v) -> Tuple[int, ...]:
-    """|G| * <u, v> on the power basis of the exponent-level field, for class
-    functions given by their eigenvalue multiplicity vectors, in integers.
-
-    At class c, eigenvalues zeta_t^a of u and zeta_t^b of v contribute
-    zeta_t^(a - b) = zeta_e^((a - b) e/t); the level-e sum is then reduced
-    exactly, so an irrational inner product is seen as one."""
-    return _scaled_pair(table, _level_terms(table, u), _level_terms(table, v))
-
-
 def _level_terms(table: CharacterTable, vectors) -> List[List[Tuple[int, int]]]:
     """Per class, the eigenvalues of a class function with a nonzero
     multiplicity, as (exponent at level e, multiplicity)."""
@@ -349,7 +327,13 @@ def _level_terms(table: CharacterTable, vectors) -> List[List[Tuple[int, int]]]:
 
 
 def _scaled_pair(table: CharacterTable, us, vs) -> Tuple[int, ...]:
-    """``_scaled_inner_product`` from the ``_level_terms`` of u and v."""
+    """|G| * <u, v> on the power basis of the exponent-level field, in
+    integers, for class functions u and v given by the ``_level_terms`` of
+    their eigenvalue multiplicity vectors.
+
+    At class c, eigenvalues zeta_t^a of u and zeta_t^b of v contribute
+    zeta_t^(a - b) = zeta_e^((a - b) e/t); the level-e sum is then reduced
+    exactly, so an irrational inner product is seen as one."""
     e = table.exponent
     acc = [0] * e
     for cls, u, v in zip(table.classes, us, vs):
@@ -364,13 +348,6 @@ def _scaled_pair(table: CharacterTable, us, vs) -> Tuple[int, ...]:
             for k, r in zip(idx, val):
                 out[k] += s * r
     return tuple(out)
-
-
-def _orthonormal(table: CharacterTable, i: int, j: int) -> bool:
-    """Whether <chi_i, chi_j> is 1 for i = j and 0 otherwise, decided in
-    integers from the rows' eigenvalue multiplicity vectors."""
-    got = _scaled_inner_product(table, table.eigen[i], table.eigen[j])
-    return got[0] == (table.order if i == j else 0) and not any(got[1:])
 
 
 def _row_conductor(table: CharacterTable, i: int) -> int:
@@ -526,12 +503,8 @@ def _charpoly_mod(mat: List[List[int]], p: int) -> List[int]:
 
 
 def _residue(v: Cyclotomic, e: int, p: int, z_e: int) -> int:
-    """The image of v mod p under zeta_e -> z_e, a root of unity of order e
-    mod p; a denominator divisible by p maps to 0.  A value at a level L
-    that e does not divide is first written at level gcd(L, e), where it
-    lies if it lies in the level-e field."""
-    if e % v.level:
-        v = v.at_level(math.gcd(v.level, e))
+    """The image of v, at a level dividing e, mod p under zeta_e -> z_e, a
+    root of unity of order e mod p; a denominator divisible by p maps to 0."""
     z = pow(z_e, e // v.level, p)
     acc = 0
     for x in reversed(v.nums):
@@ -871,21 +844,26 @@ def _validate(table: CharacterTable) -> None:
         degs.append(d)
     if sum(d * d for d in degs) != table.order:
         fail("degree squares must sum to the group order")
+    # Q(zeta_L) meets the level-e field in Q(zeta_gcd(L, e)); a value at a
+    # level L that e does not divide is stored there, so that every value
+    # lives at a level dividing e
     e = table.exponent
+    rows = []
     for i, row in enumerate(table.irreducibles):
+        rows.append([])
         for c, v in enumerate(row):
-            # Q(zeta_L) meets the level-e field in Q(zeta_gcd(L, e)); the
-            # value meets the other values at level lcm(L, e)
             if e % v.level:
                 if math.lcm(v.level, e) > DEFAULT_ORDER_BOUND:
                     fail(f"level {v.level} of character {i} at class {c} and the"
                          f" exponent {e} have an lcm above the bound"
                          f" {DEFAULT_ORDER_BOUND}")
                 try:
-                    v.at_level(math.gcd(v.level, e))
+                    v = v.at_level(math.gcd(v.level, e))
                 except ValueError:
                     fail(f"value of character {i} at class {c} is not in the"
                          f" level-{e} field")
+            rows[-1].append(v)
+    table.irreducibles = tuple(tuple(row) for row in rows)
     # a loaded table derives its power map and multiplicities here, each
     # vector checked to give back its value exactly, so that the integer
     # Gram pass below decides orthonormality of the values as given

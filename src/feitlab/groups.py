@@ -1,10 +1,16 @@
-"""Finite permutation groups: enumeration, conjugacy classes, the full
-subgroup lattice, linear characters of subgroups, and monomial pairs.
+"""Finite permutation groups: enumeration, conjugacy classes, the indexed
+form of a group, the full subgroup lattice, linear characters of
+subgroups, and monomial pairs.
 
 Permutations are tuples of images of 0..degree-1; the product a * b is
 function composition (b first), so conjugation relabels points the usual
-way.  Groups are immutable once built; every cached query is pure, so
-concurrent reads are safe.
+way.  This module is the one place that numbers a group's elements: in
+sorted order, 0..|G|-1, with multiplication and inverse tables built on
+first use.  Subgroups are bitmasks over those numbers, and linear
+characters are exponent tuples over a subgroup's members in increasing
+order; the oracle in ``brauer`` reads them as they are.  Groups are
+immutable once built; every cached query is pure, so concurrent reads are
+safe.
 """
 
 from __future__ import annotations
@@ -12,9 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from functools import reduce
+from bisect import bisect_left
+from functools import cached_property, reduce
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple,
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
 )
 
 from . import numth
@@ -154,7 +161,13 @@ class ConjugacyClass:
 
 class PermGroup:
     """A finite permutation group given by generators, fully enumerated at
-    construction time."""
+    construction time.
+
+    Its elements are numbered 0..|G|-1 in the order of ``elements``, which
+    is sorted, so the identity is 0 and index order is element order.  The
+    multiplication and inverse tables on those numbers are built on first
+    use; only the subgroup lattice and the oracle need them, and both are
+    bounded in the group order."""
 
     def __init__(
         self,
@@ -174,8 +187,9 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(dict.fromkeys(g for g in gens))
         self.name = name or "group"
-        self._element_set = _closure(degree, self.generators, order_bound)
-        self.elements: Tuple[Perm, ...] = tuple(sorted(self._element_set))
+        self.elements: Tuple[Perm, ...] = tuple(
+            sorted(_closure(degree, self.generators, order_bound))
+        )
         self.order = len(self.elements)
         self.identity = identity_perm(degree)
         self._classes: Optional[Tuple[ConjugacyClass, ...]] = None
@@ -193,7 +207,41 @@ class PermGroup:
         return f"PermGroup({self.name}, order={self.order}, degree={self.degree})"
 
     def __contains__(self, g: Perm) -> bool:
-        return g in self._element_set
+        return g in self.index
+
+    @cached_property
+    def index(self) -> Dict[Perm, int]:
+        """The number of each element: its place in ``elements``."""
+        return {g: i for i, g in enumerate(self.elements)}
+
+    @cached_property
+    def mul(self) -> Tuple[Tuple[int, ...], ...]:
+        """``mul[a][b]``: the number of the product of elements a and b."""
+        pos = self.index
+        return tuple(
+            tuple(pos[compose(a, b)] for b in self.elements) for a in self.elements
+        )
+
+    @cached_property
+    def inv(self) -> Tuple[int, ...]:
+        """``inv[a]``: the number of the inverse of element a."""
+        return tuple(row.index(0) for row in self.mul)
+
+    def _join(self, mask: int, members: Sequence[int], gens: Sequence[int]) -> int:
+        """The bitmask of the subgroup generated by ``gens``, given a
+        subgroup of it by its ``mask`` and ``members``: the union of the left
+        cosets of that subgroup which the generators reach from it."""
+        mul = self.mul
+        reps = [0]
+        for r in reps:
+            for g in gens:
+                y = mul[g][r]
+                if not mask >> y & 1:
+                    row = mul[y]
+                    for m in members:
+                        mask |= 1 << row[m]
+                    reps.append(y)
+        return mask
 
     def conjugacy_classes(self) -> Tuple[ConjugacyClass, ...]:
         if self._classes is None:
@@ -237,99 +285,103 @@ class PermGroup:
             self.class_index(perm_power(c.rep, m)) for c in classes
         )
 
-    def subgroup(self, elements: Iterable[Perm], validate: bool = True) -> "Subgroup":
-        return Subgroup(self, frozenset(elements), validate=validate)
-
-    def trivial_subgroup(self) -> "Subgroup":
-        return self.subgroup([self.identity], validate=False)
+    def subgroup(self, elements: Iterable[Perm]) -> "Subgroup":
+        """The subgroup with these elements; ValueError unless they form one."""
+        try:
+            members = sorted({self.index[g] for g in elements})
+        except KeyError:
+            raise ValueError("elements do not belong to the parent group") from None
+        mask = sum(1 << x for x in members)
+        if self._join(1, (0,), members) != mask:
+            raise ValueError("elements are not closed under products")
+        return Subgroup(self, mask, members[1:])
 
     def whole_subgroup(self) -> "Subgroup":
-        return self.subgroup(self.elements, validate=False)
+        return Subgroup(
+            self, (1 << self.order) - 1, [self.index[g] for g in self.generators]
+        )
 
     def all_subgroups(self, bound: int = DEFAULT_SUBGROUP_BOUND) -> Tuple["Subgroup", ...]:
-        """Every subgroup, by extending known subgroups with prime-order
-        cosets inside their normalizers (plus the whole group, which extension
-        from below cannot reach when it is perfect)."""
+        """Every subgroup, sorted by order and then by elements.  Each
+        subgroup found is joined with each cyclic subgroup of prime-power
+        order until nothing new appears.  A finite group is generated by its
+        elements of prime-power order, so this reaches every subgroup, the
+        perfect ones included."""
         if self.order > bound:
             raise BoundExceeded(
                 f"subgroup enumeration needs order <= {bound}, group has {self.order}"
             )
-        if self._subgroups is not None:
-            return self._subgroups
-        trivial = frozenset([self.identity])
-        found: Dict[FrozenSet[Perm], None] = {trivial: None}
-        queue = [trivial]
-        while queue:
-            h = queue.pop()
-            normalizer = [
-                g
-                for g in self.elements
-                if all(conjugate_perm(g, x) in h for x in h)
-            ]
-            for g in normalizer:
-                if g in h:
-                    continue
-                m = 1
-                x = g
-                while x not in h:
-                    x = compose(x, g)
-                    m += 1
-                if not numth.is_prime(m):
-                    continue
-                k = _closure(self.degree, set(h) | {g})
-                if k not in found:
-                    found[k] = None
-                    queue.append(k)
-        found[self._element_set] = None
-        subs = [Subgroup(self, s, validate=False) for s in found]
-        subs.sort(key=lambda s: (s.order, s.sorted_elements))
-        self._subgroups = tuple(subs)
+        if self._subgroups is None:
+            mul = self.mul
+            cyclic: Dict[int, int] = {}  # <x> -> its least generator x
+            for x in range(1, self.order):
+                mask, y, o = 1, x, 1
+                while y:
+                    mask |= 1 << y
+                    y = mul[y][x]
+                    o += 1
+                if len(numth.prime_factorization(o)) == 1:
+                    cyclic.setdefault(mask, x)
+            found = {1: Subgroup(self, 1, ())}
+            queue = list(found.values())
+            for h in queue:
+                for c, x in cyclic.items():
+                    if c & ~h.mask:
+                        gens = h.gens + (x,)
+                        k = self._join(h.mask, h.members, gens)
+                        if k not in found:
+                            found[k] = Subgroup(self, k, gens)
+                            queue.append(found[k])
+            queue.sort(key=lambda s: (s.order, s.members))
+            self._subgroups = tuple(queue)
         return self._subgroups
 
 
+def _bits(mask: int) -> Tuple[int, ...]:
+    """The positions of the set bits of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 class Subgroup:
-    """A subgroup of a fixed parent group, stored as its full element set."""
+    """A subgroup of a fixed parent group: the bitmask of its element
+    numbers, and the element numbers it was generated from."""
 
-    __slots__ = ("parent", "elements", "_sorted", "_as_group", "_linear")
+    __slots__ = (
+        "parent", "mask", "gens", "members", "order", "_elements", "_as_group", "_linear",
+    )
 
-    def __init__(self, parent: PermGroup, elements: FrozenSet[Perm], validate: bool = True):
+    def __init__(self, parent: PermGroup, mask: int, gens: Iterable[int]):
         self.parent = parent
-        self.elements = frozenset(elements)
-        self._sorted: Optional[Tuple[Perm, ...]] = None
+        self.mask = mask
+        self.gens = tuple(gens)
+        # the element numbers, in increasing order
+        self.members = _bits(mask)
+        self.order = len(self.members)
+        self._elements: Optional[Tuple[Perm, ...]] = None
         self._as_group: Optional[PermGroup] = None
         self._linear: Optional[Tuple["LinearChar", ...]] = None
-        if validate:
-            if not self.elements <= parent._element_set:
-                raise ValueError("elements do not belong to the parent group")
-            if parent.identity not in self.elements:
-                raise ValueError("subgroup must contain the identity")
-            for a in self.elements:
-                if inverse(a) not in self.elements:
-                    raise ValueError("subgroup is not closed under inverses")
-                for b in self.elements:
-                    if compose(a, b) not in self.elements:
-                        raise ValueError("subgroup is not closed under products")
 
     @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def sorted_elements(self) -> Tuple[Perm, ...]:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.elements))
-        return self._sorted
+    def elements(self) -> Tuple[Perm, ...]:
+        """The elements, in increasing order (the order of their numbers)."""
+        if self._elements is None:
+            elems = self.parent.elements
+            self._elements = tuple(elems[x] for x in self.members)
+        return self._elements
 
     def __contains__(self, g: Perm) -> bool:
-        return g in self.elements
-
-    def __le__(self, other: "Subgroup") -> bool:
-        return self.elements <= other.elements
+        x = self.parent.index.get(g)
+        return x is not None and bool(self.mask >> x & 1)
 
     def __eq__(self, other):
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.elements == other.elements
+        return self is other or self.elements == other.elements
 
     def __hash__(self):
         return hash(self.elements)
@@ -337,219 +389,108 @@ class Subgroup:
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.name})"
 
-    def conjugate(self, g: Perm) -> "Subgroup":
-        return Subgroup(
-            self.parent,
-            frozenset(conjugate_perm(g, h) for h in self.elements),
-            validate=False,
-        )
-
     def is_cyclic(self) -> bool:
         return any(perm_order(g) == self.order for g in self.elements)
 
-    def generating_set(self) -> Tuple[Perm, ...]:
-        gens: List[Perm] = []
-        have = {self.parent.identity}
-        for g in self.sorted_elements:
-            if g not in have:
-                gens.append(g)
-                have = set(_closure(self.parent.degree, gens))
-                if len(have) == self.order:
-                    break
-        return tuple(gens)
-
     def as_group(self) -> PermGroup:
-        """Promote to a standalone group (same degree, same elements)."""
+        """Promote to a standalone group (same degree, same elements),
+        generated by the elements this subgroup was generated from."""
         if self._as_group is None:
-            gens = self.generating_set() or (self.parent.identity,)
+            elems = self.parent.elements
+            gens = [elems[x] for x in self.gens] or [self.parent.identity]
             self._as_group = PermGroup(
                 gens, degree=self.parent.degree, name=f"{self.parent.name}-sub{self.order}"
             )
             self._as_group.ambient = self
         return self._as_group
 
-    def derived_elements(self) -> FrozenSet[Perm]:
-        comms = {
-            compose(compose(a, b), inverse(compose(b, a)))
-            for a in self.elements
-            for b in self.elements
-        }
-        return _closure(self.parent.degree, comms)
-
     def linear_characters(self) -> Tuple["LinearChar", ...]:
-        """All homomorphisms into the roots of unity, built from a cyclic
-        decomposition of the abelianization."""
-        if self._linear is not None:
-            return self._linear
-        derived = self.derived_elements()
-        coset_rep: Dict[Perm, Perm] = {}
-        for h in self.sorted_elements:
-            if h not in coset_rep:
-                coset = sorted(compose(h, d) for d in derived)
-                rep = coset[0]
-                for x in coset:
-                    coset_rep[x] = rep
-        reps = sorted(set(coset_rep.values()))
+        """All homomorphisms into the roots of unity, sorted by order and
+        exponents.
 
-        def mul(a: Perm, b: Perm) -> Perm:
-            return coset_rep[compose(a, b)]
-
-        basis, dlog = _decompose_abelian(reps, mul, coset_rep[self.parent.identity])
-        orders = [o for _, o in basis]
-        level = reduce(math.lcm, orders, 1)
-        chars = []
-        for js in itertools.product(*(range(o) for o in orders)):
-            exps = {}
-            for h in self.sorted_elements:
-                e = dlog[coset_rep[h]]
-                exps[h] = (
-                    sum(j * ei * (level // o) for j, ei, o in zip(js, e, orders))
-                    % level
-                )
-            chars.append(LinearChar(self, level, exps))
-        chars.sort(key=lambda c: c.key()[2:])
-        self._linear = tuple(chars)
+        They are trivial on the commutator subgroup D, which the commutators
+        of the members with the generators generate.  They are built up
+        along D < <D, g_1> < <D, g_1, g_2> < ... < H: if g^r is the least
+        power of g in the last step K, each character of K extends in r
+        ways, by the r-th roots of its value at g^r, with exponents at level
+        |H : D|."""
+        if self._linear is None:
+            G = self.parent
+            mul, inv = G.mul, G.inv
+            derived = Subgroup(G, 1, ())
+            for a in self.members:
+                for g in self.gens:
+                    c = mul[mul[a][g]][inv[mul[g][a]]]
+                    if not derived.mask >> c & 1:
+                        gens = derived.gens + (c,)
+                        derived = Subgroup(
+                            G, G._join(derived.mask, derived.members, gens), gens
+                        )
+            level = self.order // derived.order
+            elems, mask = list(derived.members), derived.mask
+            chars = [[0] * len(elems)]  # exponents at level, on elems
+            for g in self.gens:
+                powers, y = [0], g
+                while not mask >> y & 1:
+                    powers.append(y)
+                    y = mul[y][g]
+                r, at = len(powers), elems.index(y)
+                elems = [mul[k][p] for p in powers for k in elems]
+                mask = sum(1 << x for x in elems)
+                chars = [
+                    [(e + j * w) % level for j in range(r) for e in chi]
+                    for chi in chars
+                    for w in ((chi[at] + s * level) // r for s in range(r))
+                ]
+            place = sorted(range(len(elems)), key=elems.__getitem__)
+            self._linear = tuple(sorted(
+                (LinearChar(self, level, [chi[t] for t in place]) for chi in chars),
+                key=lambda phi: (phi.order, phi.exponents),
+            ))
         return self._linear
 
 
-def _decompose_abelian(elements, mul, ident):
-    """Split a finite abelian group into cyclic factors.
-
-    Returns (basis, dlog) where basis is [(generator, order), ...] and dlog
-    maps each element to its exponent tuple on the basis.
-    """
-    if len(elements) == 1:
-        return [], {ident: ()}
-
-    def elem_order(a):
-        n, x = 1, a
-        while x != ident:
-            x = mul(x, a)
-            n += 1
-        return n
-
-    orders = {a: elem_order(a) for a in elements}
-    max_order = max(orders.values())
-    a = min(x for x, o in orders.items() if o == max_order)
-    powers = {}
-    x, i = ident, 0
-    while True:
-        powers[x] = i
-        x = mul(x, a)
-        i += 1
-        if x == ident:
-            break
-
-    # quotient by <a>, with minimal coset members as tokens
-    token_of: Dict[object, object] = {}
-    for x in sorted(elements):
-        if x not in token_of:
-            coset = sorted(mul(x, p) for p in _iterate_powers(a, mul, ident))
-            for y in coset:
-                token_of[y] = coset[0]
-    tokens = sorted(set(token_of.values()))
-
-    def qmul(t1, t2):
-        return token_of[mul(t1, t2)]
-
-    qbasis, _ = _decompose_abelian(tokens, qmul, token_of[ident])
-
-    basis = [(a, max_order)]
-    for t, r in qbasis:
-        b = t
-        br = _power_via(b, r, mul, ident)
-        s = powers[br]  # b^r lands inside <a>
-        if s % r != 0:
-            raise RuntimeError("abelian decomposition: maximal order violated")
-        shift = _power_via(a, (max_order - s // r) % max_order, mul, ident)
-        basis.append((mul(b, shift), r))
-
-    dlog = {}
-    ranges = [range(o) for _, o in basis]
-    for exps in itertools.product(*ranges):
-        x = ident
-        for (g, _), e in zip(basis, exps):
-            x = mul(x, _power_via(g, e, mul, ident))
-        if x in dlog:
-            raise RuntimeError("abelian decomposition is not direct")
-        dlog[x] = exps
-    if len(dlog) != len(elements):
-        raise RuntimeError("abelian decomposition misses elements")
-    return basis, dlog
-
-
-def _iterate_powers(a, mul, ident):
-    out = [ident]
-    x = mul(ident, a)
-    while x != ident:
-        out.append(x)
-        x = mul(x, a)
-    return out
-
-
-def _power_via(g, e, mul, ident):
-    x = ident
-    for _ in range(e):
-        x = mul(x, g)
-    return x
-
-
 class LinearChar:
-    """A degree-one character of a subgroup, stored as root-of-unity
-    exponents at level equal to the character's order."""
+    """A degree-one character of a subgroup: its order o, and the exponent k
+    of its value zeta_o^k at each member of the subgroup, in increasing
+    order of the members."""
 
     __slots__ = ("domain", "order", "exponents")
 
-    def __init__(self, domain: Subgroup, level: int, exponents: Mapping[Perm, int]):
-        g = level
-        for e in exponents.values():
-            g = math.gcd(g, e)
-        order = level // g if g else 1
-        self.domain = domain
-        self.order = order
-        self.exponents = {
-            h: (e // g) % order if order > 1 else 0 for h, e in exponents.items()
-        }
-        if set(self.exponents) != set(domain.elements):
+    def __init__(self, domain: Subgroup, level: int, exponents: Sequence[int]):
+        if len(exponents) != domain.order:
             raise ValueError("character must be defined on the whole subgroup")
+        g = math.gcd(level, *exponents)
+        self.domain = domain
+        self.order = level // g
+        self.exponents = tuple(e // g % self.order for e in exponents)
+
+    def _exponent(self, g: Perm) -> int:
+        members = self.domain.members
+        x = self.domain.parent.index[g]
+        t = bisect_left(members, x)
+        if t == len(members) or members[t] != x:
+            raise KeyError(g)
+        return self.exponents[t]
 
     def value(self, g: Perm) -> RootOfUnity:
-        return RootOfUnity(self.order, self.exponents[g])
+        return RootOfUnity(self.order, self._exponent(g))
 
     def cyclotomic_value(self, g: Perm) -> Cyclotomic:
-        return zeta(self.order, self.exponents[g])
+        return zeta(self.order, self._exponent(g))
 
     def key(self) -> tuple:
-        dom = self.domain.sorted_elements
-        return (self.domain.order, dom, self.order, tuple(self.exponents[h] for h in dom))
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
-    def restrict(self, sub: Subgroup) -> "LinearChar":
-        if not sub.elements <= self.domain.elements:
-            raise ValueError("can only restrict to a smaller subgroup")
-        return LinearChar(sub, self.order, {h: self.exponents[h] for h in sub.elements})
-
-    def conjugate(self, g: Perm) -> "LinearChar":
-        """h -> phi(g^-1 h g) on the conjugate subgroup, its exponent keys."""
-        g_inv = inverse(g)
-        exps = {
-            compose(compose(g, h), g_inv): e for h, e in self.exponents.items()
-        }
-        dom = Subgroup(self.domain.parent, frozenset(exps), validate=False)
-        return LinearChar(dom, self.order, exps)
+        return (self.domain.order, self.domain.elements, self.order, self.exponents)
 
     def __mul__(self, other: "LinearChar") -> "LinearChar":
-        if self.domain.elements != other.domain.elements:
+        if self.domain != other.domain:
             raise ValueError("pointwise product needs equal domains")
         level = math.lcm(self.order, other.order)
-        exps = {
-            h: self.exponents[h] * (level // self.order)
-            + other.exponents[h] * (level // other.order)
-            for h in self.exponents
-        }
-        return LinearChar(self.domain, level, exps)
+        a, b = level // self.order, level // other.order
+        return LinearChar(
+            self.domain, level,
+            [x * a + y * b for x, y in zip(self.exponents, other.exponents)],
+        )
 
     def __eq__(self, other):
         if not isinstance(other, LinearChar):
@@ -564,13 +505,14 @@ class LinearChar:
 
 
 class MonomialPair:
-    """A subgroup together with one of its linear characters, ordered by
-    "subgroup contained and character restricts"."""
+    """A subgroup together with one of its linear characters, keyed by
+    ``key()``: the subgroup's order and elements, then the character's
+    order and exponents."""
 
     __slots__ = ("subgroup", "character", "_key")
 
     def __init__(self, subgroup: Subgroup, character: LinearChar):
-        if character.domain.elements != subgroup.elements:
+        if character.domain != subgroup:
             raise ValueError("character is not defined on the given subgroup")
         self.subgroup = subgroup
         self.character = character
@@ -578,13 +520,7 @@ class MonomialPair:
 
     def key(self) -> tuple:
         if self._key is None:
-            dom = self.subgroup.sorted_elements
-            self._key = (
-                self.subgroup.order,
-                dom,
-                self.character.order,
-                tuple(self.character.exponents[h] for h in dom),
-            )
+            self._key = self.character.key()
         return self._key
 
     def __eq__(self, other):
@@ -595,36 +531,11 @@ class MonomialPair:
     def __hash__(self):
         return hash(self.key())
 
-    def __le__(self, other: "MonomialPair") -> bool:
-        if not self.subgroup.elements <= other.subgroup.elements:
-            return False
-        return all(
-            other.character.value(h) == self.character.value(h)
-            for h in self.subgroup.elements
-        )
-
-    def __lt__(self, other: "MonomialPair") -> bool:
-        return self.subgroup.order < other.subgroup.order and self <= other
-
-    def conjugate(self, g: Perm) -> "MonomialPair":
-        phi = self.character.conjugate(g)
-        return MonomialPair(phi.domain, phi)
-
     def __repr__(self):
         return (
             f"MonomialPair(|H|={self.subgroup.order},"
             f" o(phi)={self.character.order})"
         )
-
-
-def conjugate_pair(g: Perm, pair: MonomialPair) -> MonomialPair:
-    """The action of a group element on a monomial pair."""
-    return pair.conjugate(g)
-
-
-def restrict_linear(pair: MonomialPair, sub: Subgroup) -> LinearChar:
-    """Restrict the pair's character to a smaller subgroup."""
-    return pair.character.restrict(sub)
 
 
 # ---------------------------------------------------------------------------

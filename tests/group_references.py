@@ -1,0 +1,61 @@
+"""Element-level references for the indexed groups, kept in tests only: a
+subgroup lattice, a commutator subgroup, and the restriction, conjugation
+and order of monomial pairs, all on permutation tuples."""
+
+from feitlab import groups
+from feitlab.groups import LinearChar, MonomialPair, compose, conjugate_perm, inverse
+
+
+def closure_subgroups(group):
+    """Every subgroup as a frozenset of elements, by joining each subgroup
+    found with each element until nothing new appears."""
+    trivial = frozenset([group.identity])
+    found = {trivial}
+    queue = [trivial]
+    while queue:
+        h = queue.pop()
+        for g in group.elements:
+            if g in h:
+                continue
+            k = groups._closure(group.degree, set(h) | {g})
+            if k not in found:
+                found.add(k)
+                queue.append(k)
+    return found
+
+
+def derived_elements(sub):
+    """The commutator subgroup, closed from every commutator of two members."""
+    comms = {
+        compose(compose(a, b), inverse(compose(b, a)))
+        for a in sub.elements
+        for b in sub.elements
+    }
+    return groups._closure(sub.parent.degree, comms)
+
+
+def restrict(phi, sub):
+    """The restriction of a linear character to a subgroup of its domain."""
+    exps = dict(zip(phi.domain.elements, phi.exponents))
+    if not set(sub.elements) <= set(exps):
+        raise ValueError("can only restrict to a smaller subgroup")
+    return LinearChar(sub, phi.order, [exps[h] for h in sub.elements])
+
+
+def conjugate_pair(g, pair):
+    """g acting on a pair: h -> phi(g^-1 h g) on the conjugate subgroup."""
+    exps = {
+        conjugate_perm(g, h): e
+        for h, e in zip(pair.subgroup.elements, pair.character.exponents)
+    }
+    sub = pair.subgroup.parent.subgroup(exps)
+    return MonomialPair(
+        sub, LinearChar(sub, pair.character.order, [exps[h] for h in sub.elements])
+    )
+
+
+def pair_le(p, q):
+    """p <= q: p's subgroup lies in q's and q's character restricts to p's."""
+    return set(p.subgroup.elements) <= set(q.subgroup.elements) and all(
+        q.character.value(h) == p.character.value(h) for h in p.subgroup.elements
+    )

@@ -23,14 +23,8 @@ from feitlab.brauer import (
 from feitlab.chartab import compute_table, inner_product
 from feitlab.cyclo import Cyclotomic, zeta
 from feitlab.errors import BoundExceeded, ConsistencyError
-from feitlab.groups import (
-    LinearChar,
-    MonomialPair,
-    Subgroup,
-    compose,
-    conjugate_perm,
-    inverse,
-)
+from feitlab.groups import LinearChar, MonomialPair, compose, conjugate_perm, inverse
+from group_references import conjugate_pair, pair_le
 
 
 def table(spec):
@@ -88,7 +82,7 @@ def test_orbit_of():
     ctx = monomial_context(g)
     whole = g.whole_subgroup()
     triv_pair = MonomialPair(
-        whole, next(c for c in whole.linear_characters() if c.is_trivial())
+        whole, next(c for c in whole.linear_characters() if c.order == 1)
     )
     rep, size, stab = ctx.orbit_of(triv_pair)
     assert rep == triv_pair and size == 1 and stab == 6
@@ -169,14 +163,14 @@ def test_induced_character_examples():
     ctx = monomial_context(g)
 
     # the trivial pair of the trivial subgroup induces the regular character
-    trivial_sub = g.trivial_subgroup()
+    trivial_sub = g.all_subgroups()[0]
     triv_pair = MonomialPair(trivial_sub, trivial_sub.linear_characters()[0])
     comb = PairCombination(brauer._group_key(g), {ctx.orbit_of(triv_pair)[0]: 1})
     assert induced_character(t, comb) == t.regular_character()
 
     # the trivial character of the rotation subgroup induces 1 + sign
     a3 = next(s for s in g.all_subgroups() if s.order == 3)
-    pair = MonomialPair(a3, next(c for c in a3.linear_characters() if c.is_trivial()))
+    pair = MonomialPair(a3, next(c for c in a3.linear_characters() if c.order == 1))
     comb = PairCombination(brauer._group_key(g), {ctx.orbit_of(pair)[0]: 1})
     induced = induced_character(t, comb)
     linear_rows = [t.irreducible(i) for i in range(3) if t.degree(i) == 1]
@@ -194,7 +188,7 @@ def test_restriction_to_whole_group_and_trivial():
     # promoted copy, so compare canonical serializations)
     assert down_same.to_json() == comb.to_json()
 
-    trivial = g.trivial_subgroup()
+    trivial = g.all_subgroups()[0]
     down = restrict_combination(comb, trivial)
     ((pair, coeff),) = down.coefficients.items()
     assert pair.subgroup.order == 1
@@ -211,7 +205,7 @@ def test_restriction_trivial_subgroup_coefficient():
     g = t.group
     for i in range(t.num_classes):
         comb = induction_by_chains(t, i)
-        down = restrict_combination(comb, g.trivial_subgroup())
+        down = restrict_combination(comb, g.all_subgroups()[0])
         if not comb.coefficients:
             assert not down.coefficients
             continue
@@ -361,7 +355,7 @@ def _reference_multiplicity(values, pair):
     """<chi|_H, phi> element by element: (1/|H|) sum_h chi(h) phi(h)^-1."""
     o = pair.character.order
     acc = Cyclotomic.rational(0)
-    for h, k in pair.character.exponents.items():
+    for h, k in zip(pair.subgroup.elements, pair.character.exponents):
         acc = acc + values[h] * zeta(o, -k)
     return (acc / pair.subgroup.order).as_integer()
 
@@ -370,7 +364,7 @@ def _reference_induced(t, pair):
     """Ind_H^G phi element by element: (1/|H|) sum_x phi(x^-1 z x) at every
     class representative z."""
     o = pair.character.order
-    exps = pair.character.exponents
+    exps = dict(zip(pair.subgroup.elements, pair.character.exponents))
     out = []
     for z in t.class_reps:
         acc = Cyclotomic.rational(0)
@@ -454,8 +448,8 @@ def test_context_errors_name_the_group_passed_in():
 
 class _LiteralContext:
     """The element-level monomial poset, kept as a test-only reference:
-    pairs compared pairwise with ``MonomialPair.__le__``, the action by
-    ``MonomialPair.conjugate`` and ``key()``, and the chain weights and
+    pairs compared pairwise with ``pair_le``, the action by
+    ``conjugate_pair`` and ``key()``, and the chain weights and
     chain-orbit weights by enumerating every strict chain (zeros dropped)."""
 
     def __init__(self, group):
@@ -468,11 +462,11 @@ class _LiteralContext:
         self.index = {p.key(): i for i, p in enumerate(pairs)}
         self.above = tuple(
             tuple(j for j, q in enumerate(pairs)
-                  if q.subgroup.order > p.subgroup.order and p <= q)
+                  if q.subgroup.order > p.subgroup.order and pair_le(p, q))
             for p in pairs
         )
         self.act = tuple(
-            tuple(self.index[p.conjugate(g).key()] for p in pairs)
+            tuple(self.index[conjugate_pair(g, p).key()] for p in pairs)
             for g in group.elements
         )
         self.orbit_rep = tuple(
@@ -529,6 +523,7 @@ def _reference_restrict(comb, sub, lit):
     acc = Counter()
     for pair, c in comb.coefficients.items():
         h_elems = pair.subgroup.elements
+        h_exps = dict(zip(h_elems, pair.character.exponents))
         seen = set()
         for g in group.elements:
             if g in seen:
@@ -538,13 +533,12 @@ def _reference_restrict(comb, sub, lit):
                 for h in h_elems:
                     seen.add(compose(ug, h))
             g_inv = inverse(g)
-            k_elems = sub.elements & {conjugate_perm(g, h) for h in h_elems}
-            exps = {
-                x: pair.character.exponents[conjugate_perm(g_inv, x)]
-                for x in k_elems
-            }
-            k_sub = Subgroup(sub_group, k_elems, validate=False)
-            psi = LinearChar(k_sub, pair.character.order, exps)
+            k_elems = set(sub.elements) & {conjugate_perm(g, h) for h in h_elems}
+            k_sub = sub_group.subgroup(k_elems)
+            psi = LinearChar(
+                k_sub, pair.character.order,
+                [h_exps[conjugate_perm(g_inv, x)] for x in k_sub.elements],
+            )
             rep = lit.orbit_rep[lit.index[MonomialPair(k_sub, psi).key()]]
             acc[lit.pairs[rep]] += c
     return PairCombination(brauer._group_key(sub_group), acc)

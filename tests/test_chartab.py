@@ -458,6 +458,24 @@ FEIT_POOL = (
 )
 
 
+def test_table_routes_build_no_multiplication_table():
+    # the element tables serve the subgroup lattice and the oracle; what
+    # `feit` and `s` run never builds them, up to sym:6 in the feit pool
+    for spec in ("sym:6", "product:alt:5,cyclic:3", "dihedral:60"):
+        t = runner.resolve_input(spec)
+        for i in range(t.num_classes):
+            adams.feit_indicator(t, i)
+            adams.invariant(t, i, t.exponent)
+        assert not {"mul", "inv"} & set(vars(t.group)), spec
+
+
+def _scaled_inner_product(t, u, v):
+    """|G| * <u, v> from eigenvalue multiplicity vectors, in integers."""
+    return chartab._scaled_pair(
+        t, chartab._level_terms(t, u), chartab._level_terms(t, v)
+    )
+
+
 def test_integer_row_routes_match_cyclotomic():
     # the integer pair routine is |G| times the Schur inner product, and the
     # row conductor read from the vectors is the Galois search on the values
@@ -466,7 +484,7 @@ def test_integer_row_routes_match_cyclotomic():
         rows = [t.irreducible(i) for i in range(t.num_classes)]
         for i in range(t.num_classes):
             for j in range(i, t.num_classes):
-                got = chartab._scaled_inner_product(t, t.eigen[i], t.eigen[j])
+                got = _scaled_inner_product(t, t.eigen[i], t.eigen[j])
                 want = t.order * inner_product(rows[i], rows[j])
                 assert Cyclotomic(t.exponent, got) == want, (spec, i, j)
             assert chartab._row_conductor(t, i) == conductor(rows[i]), (spec, i)
@@ -493,7 +511,7 @@ def test_scaled_inner_product_of_arbitrary_vectors():
                 )
                 for w in (u, v)
             )
-            got = Cyclotomic(t.exponent, chartab._scaled_inner_product(t, u, v))
+            got = Cyclotomic(t.exponent, _scaled_inner_product(t, u, v))
             assert got == t.order * inner_product(a, b), spec
 
 
@@ -551,7 +569,7 @@ def test_validate_rejects_irrational_inner_products():
                     bad[b] += 1
                     _with_vector(t, eigen, i, c, tuple(bad))
                     if all(
-                        chartab._scaled_inner_product(t, t.eigen[i], t.eigen[j])[0]
+                        _scaled_inner_product(t, t.eigen[i], t.eigen[j])[0]
                         == (t.order if i == j else 0)
                         for j in range(t.num_classes)
                     ):
@@ -947,8 +965,8 @@ def test_loaded_tables_derive_the_stored_vectors():
 
 
 def test_loaded_values_at_a_level_off_the_exponent():
-    # the JSON format takes a value at any level; one whose level does not
-    # divide the exponent is reduced mod p from its exponent-level form
+    # the JSON format takes a value at any level; one whose level L does not
+    # divide the exponent e is stored at level gcd(L, e) when it is loaded
     t = table("cyclic:3")
     doc = json.loads(save_table(t))
 
@@ -958,13 +976,15 @@ def test_loaded_values_at_a_level_off_the_exponent():
 
     doc["irreducibles"] = [[at_level_15(v) for v in row] for row in doc["irreducibles"]]
     loaded = load_table(json.dumps(doc))
-    assert {v.level for row in loaded.irreducibles for v in row} == {15}
+    assert {v.level for row in loaded.irreducibles for v in row} == {3}
     assert loaded.eigen == t.eigen
+    assert save_table(loaded) == save_table(t)
 
 
 def test_loaded_values_at_a_level_sharing_a_galois_exponent():
-    # zeta_3 written at level 6: the power map's Galois exponent 2 is a
-    # unit mod 3 but not mod 6, so it acts at level 6 as 5 = 2 (mod 3)
+    # zeta_3 written at level 6: the Galois exponent 2 is a unit mod 3 but
+    # not mod 6, so the values must not stay at level 6, where the power
+    # map, galois(2) and the conductor search would apply it
     t = table("cyclic:3")
     doc = json.loads(save_table(t))
 
@@ -974,8 +994,14 @@ def test_loaded_values_at_a_level_sharing_a_galois_exponent():
 
     doc["irreducibles"] = [[at_level_6(v) for v in row] for row in doc["irreducibles"]]
     loaded = load_table(json.dumps(doc))
-    assert {v.level for row in loaded.irreducibles for v in row} == {6}
+    assert {v.level for row in loaded.irreducibles for v in row} == {3}
     assert loaded.power_map == t.power_map
+    assert conductor(loaded.irreducible(1)) == 3
+    for i in range(3):
+        assert conductor(loaded.irreducible(i)) == conductor(t.irreducible(i))
+        assert list(loaded.irreducible(i).galois(2).values) == \
+            list(t.irreducible(i).galois(2).values)
+    assert save_table(loaded) == save_table(t)
     assert loaded.eigen == t.eigen
 
 
