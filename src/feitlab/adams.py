@@ -40,18 +40,21 @@ def _as_class_function(table: CharacterTable, chi: ChiLike) -> Tuple[ClassFuncti
 def _eigen_vectors(table: CharacterTable, chi: ClassFunction, idx: Optional[int]):
     """Eigenvalue multiplicity vectors of chi at every class: the table's own
     for a row; for any other virtual character, the combination of the rows'
-    vectors with its coordinates <chi, chi_i>, which must be integers."""
+    vectors with its coordinates <chi, chi_i>, which must be integers.  The
+    combination is kept on chi, so each class function is decomposed once."""
     if idx is not None:
         return table.eigen[idx]
-    coords = []
-    for i, vectors in enumerate(table.eigen):
-        a = integral_inner_product(chi, table.irreducible(i))
-        if a:
-            coords.append((a, vectors))
-    return tuple(
-        tuple(sum(a * vectors[c][j] for a, vectors in coords) for j in range(t))
-        for c, t in enumerate(cls.rep_order for cls in table.classes)
-    )
+    if chi.eigen is None:
+        coords = []
+        for i, vectors in enumerate(table.eigen):
+            a = integral_inner_product(chi, table.irreducible(i))
+            if a:
+                coords.append((a, vectors))
+        chi.eigen = tuple(
+            tuple(sum(a * vectors[c][j] for a, vectors in coords) for j in range(t))
+            for c, t in enumerate(cls.rep_order for cls in table.classes)
+        )
+    return chi.eigen
 
 
 def _trivial_multiplicity(table: CharacterTable, vectors, m: int) -> int:

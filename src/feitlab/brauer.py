@@ -15,7 +15,10 @@ values, never from the Adams route.  Bounded to small groups (order <= 60).
 The poset reads the indexed form of its group from ``groups``: elements
 numbered 0..|G|-1 with their multiplication and inverse tables, subgroups as
 bitmasks, and characters as exponent tuples over their members; conjugation
-is an index permutation of the pairs.
+is an index permutation of the pairs.  A character enters only as its class
+row.  Its restriction to a subgroup U is served by ``sub=U``: U's poset is
+the down-set of the group's, and it reads the group's row through the
+group's classes.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .adams import ChiLike, _as_class_function, adams_operation
 from .chartab import CharacterTable, ClassFunction, integral_inner_product
 from .cyclo import Cyclotomic
 from .errors import BoundExceeded, ConsistencyError, UsageError
-from .groups import MonomialPair, Perm, PermGroup, Subgroup
+from .groups import MonomialPair, PermGroup, Subgroup
 
 DEFAULT_ORACLE_BOUND = 24
 HARD_ORACLE_CAP = 60
@@ -71,15 +74,6 @@ def resolve_oracle_bound(bound: Optional[int] = None) -> int:
             stacklevel=3,
         )
     return bound
-
-
-def class_counts(group: PermGroup, pair: MonomialPair) -> Dict[int, Dict[int, int]]:
-    """N[c][k]: the number of elements of the pair's subgroup that lie in
-    class c of the group and have character exponent k."""
-    counts: Dict[int, Dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    for h, k in zip(pair.subgroup.elements, pair.character.exponents):
-        counts[group.class_index(h)][k] += 1
-    return counts
 
 
 def _mobius(subs: Sequence[int], masks: Sequence[int]) -> Dict[int, List[Tuple[int, int]]]:
@@ -187,14 +181,44 @@ class _IndexedPoset:
                         nxt.append(b)
             frontier = nxt
         self.act = tuple(act)
+
+        # cls[x]: the class of element x; meets[s]: the classes subgroup s
+        # meets.  Every context on the poset reads rows over these classes:
+        # <chi|_H, phi> does not depend on whose classes sort H's elements.
+        self.cls = tuple(group.class_index(x) for x in group.elements)
+        self.meets = tuple(
+            tuple(sorted({self.cls[x] for x in mem})) for mem in self.members
+        )
+        self._sums: Dict[int, Tuple[Tuple[int, Cyclotomic], ...]] = {}
         # the multiplicities of each subgroup's characters in each class
-        # function, keyed by the function's values on the subgroup; shared by
-        # every context on this poset
+        # function, keyed by the function's values on the classes the
+        # subgroup meets; shared by every context on this poset
         self.mult_memo: Dict[tuple, Tuple[int, ...]] = {}
 
     @cached_property
     def cyclic(self) -> Tuple[bool, ...]:
         return tuple(h.is_cyclic() for h in self.subgroups)
+
+    def counts(self, j: int) -> Dict[int, Dict[int, int]]:
+        """N[c][k]: the number of members of pair j's subgroup that lie in
+        class c and have character exponent k."""
+        out: Dict[int, Dict[int, int]] = {}
+        for x, k in zip(self.members[self.psub[j]], self.pexps[j]):
+            row = out.setdefault(self.cls[x], {})
+            row[k] = row.get(k, 0) + 1
+        return out
+
+    def sums(self, j: int) -> Tuple[Tuple[int, Cyclotomic], ...]:
+        """(c, sum_k N[c][k] z_o^-k) over the classes c that pair j's subgroup
+        meets, built on first use from the negated exponents."""
+        out = self._sums.get(j)
+        if out is None:
+            o = self.orders[j]
+            out = self._sums[j] = tuple(
+                (c, Cyclotomic.from_terms(o, [(-k, n) for k, n in row.items()]))
+                for c, row in self.counts(j).items()
+            )
+        return out
 
 
 class MonomialContext:
@@ -219,39 +243,52 @@ class MonomialContext:
         self.orders = tuple(P.orders[j] for j in glob)
         if len(glob) == len(P.pairs):
             self._local: Mapping[int, int] = range(len(glob))
-            self.act = P.act
         else:
             self._local = {j: a for a, j in enumerate(glob)}
-            loc = self._local
-            self.act = tuple(
-                tuple([loc[P.act[x][j]] for j in glob])
-                for x in P.members[P.sid[umask]]
-            )
 
-        npairs = len(glob)
-        orbit_rep: List[int] = [-1] * npairs
+        # the orbits, by a search over the action of the group's generators;
+        # glob is increasing, so a pair in no orbit yet is its orbit's least
+        loc = self._local
+        gen_rows = [P.act[P.index[x]] for x in group.generators]
+        orbit_rep: List[int] = [-1] * len(glob)
         self.orbit_size: Dict[int, int] = {}
-        for i in range(npairs):
-            if orbit_rep[i] < 0:
-                members = {row[i] for row in self.act}
-                rep = min(members)
-                for m in members:
-                    orbit_rep[m] = rep
-                self.orbit_size[rep] = len(members)
+        for a, j in enumerate(glob):
+            if orbit_rep[a] < 0:
+                orbit, seen = [j], {j}
+                for y in orbit:
+                    for row in gen_rows:
+                        z = row[y]
+                        if z not in seen:
+                            seen.add(z)
+                            orbit.append(z)
+                for z in orbit:
+                    orbit_rep[loc[z]] = a
+                self.orbit_size[a] = len(orbit)
         self.orbit_rep = tuple(orbit_rep)
-        self._down_sets: Dict[PermGroup, MonomialContext] = {}
-        self._sums: Dict[int, Tuple[Tuple[int, Cyclotomic], ...]] = {}
+        self._down_sets: Dict[int, MonomialContext] = {}
         # _poset_data's flags, per class function given by its class values
         self._flags: Dict[tuple, Tuple[List[bool], ...]] = {}
 
     def down_set(self, sub: Subgroup) -> "MonomialContext":
-        """The context of a subgroup of this context's group, as a down-set
-        of the same poset; owned by this context."""
-        group = sub.as_group()
-        ctx = self._down_sets.get(group)
+        """The context of a subgroup of the poset's group, as a down-set of
+        the same poset; owned by this context."""
+        ctx = self._down_sets.get(sub.mask)
         if ctx is None:
-            ctx = self._down_sets[group] = MonomialContext(group, self.poset)
+            ctx = self._down_sets[sub.mask] = MonomialContext(sub.as_group(), self.poset)
         return ctx
+
+    @cached_property
+    def act(self) -> Tuple[Tuple[int, ...], ...]:
+        """act[x][a]: the pair x p_a x^-1, for the group's elements x in
+        increasing order."""
+        P, glob = self.poset, self._glob
+        if isinstance(self._local, range):
+            return P.act
+        loc = self._local
+        return tuple(
+            tuple([loc[P.act[x][j]] for j in glob])
+            for x in P.members[P.sid[self.umask]]
+        )
 
     @cached_property
     def index(self) -> Dict[tuple, int]:
@@ -331,60 +368,37 @@ class MonomialContext:
         cyc = self.poset.cyclic
         return tuple(cyc[self.poset.psub[j]] for j in self._glob)
 
-    @cached_property
-    def _member_classes(self) -> Dict[int, Tuple[int, ...]]:
-        """For every subgroup, the class of this context's group of each of
-        its elements."""
-        P = self.poset
-        cls_of = {
-            P.index[x]: c
-            for c, cls in enumerate(self.group.conjugacy_classes())
-            for x in cls.elements
-        }
-        return {s: tuple(cls_of[x] for x in P.members[s]) for s in self._subs}
-
     def _multiplicity(self, j: int, row: Sequence[Cyclotomic]) -> int:
         """<chi|_H, phi> for the poset's pair j from the class values, as
-        sum_c chi(c) sum_k N[c][k] z_o^-k / |H| over this group's classes."""
-        sums = self._sums.get(j)
-        pair = self.poset.pairs[j]
-        if sums is None:
-            sums = self._sums[j] = tuple(
-                (c, Cyclotomic.from_terms(
-                    pair.character.order, [(-k, n) for k, n in counts.items()]
-                ))
-                for c, counts in class_counts(self.group, pair).items()
-            )
+        sum_c chi(c) sum_k N[c][k] z_o^-k / |H| over the poset's classes."""
+        P = self.poset
         acc = Cyclotomic.rational(0)
-        for c, s in sums:
+        for c, s in P.sums(j):
             acc = acc + row[c] * s
-        m = acc / pair.subgroup.order
+        m = acc / len(P.members[P.psub[j]])
         out = m.as_integer()
         if out is None:
             raise ConsistencyError(
-                f"non-integral character multiplicity {m} at {pair!r}"
+                f"non-integral character multiplicity {m} at {P.pairs[j]!r}"
                 f" of {self.group.name}"
             )
         return out
 
-    def multiplicities(self, values: Mapping[Perm, Cyclotomic]) -> Tuple[int, ...]:
+    def multiplicities(self, row: Sequence[Cyclotomic]) -> Tuple[int, ...]:
         """<chi|_H, phi> for every pair (H, phi), with chi the class function
-        given by its element values.  The poset keeps them per subgroup and
-        per values on that subgroup, so each is computed once for all the
-        contexts on the poset."""
-        group = self.group
-        classes = group.conjugacy_classes()
-        row = [values[cls.rep] for cls in classes]
-        if any(values[x] != v for cls, v in zip(classes, row) for x in cls.elements):
-            raise ValueError(f"values are not constant on the classes of {group.name}")
+        given by its row over the classes of the poset's group (for a
+        down-set, the larger group's).  The poset keeps them per subgroup and
+        per values on the classes it meets, so each is computed once for all
+        the contexts on the poset."""
         keys = [(v.level, v.nums, v.den) for v in row]
-        memo, chars_of = self.poset.mult_memo, self.poset.chars_of
+        P = self.poset
+        memo, meets = P.mult_memo, P.meets
         out: List[int] = []
-        for s, cls in self._member_classes.items():
-            key = (s, tuple([keys[c] for c in cls]))
+        for s in self._subs:
+            key = (s, tuple([keys[c] for c in meets[s]]))
             mults = memo.get(key)
             if mults is None:
-                mults = tuple(self._multiplicity(j, row) for j in chars_of[s])
+                mults = tuple(self._multiplicity(j, row) for j in P.chars_of[s])
                 memo[key] = mults
             out.extend(mults)
         return tuple(out)
@@ -398,11 +412,9 @@ class MonomialContext:
 
 
 def monomial_context(group: PermGroup, bound: Optional[int] = None) -> MonomialContext:
-    """The group's context, built once and kept on the group.  A group
-    promoted from a subgroup of a larger group within the bound gets the
-    down-set of the larger group's context instead, owned by that context.
-    The bound is checked without a warning: ``runner.verify_table`` warns
-    once where it resolves the bound for a whole verification."""
+    """The group's context, built once and kept on the group.  The bound is
+    checked without a warning: ``runner.verify_table`` warns once where it
+    resolves the bound for a whole verification."""
     return _context(group, check_oracle_bound(bound))
 
 
@@ -411,13 +423,9 @@ def _context(group: PermGroup, limit: int) -> MonomialContext:
         raise BoundExceeded(
             f"oracle route needs order <= {limit}, {group.name} has order {group.order}"
         )
-    ctx = group.oracle_context
-    if ctx is None:
-        sub = group.ambient
-        if sub is not None and sub.parent.order <= limit:
-            return _context(sub.parent, limit).down_set(sub)
-        ctx = group.oracle_context = MonomialContext(group)
-    return ctx
+    if group.oracle_context is None:
+        group.oracle_context = MonomialContext(group)
+    return group.oracle_context
 
 
 def monomial_pairs(group: PermGroup, bound: Optional[int] = None) -> Tuple[MonomialPair, ...]:
@@ -502,47 +510,54 @@ def _group_key(group: PermGroup):
     return (group.degree, group.elements)
 
 
-def element_values(table: CharacterTable, chi: ChiLike) -> Dict[Perm, Cyclotomic]:
-    """A class function as an explicit element-to-value map (needs a
-    group-backed table)."""
-    chi, _ = _as_class_function(table, chi)
-    if table.group is None:
+def _oracle_input(
+    table: CharacterTable, chi: ChiLike, bound: Optional[int], sub: Optional[Subgroup]
+) -> Tuple[MonomialContext, Tuple[Cyclotomic, ...]]:
+    """The context that serves chi, or its restriction to the subgroup
+    ``sub`` of the table's group (a down-set of the group's context), and
+    chi's class row, which every context on the group's poset reads: a
+    group-backed table's classes are its group's, in order."""
+    if isinstance(chi, int):
+        row = table.irreducibles[chi]
+    else:
+        row = _as_class_function(table, chi)[0].values
+    group = table.group
+    if group is None:
         raise ValueError("a group-backed table is required for the oracle route")
-    g = table.group
-    return {x: chi.values[g.class_index(x)] for x in g.elements}
+    ctx = monomial_context(group, bound)
+    if sub is not None:
+        if _group_key(sub.parent) != _group_key(group):
+            raise ValueError(f"the subgroup is not a subgroup of {group.name}")
+        ctx = ctx.down_set(sub)
+    return ctx, row
 
 
 def induction_by_chains(
-    table: CharacterTable, chi: ChiLike, bound: Optional[int] = None
+    table: CharacterTable, chi: ChiLike, bound: Optional[int] = None,
+    sub: Optional[Subgroup] = None,
 ) -> PairCombination:
-    """Canonical induction coefficients through the sum over all chains,
-    weighted by the bottom subgroup order and divided by the group order."""
-    values = element_values(table, chi)
-    return induction_by_chains_values(table.group, values, bound)
-
-
-def induction_by_chains_values(
-    group: PermGroup, values: Mapping[Perm, Cyclotomic], bound: Optional[int] = None
-) -> PairCombination:
-    ctx = monomial_context(group, bound)
-    mult = ctx.multiplicities(values)
+    """Canonical induction coefficients of chi, or of its restriction to the
+    subgroup ``sub``, through the sum over all chains, weighted by the bottom
+    subgroup order and divided by the group order."""
+    ctx, row = _oracle_input(table, chi, bound, sub)
+    order, below, rep, pairs = ctx.group.order, ctx.below, ctx.orbit_rep, ctx.pairs
     acc: Dict[int, int] = defaultdict(int)
-    for top, m in enumerate(mult):
+    for top, m in enumerate(ctx.multiplicities(row)):
         if m:
-            for i0, w in ctx.below[top]:
-                acc[ctx.orbit_rep[i0]] += w * ctx.pairs[i0].subgroup.order * m
+            for i0, w in below[top]:
+                acc[rep[i0]] += w * pairs[i0].subgroup.order * m
     coeffs: Dict[MonomialPair, int] = {}
     for rep, raw in acc.items():
-        q, r = divmod(raw, group.order)
+        q, r = divmod(raw, order)
         if r:
             raise ConsistencyError(
                 f"chain sum produced a coefficient not divisible by the group"
-                f" order {group.order} at the orbit of {ctx.pairs[rep]!r}"
+                f" order {order} at the orbit of {ctx.pairs[rep]!r}"
                 f" of {ctx.group.name}"
             )
         if q:
             coeffs[ctx.pairs[rep]] = q
-    return PairCombination(_group_key(group), coeffs)
+    return PairCombination(_group_key(ctx.group), coeffs)
 
 
 def induction_by_orbit_chains(
@@ -551,21 +566,14 @@ def induction_by_orbit_chains(
     """The same coefficients through the sum over orbit representatives of
     chains (no division by the group order; equality with the all-chains
     formula is non-obvious, and the tests exercise it on the whole corpus)."""
-    values = element_values(table, chi)
-    return induction_by_orbit_chains_values(table.group, values, bound)
-
-
-def induction_by_orbit_chains_values(
-    group: PermGroup, values: Mapping[Perm, Cyclotomic], bound: Optional[int] = None
-) -> PairCombination:
-    ctx = monomial_context(group, bound)
-    mult = ctx.multiplicities(values)
+    ctx, row = _oracle_input(table, chi, bound, None)
+    mult = ctx.multiplicities(row)
     acc: Dict[int, int] = defaultdict(int)
     for (rep0, rep_top), w in ctx.orbit_chain_weight.items():
         if w and mult[rep_top]:
             acc[rep0] += w * mult[rep_top]
     coeffs = {ctx.pairs[rep]: c for rep, c in acc.items() if c}
-    return PairCombination(_group_key(group), coeffs)
+    return PairCombination(_group_key(ctx.group), coeffs)
 
 
 def induced_character(table: CharacterTable, comb: PairCombination) -> ClassFunction:
@@ -577,15 +585,16 @@ def induced_character(table: CharacterTable, comb: PairCombination) -> ClassFunc
     group = table.group
     if comb.group_key != _group_key(group):
         raise ValueError("combination lives over a different group")
-    column = {group.class_index(z): ci for ci, z in enumerate(table.class_reps)}
-    out = [Cyclotomic.rational(0) for _ in table.class_reps]
+    # the combination came from the group's own context, which holds the
+    # counts; its pairs are the poset's, in order
+    ctx = _context(group, HARD_ORACLE_CAP)
+    out = [Cyclotomic.rational(0) for _ in table.classes]
     for pair, coeff in comb.coefficients.items():
         o = pair.character.order
         weight = Fraction(coeff * group.order, pair.subgroup.order)
-        for c, row in class_counts(group, pair).items():
-            ci = column[c]
+        for c, row in ctx.poset.counts(ctx.index[pair.key()]).items():
             value = Cyclotomic.from_terms(o, row.items())
-            out[ci] = out[ci] + value * (weight / table.classes[ci].size)
+            out[c] = out[c] + value * (weight / table.classes[c].size)
     return ClassFunction(table, out)
 
 
@@ -598,28 +607,25 @@ def restrict_combination(
     group = sub.parent
     if comb.group_key != _group_key(group):
         raise ValueError("combination lives over a different group")
+    # the group's own context: its pairs are the poset's, in order
     ctx = monomial_context(group, bound)
-    down = ctx.down_set(sub)
-    P = ctx.poset
+    down, P = ctx.down_set(sub), ctx.poset
     mul = P.mul
-    g_elems = P.members[P.sid[ctx.umask]]
-    umask = down.umask
-    u_elems = P.members[P.sid[umask]]
     acc: Dict[MonomialPair, int] = defaultdict(int)
     for pair, c in comb.coefficients.items():
-        j = ctx._glob[ctx.index[pair.key()]]
+        j = ctx.index[pair.key()]
         h_elems = P.members[P.psub[j]]
         seen = bytearray(len(mul))
-        for g in g_elems:
+        for g in range(len(mul)):
             if seen[g]:
                 continue
             # mark the whole double coset U g H
-            for u in u_elems:
+            for u in sub.members:
                 row = mul[mul[u][g]]
                 for h in h_elems:
                     seen[row[h]] = 1
             jg = P.act[g][j]
-            i = P.restrict[jg][P.sid[umask & P.masks[P.psub[jg]]]]
+            i = P.restrict[jg][P.sid[sub.mask & P.masks[P.psub[jg]]]]
             acc[down.pairs[down.orbit_rep[down._local[i]]]] += c
     return PairCombination(_group_key(down.group), acc)
 
@@ -696,15 +702,13 @@ def _poset_data(table: CharacterTable, chi: ChiLike, bound: Optional[int]):
     coefficient support, and maximal among the pairs with each flag.  The
     context keeps the flags of each class function, which
     ``check_equivalences`` reads at every n."""
-    ctx = monomial_context(table.group, bound)
-    chi, _ = _as_class_function(table, chi)
-    key = tuple((v.level, v.nums, v.den) for v in chi.values)
+    ctx, row = _oracle_input(table, chi, bound, None)
+    key = tuple((v.level, v.nums, v.den) for v in row)
     flags = ctx._flags.get(key)
     if flags is None:
-        values = element_values(table, chi)
-        comb = induction_by_chains_values(table.group, values, bound)
+        comb = induction_by_chains(table, chi, bound)
         support_reps = {ctx.index[p.key()] for p in comb.coefficients}
-        in_m = [m > 0 for m in ctx.multiplicities(values)]
+        in_m = [m > 0 for m in ctx.multiplicities(row)]
         in_mt = [ctx.orbit_rep[i] in support_reps for i in range(len(ctx.pairs))]
 
         def maximal(flags: Sequence[bool]) -> List[bool]:

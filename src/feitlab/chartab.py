@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import numth
@@ -61,9 +61,10 @@ class ClassData:
 
 
 class ClassFunction:
-    """A vector of exact cyclotomic values indexed by conjugacy classes."""
+    """A vector of exact cyclotomic values indexed by conjugacy classes, and
+    its eigenvalue multiplicity vectors once ``adams`` has combined them."""
 
-    __slots__ = ("table", "values")
+    __slots__ = ("table", "values", "eigen")
 
     def __init__(self, table: "CharacterTable", values: Sequence):
         vals = tuple(
@@ -74,6 +75,7 @@ class ClassFunction:
             raise ValueError("one value per conjugacy class required")
         self.table = table
         self.values = vals
+        self.eigen = None
 
     def __getitem__(self, c: int) -> Cyclotomic:
         return self.values[c]
@@ -271,13 +273,17 @@ class CharacterTable:
             cur = self._galois_class(cur, residual)
         return cur
 
+    @cached_property
+    def _columns(self) -> Dict[tuple, List[int]]:
+        """The classes with each column, keyed by the column's ``row_key``."""
+        out: Dict[tuple, List[int]] = {}
+        for c, column in enumerate(zip(*self.irreducibles)):
+            out.setdefault(self.row_key(column), []).append(c)
+        return out
+
     def _galois_class(self, c: int, k: int) -> int:
-        target = [row[c].galois(k) for row in self.irreducibles]
-        matches = [
-            c2
-            for c2 in range(self.num_classes)
-            if all(row[c2] == t for row, t in zip(self.irreducibles, target))
-        ]
+        target = self.row_key([row[c].galois(k) for row in self.irreducibles])
+        matches = self._columns.get(target, ())
         if len(matches) != 1:
             raise ConsistencyError(
                 f"power map match failed for class {c}, exponent {k},"

@@ -195,10 +195,6 @@ class PermGroup:
         self._classes: Optional[Tuple[ConjugacyClass, ...]] = None
         self._class_of: Optional[Dict[Perm, int]] = None
         self._subgroups: Optional[Tuple["Subgroup", ...]] = None
-        # the subgroup of a larger group this group was promoted from by
-        # Subgroup.as_group, so that the oracle can serve it from the larger
-        # group's monomial poset; None for a group built from generators
-        self.ambient: Optional["Subgroup"] = None
         # the oracle's MonomialContext of this group once built (brauer
         # owns its contents); it lives and dies with the group
         self.oracle_context = None
@@ -401,7 +397,6 @@ class Subgroup:
             self._as_group = PermGroup(
                 gens, degree=self.parent.degree, name=f"{self.parent.name}-sub{self.order}"
             )
-            self._as_group.ambient = self
         return self._as_group
 
     def linear_characters(self) -> Tuple["LinearChar", ...]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -144,10 +145,9 @@ def verify_table(table: CharacterTable, oracle_bound: Optional[int] = None) -> D
     ok, detail = True, ""
     if table.group is not None:
         reg = table.regular_character()
+        orders = Counter(perm_order(x) for x in table.group.elements)
         for n in divisors_e:
-            census = sum(
-                1 for x in table.group.elements if perm_order(x) % n == 0
-            )
+            census = sum(k for o, k in orders.items() if o % n == 0)
             got = adams.invariant(table, reg, n).value
             if got != census:
                 ok, detail = False, f"n {n}: got {got}, census {census}"
@@ -233,14 +233,9 @@ def _oracle_checks(table: CharacterTable, bound: Optional[int], checks: List[dic
 
     ok, detail = True, ""
     for i in range(nchi):
-        chi_values = brauer.element_values(table, i)
         for u in group.all_subgroups():
             down = brauer.restrict_combination(combs[i], u, bound)
-            sub_values = {x: chi_values[x] for x in u.elements}
-            direct = brauer.induction_by_chains_values(
-                u.as_group(), sub_values, bound
-            )
-            if down != direct:
+            if down != brauer.induction_by_chains(table, i, bound, sub=u):
                 ok, detail = False, f"chi {i}, subgroup of order {u.order}"
     _check(checks, "restriction_naturality", ok, detail)
 
@@ -279,14 +274,15 @@ def _oracle_checks(table: CharacterTable, bound: Optional[int], checks: List[dic
     _check(checks, "equivalences", ok, detail)
 
 
-def feit_rows(table: CharacterTable) -> List[dict]:
-    """Per-irreducible conductor-indicator rows for reports and CSV."""
+def feit_rows(table: CharacterTable, report: Dict) -> List[dict]:
+    """Per-irreducible conductor-indicator rows for reports and CSV, from
+    the Feit reports and the outcome of ``verify_table``."""
     rows = []
-    for i in range(table.num_classes):
-        rep = adams.feit_indicator(table, i)
+    for rep in report["feit"]:
+        i = rep["chi_index"]
         witness_class = witness_order = None
-        if rep.witness is not None:
-            c, j = rep.witness
+        if rep["witness"] is not None:
+            c, j = rep["witness"]
             t = table.classes[c].rep_order
             witness_class, witness_order = c, t // math.gcd(t, j)
         rows.append(
@@ -295,10 +291,12 @@ def feit_rows(table: CharacterTable) -> List[dict]:
                 "order": table.order,
                 "chi_index": i,
                 "degree": table.degree(i),
-                "conductor": rep.conductor,
-                "S_at_conductor": rep.value,
+                "conductor": rep["conductor"],
+                "S_at_conductor": rep["F"],
                 "witness_class": witness_class,
                 "witness_order": witness_order,
+                "oracle_checked": report["oracle_checked"],
+                "all_checks_passed": report["all_passed"],
             }
         )
     return rows
@@ -317,14 +315,7 @@ def run_entry(entry: str, oracle_bound: Optional[int] = None) -> Dict:
         table = resolve_input(entry)
         report = verify_table(table, oracle_bound)
         report["entry"] = entry
-        report["rows"] = [
-            {
-                **row,
-                "oracle_checked": report["oracle_checked"],
-                "all_checks_passed": report["all_passed"],
-            }
-            for row in feit_rows(table)
-        ]
+        report["rows"] = feit_rows(table, report)
         return report
     except Exception as exc:  # noqa: BLE001 - per-entry isolation is the contract
         return {

@@ -13,7 +13,6 @@ from feitlab.brauer import (
     check_max_sets,
     induced_character,
     induction_by_chains,
-    induction_by_chains_values,
     induction_by_orbit_chains,
     invariant_via_coefficients,
     monomial_context,
@@ -225,11 +224,9 @@ def test_restriction_naturality():
         g = t.group
         for i in range(t.num_classes):
             comb = induction_by_chains(t, i)
-            chi_values = brauer.element_values(t, i)
             for u in g.all_subgroups():
                 down = restrict_combination(comb, u)
-                sub_values = {x: chi_values[x] for x in u.elements}
-                direct = induction_by_chains_values(u.as_group(), sub_values)
+                direct = induction_by_chains(t, i, sub=u)
                 assert down == direct
 
 
@@ -252,18 +249,14 @@ def test_route_equivalence_virtual_characters():
     rng = random.Random(31)
     for spec in ("sym:3", "alt:4", "quaternion:8"):
         t = table(spec)
-        g = t.group
         rows = [t.irreducible(i) for i in range(t.num_classes)]
         for _ in range(4):
             coeffs = [rng.randrange(-2, 3) for _ in rows]
             virt = t.class_function((0,) * t.num_classes)
             for c, row in zip(coeffs, rows):
                 virt = virt + c * row
-            values = {
-                x: virt.values[g.class_index(x)] for x in g.elements
-            }
-            comb = induction_by_chains_values(g, values)
-            assert comb == brauer.induction_by_orbit_chains_values(g, values)
+            comb = induction_by_chains(t, virt)
+            assert comb == induction_by_orbit_chains(t, virt)
             assert induced_character(t, comb) == virt
             # the signed coefficient sum is linear in the character
             for n in numth.divisors(t.exponent):
@@ -351,6 +344,12 @@ def test_pair_combination_arithmetic_and_json():
     )
 
 
+def _element_values(group, row):
+    """A class row as an element-to-value map, for the element-level
+    references."""
+    return {x: row[group.class_index(x)] for x in group.elements}
+
+
 def _reference_multiplicity(values, pair):
     """<chi|_H, phi> element by element: (1/|H|) sum_h chi(h) phi(h)^-1."""
     o = pair.character.order
@@ -389,10 +388,10 @@ def test_class_counts_match_element_loops_over_corpus():
         for i, row in enumerate(rows):
             virtual = virtual + (i + 1) * (-1) ** i * row
         for chi in rows + [virtual, t.regular_character()]:
-            values = brauer.element_values(t, chi)
+            values = _element_values(g, chi.values)
             expect = tuple(_reference_multiplicity(values, p) for p in ctx.pairs)
             assert None not in expect
-            assert ctx.multiplicities(values) == expect, spec
+            assert ctx.multiplicities(chi.values) == expect, spec
         key = brauer._group_key(g)
         for p in ctx.pairs:
             comb = PairCombination(key, {p: 1})
@@ -400,18 +399,13 @@ def test_class_counts_match_element_loops_over_corpus():
 
 
 def test_oracle_errors_name_group_and_pair():
-    g = groups.from_spec("sym:3")
-    half = {x: Cyclotomic.rational(Fraction(1, 2)) for x in g.elements}
+    t = compute_table(groups.from_spec("sym:3"), name="sym:3")
+    half = t.class_function([Fraction(1, 2)] * t.num_classes)
     with pytest.raises(ConsistencyError) as err:
-        induction_by_chains_values(g, half)
+        induction_by_chains(t, half)
     msg = str(err.value)
     assert "non-integral" in msg and "sym:3" in msg
     assert "|H|=1" in msg and "o(phi)=1" in msg
-    # values that are not constant on conjugacy classes are refused
-    swap = groups.perm_from_cycles([(1, 2)], 3)
-    skewed = {x: Cyclotomic.rational(int(x == swap)) for x in g.elements}
-    with pytest.raises(ValueError, match="sym:3"):
-        induction_by_chains_values(g, skewed)
 
 
 def test_multiplicity_memo_keys_on_level_and_denominator():
@@ -420,12 +414,13 @@ def test_multiplicity_memo_keys_on_level_and_denominator():
     t = table("cyclic:3")
     ctx = monomial_context(t.group)
     i = next(i for i in range(3) if not t.irreducible(i)[1].is_rational())
-    chi = {x: v.at_level(3) for x, v in brauer.element_values(t, i).items()}
-    expect = tuple(_reference_multiplicity(chi, p) for p in ctx.pairs)
+    chi = [v.at_level(3) for v in t.irreducibles[i]]
+    values = _element_values(t.group, chi)
+    expect = tuple(_reference_multiplicity(values, p) for p in ctx.pairs)
     assert ctx.multiplicities(chi) == expect
     for other in (
-        {x: Cyclotomic(6, v.nums) for x, v in chi.items()},
-        {x: v / 2 for x, v in chi.items()},
+        [Cyclotomic(6, v.nums) for v in chi],
+        [v / 2 for v in chi],
     ):
         with pytest.raises(ConsistencyError):
             ctx.multiplicities(other)
@@ -435,14 +430,13 @@ def test_multiplicity_memo_keys_on_level_and_denominator():
 def test_context_errors_name_the_group_passed_in():
     # the oracle's errors name the group they were asked about, also when a
     # group with the same degree and elements has been seen before
-    g = groups.from_spec("sym:3")
-    for u in g.all_subgroups():
-        ones = {x: Cyclotomic.rational(1) for x in u.elements}
-        induction_by_chains_values(u.as_group(), ones)
-    c3 = groups.from_spec("cyclic:3")
-    half = {x: Cyclotomic.rational(Fraction(1, 2)) for x in c3.elements}
+    t = compute_table(groups.from_spec("sym:3"), name="sym:3")
+    for u in t.group.all_subgroups():
+        induction_by_chains(t, t.trivial_character(), sub=u)
+    c3 = compute_table(groups.from_spec("cyclic:3"), name="cyclic:3")
+    half = c3.class_function([Fraction(1, 2)] * c3.num_classes)
     with pytest.raises(ConsistencyError) as err:
-        induction_by_chains_values(c3, half)
+        induction_by_chains(c3, half)
     assert "of cyclic:3" in str(err.value) and "sym:3" not in str(err.value)
 
 
@@ -556,14 +550,24 @@ def test_indexed_restriction_matches_element_loop_over_corpus():
 
 
 def test_down_set_context_equals_standalone_context():
+    # a down-set reads the larger group's rows through that group's classes,
+    # the standalone context the restricted rows through the subgroup's own
     for spec in ("sym:4", "sl2:3", "dihedral:12"):
-        g = groups.from_spec(spec)
+        t = compute_table(groups.from_spec(spec), name=spec)
+        g = t.group
         ctx = monomial_context(g)
         for u in g.all_subgroups():
-            down = monomial_context(u.as_group())
+            down = ctx.down_set(u)
             assert down is ctx.down_set(u) and down.poset is ctx.poset
             alone = MonomialContext(u.as_group())
             assert alone.poset is not ctx.poset
+            for row in t.irreducibles:
+                restricted = [
+                    row[g.class_index(cls.rep)]
+                    for cls in alone.group.conjugacy_classes()
+                ]
+                assert down.multiplicities(row) == \
+                    alone.multiplicities(restricted), (spec, u.order)
             assert [p.key() for p in down.pairs] == \
                 [p.key() for p in alone.pairs], (spec, u.order)
             assert down.chain_weight == alone.chain_weight, (spec, u.order)

@@ -872,6 +872,22 @@ def test_power_map_is_kept_and_derived_for_loaded_tables():
                 == want, (spec, a)
 
 
+def test_derived_power_map_refuses_equal_columns():
+    # a Galois image is looked up among the columns; with two equal columns
+    # the lookup is ambiguous, and the error names the table
+    t = table("cyclic:5")
+    rows = [list(row) for row in t.irreducibles]
+    for row in rows:
+        row[4] = row[3]
+    twin = chartab.CharacterTable("twin-columns", t.order, t.exponent, t.classes, rows)
+    with pytest.raises(
+        ConsistencyError,
+        match=r"power map match failed for class \d, exponent \d, of twin-columns:"
+              r" 2 matching classes",
+    ):
+        twin.power_map
+
+
 def _at(poly, lam, p):
     out = 0
     for coef in reversed(poly):

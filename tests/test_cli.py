@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import feitlab
 
-from feitlab import cli, runner
-from feitlab.chartab import load_table
+from feitlab import adams, cli, runner
+from feitlab.chartab import compute_table, load_table
+from feitlab.groups import from_spec
 
 
 def run_cli(capsys, *argv):
@@ -275,12 +277,26 @@ def test_corpus_empty(tmp_path, capsys):
 
 def test_corpus_csv(tmp_path, capsys):
     cfile = tmp_path / "corpus.json"
-    cfile.write_text(json.dumps({"entries": ["sym:3"], "format": "csv"}))
+    cfile.write_text(json.dumps({"entries": ["sym:3", "cyclic:8"], "format": "csv"}))
     code, out, _ = run_cli(capsys, "corpus", str(cfile))
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == ",".join(runner.CSV_COLUMNS)
-    assert len(lines) == 4  # header + one row per irreducible
+    assert len(lines) == 1 + 3 + 8  # header + one row per irreducible
+    # every cell, against the indicators computed afresh
+    expect = []
+    for spec in ("sym:3", "cyclic:8"):
+        t = compute_table(from_spec(spec), name=spec)
+        for i in range(t.num_classes):
+            rep = adams.feit_indicator(t, i)
+            c = j = order = ""
+            if rep.witness is not None:
+                c, j = rep.witness
+                order = t.classes[c].rep_order // math.gcd(t.classes[c].rep_order, j)
+            cells = (spec, t.order, i, t.degree(i), rep.conductor, rep.value,
+                     c, order, True, True)
+            expect.append(",".join(str(x) for x in cells))
+    assert lines[1:] == expect
 
 
 def test_corpus_jobs(tmp_path, capsys):
