@@ -97,6 +97,18 @@ def _mobius(subs: Sequence[int], masks: Sequence[int]) -> Dict[int, List[Tuple[i
     return out
 
 
+def _counts_by_class(
+    cls: Sequence[int], members: Sequence[int], exps: Sequence[int]
+) -> Dict[int, Dict[int, int]]:
+    """N[c][k]: the number of a pair's subgroup members (element numbers)
+    that lie in class c = cls[x] and have character exponent k."""
+    out: Dict[int, Dict[int, int]] = {}
+    for x, k in zip(members, exps):
+        row = out.setdefault(cls[x], {})
+        row[k] = row.get(k, 0) + 1
+    return out
+
+
 class _IndexedPoset:
     """The monomial poset of one group, on the group's indexed form.
 
@@ -199,15 +211,6 @@ class _IndexedPoset:
     def cyclic(self) -> Tuple[bool, ...]:
         return tuple(h.is_cyclic() for h in self.subgroups)
 
-    def counts(self, j: int) -> Dict[int, Dict[int, int]]:
-        """N[c][k]: the number of members of pair j's subgroup that lie in
-        class c and have character exponent k."""
-        out: Dict[int, Dict[int, int]] = {}
-        for x, k in zip(self.members[self.psub[j]], self.pexps[j]):
-            row = out.setdefault(self.cls[x], {})
-            row[k] = row.get(k, 0) + 1
-        return out
-
     def sums(self, j: int) -> Tuple[Tuple[int, Cyclotomic], ...]:
         """(c, sum_k N[c][k] z_o^-k) over the classes c that pair j's subgroup
         meets, built on first use from the negated exponents."""
@@ -216,7 +219,9 @@ class _IndexedPoset:
             o = self.orders[j]
             out = self._sums[j] = tuple(
                 (c, Cyclotomic.from_terms(o, [(-k, n) for k, n in row.items()]))
-                for c, row in self.counts(j).items()
+                for c, row in _counts_by_class(
+                    self.cls, self.members[self.psub[j]], self.pexps[j]
+                ).items()
             )
         return out
 
@@ -235,7 +240,7 @@ class MonomialContext:
         self.group = group
         self.poset = P = poset or _IndexedPoset(group)
         # the group's elements, in the numbering of the poset's group
-        self.umask = umask = sum(1 << P.index[x] for x in group.elements)
+        umask = sum(1 << P.index[x] for x in group.elements)
         self._subs = tuple(s for s, m in enumerate(P.masks) if m | umask == umask)
         glob = tuple(j for s in self._subs for j in P.chars_of[s])
         self._glob = glob
@@ -276,19 +281,6 @@ class MonomialContext:
         if ctx is None:
             ctx = self._down_sets[sub.mask] = MonomialContext(sub.as_group(), self.poset)
         return ctx
-
-    @cached_property
-    def act(self) -> Tuple[Tuple[int, ...], ...]:
-        """act[x][a]: the pair x p_a x^-1, for the group's elements x in
-        increasing order."""
-        P, glob = self.poset, self._glob
-        if isinstance(self._local, range):
-            return P.act
-        loc = self._local
-        return tuple(
-            tuple([loc[P.act[x][j]] for j in glob])
-            for x in P.members[P.sid[self.umask]]
-        )
 
     @cached_property
     def index(self) -> Dict[tuple, int]:
@@ -585,14 +577,15 @@ def induced_character(table: CharacterTable, comb: PairCombination) -> ClassFunc
     group = table.group
     if comb.group_key != _group_key(group):
         raise ValueError("combination lives over a different group")
-    # the combination came from the group's own context, which holds the
-    # counts; its pairs are the poset's, in order
-    ctx = _context(group, HARD_ORACLE_CAP)
+    # the members are numbered like the group's elements: the group key is
+    # the sorted elements
+    cls = [group.class_index(x) for x in group.elements]
     out = [Cyclotomic.rational(0) for _ in table.classes]
     for pair, coeff in comb.coefficients.items():
         o = pair.character.order
         weight = Fraction(coeff * group.order, pair.subgroup.order)
-        for c, row in ctx.poset.counts(ctx.index[pair.key()]).items():
+        counts = _counts_by_class(cls, pair.subgroup.members, pair.character.exponents)
+        for c, row in counts.items():
             value = Cyclotomic.from_terms(o, row.items())
             out[c] = out[c] + value * (weight / table.classes[c].size)
     return ClassFunction(table, out)

@@ -46,7 +46,7 @@ def test_monomial_poset_sizes():
 def test_monomial_poset_conjugation_is_poset_automorphism():
     g = groups.symmetric(3)
     ctx = monomial_context(g)
-    for gi, row in enumerate(ctx.act):
+    for gi, row in enumerate(ctx.poset.act):
         for i, p in enumerate(ctx.pairs):
             for j in ctx.above[i]:
                 assert row[j] in ctx.above[row[i]]
@@ -58,7 +58,7 @@ def test_chain_weights_conjugation_invariant():
     for spec in ("sym:3", "alt:4"):
         g = groups.from_spec(spec)
         ctx = monomial_context(g)
-        for row in ctx.act:
+        for row in ctx.poset.act:
             moved = {}
             for (a, b), w in ctx.chain_weight.items():
                 key = (row[a], row[b])
@@ -174,6 +174,23 @@ def test_induced_character_examples():
     induced = induced_character(t, comb)
     linear_rows = [t.irreducible(i) for i in range(3) if t.degree(i) == 1]
     assert induced == linear_rows[0] + linear_rows[1]
+
+
+def test_induced_character_needs_no_context():
+    # induction reads only the pair and the group's classes: a combination
+    # built by hand over a group above the oracle's cap induces, and no
+    # monomial poset is built for it
+    t = table("dihedral:64")
+    g = t.group
+    assert g.order > brauer.HARD_ORACLE_CAP
+    key = brauer._group_key(g)
+    for h, expect in (
+        (g.subgroup([g.identity]), t.regular_character()),
+        (g.whole_subgroup(), t.trivial_character()),
+    ):
+        pair = MonomialPair(h, h.linear_characters()[0])
+        assert induced_character(t, PairCombination(key, {pair: 1})) == expect
+    assert g.oracle_context is None
 
 
 def test_restriction_to_whole_group_and_trivial():
@@ -429,10 +446,12 @@ def test_multiplicity_memo_keys_on_level_and_denominator():
 
 def test_context_errors_name_the_group_passed_in():
     # the oracle's errors name the group they were asked about, also when a
-    # group with the same degree and elements has been seen before
-    t = compute_table(groups.from_spec("sym:3"), name="sym:3")
-    for u in t.group.all_subgroups():
-        induction_by_chains(t, t.trivial_character(), sub=u)
+    # group with the same degree and elements has been seen before: sym:3's
+    # order-3 subgroup, as a group of its own, has cyclic:3's elements
+    g = groups.from_spec("sym:3")
+    for u in g.all_subgroups():
+        ut = compute_table(u.as_group())
+        induction_by_chains(ut, ut.trivial_character())
     c3 = compute_table(groups.from_spec("cyclic:3"), name="cyclic:3")
     half = c3.class_function([Fraction(1, 2)] * c3.num_classes)
     with pytest.raises(ConsistencyError) as err:
@@ -500,11 +519,23 @@ def test_chain_weights_hall_and_burnside_match_chain_enumeration():
         ref = _LiteralContext(g)
         assert [p.key() for p in ctx.pairs] == [p.key() for p in ref.pairs], spec
         assert ctx.above == ref.above, spec
-        assert ctx.act == ref.act, spec
+        assert ctx.poset.act == ref.act, spec
         assert ctx.orbit_rep == ref.orbit_rep, spec
         assert ctx.orbit_size == ref.orbit_size, spec
         assert ctx.chain_weight == ref.chain_weight, spec
         assert ctx.orbit_chain_weight == ref.orbit_chain_weight, spec
+
+
+def _action_rows(ctx):
+    """act[x][a]: the pair x p_a x^-1 in the context's own numbering, for
+    the elements x of the context's group in increasing order, read off the
+    rows of the poset's group."""
+    P, glob = ctx.poset, ctx._glob
+    local = {j: a for a, j in enumerate(glob)}
+    return tuple(
+        tuple(local[P.act[P.index[x]][j]] for j in glob)
+        for x in ctx.group.elements
+    )
 
 
 def _reference_restrict(comb, sub, lit):
@@ -573,7 +604,8 @@ def test_down_set_context_equals_standalone_context():
             assert down.chain_weight == alone.chain_weight, (spec, u.order)
             assert down.orbit_rep == alone.orbit_rep, (spec, u.order)
             assert down.orbit_size == alone.orbit_size, (spec, u.order)
-            assert down.act == alone.act and down.above == alone.above
+            assert _action_rows(down) == alone.poset.act
+            assert down.above == alone.above
             assert down.orbit_chain_weight == alone.orbit_chain_weight
 
 
