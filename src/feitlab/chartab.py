@@ -244,8 +244,9 @@ class CharacterTable:
     @property
     def power_map(self) -> Tuple[Tuple[int, ...], ...]:
         if self._power_map is None:
+            galois: Dict[Tuple[int, int], int] = {}
             self._power_map = tuple(
-                tuple(self._walk_power(c, a) for a in range(cls.rep_order))
+                tuple(self._walk_power(c, a, galois) for a in range(cls.rep_order))
                 for c, cls in enumerate(self.classes)
             )
         return self._power_map
@@ -254,9 +255,10 @@ class CharacterTable:
         """Class of rep(c)^m, read from the power map."""
         return self.power_map[c][m % self.classes[c].rep_order]
 
-    def _walk_power(self, c: int, m: int) -> int:
+    def _walk_power(self, c: int, m: int, galois: Dict[Tuple[int, int], int]) -> int:
         """Class of rep(c)^m from the stored prime power maps; the part of
-        m coprime to the exponent acts through Galois column matching."""
+        m coprime to the exponent acts through Galois column matching,
+        each (class, exponent) pair matched once and kept in ``galois``."""
         e = self.exponent
         m %= e
         if m == 0:
@@ -270,7 +272,9 @@ class CharacterTable:
             else:
                 residual = residual * q**v % e
         if residual != 1:
-            cur = self._galois_class(cur, residual)
+            if (cur, residual) not in galois:
+                galois[cur, residual] = self._galois_class(cur, residual)
+            cur = galois[cur, residual]
         return cur
 
     @cached_property

@@ -196,7 +196,8 @@ class PermGroup:
         self._class_of: Optional[Dict[Perm, int]] = None
         self._subgroups: Optional[Tuple["Subgroup", ...]] = None
         # the oracle's MonomialContext of this group once built (brauer
-        # owns its contents); it lives and dies with the group
+        # owns its contents); it lives and dies with the group, and
+        # runner.verify_table drops it when its checks are done
         self.oracle_context = None
 
     def __repr__(self):

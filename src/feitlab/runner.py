@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -63,13 +64,37 @@ def looks_like_spec(entry: str) -> bool:
     return head in _SPEC_HEADS
 
 
+# Spec tables kept per process.  The bound is set by memory, not by how
+# many groups a client asks about: the most recent tables are retained
+# whether or not they are asked for again, so a scan that never repeats a
+# group pays for all of them.  Under tracemalloc a retained table with its
+# group holds 11 KiB (dihedral:12) to 320 KiB (sl2:7); `verify` drops the
+# oracle's context, 300 KiB more on sym:4, when it is done.  Eight keeps
+# the cost under 1 MB when nothing is reused: they raise the peak RSS of a
+# process running one `feit --all` pass over groups of order 25..720 from
+# about 21.7 to 22.6 MB, where sixteen reach 22.9 MB.
+TABLE_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _spec_table(entry: str) -> CharacterTable:
+    """The table of a spec, built once per process while it stays among
+    the most recent ``TABLE_CACHE_SIZE``.  It is keyed by the spec string,
+    so it carries the name it was asked for; a spec that fails raises and
+    is not kept."""
+    return compute_table(from_spec(entry), name=entry)
+
+
 def resolve_input(entry: str) -> CharacterTable:
     """A corpus entry is either a group-spec string or a table file path.
     An entry that is neither a bundled spec form nor an existing file is
-    read as a spec, so that ``from_spec`` rejects it (SpecError)."""
+    read as a spec, so that ``from_spec`` rejects it (SpecError).  Spec
+    tables come from ``_spec_table`` and are shared by every caller that
+    asks for the same spec, so they are read, never modified; a file is
+    read and validated on every call."""
     path = Path(entry)
     if looks_like_spec(entry) or not path.exists():
-        return compute_table(from_spec(entry), name=entry)
+        return _spec_table(entry)
     return load_table(path.read_bytes())
 
 
@@ -80,7 +105,8 @@ def _check(checks: List[dict], name: str, passed: bool, detail: str = ""):
 def verify_table(table: CharacterTable, oracle_bound: Optional[int] = None) -> Dict:
     """Run every module's invariants against one table.  Returns a report
     with one record per named check, the per-(chi, n) invariant values, and
-    the per-chi conductor indicators."""
+    the per-chi conductor indicators.  The oracle's context built for the
+    checks is dropped from the group when they are done."""
     start = time.monotonic()
     checks: List[dict] = []
     skipped: List[dict] = []
@@ -178,7 +204,12 @@ def verify_table(table: CharacterTable, oracle_bound: Optional[int] = None) -> D
         )
     else:
         oracle_checked = True
-        _oracle_checks(table, oracle_bound, checks)
+        try:
+            _oracle_checks(table, oracle_bound, checks)
+        finally:
+            # the poset serves this verification only, and a spec table's
+            # group outlives the request in the table cache
+            table.group.oracle_context = None
 
     all_passed = all(c["passed"] for c in checks)
     return {

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from feitlab import adams, cli, numth, runner
+from feitlab import adams, cli, runner
 from feitlab.brauer import (
     check_equivalences,
     check_max_sets,
@@ -29,15 +29,13 @@ from feitlab.chartab import (
 )
 from feitlab.cyclo import Cyclotomic, zeta
 from feitlab.groups import MonomialPair, from_spec, perm_order
-from feitlab.numth import (
+from feitlab.numth import divisors, mobius, totient, trace_root_of_unity
+from numth_identities import (
     DivisorFunction,
     alternating_trace_closed_form,
     alternating_trace_direct,
     alternating_upper_sum,
-    divisors,
-    mobius,
-    totient,
-    trace_root_of_unity,
+    split_primes,
 )
 
 C_SMALL = runner.C_SMALL
@@ -213,7 +211,7 @@ def test_criterion_7_lemma_suite():
                     direct = alternating_trace_direct(big_n, n, t, zeta(o))
                     assert closed == direct, (big_n, n, t, o)
                     assert closed >= 0, (big_n, n, t, o)
-                    rho0, _ = numth._split_primes(n, o)
+                    rho0, _ = split_primes(n, o)
                     assert (closed == 0) == bool(rho0), (big_n, n, t, o)
     _report(7, "number-theoretic lemma suite", start)
 

@@ -872,6 +872,24 @@ def test_power_map_is_kept_and_derived_for_loaded_tables():
                 == want, (spec, a)
 
 
+def test_derived_power_map_matches_each_galois_image_once(monkeypatch):
+    # many powers of a class reach the same (class, exponent) Galois step;
+    # its column match is made once per map
+    asked = []
+    match = chartab.CharacterTable._galois_class
+
+    def counted(self, c, k):
+        asked.append((c, k))
+        return match(self, c, k)
+
+    monkeypatch.setattr(chartab.CharacterTable, "_galois_class", counted)
+    for spec in ("cyclic:12", "dihedral:30", "sl2:3"):
+        t = table(spec)
+        asked.clear()
+        assert load_table(save_table(t)).power_map == t.power_map, spec
+        assert asked and len(asked) == len(set(asked)), spec
+
+
 def test_derived_power_map_refuses_equal_columns():
     # a Galois image is looked up among the columns; with two equal columns
     # the lookup is ambiguous, and the error names the table

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -339,6 +340,106 @@ def test_one_process_matches_fresh_processes(capsys):
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         codes.append(got[0])
     assert codes == [0, 2, 0, 0]
+
+
+def _count_builds(monkeypatch):
+    built = []
+
+    def counted(group, *args, **kwargs):
+        built.append(group.name)
+        return compute_table(group, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "compute_table", counted)
+    return built
+
+
+def test_a_spec_table_is_built_once_per_process(capsys, monkeypatch):
+    built = _count_builds(monkeypatch)
+    first = runner.resolve_input("sym:4")
+    assert runner.resolve_input("sym:4") is first
+    assert first.name == "sym:4" and built == ["sym:4"]
+    # requests on the spec read the same table and print the same
+    args = ("s", "sym:4", "--chi", "3", "--n", "2", "--json")
+    assert run_cli(capsys, *args) == run_cli(capsys, *args)
+    assert built == ["sym:4"]
+
+
+def test_failed_specs_are_not_kept(capsys):
+    runner.resolve_input("cyclic:3")
+    for _ in range(3):
+        code, _, err = run_cli(capsys, "s", "nonsense:1", "--chi", "0", "--n", "1")
+        assert code == 2 and "unknown group spec" in err
+        code, _, err = run_cli(capsys, "s", "cyclic:3000", "--chi", "0", "--n", "1")
+        assert code == 1 and "BoundExceeded" in err
+        assert runner._spec_table.cache_info().currsize == 1
+
+
+def test_a_table_file_is_read_on_every_request(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    args = ("--chi", "1", "--n", "2", "--json")
+    outs = []
+    for spec in ("cyclic:4", "sym:3"):
+        path.write_text(run_cli(capsys, "table", spec, "--json")[1])
+        outs.append(run_cli(capsys, "s", spec, *args))
+        assert run_cli(capsys, "s", str(path), *args) == outs[-1], spec
+    assert outs[0] != outs[1]
+    assert runner._spec_table.cache_info().currsize == 2
+
+
+def test_the_table_cache_is_bounded(monkeypatch):
+    built = _count_builds(monkeypatch)
+    size = runner.TABLE_CACHE_SIZE
+    specs = [f"cyclic:{n}" for n in range(1, size + 3)]
+    for spec in specs:
+        runner.resolve_input(spec)
+    info = runner._spec_table.cache_info()
+    assert info.maxsize == info.currsize == size
+    # the least recent spec was dropped and is built again; the most recent stayed
+    runner.resolve_input(specs[-1])
+    runner.resolve_input(specs[0])
+    assert built == specs + specs[:1]
+
+
+def test_verify_drops_the_oracle_context_of_a_kept_table(capsys):
+    # the context serves one verification; the kept table's group must not
+    # carry it into later requests
+    assert run_cli(capsys, "verify", "dihedral:8")[0] == 0
+    assert runner.resolve_input("dihedral:8").group.oracle_context is None
+
+
+def test_mixed_requests_match_a_cold_cache(capsys):
+    # every request on a warm cache prints what it prints alone on a cold
+    # one; verify leaves the subgroup lattice and element tables on the
+    # group of its kept table, which an s on the same spec then shares
+    rng = random.Random(13)
+    head = [["verify", "sym:3"], ["s", "sym:3", "--chi", "2", "--n", "3", "--json"]]
+    rest = [
+        ["verify", "dihedral:8"], ["verify", "cyclic:6", "--json"],
+        ["feit", "dihedral:8", "--json"], ["feit", "alt:4"],
+        ["s", "dihedral:8", "--chi", "4", "--n", "2"],
+        ["s", "alt:4", "--chi", "9", "--n", "1"],
+        ["s", "nonsense:1", "--chi", "0", "--n", "1"],
+    ]
+    rest += [["s", f"cyclic:{n}", "--chi", "1", "--n", str(n), "--json"]
+             for n in range(2, runner.TABLE_CACHE_SIZE + 2)]
+    rest += rest[:6]
+    rng.shuffle(rest)
+    requests = head + rest
+
+    def scrub(text):
+        return re.sub(r'"(generated_at|elapsed_seconds)": [^,\n]*', "", text)
+
+    cold = []
+    for argv in requests:
+        runner._spec_table.cache_clear()
+        code, out, err = run_cli(capsys, *argv)
+        cold.append((code, scrub(out), err))
+    runner._spec_table.cache_clear()
+    for argv, want in zip(requests, cold):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, scrub(out), err) == want, argv
+    assert runner._spec_table.cache_info().hits > 0
+    assert {c[0] for c in cold} == {0, 2}
 
 
 def test_unknown_spec_is_error(capsys):

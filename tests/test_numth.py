@@ -6,10 +6,6 @@ from hypothesis import given, strategies as st
 
 from feitlab import numth
 from feitlab.numth import (
-    DivisorFunction,
-    alternating_trace_closed_form,
-    alternating_trace_direct,
-    alternating_upper_sum,
     divisors,
     mobius,
     p_part,
@@ -18,6 +14,13 @@ from feitlab.numth import (
     subset_modulus,
     totient,
     trace_root_of_unity,
+)
+from numth_identities import (
+    DivisorFunction,
+    alternating_trace_closed_form,
+    alternating_trace_direct,
+    alternating_upper_sum,
+    split_primes,
 )
 
 
@@ -160,5 +163,5 @@ def test_alternating_trace_agreement_small():
                     direct = alternating_trace_direct(big_n, n, t, cyclo.zeta(o))
                     assert closed == direct
                     assert closed >= 0
-                    rho0, _ = numth._split_primes(n, o)
+                    rho0, _ = split_primes(n, o)
                     assert (closed == 0) == bool(rho0)
