@@ -39,7 +39,7 @@ from functools import cached_property, reduce
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import numth
-from .cyclo import Cyclotomic, _reduction_table, units
+from .cyclo import Cyclotomic, _mapped, units
 from .errors import BoundExceeded, ConsistencyError, TableFormatError
 from .groups import DEFAULT_ORDER_BOUND, PermGroup, Perm, compose, inverse
 
@@ -351,13 +351,7 @@ def _scaled_pair(table: CharacterTable, us, vs) -> Tuple[int, ...]:
             w = cls.size * m
             for y, n in v:
                 acc[(x - y) % e] += w * n
-    phi, red = _reduction_table(e)
-    out = [0] * phi
-    for (idx, val), s in zip(red, acc):
-        if s:
-            for k, r in zip(idx, val):
-                out[k] += s * r
-    return tuple(out)
+    return tuple(_mapped(e, acc, 1))
 
 
 def _row_conductor(table: CharacterTable, i: int) -> int:

@@ -7,8 +7,9 @@ the e-th cyclotomic polynomial and kept in lowest terms (the gcd of the
 numerators and the denominator is 1).  The representation at a fixed level
 is canonical, so equality at a common level is a comparison of numerators
 and denominators; mixed-level operations promote to the lcm level.  All
-arithmetic runs on integers; only the projection to a divisor level
-(`_solve_exact`) works over Fraction.
+arithmetic runs on integers, the projection to a divisor level included: it
+selects the numerators of the intermediate field and takes the relative
+trace to the divisor level, with no linear system solved.
 """
 
 from __future__ import annotations
@@ -115,6 +116,14 @@ def _over_common_den(coeffs: Sequence[Rational]) -> Tuple[Tuple[int, ...], int]:
     return tuple(q.numerator * (den // q.denominator) for q in fracs), den
 
 
+def _ratio(num: int, den: int) -> Rational:
+    """num / den from the wire form, as an int when den is 1 (so integral
+    values keep the integer path of ``_over_common_den``)."""
+    if den == 0:
+        raise ValueError(f"zero denominator in {num}/{den}")
+    return num if den == 1 else Fraction(num, den)
+
+
 def _make(level: int, nums: Sequence[int], den: int = 1) -> "Cyclotomic":
     """A Cyclotomic from integer numerators over a positive denominator,
     brought to lowest terms."""
@@ -186,38 +195,44 @@ class Cyclotomic:
     # -- level handling -------------------------------------------------
 
     def _embedded(self, level: int) -> "Cyclotomic":
+        """Rewrite at a multiple of the value's level."""
         if level == self.level:
             return self
-        if level % self.level != 0:
-            raise ValueError(f"{self.level} does not divide {level}")
         return _make(level, _mapped(level, self.nums, level // self.level), self.den)
 
     def _projected(self, level: int) -> "Cyclotomic":
-        """Rewrite at a divisor level; fails if the value is not there."""
-        step = self.level // level
-        red = _reduction_table(self.level)[1]
-        cols = []
-        for j in range(numth.totient(level)):
-            col = [0] * len(self.nums)
-            idx, val = red[(j * step) % self.level]
-            for i, r in zip(idx, val):
-                col[i] = r
-            cols.append(col)
-        sol = _solve_exact(cols, self.coeffs)
-        if sol is None:
+        """Rewrite at a divisor level; fails if the value is not there.
+
+        Let L be the value's level, M = lcm(level, rad L) and s = L / M.  As
+        z_L^(q s + r) = z_M^q z_L^r and the z_L^r (r < s) are a basis over
+        the level-M field, the value's level-M numerators are those at the
+        multiples of s.  M = level * m with m squarefree and coprime to the
+        level, and z_M = z_level^a z_m^b with a = m^-1 mod level, so the
+        average of z_M^i over the Galois group of level M over the level is
+        z_level^(i a) times the rational trace of a root of unity of order
+        m / gcd(m, i), over phi(m).  The value is in the level field iff
+        that average, embedded back, is the value."""
+        big = self.level
+        if level == big:
+            return self
+        mid = math.lcm(level, big // numth.radical_quotient(big))
+        m = mid // level
+        a = pow(m, -1, level)
+        acc = [0] * level
+        for i, x in enumerate(self.nums[::big // mid]):
+            if x:
+                acc[i * a % level] += x * numth.trace_root_of_unity(m // math.gcd(m, i), m)
+        out = _make(level, _mapped(level, acc, 1), self.den * numth.totient(m))
+        back = out._embedded(big)
+        if back.den != self.den or back.nums != self.nums:
             raise ValueError(f"value is not contained in the level-{level} field")
-        return Cyclotomic(level, sol)
+        return out
 
     def at_level(self, level: int) -> "Cyclotomic":
-        """The same value re-expressed at another level (up or down)."""
-        if level == self.level:
-            return self
-        if level % self.level == 0:
-            return self._embedded(level)
-        if self.level % level == 0:
-            return self._projected(level)
-        common = math.lcm(self.level, level)
-        return self._embedded(common)._projected(level)
+        """The same value re-expressed at another level: projected to the
+        gcd of the two levels, where Q(zeta_L) meets the other field, then
+        embedded."""
+        return self._projected(math.gcd(self.level, level))._embedded(level)
 
     @staticmethod
     def _common(a: "Cyclotomic", b: "Cyclotomic"):
@@ -400,48 +415,12 @@ class Cyclotomic:
             return Cyclotomic.rational(data)
         if isinstance(data, str):
             num, _, den = data.partition("/")
-            return Cyclotomic.rational(Fraction(int(num), int(den or 1)))
+            return Cyclotomic.rational(_ratio(int(num), int(den or 1)))
         if isinstance(data, dict):
             level = data["level"]
-            terms = [
-                (int(e), Fraction(int(num), int(den)))
-                for e, num, den in data["terms"]
-            ]
+            terms = [(int(e), _ratio(int(num), int(den))) for e, num, den in data["terms"]]
             return Cyclotomic.from_terms(level, terms)
         raise ValueError(f"unrecognized cyclotomic value {data!r}")
-
-
-def _solve_exact(cols, target) -> Optional[Tuple[Fraction, ...]]:
-    """Solve sum_j x_j * cols[j] = target exactly; None if inconsistent."""
-    rows = len(target)
-    ncols = len(cols)
-    mat = [[Fraction(cols[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-           for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, rows) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if mat[i][ncols]:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = mat[i][ncols]
-    # rows below pivots already checked; ensure free columns are genuinely free
-    return tuple(sol)
 
 
 def zeta(e: int, k: int = 1) -> Cyclotomic:

@@ -379,8 +379,8 @@ def test_load_refuses_impossible_documents_before_building_them(
         assert e <= groups.DEFAULT_ORDER_BOUND, e
         return reduction_table(e)
 
-    reduction_table = chartab._reduction_table
-    monkeypatch.setattr(chartab, "_reduction_table", no_large_level)
+    # chartab reaches the reduction tables only through cyclo
+    reduction_table = cyclo._reduction_table
     monkeypatch.setattr(cyclo, "_reduction_table", no_large_level)
     with pytest.raises(TableFormatError, match=fragment):
         load_table(json.dumps(doc))
@@ -391,6 +391,10 @@ def test_load_rejects_garbage():
         load_table(b"not json at all")
     with pytest.raises(TableFormatError):
         load_table(json.dumps({"name": "x"}))
+    # a zero denominator, in a rational value and in a term
+    for bad in ("1/0", {"level": 3, "terms": [[1, 1, 0]]}):
+        with pytest.raises(TableFormatError, match="malformed table document"):
+            load_table(_tamper(lambda d: d["irreducibles"][1].__setitem__(1, bad)))
 
 
 def _tamper(mutate):

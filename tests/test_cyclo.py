@@ -223,6 +223,10 @@ def test_from_json_rejects_garbage():
         Cyclotomic.from_json(True)
     with pytest.raises(ValueError):
         Cyclotomic.from_json([1, 2])
+    with pytest.raises(ValueError):
+        Cyclotomic.from_json("1/0")
+    with pytest.raises(ValueError):
+        Cyclotomic.from_json({"level": 3, "terms": [[1, 1, 0]]})
 
 
 # -- a Fraction reference: sums of monomials reduced by long division by the
@@ -332,6 +336,28 @@ def test_level_changes_match_fraction_reference():
         zeta(805).at_level(35)
     with pytest.raises(ValueError):
         (zeta(120) + Fraction(1, 3)).at_level(12)
+    # every divisor level: a value of the small field, and its generator,
+    # written at the big level by the reference, project back; the big
+    # level's generator is in no smaller field but the one of half an odd
+    # level's double, which is the same field
+    for big in range(1, 121):
+        for small in numth.divisors(big):
+            for x in (_random_coeffs(rng, small, 0.5), zeta(small).coeffs):
+                back = Cyclotomic(big, _ref_embed(small, big, x)).at_level(small)
+                assert back.coeffs == tuple(x)
+                _assert_canonical(back)
+            if small < big and not (big % 4 == 2 and 2 * small == big):
+                with pytest.raises(ValueError):
+                    zeta(big).at_level(small)
+    # a level that does not divide: the value passes through the gcd level
+    for src, dst in ((12, 18), (35, 21)):
+        g = math.gcd(src, dst)
+        x = _random_coeffs(rng, g)
+        moved = Cyclotomic(src, _ref_embed(g, src, x)).at_level(dst)
+        assert moved.coeffs == _ref_embed(g, dst, x)
+        _assert_canonical(moved)
+        with pytest.raises(ValueError):
+            zeta(src).at_level(dst)
 
 
 def test_equal_values_share_one_representation():
