@@ -11,14 +11,14 @@ fixed-point subposets.  The canonical induction coefficients are then
 exact integer data, and the fast Adams-route invariant can be
 cross-checked coefficient by coefficient.  Multiplicities and induced
 characters are both read from each pair's class counts and the table's
-values, never from the Adams route.  Bounded to small groups (order <= 60).
-The poset reads the indexed form of its group from ``groups``: elements
-numbered 0..|G|-1 with their multiplication and inverse tables, subgroups as
-bitmasks, and characters as exponent tuples over their members; conjugation
-is an index permutation of the pairs.  A character enters only as its class
-row.  Its restriction to a subgroup U is served by ``sub=U``: U's poset is
-the down-set of the group's, and it reads the group's row through the
-group's classes.
+values, as integer group-ring sums, never from the Adams route.  Bounded to
+small groups (order <= 60).  The poset reads the indexed form of its group
+from ``groups``: elements numbered 0..|G|-1 with their multiplication and
+inverse tables, subgroups as bitmasks, and characters as exponent tuples
+over their members; conjugation is an index permutation of the pairs.  A
+character enters only as its class row.  Its restriction to a subgroup U is
+served by ``sub=U``: U's poset is the down-set of the group's, and it reads
+the group's row through the group's classes.
 """
 
 from __future__ import annotations
@@ -28,13 +28,14 @@ import os
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .adams import ChiLike, _as_class_function, adams_operation
-from .chartab import CharacterTable, ClassFunction, integral_inner_product
-from .cyclo import Cyclotomic
+from .chartab import (
+    CharacterTable, ClassFunction, _group_ring_sum, _value_terms, integral_inner_product,
+)
+from .cyclo import Cyclotomic, _make
 from .errors import BoundExceeded, ConsistencyError, UsageError
 from .groups import MonomialPair, PermGroup, Subgroup
 
@@ -97,16 +98,18 @@ def _mobius(subs: Sequence[int], masks: Sequence[int]) -> Dict[int, List[Tuple[i
     return out
 
 
-def _counts_by_class(
-    cls: Sequence[int], members: Sequence[int], exps: Sequence[int]
-) -> Dict[int, Dict[int, int]]:
-    """N[c][k]: the number of a pair's subgroup members (element numbers)
-    that lie in class c = cls[x] and have character exponent k."""
+def _count_terms(
+    cls: Sequence[int], members: Sequence[int], exps: Sequence[int], step: int
+) -> Tuple[Tuple[int, tuple], ...]:
+    """A pair's class counts as group-ring terms at the level o step, o its
+    character's order: (c, ((k step, N[c][k]), ...)) with N[c][k] the number
+    of its subgroup's members (element numbers) x in class c = cls[x] with
+    character exponent k."""
     out: Dict[int, Dict[int, int]] = {}
     for x, k in zip(members, exps):
         row = out.setdefault(cls[x], {})
-        row[k] = row.get(k, 0) + 1
-    return out
+        row[k * step] = row.get(k * step, 0) + 1
+    return tuple((c, tuple(row.items())) for c, row in out.items())
 
 
 class _IndexedPoset:
@@ -201,7 +204,8 @@ class _IndexedPoset:
         self.meets = tuple(
             tuple(sorted({self.cls[x] for x in mem})) for mem in self.members
         )
-        self._sums: Dict[int, Tuple[Tuple[int, Cyclotomic], ...]] = {}
+        self.exponent = group.exponent()
+        self._counts: Dict[int, Dict[int, Tuple[Tuple[int, tuple], ...]]] = {}
         # the multiplicities of each subgroup's characters in each class
         # function, keyed by the function's values on the classes the
         # subgroup meets; shared by every context on this poset
@@ -211,17 +215,15 @@ class _IndexedPoset:
     def cyclic(self) -> Tuple[bool, ...]:
         return tuple(h.is_cyclic() for h in self.subgroups)
 
-    def sums(self, j: int) -> Tuple[Tuple[int, Cyclotomic], ...]:
-        """(c, sum_k N[c][k] z_o^-k) over the classes c that pair j's subgroup
-        meets, built on first use from the negated exponents."""
-        out = self._sums.get(j)
+    def counts(self, j: int, level: int) -> Tuple[Tuple[int, tuple], ...]:
+        """(c, terms) over the classes c that pair j's subgroup meets, with
+        the terms (k level/o, N[c][k]) of its class counts at a multiple of
+        the character order o; built on first use."""
+        memo = self._counts.setdefault(level, {})
+        out = memo.get(j)
         if out is None:
-            o = self.orders[j]
-            out = self._sums[j] = tuple(
-                (c, Cyclotomic.from_terms(o, [(-k, n) for k, n in row.items()]))
-                for c, row in _counts_by_class(
-                    self.cls, self.members[self.psub[j]], self.pexps[j]
-                ).items()
+            out = memo[j] = _count_terms(
+                self.cls, self.members[self.psub[j]], self.pexps[j], level // self.orders[j]
             )
         return out
 
@@ -360,19 +362,18 @@ class MonomialContext:
         cyc = self.poset.cyclic
         return tuple(cyc[self.poset.psub[j]] for j in self._glob)
 
-    def _multiplicity(self, j: int, row: Sequence[Cyclotomic]) -> int:
-        """<chi|_H, phi> for the poset's pair j from the class values, as
-        sum_c chi(c) sum_k N[c][k] z_o^-k / |H| over the poset's classes."""
+    def _multiplicity(self, j: int, terms: Sequence[list], level: int, den: int) -> int:
+        """<chi|_H, phi> for the poset's pair j, as the group-ring sum
+        sum_c chi(c) sum_k N[c][k] z_o^-k over the classes H meets, of chi's
+        terms (numerators over den) at the level, over den |H|."""
         P = self.poset
-        acc = Cyclotomic.rational(0)
-        for c, s in P.sums(j):
-            acc = acc + row[c] * s
-        m = acc / len(P.members[P.psub[j]])
-        out = m.as_integer()
-        if out is None:
+        sums = _group_ring_sum(level, ((1, terms[c], n) for c, n in P.counts(j, level)))
+        den *= len(P.members[P.psub[j]])
+        out, r = divmod(sums[0], den)
+        if r or any(sums[1:]):
             raise ConsistencyError(
-                f"non-integral character multiplicity {m} at {P.pairs[j]!r}"
-                f" of {self.group.name}"
+                f"non-integral character multiplicity {_make(level, sums, den)}"
+                f" at {P.pairs[j]!r} of {self.group.name}"
             )
         return out
 
@@ -386,12 +387,17 @@ class MonomialContext:
         P = self.poset
         memo, meets = P.mult_memo, P.meets
         out: List[int] = []
+        terms = None  # chi's terms, built at the first subgroup not memoized
         for s in self._subs:
             key = (s, tuple([keys[c] for c in meets[s]]))
             mults = memo.get(key)
             if mults is None:
-                mults = tuple(self._multiplicity(j, row) for j in P.chars_of[s])
-                memo[key] = mults
+                if terms is None:
+                    level = math.lcm(P.exponent, *(v.level for v in row))
+                    terms, den = _value_terms(row, level)
+                mults = memo[key] = tuple(
+                    self._multiplicity(j, terms, level, den) for j in P.chars_of[s]
+                )
             out.extend(mults)
         return tuple(out)
 
@@ -580,15 +586,15 @@ def induced_character(table: CharacterTable, comb: PairCombination) -> ClassFunc
     # the members are numbered like the group's elements: the group key is
     # the sorted elements
     cls = [group.class_index(x) for x in group.elements]
-    out = [Cyclotomic.rational(0) for _ in table.classes]
+    e = table.exponent
+    sums: List[list] = [[] for _ in table.classes]
     for pair, coeff in comb.coefficients.items():
-        o = pair.character.order
-        weight = Fraction(coeff * group.order, pair.subgroup.order)
-        counts = _counts_by_class(cls, pair.subgroup.members, pair.character.exponents)
-        for c, row in counts.items():
-            value = Cyclotomic.from_terms(o, row.items())
-            out[c] = out[c] + value * (weight / table.classes[c].size)
-    return ClassFunction(table, out)
+        w, phi = coeff * (group.order // pair.subgroup.order), pair.character
+        for c, terms in _count_terms(cls, pair.subgroup.members, phi.exponents, e // phi.order):
+            sums[c].append((w, terms, ((0, 1),)))
+    return ClassFunction(table, [
+        _make(e, _group_ring_sum(e, s), data.size) for s, data in zip(sums, table.classes)
+    ])
 
 
 def restrict_combination(

@@ -26,7 +26,8 @@ from its values reduced mod the same p, each vector then checked to give
 back its value exactly.  Floating point never occurs.
 
 Every table is validated in integers from its multiplicities, in one Gram
-pass over sparse class vectors built once per row.  Errors raised while a
+pass over sparse class vectors built once per row; Schur inner products are
+the same integer group-ring sum over the values' numerators.  Errors raised while a
 table is built name the group and, where there is one, the class and the
 row.
 """
@@ -39,7 +40,7 @@ from functools import cached_property, reduce
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import numth
-from .cyclo import Cyclotomic, _mapped, units
+from .cyclo import Cyclotomic, _make, _mapped, units
 from .errors import BoundExceeded, ConsistencyError, TableFormatError
 from .groups import DEFAULT_ORDER_BOUND, PermGroup, Perm, compose, inverse
 
@@ -303,14 +304,15 @@ class CharacterTable:
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
     """Schur inner product: average of a * conjugate(b) weighted by class
-    sizes.  Rational (indeed integral) whenever a and b are characters."""
+    sizes, as a group-ring sum at the lcm of the exponent and the values'
+    levels.  Rational (indeed integral) whenever a and b are characters."""
     a._check_same_table(b)
     table = a.table
-    total = Cyclotomic.rational(0)
-    for cls, x, y in zip(table.classes, a.values, b.values):
-        if x and y:
-            total = total + x * y.conjugate() * cls.size
-    return total / table.order
+    level = math.lcm(table.exponent, *(v.level for v in a.values + b.values))
+    us, da = _value_terms(a.values, level)
+    vs, db = _value_terms(b.values, level)
+    sizes = (cls.size for cls in table.classes)
+    return _make(level, _group_ring_sum(level, zip(sizes, us, vs)), table.order * da * db)
 
 
 def integral_inner_product(a: ClassFunction, b: ClassFunction) -> int:
@@ -336,22 +338,30 @@ def _level_terms(table: CharacterTable, vectors) -> List[List[Tuple[int, int]]]:
     return out
 
 
-def _scaled_pair(table: CharacterTable, us, vs) -> Tuple[int, ...]:
-    """|G| * <u, v> on the power basis of the exponent-level field, in
-    integers, for class functions u and v given by the ``_level_terms`` of
-    their eigenvalue multiplicity vectors.
+def _value_terms(values: Sequence[Cyclotomic], level: int):
+    """Each value's numerators over the lcm of the values' denominators, as
+    (exponent at the level, numerator), and that lcm."""
+    den = math.lcm(*(v.den for v in values))
+    return [
+        [(i * (level // v.level), x * (den // v.den)) for i, x in enumerate(v.nums) if x]
+        for v in values
+    ], den
 
-    At class c, eigenvalues zeta_t^a of u and zeta_t^b of v contribute
-    zeta_t^(a - b) = zeta_e^((a - b) e/t); the level-e sum is then reduced
-    exactly, so an irrational inner product is seen as one."""
-    e = table.exponent
-    acc = [0] * e
-    for cls, u, v in zip(table.classes, us, vs):
+
+def _group_ring_sum(level: int, terms) -> List[int]:
+    """sum of w u conj(v) over the (w, u, v) in ``terms``, u and v given by
+    (exponent, coefficient) terms at the level, on its power basis: terms
+    (x, m) and (y, n) meet at z^(x - y), in integers, and the sum is reduced
+    once, exactly, so an irrational sum is seen as one.  The Gram pass, the
+    Schur inner product and the oracle's multiplicities and induced
+    characters are all such sums."""
+    acc = [0] * level
+    for w, u, v in terms:
         for x, m in u:
-            w = cls.size * m
+            wm = w * m
             for y, n in v:
-                acc[(x - y) % e] += w * n
-    return tuple(_mapped(e, acc, 1))
+                acc[(x - y) % level] += wm * n
+    return _mapped(level, acc, 1)
 
 
 def _row_conductor(table: CharacterTable, i: int) -> int:
@@ -848,24 +858,25 @@ def _validate(table: CharacterTable) -> None:
         degs.append(d)
     if sum(d * d for d in degs) != table.order:
         fail("degree squares must sum to the group order")
-    # Q(zeta_L) meets the level-e field in Q(zeta_gcd(L, e)); a value at a
-    # level L that e does not divide is stored there, so that every value
-    # lives at a level dividing e
+    # every character value at a class of order t lies in Q(zeta_t); each
+    # value is stored at level t, where ``compute_table`` puts it, so that
+    # ``save_table`` writes the computed table's bytes back
     e = table.exponent
     rows = []
     for i, row in enumerate(table.irreducibles):
         rows.append([])
         for c, v in enumerate(row):
-            if e % v.level:
-                if math.lcm(v.level, e) > DEFAULT_ORDER_BOUND:
-                    fail(f"level {v.level} of character {i} at class {c} and the"
-                         f" exponent {e} have an lcm above the bound"
-                         f" {DEFAULT_ORDER_BOUND}")
+            if e % v.level and math.lcm(v.level, e) > DEFAULT_ORDER_BOUND:
+                fail(f"level {v.level} of character {i} at class {c} and the"
+                     f" exponent {e} have an lcm above the bound"
+                     f" {DEFAULT_ORDER_BOUND}")
+            t = table.classes[c].rep_order
+            if v.level != t:
                 try:
-                    v = v.at_level(math.gcd(v.level, e))
+                    v = v.at_level(t)
                 except ValueError:
                     fail(f"value of character {i} at class {c} is not in the"
-                         f" level-{e} field")
+                         f" level-{t} field")
             rows[-1].append(v)
     table.irreducibles = tuple(tuple(row) for row in rows)
     # a loaded table derives its power map and multiplicities here, each
@@ -875,12 +886,13 @@ def _validate(table: CharacterTable) -> None:
         eigen = table.eigen
     except ConsistencyError as exc:
         fail(str(exc))
-    # one pass over sparse class vectors, built once per row
+    # one pass over sparse class vectors, built once per row: |G| <u, v>
+    sizes = [cls.size for cls in table.classes]
     terms = [_level_terms(table, row) for row in eigen]
     r = len(terms)
     for i in range(r):
         for j in range(i, r):
-            got = _scaled_pair(table, terms[i], terms[j])
+            got = _group_ring_sum(e, zip(sizes, terms[i], terms[j]))
             if got[0] != (table.order if i == j else 0) or any(got[1:]):
                 fail(f"row orthogonality of characters {i} and {j}")
     # Column orthogonality needs no check of its own: the table is square, so

@@ -1,8 +1,10 @@
 """Element-level references for the indexed groups, kept in tests only: a
 subgroup lattice, a commutator subgroup, and the restriction, conjugation
-and order of monomial pairs, all on permutation tuples."""
+and order of monomial pairs, all on permutation tuples; and the Schur inner
+product in cyclotomic arithmetic, the reference for the integer sums."""
 
 from feitlab import groups
+from feitlab.cyclo import Cyclotomic
 from feitlab.groups import LinearChar, MonomialPair, compose, conjugate_perm, inverse
 
 
@@ -59,3 +61,13 @@ def pair_le(p, q):
     return set(p.subgroup.elements) <= set(q.subgroup.elements) and all(
         q.character.value(h) == p.character.value(h) for h in p.subgroup.elements
     )
+
+
+def cyclotomic_inner_product(a, b):
+    """<a, b> = (1/|G|) sum_c |c| a(c) conj(b(c)), one ``Cyclotomic``
+    product and sum per class."""
+    table = a.table
+    total = Cyclotomic.rational(0)
+    for cls, x, y in zip(table.classes, a.values, b.values):
+        total = total + x * y.conjugate() * cls.size
+    return total / table.order

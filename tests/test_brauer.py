@@ -23,7 +23,7 @@ from feitlab.chartab import compute_table, inner_product
 from feitlab.cyclo import Cyclotomic, zeta
 from feitlab.errors import BoundExceeded, ConsistencyError
 from feitlab.groups import LinearChar, MonomialPair, compose, conjugate_perm, inverse
-from group_references import conjugate_pair, pair_le
+from group_references import conjugate_pair, cyclotomic_inner_product, pair_le
 
 
 def table(spec):
@@ -413,6 +413,86 @@ def test_class_counts_match_element_loops_over_corpus():
         for p in ctx.pairs:
             comb = PairCombination(key, {p: 1})
             assert induced_character(t, comb) == _reference_induced(t, p), spec
+
+
+def test_multiplicities_over_denominators_and_levels_off_the_exponent():
+    # a row with a denominator and a fifth root of unity on the classes a
+    # subgroup U does not meet: U's multiplicities read only the classes it
+    # meets, so they stay integral and agree with the element loop, while
+    # the sum runs over numerators at a level off the exponent
+    for spec in runner.C_SMALL:
+        t = compute_table(groups.from_spec(spec), name=spec)
+        g = t.group
+        ctx = monomial_context(g)
+        for u in g.all_subgroups():
+            met = {g.class_index(x) for x in u.elements}
+            if len(met) == t.num_classes:
+                continue
+            for i in range(t.num_classes):
+                row = [
+                    v if c in met else v + Fraction(1, 2) + zeta(5, c) / 3
+                    for c, v in enumerate(t.irreducibles[i])
+                ]
+                down = ctx.down_set(u)
+                values = _element_values(g, row)
+                expect = tuple(_reference_multiplicity(values, p) for p in down.pairs)
+                assert None not in expect
+                assert down.multiplicities(row) == expect, (spec, u.order, i)
+
+
+def test_induced_combinations_match_element_loops():
+    # a combination of every pair with signed coefficients: the per-class
+    # integer sums over all pairs, reduced once, against the sum of the
+    # element-level references
+    for spec in ("sym:3", "dihedral:8", "quaternion:8", "alt:4", "cyclic:12"):
+        t = compute_table(groups.from_spec(spec), name=spec)
+        ctx = monomial_context(t.group)
+        coeffs = {p: k % 5 - 2 for k, p in enumerate(ctx.pairs)}
+        expect = t.class_function((0,) * t.num_classes)
+        for p, c in coeffs.items():
+            expect = expect + c * _reference_induced(t, p)
+        comb = PairCombination(brauer._group_key(t.group), coeffs)
+        assert induced_character(t, comb) == expect, spec
+
+
+def test_oracle_sums_make_no_cyclotomic_products(monkeypatch):
+    # multiplicities, inner products and induced characters are integer
+    # group-ring sums: no Cyclotomic product or sum may creep back in
+    calls = Counter()
+
+    def counting(name):
+        raw = vars(Cyclotomic)[name]
+
+        def wrapped(self, other):
+            calls[name] += 1
+            return raw(self, other)
+        return wrapped
+
+    for spec in ("sym:4", "sl2:3"):
+        t = compute_table(groups.from_spec(spec), name=spec)
+        rows = [t.irreducible(i) for i in range(t.num_classes)]
+        virtual = rows[0] - 2 * rows[-1]
+        halves = t.class_function([v / 2 for v in rows[-1].values])
+        funcs = rows + [virtual, halves, t.regular_character()]
+        ctx = monomial_context(t.group)
+        with monkeypatch.context() as patch:
+            for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+                patch.setattr(Cyclotomic, name, counting(name))
+            mults = [ctx.multiplicities(f.values) for f in rows + [virtual]]
+            products = [[inner_product(a, b) for b in funcs] for a in funcs]
+            combs = [induction_by_chains(t, i) for i in range(t.num_classes)]
+            induced = [induced_character(t, comb) for comb in combs]
+            assert not calls, (spec, calls)
+            zeta(3) * zeta(3) + 1  # the counters see a cyclotomic product
+            assert calls == Counter({"__mul__": 1, "__add__": 1})
+            calls.clear()
+        assert induced == rows
+        for f, got in zip(rows + [virtual], mults):
+            values = _element_values(t.group, f.values)
+            assert got == tuple(_reference_multiplicity(values, p) for p in ctx.pairs)
+        for i, a in enumerate(funcs):
+            for j, b in enumerate(funcs):
+                assert products[i][j] == cyclotomic_inner_product(a, b), spec
 
 
 def test_oracle_errors_name_group_and_pair():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from feitlab.chartab import (
 )
 from feitlab.cyclo import Cyclotomic, zeta
 from feitlab.errors import BoundExceeded, ConsistencyError, TableFormatError
+from group_references import cyclotomic_inner_product
 
 
 def table(spec):
@@ -132,6 +134,47 @@ def test_inner_products():
     other = table("cyclic:2")
     with pytest.raises(ValueError):
         inner_product(t.trivial_character(), other.trivial_character())
+
+
+def _hand_built(t):
+    """Class functions beside the rows: a virtual character, the regular
+    character, functions with denominators, and values at levels off the
+    exponent (a fifth and a seventh root of unity)."""
+    r = t.num_classes
+    rows = [t.irreducible(i) for i in range(r)]
+    virtual = t.class_function((0,) * r)
+    for i, row in enumerate(rows):
+        virtual = virtual + (i + 1) * (-1) ** i * row
+    halves = t.class_function([v / 2 for v in virtual.values])
+    thirds = t.class_function(
+        [v / 3 + Fraction(1, 2) * (c % 2) for c, v in enumerate(rows[-1].values)]
+    )
+    off = t.class_function(
+        [v + zeta(5, c) for c, v in enumerate(rows[0].values)]
+    )
+    mixed = t.class_function(
+        [zeta(7, 2 * c) / 2 - v for c, v in enumerate(rows[-1].values)]
+    )
+    return rows + [virtual, t.regular_character(), halves, thirds, off, mixed]
+
+
+def test_inner_product_matches_cyclotomic_reference():
+    # the integer group-ring sum gives the value of the cyclotomic products
+    # exactly, rational or not, also over denominators and off the exponent
+    for spec in runner.C_SMALL:
+        t = table(spec)
+        funcs = _hand_built(t)
+        for a in funcs:
+            for b in funcs:
+                assert inner_product(a, b) == cyclotomic_inner_product(a, b), spec
+
+
+def test_inner_product_of_a_fifth_root_on_sym3():
+    t = table("sym:3")
+    f = t.class_function([zeta(5), 0, 0])
+    assert inner_product(f, f) == Fraction(1, 6)
+    got = inner_product(f, t.trivial_character())
+    assert got == zeta(5) / 6 and not got.is_rational()
 
 
 def test_values_live_at_class_order_level():
@@ -293,7 +336,7 @@ def _cyclotomic_orthonormal(t):
     against."""
     rows = [t.irreducible(i) for i in range(t.num_classes)]
     return all(
-        inner_product(rows[i], rows[j]) == (1 if i == j else 0)
+        cyclotomic_inner_product(rows[i], rows[j]) == (1 if i == j else 0)
         for i in range(len(rows))
         for j in range(i, len(rows))
     )
@@ -474,10 +517,11 @@ def test_table_routes_build_no_multiplication_table():
 
 
 def _scaled_inner_product(t, u, v):
-    """|G| * <u, v> from eigenvalue multiplicity vectors, in integers."""
-    return chartab._scaled_pair(
-        t, chartab._level_terms(t, u), chartab._level_terms(t, v)
-    )
+    """|G| * <u, v> from eigenvalue multiplicity vectors, in integers, as
+    the Gram pass of ``_validate`` computes it."""
+    us, vs = chartab._level_terms(t, u), chartab._level_terms(t, v)
+    sizes = [cls.size for cls in t.classes]
+    return chartab._group_ring_sum(t.exponent, zip(sizes, us, vs))
 
 
 def test_integer_row_routes_match_cyclotomic():
@@ -489,7 +533,7 @@ def test_integer_row_routes_match_cyclotomic():
         for i in range(t.num_classes):
             for j in range(i, t.num_classes):
                 got = _scaled_inner_product(t, t.eigen[i], t.eigen[j])
-                want = t.order * inner_product(rows[i], rows[j])
+                want = t.order * cyclotomic_inner_product(rows[i], rows[j])
                 assert Cyclotomic(t.exponent, got) == want, (spec, i, j)
             assert chartab._row_conductor(t, i) == conductor(rows[i]), (spec, i)
 
@@ -516,7 +560,7 @@ def test_scaled_inner_product_of_arbitrary_vectors():
                 for w in (u, v)
             )
             got = Cyclotomic(t.exponent, _scaled_inner_product(t, u, v))
-            assert got == t.order * inner_product(a, b), spec
+            assert got == t.order * cyclotomic_inner_product(a, b), spec
 
 
 def _with_vector(t, eigen, i, c, vec):
@@ -1002,9 +1046,13 @@ def test_loaded_tables_derive_the_stored_vectors():
         assert load_table(save_table(t)).eigen == t.eigen, spec
 
 
+def _levels(t):
+    return [[v.level for v in row] for row in t.irreducibles]
+
+
 def test_loaded_values_at_a_level_off_the_exponent():
-    # the JSON format takes a value at any level; one whose level L does not
-    # divide the exponent e is stored at level gcd(L, e) when it is loaded
+    # the JSON format takes a value at any level; a value at a class of
+    # order t is stored at level t when it is loaded, as computed
     t = table("cyclic:3")
     doc = json.loads(save_table(t))
 
@@ -1014,9 +1062,28 @@ def test_loaded_values_at_a_level_off_the_exponent():
 
     doc["irreducibles"] = [[at_level_15(v) for v in row] for row in doc["irreducibles"]]
     loaded = load_table(json.dumps(doc))
-    assert {v.level for row in loaded.irreducibles for v in row} == {3}
+    assert _levels(loaded) == _levels(t) == [[1, 3, 3]] * 3
     assert loaded.eigen == t.eigen
     assert save_table(loaded) == save_table(t)
+
+
+def test_round_trip_of_values_written_above_the_exponent():
+    # cyclic:30 written at level 210: every value is stored at the order of
+    # its class, so the round trip writes the computed table's bytes
+    t = table("cyclic:30")
+    blob = save_table(t)
+    doc = json.loads(blob)
+
+    def at_level_210(v):
+        if not isinstance(v, dict):
+            return v
+        step = 210 // v["level"]
+        return {"level": 210, "terms": [[step * i, n, d] for i, n, d in v["terms"]]}
+
+    doc["irreducibles"] = [[at_level_210(v) for v in row] for row in doc["irreducibles"]]
+    loaded = load_table(json.dumps(doc))
+    assert _levels(loaded) == _levels(t)
+    assert save_table(loaded) == blob
 
 
 def test_loaded_values_at_a_level_sharing_a_galois_exponent():
@@ -1032,7 +1099,7 @@ def test_loaded_values_at_a_level_sharing_a_galois_exponent():
 
     doc["irreducibles"] = [[at_level_6(v) for v in row] for row in doc["irreducibles"]]
     loaded = load_table(json.dumps(doc))
-    assert {v.level for row in loaded.irreducibles for v in row} == {3}
+    assert _levels(loaded) == _levels(t) == [[1, 3, 3]] * 3
     assert loaded.power_map == t.power_map
     assert conductor(loaded.irreducible(1)) == 3
     for i in range(3):
