@@ -21,14 +21,29 @@ from .chartab import (
     _row_conductor,
     integral_inner_product,
 )
-from .errors import ConsistencyError
+from .errors import ConsistencyError, UsageError
 
 ChiLike = Union[int, ClassFunction]
 
 
+def _row_index(table: CharacterTable, chi: int) -> int:
+    """chi as an index of the table's rows; UsageError if it is out of range."""
+    if not 0 <= chi < table.num_classes:
+        raise UsageError(f"chi must be in 0..{table.num_classes - 1}")
+    return chi
+
+
+def _check_divisor(table: CharacterTable, n: int) -> None:
+    """UsageError unless n is a positive divisor of the table's exponent."""
+    e = table.exponent
+    if n < 1 or e % n:
+        raise UsageError(
+            f"n = {n} must be positive and divide the exponent {e} of {table.name}")
+
+
 def _as_class_function(table: CharacterTable, chi: ChiLike) -> Tuple[ClassFunction, Optional[int]]:
     if isinstance(chi, int):
-        return table.irreducible(chi), chi
+        return table.irreducible(_row_index(table, chi)), chi
     if chi.table is not table:
         raise ValueError("class function belongs to a different table")
     for i, row in enumerate(table.irreducibles):
@@ -146,9 +161,8 @@ def invariant(table: CharacterTable, chi: ChiLike, n: int) -> InvariantReport:
     multiplicity comes from the eigenvalue multiplicities of chi; the
     cyclotomic evaluation of ``adams_operation`` stays as its cross-check."""
     chi, idx = _as_class_function(table, chi)
+    _check_divisor(table, n)
     e = table.exponent
-    if n < 1 or e % n != 0:
-        raise ValueError(f"n = {n} must be a positive divisor of the exponent {e}")
     vectors = _eigen_vectors(table, chi, idx)
     summands: Dict[FrozenSet[int], int] = {}
     total = 0
@@ -164,9 +178,8 @@ def alternating_adams_character(table: CharacterTable, chi: ChiLike, n: int) -> 
     """The signed sum of Adams operations whose trivial-character multiplicity
     is the invariant (a virtual character, not a genuine one in general)."""
     chi, _ = _as_class_function(table, chi)
+    _check_divisor(table, n)
     e = table.exponent
-    if n < 1 or e % n != 0:
-        raise ValueError(f"n = {n} must be a positive divisor of the exponent {e}")
     acc = table.class_function((0,) * table.num_classes)
     for rho in numth.prime_subsets(n):
         m = numth.subset_modulus(n, e, rho)

@@ -31,16 +31,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .adams import ChiLike, _as_class_function, adams_operation
+from .adams import ChiLike, _as_class_function, _row_index, adams_operation
 from .chartab import (
     CharacterTable, ClassFunction, _group_ring_sum, _value_terms, integral_inner_product,
 )
 from .cyclo import Cyclotomic, _make
 from .errors import BoundExceeded, ConsistencyError, UsageError
-from .groups import MonomialPair, PermGroup, Subgroup
+from .groups import DEFAULT_SUBGROUP_BOUND, MonomialPair, PermGroup, Subgroup
 
 DEFAULT_ORACLE_BOUND = 24
-HARD_ORACLE_CAP = 60
+# the oracle enumerates every subgroup, so it reaches as far as the lattice
+HARD_ORACLE_CAP = DEFAULT_SUBGROUP_BOUND
 ENV_ORACLE_BOUND = "FEITLAB_ORACLE_BOUND"
 
 
@@ -516,7 +517,7 @@ def _oracle_input(
     chi's class row, which every context on the group's poset reads: a
     group-backed table's classes are its group's, in order."""
     if isinstance(chi, int):
-        row = table.irreducibles[chi]
+        row = table.irreducibles[_row_index(table, chi)]
     else:
         row = _as_class_function(table, chi)[0].values
     group = table.group

@@ -866,10 +866,6 @@ def _validate(table: CharacterTable) -> None:
     for i, row in enumerate(table.irreducibles):
         rows.append([])
         for c, v in enumerate(row):
-            if e % v.level and math.lcm(v.level, e) > DEFAULT_ORDER_BOUND:
-                fail(f"level {v.level} of character {i} at class {c} and the"
-                     f" exponent {e} have an lcm above the bound"
-                     f" {DEFAULT_ORDER_BOUND}")
             t = table.classes[c].rep_order
             if v.level != t:
                 try:

@@ -116,14 +116,6 @@ def _over_common_den(coeffs: Sequence[Rational]) -> Tuple[Tuple[int, ...], int]:
     return tuple(q.numerator * (den // q.denominator) for q in fracs), den
 
 
-def _ratio(num: int, den: int) -> Rational:
-    """num / den from the wire form, as an int when den is 1 (so integral
-    values keep the integer path of ``_over_common_den``)."""
-    if den == 0:
-        raise ValueError(f"zero denominator in {num}/{den}")
-    return num if den == 1 else Fraction(num, den)
-
-
 def _make(level: int, nums: Sequence[int], den: int = 1) -> "Cyclotomic":
     """A Cyclotomic from integer numerators over a positive denominator,
     brought to lowest terms."""
@@ -415,12 +407,23 @@ class Cyclotomic:
             return Cyclotomic.rational(data)
         if isinstance(data, str):
             num, _, den = data.partition("/")
-            return Cyclotomic.rational(_ratio(int(num), int(den or 1)))
-        if isinstance(data, dict):
+            terms = [(0, int(num), int(den or 1))]
+            level = 1
+        elif isinstance(data, dict):
+            terms = [(int(e), int(num), int(den)) for e, num, den in data["terms"]]
             level = data["level"]
-            terms = [(int(e), _ratio(int(num), int(den))) for e, num, den in data["terms"]]
-            return Cyclotomic.from_terms(level, terms)
-        raise ValueError(f"unrecognized cyclotomic value {data!r}")
+            if level < 1:
+                raise ValueError(f"positive level required, got {level}")
+        else:
+            raise ValueError(f"unrecognized cyclotomic value {data!r}")
+        # integer numerators over the lcm of the (signed) term denominators
+        common = math.lcm(*(den for _, _, den in terms))
+        if common == 0:
+            raise ValueError("zero denominator in a cyclotomic value")
+        acc = [0] * level
+        for e, num, den in terms:
+            acc[e % level] += num * (common // den)
+        return _make(level, _mapped(level, acc, 1), common)
 
 
 def zeta(e: int, k: int = 1) -> Cyclotomic:

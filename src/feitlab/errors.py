@@ -23,5 +23,6 @@ class SpecError(ValueError):
 
 
 class UsageError(ValueError):
-    """An option or environment setting is out of range or malformed: a
-    usage error, reported with the option or variable it came from."""
+    """An option, environment setting or argument (a character index chi, a
+    divisor n) is out of range or malformed: a usage error, reported with
+    the option, variable or argument it came from."""

@@ -658,6 +658,11 @@ def direct_product(*factors: PermGroup, name: Optional[str] = None) -> PermGroup
 
 
 _CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
+# the heads ``_parse_spec`` accepts; a string with another head is not a spec
+SPEC_HEADS = (
+    "cyclic", "sym", "alt", "dihedral", "quaternion", "sl2",
+    "elementary", "extraspecial", "perm", "product",
+)
 
 
 def from_spec(spec: str) -> PermGroup:
@@ -668,7 +673,8 @@ def from_spec(spec: str) -> PermGroup:
     Raises SpecError for an unknown or malformed spec, and BoundExceeded,
     before building anything, when the order the spec names exceeds
     DEFAULT_ORDER_BOUND.  A perm: spec (alone or as a factor) names no order
-    in advance; its enumeration stops at the bound instead."""
+    in advance; its enumeration stops at the bound instead, and a point above
+    the bound is a malformed spec."""
     build, order = _parse_spec(spec.strip())
     if order is not None and order > DEFAULT_ORDER_BOUND:
         raise BoundExceeded(
@@ -754,8 +760,11 @@ def _parse_spec(spec: str) -> Tuple[Callable[[], PermGroup], Optional[int]]:
             for m in _CYCLE_RE.finditer(rest)
         ]
         check(bool(cycles), "no cycles found")
-        check(all(min(c) >= 1 and len(set(c)) == len(c) for c in cycles),
-              "cycles need distinct points numbered from 1")
+        # a point above the bound names a degree no bundled group reaches,
+        # refused before a permutation of that degree is built
+        check(all(min(c) >= 1 and max(c) <= DEFAULT_ORDER_BOUND and len(set(c)) == len(c)
+                  for c in cycles),
+              f"cycles need distinct points in 1..{DEFAULT_ORDER_BOUND}")
         degree = max(max(c) for c in cycles)
         gens = [perm_from_cycles([c], degree) for c in cycles]
         return (lambda: PermGroup(gens, degree=degree, name=spec)), None

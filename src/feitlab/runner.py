@@ -23,12 +23,7 @@ from .chartab import (
     save_table,
 )
 from .errors import TableFormatError
-from .groups import from_spec, perm_order
-
-_SPEC_HEADS = (
-    "cyclic", "sym", "alt", "dihedral", "quaternion", "sl2",
-    "elementary", "extraspecial", "perm", "product",
-)
+from .groups import SPEC_HEADS, from_spec, perm_order
 
 C_SMALL: Tuple[str, ...] = tuple(
     [f"cyclic:{n}" for n in range(1, 13)]
@@ -61,7 +56,7 @@ BUNDLED_CORPUS = Path(__file__).parent / "data" / "corpus_small.json"
 
 def looks_like_spec(entry: str) -> bool:
     head = entry.split(":", 1)[0]
-    return head in _SPEC_HEADS
+    return head in SPEC_HEADS
 
 
 # Spec tables kept per process.  The bound is set by memory, not by how

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from feitlab import adams, chartab, groups, numth, runner
+from feitlab import adams, brauer, chartab, groups, numth, runner
 from feitlab.adams import (
     adams_operation,
     alternating_adams_character,
@@ -22,7 +22,7 @@ from feitlab.chartab import (
     save_table,
 )
 from feitlab.cyclo import zeta
-from feitlab.errors import ConsistencyError
+from feitlab.errors import ConsistencyError, UsageError
 
 
 def table(spec):
@@ -92,6 +92,27 @@ def test_invariant_rejects_bad_n():
         invariant(t, 0, 4)  # 4 does not divide 6
     with pytest.raises(ValueError):
         invariant(t, 0, 0)
+
+
+@pytest.mark.parametrize("chi", [-1, 3])
+def test_library_calls_refuse_a_chi_outside_the_rows(chi):
+    t = table("sym:3")
+    calls = [
+        lambda: invariant(t, chi, 1),
+        lambda: feit_indicator(t, chi),
+        lambda: eigenvalue_multiplicities(t, chi, 0),
+        lambda: brauer.induction_by_chains(t, chi),
+        lambda: brauer.check_equivalences(t, chi, 1),
+    ]
+    for call in calls:
+        with pytest.raises(UsageError, match=r"^chi must be in 0\.\.2$"):
+            call()
+
+
+def test_alternating_adams_character_refuses_a_non_divisor():
+    t = table("sym:3")
+    with pytest.raises(UsageError, match="n = 4 must be positive and divide the exponent 6"):
+        alternating_adams_character(t, 0, 4)
 
 
 def test_invariant_linear_characters():

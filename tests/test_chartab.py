@@ -380,6 +380,19 @@ def test_load_rejects_every_table_the_cyclotomic_check_rejects():
     assert rejected > 700
 
 
+@pytest.fixture
+def no_large_level(monkeypatch):
+    """Fail any reduction table above the order bound while the test runs;
+    chartab reaches the reduction tables only through cyclo."""
+    reduction_table = cyclo._reduction_table
+
+    def guarded(e):
+        assert e <= groups.DEFAULT_ORDER_BOUND, e
+        return reduction_table(e)
+
+    monkeypatch.setattr(cyclo, "_reduction_table", guarded)
+
+
 @pytest.mark.parametrize(
     "doc, fragment",
     [
@@ -407,26 +420,24 @@ def test_load_rejects_every_table_the_cyclotomic_check_rejects():
           "classes": [{"rep_order": 1, "size": 1, "powermap": {}}],
           "irreducibles": [[{"level": 10**6, "terms": [[0, 1, 1]]}]]},
          "level 1000000 of character 0 at class 0 exceeds the bound 10080"),
-        # a rational value written at level 10069 in a table of exponent 2
-        ({"name": "x", "order": 2, "exponent": 2,
-          "classes": [{"rep_order": 1, "size": 1, "powermap": {"2": 0}},
-                      {"rep_order": 2, "size": 1, "powermap": {"2": 0}}],
-          "irreducibles": [[1, 1], [1, {"level": 10069, "terms": [[0, -1, 1]]}]]},
-         "level 10069 of character 1 at class 1 and the exponent 2 have an lcm"),
     ],
 )
 def test_load_refuses_impossible_documents_before_building_them(
-    doc, fragment, monkeypatch
+    doc, fragment, no_large_level
 ):
-    def no_large_level(e):
-        assert e <= groups.DEFAULT_ORDER_BOUND, e
-        return reduction_table(e)
-
-    # chartab reaches the reduction tables only through cyclo
-    reduction_table = cyclo._reduction_table
-    monkeypatch.setattr(cyclo, "_reduction_table", no_large_level)
     with pytest.raises(TableFormatError, match=fragment):
         load_table(json.dumps(doc))
+
+
+def test_load_reads_a_value_written_far_above_the_exponent(no_large_level):
+    # a rational value written at level 10069 in a table of exponent 2: its
+    # own level is within the bound, and its projection builds none above it
+    doc = {"name": "x", "order": 2, "exponent": 2,
+           "classes": [{"rep_order": 1, "size": 1, "powermap": {"2": 0}},
+                       {"rep_order": 2, "size": 1, "powermap": {"2": 0}}],
+           "irreducibles": [[1, {"level": 10069, "terms": [[0, -1, 1]]}], [1, 1]]}
+    loaded = load_table(json.dumps(doc))
+    assert loaded.irreducibles == table("cyclic:2").irreducibles
 
 
 def test_load_rejects_garbage():

@@ -91,6 +91,16 @@ def test_feit_rejects_chi_past_the_end(capsys):
     assert "chi must be in 0..2" in err and "IndexError" not in err
 
 
+def test_perm_point_above_the_bound_is_a_usage_error(capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("a permutation was built")
+
+    monkeypatch.setattr(feitlab.groups, "perm_from_cycles", build)
+    code, out, err = run_cli(capsys, "table", "perm:[(1,10081)]")
+    assert code == 2 and out == ""
+    assert "malformed group spec" in err and "10080" in err
+
+
 def test_s_json(capsys):
     code, out, _ = run_cli(capsys, "s", "cyclic:4", "--chi", "0", "--n", "2", "--json")
     assert code == 0

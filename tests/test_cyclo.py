@@ -229,6 +229,17 @@ def test_from_json_rejects_garbage():
         Cyclotomic.from_json({"level": 3, "terms": [[1, 1, 0]]})
 
 
+def test_from_json_reads_signed_denominators_and_repeated_exponents():
+    assert Cyclotomic.from_json("3/-6") == rational(Fraction(-1, 2))
+    assert Cyclotomic.from_json("-4") == rational(-4)
+    got = Cyclotomic.from_json({"level": 3, "terms": [[1, 1, -2], [2, 1, 3], [4, 1, 6]]})
+    assert got == zeta(3) * Fraction(-1, 3) + zeta(3, 2) / 3
+    assert got.den == 3
+    # z_4^2 = -1 is reduced on the level-4 basis, in lowest terms
+    got = Cyclotomic.from_json({"level": 4, "terms": [[2, 2, 4], [0, 1, -1]]})
+    assert got == rational(Fraction(-3, 2)) and (got.level, got.den) == (4, 2)
+
+
 # -- a Fraction reference: sums of monomials reduced by long division by the
 # cyclotomic polynomial.  It shares only cyclotomic_polynomial with the
 # integer representation, and that is checked on its own above

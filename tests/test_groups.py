@@ -283,6 +283,22 @@ def test_from_spec_rejects_malformed_specs(spec):
         from_spec(spec)
 
 
+def test_spec_heads_are_the_heads_the_parser_reads():
+    for head in groups.SPEC_HEADS:
+        with pytest.raises(SpecError, match="malformed group spec"):
+            from_spec(f"{head}:x")
+    assert "nonsense" not in groups.SPEC_HEADS
+    with pytest.raises(SpecError, match="unknown group spec"):
+        from_spec("nonsense:x")
+
+
+def test_perm_spec_points_stay_under_the_order_bound():
+    assert from_spec("perm:[(1,10080)]").order == 2
+    for spec in ("perm:[(1,10081)]", "product:cyclic:2,perm:[(1,2),(3,100000000)]"):
+        with pytest.raises(SpecError, match=r"points in 1\.\.10080"):
+            from_spec(spec)
+
+
 def test_from_spec_rejects_large_orders_before_building(monkeypatch):
     def enumerate_elements(*args, **kwargs):
         raise AssertionError("the group was enumerated")
