@@ -10,7 +10,6 @@ n = conductor it decides the conjecture the toolkit exists to probe.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 
@@ -31,6 +30,19 @@ def _row_index(table: CharacterTable, chi: int) -> int:
     if not 0 <= chi < table.num_classes:
         raise UsageError(f"chi must be in 0..{table.num_classes - 1}")
     return chi
+
+
+def _class_index(table: CharacterTable, c: int) -> int:
+    """c as an index of the table's classes; UsageError if it is out of range."""
+    if not 0 <= c < table.num_classes:
+        raise UsageError(f"class c must be in 0..{table.num_classes - 1}")
+    return c
+
+
+def _check_positive(n: int) -> None:
+    """UsageError unless n, an eigenvalue order, is positive."""
+    if n < 1:
+        raise UsageError(f"n = {n} must be positive")
 
 
 def _check_divisor(table: CharacterTable, n: int) -> None:
@@ -77,15 +89,11 @@ def _trivial_multiplicity(table: CharacterTable, vectors, m: int) -> int:
 
     The inner product is rational, so it equals its average over the Galois
     group of the exponent-level field; that turns each eigenvalue zeta_t^(jm)
-    into its trace, mobius(k) * totient(e) / totient(k) for its order k."""
+    into its trace, summed per class vector by ``CharacterTable.power_trace``."""
     e = table.exponent
-    weight: Counter = Counter()  # eigenvalue order -> class-size-weighted count
-    for cls, vec in zip(table.classes, vectors):
-        t = cls.rep_order
-        for j, mult in enumerate(vec):
-            if mult:
-                weight[t // math.gcd(t, j * m)] += cls.size * mult
-    total = sum(w * numth.trace_root_of_unity(k, e) for k, w in weight.items())
+    total = sum(
+        cls.size * table.power_trace(vec, m) for cls, vec in zip(table.classes, vectors)
+    )
     q, r = divmod(total, table.order * numth.totient(e))
     if r:
         raise ConsistencyError(
@@ -194,7 +202,7 @@ def eigenvalue_multiplicities(table: CharacterTable, chi: ChiLike, c: int) -> Tu
     order), read from the rows' vectors (``_eigen_vectors``); chi must be a
     character."""
     chi, idx = _as_class_function(table, chi)
-    out = _eigen_vectors(table, chi, idx)[c]
+    out = _eigen_vectors(table, chi, idx)[_class_index(table, c)]
     where = f"class {c} of {table.name} for " + (
         f"character {idx}" if idx is not None else "a class function"
     )
@@ -215,6 +223,7 @@ def eigenvalue_order_witness(
     """First (class, exponent) in table order whose eigenvalue has order
     exactly n with positive multiplicity, if any."""
     chi, idx = _as_class_function(table, chi)
+    _check_positive(n)
     return _witness(table, _eigen_vectors(table, chi, idx), n)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .adams import ChiLike, _as_class_function, _row_index, adams_operation
+from .adams import ChiLike, _as_class_function, _check_positive, _row_index, adams_operation
 from .chartab import (
     CharacterTable, ClassFunction, _group_ring_sum, _value_terms, integral_inner_product,
 )
@@ -201,7 +201,7 @@ class _IndexedPoset:
         # cls[x]: the class of element x; meets[s]: the classes subgroup s
         # meets.  Every context on the poset reads rows over these classes:
         # <chi|_H, phi> does not depend on whose classes sort H's elements.
-        self.cls = tuple(group.class_index(x) for x in group.elements)
+        self.cls = group.class_of
         self.meets = tuple(
             tuple(sorted({self.cls[x] for x in mem})) for mem in self.members
         )
@@ -586,7 +586,7 @@ def induced_character(table: CharacterTable, comb: PairCombination) -> ClassFunc
         raise ValueError("combination lives over a different group")
     # the members are numbered like the group's elements: the group key is
     # the sorted elements
-    cls = [group.class_index(x) for x in group.elements]
+    cls = group.class_of
     e = table.exponent
     sums: List[list] = [[] for _ in table.classes]
     for pair, coeff in comb.coefficients.items():
@@ -772,6 +772,7 @@ class EquivalenceCheck:
 def check_equivalences(
     table: CharacterTable, chi: ChiLike, n: int, bound: Optional[int] = None
 ) -> EquivalenceCheck:
+    _check_positive(n)
     ctx, in_m, in_mt, max_m, max_mt = _poset_data(table, chi, bound)
     orders, cyclic = ctx.orders, ctx.cyclic
     idx = range(len(ctx.pairs))

@@ -11,38 +11,47 @@ non-negative integers.  Each group fact is computed once: one power map
 per class (the class of every power of its representative, which also
 gives the inverse classes and the prime power maps), the class-sum
 constants of a class, as its nonzero entries, only when the splitting
-reaches it, one row reduction per eigenspace for the coordinates of all
-its basis images, the eigenvalues of each restricted class-sum matrix as
-the roots over F_p of its characteristic polynomial, and one cyclotomic
-value per distinct multiplicity vector.  The multiplicity transform
-(``_eigen_from_residues``) runs only at root classes: taken by element
-order, high to low, each class not yet reached as a power rep_k0^a of an
-earlier one.  A power class of order t = t0/g, g = gcd(t0, a), reads its
-vector from its root's by j -> j (a/g) mod t, and is checked against its
-own residue.  A computed table keeps its power map and multiplicities; a
-table loaded from JSON derives them while it is validated, the power map
-from its prime power maps and the multiplicities by the same transform,
-from its values reduced mod the same p, each vector then checked to give
-back its value exactly.  Floating point never occurs.
+reaches it, and then from one element of the class and one row of the
+group's products (``_class_sum_columns``), the coordinates of an
+eigenspace's basis images read at the basis's pivot columns (each space is
+held as a basis that is the unit basis there, starting from the whole
+space, on which they are the class-sum matrix itself) and checked, a space
+on which the class sum is scalar left whole, the eigenvalues of each
+restricted class-sum matrix as the roots over F_p of its characteristic
+polynomial, and one cyclotomic value and one conductor per distinct
+multiplicity vector.  The multiplicity transform (``_eigen_from_residues``)
+runs only at root classes: taken by element order, high to low, each class
+not yet reached as a power rep_k0^a of an earlier one, and on all rows at
+once, their residues at a class packed into one integer.  A power class of
+order t = t0/g, g = gcd(t0, a), reads its vector from its root's by
+j -> j (a/g) mod t, and is checked against its own residue.  A computed
+table keeps its power map and multiplicities; a table loaded from JSON
+derives them while it is validated, the power map from its prime power
+maps and the multiplicities by the same transform, from its values reduced
+mod the same p, each vector then checked to give back its value exactly.
+Floating point never occurs.
 
 Every table is validated in integers from its multiplicities, in one Gram
-pass over sparse class vectors built once per row; Schur inner products are
-the same integer group-ring sum over the values' numerators.  Errors raised while a
-table is built name the group and, where there is one, the class and the
-row.
+pass that evaluates each distinct vector once at z = 2^B modulo
+Phi_e(2^B), e the exponent, so that each pair of rows is one sum of integer
+products per class (``_gram_codes``); Schur inner products are an integer
+group-ring sum over the values' numerators.  Errors raised while a table is
+built name the group and, where there is one, the class and the row.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from functools import cached_property, reduce
+from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import numth
-from .cyclo import Cyclotomic, _make, _mapped, units
+from .cyclo import Cyclotomic, _make, _mapped, _reduction_table, cyclotomic_polynomial, units
 from .errors import BoundExceeded, ConsistencyError, TableFormatError
-from .groups import DEFAULT_ORDER_BOUND, PermGroup, Perm, compose, inverse
+from .groups import DEFAULT_ORDER_BOUND, PermGroup, Perm, inverse, right_action
 
 DEFAULT_TABLE_BOUND = 2000
 
@@ -174,6 +183,8 @@ class CharacterTable:
         self.class_reps = tuple(class_reps) if class_reps is not None else None
         self._eigen: Optional[Tuple[Tuple[Tuple[int, ...], ...], ...]] = None
         self._power_map: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._conductors: Dict[Tuple[int, ...], int] = {}
+        self._power_traces: Dict[Tuple[Tuple[int, ...], int], int] = {}
 
     def __repr__(self):
         return (
@@ -213,6 +224,30 @@ class CharacterTable:
                         )
             self._eigen = tuple(eigen)
         return self._eigen
+
+    def vector_conductor(self, vec: Tuple[int, ...]) -> int:
+        """The conductor of one eigenvalue multiplicity vector (its length
+        is its class's order), searched once per distinct vector."""
+        n = self._conductors.get(vec)
+        if n is None:
+            n = self._conductors[vec] = _vector_conductor(vec)
+        return n
+
+    def power_trace(self, vec: Tuple[int, ...], m: int) -> int:
+        """Trace to the rationals, from the level-e field (e the exponent),
+        of the sum of the m-th powers of the eigenvalues that one
+        multiplicity vector counts (its length is its class's order): each
+        zeta_t^(j m) traces to mobius(k) * totient(e) / totient(k), k its
+        order.  Computed once per distinct (vector, m)."""
+        tr = self._power_traces.get((vec, m))
+        if tr is None:
+            t, e = len(vec), self.exponent
+            tr = self._power_traces[vec, m] = sum(
+                mult * numth.trace_root_of_unity(t // math.gcd(t, j * m), e)
+                for j, mult in enumerate(vec)
+                if mult
+            )
+        return tr
 
     def degree(self, i: int) -> int:
         d = self.irreducibles[i][0].as_integer()
@@ -327,15 +362,47 @@ def integral_inner_product(a: ClassFunction, b: ClassFunction) -> int:
     return v
 
 
-def _level_terms(table: CharacterTable, vectors) -> List[List[Tuple[int, int]]]:
-    """Per class, the eigenvalues of a class function with a nonzero
-    multiplicity, as (exponent at level e, multiplicity)."""
+def _gram_codes(table: CharacterTable, rows) -> Tuple[int, List[List[int]], List[List[int]]]:
+    """The Gram pass in integers: q and, per row of multiplicity vectors
+    and per class c, u[c] = |C_c| P(2^B) and v[c] = conj(P)(2^B) mod q,
+    where P is the vector's value as a polynomial in z = zeta_e (e the
+    exponent), conj(P) that of its complex conjugate (exponents negated
+    mod e), and q = Phi_e(2^B).  So sum_c u_i[c] v_j[c] is S(2^B) mod q for
+    the group-ring sum S = |G| <chi_i, chi_j> that ``_group_ring_sum``
+    would form, and each distinct vector is encoded once.
+
+    Exact: let R be the power-basis coordinates of S - m, m an integer.
+    S(2^B) = m (mod q) iff R = 0.  As Phi_e divides S - m - R, R(2^B) is
+    S(2^B) - m mod q.  The terms of S add up to at most |G| D^2 in absolute
+    value (D the largest l1 norm of a vector), each reduces to coordinates
+    of l1 norm at most H (the largest over the rows of the reduction
+    table), and m is 0 or |G|, so |R| <= C = |G| (D^2 H + 1) coordinatewise.
+    With 2^B > 2C + 1 and 2^B > 2 phi(e), as q >= (2^B - 1)^phi:
+    |R(2^B)| < C 2^(B phi) / (2^B - 1) < (2^B - 1)^phi, so R(2^B) = 0
+    if it is 0 mod q, and then R = 0, as its lowest nonzero coordinate
+    would be a nonzero multiple of 2^B."""
     e = table.exponent
-    out = []
-    for cls, vec in zip(table.classes, vectors):
-        step = e // cls.rep_order
-        out.append([(j * step, m) for j, m in enumerate(vec) if m])
-    return out
+    orders = [cls.rep_order for cls in table.classes]
+    sizes = [cls.size for cls in table.classes]
+    distinct = {key for row in rows for key in zip(orders, row)}
+    phi, reduction = _reduction_table(e)
+    h = max(sum(map(abs, val)) for _, val in reduction)
+    d = max(sum(map(abs, vec)) for _, vec in distinct)
+    c = table.order * (d * d * h + 1)
+    shift = max((2 * c + 1).bit_length(), (2 * phi).bit_length())
+    q = sum(k << (shift * i) for i, k in enumerate(cyclotomic_polynomial(e)))
+    codes: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, int]] = {}
+    for t, vec in distinct:
+        step = e // t
+        a = b = 0
+        for j, m in enumerate(vec):
+            if m:
+                a += m << (shift * (j * step))
+                b += m << (shift * (-j * step % e))
+        codes[t, vec] = (a % q, b % q)
+    us = [[size * codes[key][0] for size, key in zip(sizes, zip(orders, row))] for row in rows]
+    vs = [[codes[key][1] for key in zip(orders, row)] for row in rows]
+    return q, us, vs
 
 
 def _value_terms(values: Sequence[Cyclotomic], level: int):
@@ -352,9 +419,9 @@ def _group_ring_sum(level: int, terms) -> List[int]:
     """sum of w u conj(v) over the (w, u, v) in ``terms``, u and v given by
     (exponent, coefficient) terms at the level, on its power basis: terms
     (x, m) and (y, n) meet at z^(x - y), in integers, and the sum is reduced
-    once, exactly, so an irrational sum is seen as one.  The Gram pass, the
-    Schur inner product and the oracle's multiplicities and induced
-    characters are all such sums."""
+    once, exactly, so an irrational sum is seen as one.  The Schur inner
+    product and the oracle's multiplicities and induced characters are all
+    such sums; the Gram pass checks the same sums by ``_gram_codes``."""
     acc = [0] * level
     for w, u, v in terms:
         for x, m in u:
@@ -365,21 +432,28 @@ def _group_ring_sum(level: int, terms) -> List[int]:
 
 
 def _row_conductor(table: CharacterTable, i: int) -> int:
-    """``conductor`` of row i from its eigenvalue multiplicities: the least
-    divisor n of the exponent such that every unit k = 1 (mod n) fixes each
-    class's vector under j -> j k (mod t)."""
-    e = table.exponent
-    columns = [(cls.rep_order, vec) for cls, vec in zip(table.classes, table.eigen[i])]
-    for n in numth.divisors(e):
+    """``conductor`` of row i from its eigenvalue multiplicities: the lcm of
+    the conductors of its class vectors.  A row is fixed by a Galois
+    exponent exactly when each of its vectors is, and the n for which every
+    unit k = 1 (mod n) fixes one vector are the multiples of the least."""
+    return math.lcm(*(table.vector_conductor(vec) for vec in table.eigen[i]))
+
+
+def _vector_conductor(vec: Tuple[int, ...]) -> int:
+    """The least divisor n of t = len(vec) such that every unit k = 1
+    (mod n) fixes the vector under j -> j k (mod t), i.e. the multiset of
+    eigenvalues it counts.  Units mod t stand for those mod the exponent,
+    which map onto them; n divides t, since n = t works."""
+    t = len(vec)
+    for n in numth.divisors(t):
         if all(
             vec[j * k % t] == m
-            for k in units(e)
+            for k in units(t)
             if (k - 1) % n == 0 and k != 1
-            for t, vec in columns
             for j, m in enumerate(vec)
         ):
             return n
-    raise ConsistencyError("conductor search failed")  # unreachable: n = e works
+    raise ConsistencyError("conductor search failed")  # unreachable: n = t works
 
 
 def galois_conjugate(chi: ClassFunction, k: int) -> ClassFunction:
@@ -442,39 +516,54 @@ def _row_reduce_mod(m: List[List[int]], ncols: int, p: int) -> List[int]:
     return pivots
 
 
-def _nullspace_mod(mat: List[List[int]], p: int) -> List[List[int]]:
-    """Basis of the kernel of a square matrix over the field with p elements."""
+def _nullspace_mod(mat: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]]:
+    """Basis of the kernel of a square matrix over the field with p elements,
+    and its free columns: basis vector k is 1 at free column k and 0 at the
+    other free columns."""
     n = len(mat)
     m = [row[:] for row in mat]
     pivots = _row_reduce_mod(m, n, p)
     basis = []
     pivot_set = set(pivots)
-    for free in range(n):
-        if free in pivot_set:
-            continue
+    frees = [free for free in range(n) if free not in pivot_set]
+    for free in frees:
         vec = [0] * n
         vec[free] = 1
         for row_i, c in enumerate(pivots):
             vec[c] = (-m[row_i][free]) % p
         basis.append(vec)
-    return basis
+    return basis, frees
+
+
+def _is_scalar_action(basis: List[List[int]], images: List[List[int]], p: int) -> bool:
+    """Whether each image is one common multiple of its basis vector, mod p:
+    then the space is one eigenspace, and needs no coordinates."""
+    b0 = basis[0]
+    k = next(k for k, x in enumerate(b0) if x)
+    lam = images[0][k] * pow(b0[k], p - 2, p) % p
+    return all(
+        w == [lam * x % p for x in b] for b, w in zip(basis, images)
+    )
 
 
 def _coords_in_basis(
-    basis: List[List[int]], images: List[List[int]], p: int, where: str
+    basis: List[List[int]], pivots: List[int], images: List[List[int]], p: int, where: str
 ) -> List[List[int]]:
-    """Coordinates of the images in the span of the given independent
-    vectors, as the matrix whose column j holds those of image j, by one row
-    reduction of the basis augmented with every image."""
-    d = len(basis)
-    aug = [
-        [b[i] for b in basis] + [w[i] for w in images] for i in range(len(basis[0]))
-    ]
-    if len(_row_reduce_mod(aug, d, p)) != d:
-        raise ConsistencyError(f"dependent basis in eigenspace splitting at {where}")
-    if any(v % p for row in aug[d:] for v in row[d:]):
-        raise ConsistencyError(f"vector left the invariant subspace at {where}")
-    return [row[d:] for row in aug[:d]]
+    """Coordinates of the images in the span of a basis that is the unit
+    basis at its pivot columns (basis[a][pivots[b]] is 1 if a = b, else 0),
+    as the matrix whose column j holds those of image j: an image's
+    coordinates are its entries at the pivot columns.  Each image is checked
+    to be that combination of the basis, i.e. to stay in the subspace."""
+    small = [[w[c] for w in images] for c in pivots]
+    for j, w in enumerate(images):
+        acc = [0] * len(w)
+        for row, b in zip(small, basis):
+            x = row[j]
+            if x:
+                acc = [u + x * y for u, y in zip(acc, b)]
+        if [u % p for u in acc] != w:
+            raise ConsistencyError(f"vector left the invariant subspace at {where}")
+    return small
 
 
 def _charpoly_mod(mat: List[List[int]], p: int) -> List[int]:
@@ -595,31 +684,57 @@ def _eigen_from_residues(
                 coef[c] = coef.get(c, 0) + z_pow[-j * a * step % e]
             dft[k].append([(c, x * inv_t % p) for c, x in coef.items()])
 
+    # The transform runs on every row at once: a class's residues, one
+    # slot of `size` bytes per row, are packed into one integer, so that a
+    # multiplicity m_j of all rows is one sum of products, and each row's
+    # reads back from its slot.  A slot holds at most t (p - 1)^2.
+    size = (max(orders) * (p - 1) ** 2).bit_length() // 8 + 1
+    packed = [
+        int.from_bytes(b"".join((vals[c] % p).to_bytes(size, "little") for _, vals in rows),
+                       "little")
+        for c in range(r)
+    ]
+    width = size * len(rows)
+    mults_at: Dict[int, List[Tuple[int, ...]]] = {}
+    for k in roots:
+        per_j = []
+        for col in dft[k]:
+            buf = sum(packed[c] * x for c, x in col).to_bytes(width, "little")
+            per_j.append([int.from_bytes(buf[i:i + size], "little") % p
+                          for i in range(0, width, size)])
+        mults_at[k] = list(zip(*per_j))
+
+    # a power class reads its vector from its root's; each distinct
+    # (root vector, power) is pushed and its residue taken once
+    pushed: Dict[Tuple[Tuple[int, ...], int], Tuple[Tuple[int, ...], int]] = {}
     out = []
     for s, (deg, vals_mod) in enumerate(rows):
         where = f"{noun} {s} of {label}"
         eigen: List[Tuple[int, ...]] = [()] * r
         for k in roots:
-            mults = []
-            for j, col in enumerate(dft[k]):
-                m_j = sum(vals_mod[c] * x for c, x in col) % p
-                if m_j > deg:
-                    raise ConsistencyError(
-                        f"eigenvalue multiplicity exceeds the degree at class"
-                        f" {k}, exponent {j}, {where}"
-                    )
-                mults.append(m_j)
+            mults = mults_at[k][s]
+            if max(mults) > deg:
+                j = next(j for j, m_j in enumerate(mults) if m_j > deg)
+                raise ConsistencyError(
+                    f"eigenvalue multiplicity exceeds the degree at class"
+                    f" {k}, exponent {j}, {where}"
+                )
             if sum(mults) != deg:
                 raise ConsistencyError(
                     f"eigenvalue multiplicities do not sum up at class {k}, {where}"
                 )
-            eigen[k] = tuple(mults)
+            eigen[k] = mults
         for k, (k0, a) in enumerate(source):
             if k0 == k:
                 continue
-            vec = _power_vector(eigen[k0], a)
-            step = e // len(vec)
-            if sum(m * z_pow[j * step] for j, m in enumerate(vec)) % p != vals_mod[k]:
+            hit = pushed.get((eigen[k0], a))
+            if hit is None:
+                vec = _power_vector(eigen[k0], a)
+                hit = pushed[eigen[k0], a] = (
+                    vec, sum(map(mul, vec, z_pow[:: e // len(vec)])) % p
+                )
+            vec, residue = hit
+            if residue != vals_mod[k]:
                 raise ConsistencyError(
                     f"power class {k} disagrees with its root class {k0}"
                     f" (power {a}) at {where}"
@@ -629,22 +744,52 @@ def _eigen_from_residues(
     return out
 
 
+def check_table_bound(order: int, bound: int = DEFAULT_TABLE_BOUND) -> None:
+    """BoundExceeded if ``compute_table`` refuses a group of this order; a
+    caller that knows the order in advance asks before building the group."""
+    if order > bound:
+        raise BoundExceeded(
+            f"table computation needs order <= {bound}, group has {order}"
+        )
+
+
+def _class_sum_columns(group: PermGroup, i: int, label: str) -> List[Tuple[Tuple[int, int], ...]]:
+    """Column k of the matrix of the class sum of class i, as its nonzero
+    entries (j, a_ijk): a_ijk counts the x in class i with x^-1 rep_k in
+    class j.  Read from one element: with x0 the representative of class i,
+    |C_k| a_ijk = |C_i| #{g in C_k : x0^-1 g in C_j}, since conjugating x0
+    to any other x in C_i permutes the g in C_k and keeps the classes; the
+    products x0^-1 g come from one ``left_row``."""
+    classes = group.conjugacy_classes()
+    cls_of = group.class_of
+    row = group.left_row(group.index[inverse(classes[i].rep)])
+    counts = Counter(zip(cls_of, [cls_of[y] for y in row]))
+    cols: List[List[Tuple[int, int]]] = [[] for _ in classes]
+    size_i = classes[i].size
+    for (k, j), n in counts.items():
+        a, rest = divmod(size_i * n, classes[k].size)
+        if rest:
+            raise ConsistencyError(
+                f"class-sum constant of classes {i}, {j} at class {k} of {label}"
+                f" is not an integer"
+            )
+        cols[k].append((j, a))
+    return [tuple(col) for col in cols]
+
+
 def compute_table(
     group: PermGroup,
     name: Optional[str] = None,
     bound: int = DEFAULT_TABLE_BOUND,
 ) -> CharacterTable:
     """Exact character table of a small permutation group."""
-    if group.order > bound:
-        raise BoundExceeded(
-            f"table computation needs order <= {bound}, group has {group.order}"
-        )
+    check_table_bound(group.order, bound)
     label = name or group.name
     classes = group.conjugacy_classes()
     r = len(classes)
     n_order = group.order
     e = group.exponent()
-    cls_of = group.class_index
+    cls_of, index = group.class_of, group.index
     sizes = [c.size for c in classes]
     orders = [c.element_order for c in classes]
 
@@ -652,25 +797,12 @@ def compute_table(
     # (class 0 is the identity class)
     powmap = []
     for ck in classes:
-        x, row = ck.rep, [0]
+        x, row, act = ck.rep, [0], right_action(ck.rep)
         for _ in range(1, ck.element_order):
-            row.append(cls_of(x))
-            x = compose(x, ck.rep)
+            row.append(cls_of[index[x]])
+            x = act(x)
         powmap.append(tuple(row))
     inv_class = [pm[-1] for pm in powmap]
-
-    def class_sum_columns(i: int) -> List[Tuple[Tuple[int, int], ...]]:
-        # column k of the class-sum matrix of class i as its nonzero entries
-        # (j, n): n counts the x in class i with x^-1 * rep_k in class j
-        inverses = [inverse(x) for x in classes[i].elements]
-        cols = []
-        for ck in classes:
-            counts: Dict[int, int] = {}
-            for y in inverses:
-                j = cls_of(compose(y, ck.rep))
-                counts[j] = counts.get(j, 0) + 1
-            cols.append(tuple(counts.items()))
-        return cols
 
     def image(cols, vec: List[int]) -> List[int]:
         out = [0] * r
@@ -684,24 +816,35 @@ def compute_table(
     w = _primitive_root(p)
     z_e = pow(w, (p - 1) // e, p)
 
-    # split the common eigenspaces of the class-sum matrices over F_p
-    spaces: List[List[List[int]]] = [
-        [[int(i == j) for j in range(r)] for i in range(r)]
-    ]
+    # split the common eigenspaces of the class-sum matrices over F_p; each
+    # space is a basis that is the unit basis at its pivot columns, and a
+    # kernel basis combined from one is again such a basis, at the pivots
+    # of its free columns, so coordinates are read, not solved for.  On the
+    # whole space, the first, they are the class-sum matrix itself.
+    unit = [[int(i == j) for j in range(r)] for i in range(r)]
+    spaces: List[Tuple[List[List[int]], List[int]]] = [(unit, list(range(r)))]
     for i in range(1, r):
-        if all(len(s) == 1 for s in spaces):
+        if all(len(basis) == 1 for basis, _ in spaces):
             break
-        cols = class_sum_columns(i)
+        cols = _class_sum_columns(group, i, label)
         where = f"class {i} of {label}"
         new_spaces = []
-        for basis in spaces:
+        for basis, pivots in spaces:
             if len(basis) == 1:
-                new_spaces.append(basis)
+                new_spaces.append((basis, pivots))
                 continue
             d = len(basis)
-            small = _coords_in_basis(
-                basis, [image(cols, b) for b in basis], p, where
-            )
+            if basis is unit:
+                small = [[0] * r for _ in range(r)]
+                for k, col in enumerate(cols):
+                    for j, n in col:
+                        small[j][k] = n % p
+            else:
+                images = [image(cols, b) for b in basis]
+                if _is_scalar_action(basis, images, p):  # no split here
+                    new_spaces.append((basis, pivots))
+                    continue
+                small = _coords_in_basis(basis, pivots, images, p, where)
             poly = _charpoly_mod(small, p)
             found = 0
             for lam in range(p):
@@ -714,7 +857,7 @@ def compute_table(
                     [(small[a][b2] - (lam if a == b2 else 0)) % p for b2 in range(d)]
                     for a in range(d)
                 ]
-                kernel = _nullspace_mod(shifted, p)
+                kernel, frees = _nullspace_mod(shifted, p)
                 sub = []
                 for vec in kernel:
                     amb = [0] * r
@@ -722,7 +865,7 @@ def compute_table(
                         if x:
                             amb = [u + x * y for u, y in zip(amb, b)]
                     sub.append([u % p for u in amb])
-                new_spaces.append(sub)
+                new_spaces.append((sub, [pivots[f] for f in frees]))
                 found += len(kernel)
                 if found == d:
                     break
@@ -732,12 +875,12 @@ def compute_table(
                     f" eigenspaces of dimension {found} in a space of {d}"
                 )
         spaces = new_spaces
-    if any(len(s) != 1 for s in spaces):
+    if any(len(basis) != 1 for basis, _ in spaces):
         raise ConsistencyError(f"common eigenspaces did not become lines for {label}")
 
     inv_sizes = [pow(s, p - 2, p) for s in sizes]
     residues = []
-    for s, basis in enumerate(spaces):
+    for s, (basis, _) in enumerate(spaces):
         where = f"unsorted row {s} of {label}"
         v = basis[0]
         if v[0] % p == 0:
@@ -882,14 +1025,24 @@ def _validate(table: CharacterTable) -> None:
         eigen = table.eigen
     except ConsistencyError as exc:
         fail(str(exc))
-    # one pass over sparse class vectors, built once per row: |G| <u, v>
-    sizes = [cls.size for cls in table.classes]
-    terms = [_level_terms(table, row) for row in eigen]
-    r = len(terms)
+    # |G| <chi_i, chi_j> as one residue per pair: a sum of one integer
+    # product per class (``_gram_codes``), which is |G| delta_ij exactly
+    # when the residue says so.  The v of all rows are packed per class, one
+    # slot of `size` bytes a row, so that row i meets every row in one sum;
+    # a slot holds at most sum_c |C_c| (q - 1)^2 = |G| (q - 1)^2.
+    q, us, vs = _gram_codes(table, eigen)
+    n = table.order
+    r = len(us)
+    size = (n * (q - 1) ** 2).bit_length() // 8 + 1
+    packed = [
+        int.from_bytes(b"".join(v[c].to_bytes(size, "little") for v in vs), "little")
+        for c in range(len(table.classes))
+    ]
     for i in range(r):
+        buf = sum(map(mul, us[i], packed)).to_bytes(size * r, "little")
         for j in range(i, r):
-            got = _group_ring_sum(e, zip(sizes, terms[i], terms[j]))
-            if got[0] != (table.order if i == j else 0) or any(got[1:]):
+            got = int.from_bytes(buf[j * size:(j + 1) * size], "little")
+            if (got - (n if i == j else 0)) % q:
                 fail(f"row orthogonality of characters {i} and {j}")
     # Column orthogonality needs no check of its own: the table is square, so
     # with D the diagonal of class sizes, X D X* = |G| I makes X invertible

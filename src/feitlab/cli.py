@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from functools import lru_cache
 from pathlib import Path
@@ -172,6 +171,9 @@ def cmd_corpus(args) -> int:
     fmt = args.format or doc.get("format", "json")
     payloads = [(e, bound) for e in entries]
     if args.jobs > 1:
+        # imported here: multiprocessing costs every other command its import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(_corpus_worker, payloads))
     else:

@@ -5,12 +5,16 @@ subgroups, and monomial pairs.
 Permutations are tuples of images of 0..degree-1; the product a * b is
 function composition (b first), so conjugation relabels points the usual
 way.  This module is the one place that numbers a group's elements: in
-sorted order, 0..|G|-1, with multiplication and inverse tables built on
-first use.  Subgroups are bitmasks over those numbers, and linear
-characters are exponent tuples over a subgroup's members in increasing
-order; the oracle in ``brauer`` reads them as they are.  Groups are
-immutable once built; every cached query is pure, so concurrent reads are
-safe.
+sorted order, 0..|G|-1.  The enumeration keeps, for each generator g, the
+table x -> x*g on those numbers, and its search tree; every product the
+table build needs is read from them (``PermGroup.left_row``), conjugacy
+classes included; only the powers of class representatives are formed as
+tuples.  The full multiplication and inverse tables are built on first
+use, for the subgroup lattice and the oracle.  Subgroups are bitmasks over
+the numbers, and linear characters are exponent tuples over a subgroup's
+members in increasing order; the oracle in ``brauer`` reads them as they
+are.  Groups are immutable once built; every cached query is pure, so
+concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ import math
 import re
 from bisect import bisect_left
 from functools import cached_property, reduce
+from operator import itemgetter
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
 from . import numth
@@ -67,12 +72,19 @@ def perm_power(a: Perm, m: int) -> Perm:
     return out
 
 
+def right_action(g: Perm) -> Callable[[Perm], Perm]:
+    """x -> x*g, the same as ``compose(x, g)``, as one C-level item lookup
+    per point."""
+    return itemgetter(*g) if len(g) > 1 else (lambda x: (x[g[0]],))
+
+
 def perm_order(a: Perm) -> int:
     n = 1
     x = a
     ident = identity_perm(len(a))
+    act = right_action(a)
     while x != ident:
-        x = compose(x, a)
+        x = act(x)
         n += 1
     return n
 
@@ -111,29 +123,47 @@ def perm_from_cycles(cycles: Sequence[Sequence[int]], degree: int) -> Perm:
     return tuple(out)
 
 
-def _closure(degree: int, seed: Iterable[Perm], bound: Optional[int] = None) -> FrozenSet[Perm]:
-    """Closure of a set of permutations under products (BFS)."""
-    gens = [g for g in seed if g != identity_perm(degree)]
-    found = {identity_perm(degree)}
-    frontier = []
-    for g in gens:
-        if g not in found:
-            found.add(g)
-            frontier.append(g)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = compose(x, g)
-                if y not in found:
-                    found.add(y)
-                    nxt.append(y)
-                    if bound is not None and len(found) > bound:
-                        raise BoundExceeded(
-                            f"group order exceeds the bound {bound}"
-                        )
-        frontier = nxt
-    return frozenset(found)
+def _closure(
+    degree: int, gens: Sequence[Perm], bound: Optional[int] = None
+) -> Tuple[Tuple[Perm, ...], Dict[Perm, int], List[List[int]], List[Tuple[int, int, int]]]:
+    """The group the permutations ``gens`` generate, by a breadth-first
+    search from the identity that forms x*g for every element x and
+    generator g, and keeps what it forms.  Returns the elements in sorted
+    order, the number of each (its place there), the right-multiplication
+    table of each generator, ``right[s][x]`` = the number of x*gens[s], and
+    the search tree as (x, p, s) with x = p*gens[s], parents before
+    children.  BoundExceeded as soon as more than ``bound`` elements are
+    found."""
+    ident = identity_perm(degree)
+    found = {ident: 0}
+    elems = [ident]
+    acts = [right_action(g) for g in gens]
+    right: List[List[int]] = [[] for _ in gens]
+    tree = []
+    for x, perm in enumerate(elems):
+        for s, act in enumerate(acts):
+            y = act(perm)
+            z = found.get(y)
+            if z is None:
+                z = found[y] = len(elems)
+                elems.append(y)
+                tree.append((z, x, s))
+                if bound is not None and len(elems) > bound:
+                    raise BoundExceeded(f"group order exceeds the bound {bound}")
+            right[s].append(z)
+    # renumber in sorted order; the identity stays 0
+    order = sorted(range(len(elems)), key=elems.__getitem__)
+    rank = [0] * len(elems)
+    for new, old in enumerate(order):
+        rank[old] = new
+    for perm, old in found.items():
+        found[perm] = rank[old]
+    return (
+        tuple(elems[old] for old in order),
+        found,
+        [[rank[row[old]] for old in order] for row in right],
+        [(rank[x], rank[p], s) for x, p, s in tree],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +171,15 @@ def _closure(degree: int, seed: Iterable[Perm], bound: Optional[int] = None) -> 
 
 
 class ConjugacyClass:
-    """One conjugacy class: the lexicographically least member represents it."""
+    """One conjugacy class: the numbers of its members in increasing order,
+    and the least member, which represents it."""
 
-    __slots__ = ("rep", "element_order", "size", "elements")
+    __slots__ = ("rep", "element_order", "size", "members")
 
-    def __init__(self, elements: Iterable[Perm]):
-        elems = tuple(sorted(elements))
-        self.elements = elems
-        self.rep = elems[0]
-        self.size = len(elems)
+    def __init__(self, elements: Sequence[Perm], members: Iterable[int]):
+        self.members = tuple(sorted(members))
+        self.rep = elements[self.members[0]]
+        self.size = len(self.members)
         self.element_order = perm_order(self.rep)
 
     def __repr__(self):
@@ -165,9 +195,12 @@ class PermGroup:
 
     Its elements are numbered 0..|G|-1 in the order of ``elements``, which
     is sorted, so the identity is 0 and index order is element order.  The
-    multiplication and inverse tables on those numbers are built on first
-    use; only the subgroup lattice and the oracle need them, and both are
-    bounded in the group order."""
+    enumeration keeps the right-multiplication table of each generator and
+    its search tree, which give ``left_row``: the products h*x of one
+    element with all.  Conjugacy classes and the class sums of ``chartab``
+    are read from them.  The full multiplication and inverse tables are
+    built on first use; only the subgroup lattice and the oracle need them,
+    and both are bounded in the group order."""
 
     def __init__(
         self,
@@ -187,13 +220,14 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(dict.fromkeys(g for g in gens))
         self.name = name or "group"
-        self.elements: Tuple[Perm, ...] = tuple(
-            sorted(_closure(degree, self.generators, order_bound))
+        # index: the number of each element, its place in ``elements``
+        self.elements, self.index, self._right, self._tree = _closure(
+            degree, self.generators, order_bound
         )
         self.order = len(self.elements)
         self.identity = identity_perm(degree)
         self._classes: Optional[Tuple[ConjugacyClass, ...]] = None
-        self._class_of: Optional[Dict[Perm, int]] = None
+        self._class_of: Optional[Tuple[int, ...]] = None
         self._subgroups: Optional[Tuple["Subgroup", ...]] = None
         # the oracle's MonomialContext of this group once built (brauer
         # owns its contents); it lives and dies with the group, and
@@ -206,18 +240,21 @@ class PermGroup:
     def __contains__(self, g: Perm) -> bool:
         return g in self.index
 
-    @cached_property
-    def index(self) -> Dict[Perm, int]:
-        """The number of each element: its place in ``elements``."""
-        return {g: i for i, g in enumerate(self.elements)}
+    def left_row(self, h: int) -> List[int]:
+        """``left_row(h)[x]``: the number of h*x, for every element x, by one
+        lookup per element along the search tree: x = p*g gives
+        h*x = (h*p)*g."""
+        row = [0] * self.order
+        row[0] = h
+        right = self._right
+        for x, p, s in self._tree:
+            row[x] = right[s][row[p]]
+        return row
 
     @cached_property
     def mul(self) -> Tuple[Tuple[int, ...], ...]:
         """``mul[a][b]``: the number of the product of elements a and b."""
-        pos = self.index
-        return tuple(
-            tuple(pos[compose(a, b)] for b in self.elements) for a in self.elements
-        )
+        return tuple(tuple(self.left_row(a)) for a in range(self.order))
 
     @cached_property
     def inv(self) -> Tuple[int, ...]:
@@ -241,34 +278,45 @@ class PermGroup:
         return mask
 
     def conjugacy_classes(self) -> Tuple[ConjugacyClass, ...]:
+        """The classes, sorted by element order, size and representative:
+        the orbits of conjugation by the generators, y -> g^-1 y g read as
+        (g^-1 y) g from ``left_row`` and the table of g."""
         if self._classes is None:
-            seen = set()
+            n = self.order
+            conj = [
+                [right[y] for y in self.left_row(self.index[inverse(g)])]
+                for g, right in zip(self.generators, self._right)
+            ]
+            seen = [False] * n
             classes = []
-            gens = self.generators or (self.identity,)
-            for x in self.elements:
-                if x in seen:
+            for x in range(n):
+                if seen[x]:
                     continue
-                orbit = {x}
-                frontier = [x]
-                while frontier:
-                    y = frontier.pop()
-                    for g in gens:
-                        z = conjugate_perm(g, y)
-                        if z not in orbit:
-                            orbit.add(z)
-                            frontier.append(z)
-                seen |= orbit
-                classes.append(ConjugacyClass(orbit))
+                seen[x] = True
+                orbit = [x]
+                for y in orbit:
+                    for row in conj:
+                        z = row[y]
+                        if not seen[z]:
+                            seen[z] = True
+                            orbit.append(z)
+                classes.append(ConjugacyClass(self.elements, orbit))
             classes.sort(key=lambda c: (c.element_order, c.size, c.rep))
-            self._classes = tuple(classes)
-            self._class_of = {
-                g: i for i, c in enumerate(classes) for g in c.elements
-            }
+            class_of = [0] * n
+            for i, c in enumerate(classes):
+                for x in c.members:
+                    class_of[x] = i
+            self._classes, self._class_of = tuple(classes), tuple(class_of)
         return self._classes
 
-    def class_index(self, g: Perm) -> int:
+    @property
+    def class_of(self) -> Tuple[int, ...]:
+        """``class_of[x]``: the class of element number x."""
         self.conjugacy_classes()
-        return self._class_of[g]
+        return self._class_of
+
+    def class_index(self, g: Perm) -> int:
+        return self.class_of[self.index[g]]
 
     def exponent(self) -> int:
         return reduce(
@@ -675,13 +723,24 @@ def from_spec(spec: str) -> PermGroup:
     DEFAULT_ORDER_BOUND.  A perm: spec (alone or as a factor) names no order
     in advance; its enumeration stops at the bound instead, and a point above
     the bound is a malformed spec."""
+    return _admitted_spec(spec)[0]()
+
+
+def spec_order(spec: str) -> Optional[int]:
+    """The order of the group a spec names, worked out from the spec alone
+    (None where a perm: spec is involved), so that a caller can refuse a
+    group before it is built.  Raises as ``from_spec`` does."""
+    return _admitted_spec(spec)[1]
+
+
+def _admitted_spec(spec: str) -> Tuple[Callable[[], PermGroup], Optional[int]]:
     build, order = _parse_spec(spec.strip())
     if order is not None and order > DEFAULT_ORDER_BOUND:
         raise BoundExceeded(
             f"group spec {spec!r} names a group of order above the bound"
             f" {DEFAULT_ORDER_BOUND}"
         )
-    return build()
+    return build, order
 
 
 def _capped_product(factors: Iterable[int]) -> int:
@@ -755,16 +814,20 @@ def _parse_spec(spec: str) -> Tuple[Callable[[], PermGroup], Optional[int]]:
               "only the order-27 extraspecial preset is bundled")
         return extraspecial_27, 27
     if head == "perm":
-        cycles = [
-            tuple(int(x) for x in m.group(1).split(","))
-            for m in _CYCLE_RE.finditer(rest)
-        ]
+        points = f"cycles need distinct points in 1..{DEFAULT_ORDER_BOUND}"
+        try:
+            cycles = [
+                tuple(int(x) for x in m.group(1).split(","))
+                for m in _CYCLE_RE.finditer(rest)
+            ]
+        except ValueError:  # a point too long for int() to read
+            raise SpecError(f"malformed group spec {spec!r}: {points}") from None
         check(bool(cycles), "no cycles found")
         # a point above the bound names a degree no bundled group reaches,
         # refused before a permutation of that degree is built
         check(all(min(c) >= 1 and max(c) <= DEFAULT_ORDER_BOUND and len(set(c)) == len(c)
                   for c in cycles),
-              f"cycles need distinct points in 1..{DEFAULT_ORDER_BOUND}")
+              points)
         degree = max(max(c) for c in cycles)
         gens = [perm_from_cycles([c], degree) for c in cycles]
         return (lambda: PermGroup(gens, degree=degree, name=spec)), None

@@ -17,13 +17,14 @@ from typing import Dict, List, Optional, Tuple
 from . import adams, brauer, numth
 from .chartab import (
     CharacterTable,
+    check_table_bound,
     compute_table,
     inner_product,
     load_table,
     save_table,
 )
 from .errors import TableFormatError
-from .groups import SPEC_HEADS, from_spec, perm_order
+from .groups import SPEC_HEADS, from_spec, perm_order, spec_order
 
 C_SMALL: Tuple[str, ...] = tuple(
     [f"cyclic:{n}" for n in range(1, 13)]
@@ -76,7 +77,11 @@ def _spec_table(entry: str) -> CharacterTable:
     """The table of a spec, built once per process while it stays among
     the most recent ``TABLE_CACHE_SIZE``.  It is keyed by the spec string,
     so it carries the name it was asked for; a spec that fails raises and
-    is not kept."""
+    is not kept.  A spec whose order is known in advance and is above the
+    table bound is refused before its group is built."""
+    order = spec_order(entry)
+    if order is not None:
+        check_table_bound(order)
     return compute_table(from_spec(entry), name=entry)
 
 

@@ -1,11 +1,21 @@
 """Element-level references for the indexed groups, kept in tests only: a
-subgroup lattice, a commutator subgroup, and the restriction, conjugation
-and order of monomial pairs, all on permutation tuples; and the Schur inner
-product in cyclotomic arithmetic, the reference for the integer sums."""
+subgroup lattice, a commutator subgroup, conjugacy classes, class-sum
+constants, and the restriction, conjugation and order of monomial pairs,
+all on permutation tuples; and the Schur inner product in cyclotomic
+arithmetic, the reference for the integer sums."""
+
+from collections import Counter
 
 from feitlab import groups
 from feitlab.cyclo import Cyclotomic
-from feitlab.groups import LinearChar, MonomialPair, compose, conjugate_perm, inverse
+from feitlab.groups import (
+    LinearChar, MonomialPair, compose, conjugate_perm, inverse, perm_order,
+)
+
+
+def _closed(degree, seed):
+    """The elements the permutations in ``seed`` generate, as a set."""
+    return frozenset(groups._closure(degree, list(seed))[0])
 
 
 def closure_subgroups(group):
@@ -19,7 +29,7 @@ def closure_subgroups(group):
         for g in group.elements:
             if g in h:
                 continue
-            k = groups._closure(group.degree, set(h) | {g})
+            k = _closed(group.degree, set(h) | {g})
             if k not in found:
                 found.add(k)
                 queue.append(k)
@@ -33,7 +43,42 @@ def derived_elements(sub):
         for a in sub.elements
         for b in sub.elements
     }
-    return groups._closure(sub.parent.degree, comms)
+    return _closed(sub.parent.degree, comms)
+
+
+def tuple_conjugacy_classes(group):
+    """The classes as tuples of elements in increasing order, in the order
+    of ``conjugacy_classes``: the orbits of y -> g y g^-1 over the
+    generators g, sorted by element order, size and least element."""
+    seen, classes = set(), []
+    for x in group.elements:
+        if x in seen:
+            continue
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for g in group.generators:
+                z = conjugate_perm(g, y)
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    classes.sort(key=lambda c: (perm_order(c[0]), len(c), c[0]))
+    return classes
+
+
+def class_sum_columns(group, i):
+    """Column k of the class-sum matrix of class i as {j: a_ijk}, a_ijk
+    counted over the whole class: the x in class i with x^-1 rep_k in class
+    j."""
+    classes = group.conjugacy_classes()
+    members = [group.elements[x] for x in classes[i].members]
+    return [
+        Counter(group.class_index(compose(inverse(x), ck.rep)) for x in members)
+        for ck in classes
+    ]
 
 
 def restrict(phi, sub):

@@ -109,6 +109,25 @@ def test_library_calls_refuse_a_chi_outside_the_rows(chi):
             call()
 
 
+def test_witness_and_equivalences_refuse_a_non_positive_n():
+    t = table("sym:3")
+    for call in (
+        lambda: eigenvalue_order_witness(t, 0, 0),
+        lambda: brauer.check_equivalences(t, 0, 0),
+        lambda: eigenvalue_order_witness(t, 0, -2),
+    ):
+        with pytest.raises(UsageError, match=r"^n = -?\d+ must be positive$"):
+            call()
+
+
+@pytest.mark.parametrize("c", [5, -9, -1, 3])
+def test_eigenvalue_multiplicities_refuse_a_class_outside_the_table(c):
+    # -1 used to read the last class silently
+    t = table("sym:3")
+    with pytest.raises(UsageError, match=r"^class c must be in 0\.\.2$"):
+        eigenvalue_multiplicities(t, 0, c)
+
+
 def test_alternating_adams_character_refuses_a_non_divisor():
     t = table("sym:3")
     with pytest.raises(UsageError, match="n = 4 must be positive and divide the exponent 6"):

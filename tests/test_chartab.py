@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -16,7 +17,9 @@ from feitlab.chartab import (
 )
 from feitlab.cyclo import Cyclotomic, zeta
 from feitlab.errors import BoundExceeded, ConsistencyError, TableFormatError
-from group_references import cyclotomic_inner_product
+from group_references import (
+    class_sum_columns, cyclotomic_inner_product, tuple_conjugacy_classes,
+)
 
 
 def table(spec):
@@ -516,6 +519,30 @@ FEIT_POOL = (
 )
 
 
+def test_classes_from_generator_tables_match_tuple_conjugation():
+    for spec in runner.C_SMALL + FEIT_POOL:
+        g = groups.from_spec(spec)
+        got = [tuple(g.elements[x] for x in c.members) for c in g.conjugacy_classes()]
+        assert got == tuple_conjugacy_classes(g), spec
+        assert [c.rep for c in g.conjugacy_classes()] == [c[0] for c in got], spec
+
+
+def test_class_sums_from_one_element_match_the_whole_class():
+    for spec in runner.C_SMALL + FEIT_POOL:
+        g = groups.from_spec(spec)
+        for i in range(len(g.conjugacy_classes())):
+            got = [dict(col) for col in chartab._class_sum_columns(g, i, spec)]
+            assert got == class_sum_columns(g, i), (spec, i)
+
+
+def test_left_rows_are_the_products():
+    for spec in ("sym:4", "product:sym:3,cyclic:5", "quaternion:8", "cyclic:1"):
+        g = groups.from_spec(spec)
+        for h in range(g.order):
+            want = [g.index[groups.compose(g.elements[h], x)] for x in g.elements]
+            assert g.left_row(h) == want, (spec, h)
+
+
 def test_table_routes_build_no_multiplication_table():
     # the element tables serve the subgroup lattice and the oracle; what
     # `feit` and `s` run never builds them, up to sym:6 in the feit pool
@@ -527,10 +554,19 @@ def test_table_routes_build_no_multiplication_table():
         assert not {"mul", "inv"} & set(vars(t.group)), spec
 
 
+def _level_terms(t, vectors):
+    """Per class, the (exponent at level e, multiplicity) terms of a vector."""
+    return [
+        [(j * (t.exponent // cls.rep_order), m) for j, m in enumerate(vec) if m]
+        for cls, vec in zip(t.classes, vectors)
+    ]
+
+
 def _scaled_inner_product(t, u, v):
-    """|G| * <u, v> from eigenvalue multiplicity vectors, in integers, as
-    the Gram pass of ``_validate`` computes it."""
-    us, vs = chartab._level_terms(t, u), chartab._level_terms(t, v)
+    """|G| * <u, v> from eigenvalue multiplicity vectors, in integers, on
+    the power basis at the exponent: the sum the Gram pass of ``_validate``
+    checks."""
+    us, vs = _level_terms(t, u), _level_terms(t, v)
     sizes = [cls.size for cls in t.classes]
     return chartab._group_ring_sum(t.exponent, zip(sizes, us, vs))
 
@@ -572,6 +608,39 @@ def test_scaled_inner_product_of_arbitrary_vectors():
             )
             got = Cyclotomic(t.exponent, _scaled_inner_product(t, u, v))
             assert got == t.order * cyclotomic_inner_product(a, b), spec
+
+
+def test_gram_codes_decide_the_group_ring_sums():
+    # a pair's residue is 0 (|G| on the diagonal) exactly when its group-ring
+    # sum is: on table rows, on rows with one eigenvalue moved (some sums
+    # are then off only in their irrational coordinates) and on signed
+    # random vectors
+    rng = random.Random(7)
+    for spec in ("cyclic:5", "dihedral:12", "sl2:3", "alt:5", "sym:5", "elementary:3,3"):
+        t = table(spec)
+        rows = list(t.eigen)
+        r = t.num_classes
+        moved = []
+        for _ in range(10):
+            i, c = rng.randrange(r), rng.randrange(1, r)
+            vec = list(rows[i][c])
+            vec[rng.choice([k for k, m in enumerate(vec) if m])] -= 1
+            vec[rng.randrange(len(vec))] += 1
+            moved.append(rows[i][:c] + (tuple(vec),) + rows[i][c + 1:])
+        signed = [
+            tuple(tuple(rng.randrange(-2, 3) for _ in range(cls.rep_order))
+                  for cls in t.classes)
+            for _ in range(5)
+        ]
+        rows += moved + signed
+        q, us, vs = chartab._gram_codes(t, rows)
+        for x, u in enumerate(rows):
+            for y, v in enumerate(rows):
+                got = _scaled_inner_product(t, u, v)
+                for m in (0, t.order):
+                    want = got == [m] + [0] * (len(got) - 1)
+                    assert ((sum(map(mul, us[x], vs[y])) - m) % q == 0) == want, \
+                        (spec, x, y, m)
 
 
 def _with_vector(t, eigen, i, c, vec):
@@ -1000,7 +1069,7 @@ def test_charpoly_roots_are_the_eigenvalues():
                 for a, row in enumerate(mat)
             ]
             assert (_at(poly, lam, p) == 0) == bool(
-                chartab._nullspace_mod(shifted, p)
+                chartab._nullspace_mod(shifted, p)[0]
             ), (mat, p, lam)
 
 

@@ -101,6 +101,38 @@ def test_perm_point_above_the_bound_is_a_usage_error(capsys, monkeypatch):
     assert "malformed group spec" in err and "10080" in err
 
 
+def test_perm_point_too_long_to_read_is_a_usage_error(capsys):
+    # int() refuses a string of more than 4300 digits with a ValueError
+    code, out, err = run_cli(capsys, "table", "perm:[(1," + "9" * 5000 + ")]")
+    assert code == 2 and out == ""
+    assert "malformed group spec" in err and "ValueError" not in err
+
+
+def test_a_table_above_the_bound_is_refused_before_its_group_is_built(
+    capsys, monkeypatch
+):
+    def enumerate_elements(*args, **kwargs):
+        raise AssertionError("the group was enumerated")
+
+    monkeypatch.setattr(feitlab.groups, "_closure", enumerate_elements)
+    code, out, err = run_cli(capsys, "s", "cyclic:4000", "--chi", "0", "--n", "1")
+    assert code == 1 and out == ""
+    assert "table computation needs order <= 2000, group has 4000" in err
+
+
+def test_importing_the_cli_imports_no_multiprocessing():
+    # only `corpus --jobs N` with N > 1 starts a pool
+    probe = "import sys, feitlab.cli; print('multiprocessing' in sys.modules)"
+    src = str(Path(feitlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        timeout=60, check=True,
+    ).stdout
+    assert out.strip() == "False"
+
+
 def test_s_json(capsys):
     code, out, _ = run_cli(capsys, "s", "cyclic:4", "--chi", "0", "--n", "2", "--json")
     assert code == 0

@@ -324,6 +324,24 @@ def test_from_spec_admits_orders_up_to_the_bound(monkeypatch):
         from_spec("cyclic:10080")
 
 
+def test_spec_order_is_the_order_without_building(monkeypatch):
+    specs = ("cyclic:12", "sym:4", "alt:5", "dihedral:8", "quaternion:8", "sl2:3",
+             "elementary:3,2", "extraspecial:27", "product:sym:3,cyclic:2")
+    built = {spec: from_spec(spec).order for spec in specs}
+
+    def enumerate_elements(*args, **kwargs):
+        raise AssertionError("the group was enumerated")
+
+    monkeypatch.setattr(groups, "_closure", enumerate_elements)
+    assert {spec: groups.spec_order(spec) for spec in specs} == built
+    assert groups.spec_order("cyclic:4000") == 4000
+    assert groups.spec_order("product:cyclic:2,perm:[(1,2)]") is None
+    with pytest.raises(BoundExceeded):
+        groups.spec_order("sym:9")
+    with pytest.raises(SpecError):
+        groups.spec_order("cyclic:x")
+
+
 def test_perm_spec_big():
     s5 = from_spec("perm:[(1,2,3,4,5),(1,2)]")
     assert s5.order == 120
