@@ -7,18 +7,19 @@ induction formula", Asterisque 181-182, 1990) are P. Hall's Moebius
 function of the poset ("The Eulerian functions of a group", 1936),
 computed by Hall's recursion over intervals; the signed counts of chain
 orbits follow by Burnside's lemma from the Moebius functions of the
-fixed-point subposets.  The canonical induction coefficients are then
-exact integer data, and the fast Adams-route invariant can be
-cross-checked coefficient by coefficient.  Multiplicities and induced
-characters are both read from each pair's class counts and the table's
-values, as integer group-ring sums, never from the Adams route.  Bounded to
-small groups (order <= 60).  The poset reads the indexed form of its group
-from ``groups``: elements numbered 0..|G|-1 with their multiplication and
+fixed-point subposets.  Multiplicities and induced characters are read
+from each pair's class counts and the table's values, as integer
+group-ring sums, never from the Adams route.  A table's rows are served at
+once: their multiplicities on every pair (M, once per table), their
+coefficients on a context (A, the chain sums of M's columns) and, for a
+subgroup U, each orbit's restriction to U-orbits by double cosets (R), so
+that restriction is checked as R A_G == A_U.  Bounded to small groups
+(order <= 60).  The poset reads the indexed form of its group from
+``groups``: elements numbered 0..|G|-1 with their multiplication and
 inverse tables, subgroups as bitmasks, and characters as exponent tuples
 over their members; conjugation is an index permutation of the pairs.  A
-character enters only as its class row.  Its restriction to a subgroup U is
-served by ``sub=U``: U's poset is the down-set of the group's, and it reads
-the group's row through the group's classes.
+character enters only as its class row; U's poset is the down-set of the
+group's, and it reads the group's rows through the group's classes.
 """
 
 from __future__ import annotations
@@ -198,23 +199,15 @@ class _IndexedPoset:
             frontier = nxt
         self.act = tuple(act)
 
-        # cls[x]: the class of element x; meets[s]: the classes subgroup s
-        # meets.  Every context on the poset reads rows over these classes:
-        # <chi|_H, phi> does not depend on whose classes sort H's elements.
+        # cls[x]: the class of element x.  Every context on the poset reads
+        # rows over these classes: <chi|_H, phi> does not depend on whose
+        # classes sort H's elements.
         self.cls = group.class_of
-        self.meets = tuple(
-            tuple(sorted({self.cls[x] for x in mem})) for mem in self.members
-        )
         self.exponent = group.exponent()
         self._counts: Dict[int, Dict[int, Tuple[Tuple[int, tuple], ...]]] = {}
-        # the multiplicities of each subgroup's characters in each class
-        # function, keyed by the function's values on the classes the
-        # subgroup meets; shared by every context on this poset
-        self.mult_memo: Dict[tuple, Tuple[int, ...]] = {}
-
-    @cached_property
-    def cyclic(self) -> Tuple[bool, ...]:
-        return tuple(h.is_cyclic() for h in self.subgroups)
+        # M of the last table served: its rows, and their multiplicities on
+        # every pair, read by every context on the poset
+        self.mults: Tuple[Optional[tuple], Tuple[Tuple[int, ...], ...]] = (None, ())
 
     def counts(self, j: int, level: int) -> Tuple[Tuple[int, tuple], ...]:
         """(c, terms) over the classes c that pair j's subgroup meets, with
@@ -232,7 +225,8 @@ class _IndexedPoset:
 class MonomialContext:
     """The monomial poset of one group with its conjugation action, orbits,
     Moebius function (the signed chain counts) and the signed counts of
-    chain orbits, and the multiplicity of every pair in a class function.
+    chain orbits, the multiplicity of every pair in a class function, and
+    the coefficients (A) and the flags of the rows of the last table served.
 
     Built on the indexed poset of the group itself, or, for a subgroup U of
     a larger group G, on G's poset: U's poset is the down-set of the pairs
@@ -243,10 +237,10 @@ class MonomialContext:
         self.group = group
         self.poset = P = poset or _IndexedPoset(group)
         # the group's elements, in the numbering of the poset's group
-        umask = sum(1 << P.index[x] for x in group.elements)
-        self._subs = tuple(s for s, m in enumerate(P.masks) if m | umask == umask)
-        glob = tuple(j for s in self._subs for j in P.chars_of[s])
-        self._glob = glob
+        self._members = tuple(P.index[x] for x in group.elements)
+        self._mask = umask = sum(1 << x for x in self._members)
+        subs = (s for s, m in enumerate(P.masks) if m | umask == umask)
+        self._glob = glob = tuple(j for s in subs for j in P.chars_of[s])
         self.pairs = tuple(P.pairs[j] for j in glob)
         self.orders = tuple(P.orders[j] for j in glob)
         if len(glob) == len(P.pairs):
@@ -274,12 +268,15 @@ class MonomialContext:
                 self.orbit_size[a] = len(orbit)
         self.orbit_rep = tuple(orbit_rep)
         self._down_sets: Dict[int, MonomialContext] = {}
-        # _poset_data's flags, per class function given by its class values
-        self._flags: Dict[tuple, Tuple[List[bool], ...]] = {}
+        # the rows of the last table served, their M and A, and their flags
+        # by row; on a down-set, R by pair and the double coset
+        # representatives by subgroup
+        self._rows, self._mults, self._coeffs, self._flags = None, (), (), {}
+        self._restrictions: Dict[int, Dict[int, int]] = {}
+        self._cosets: Dict[int, List[int]] = {}
 
     def down_set(self, sub: Subgroup) -> "MonomialContext":
-        """The context of a subgroup of the poset's group, as a down-set of
-        the same poset; owned by this context."""
+        """The context of a subgroup, as a down-set of the poset; kept here."""
         ctx = self._down_sets.get(sub.mask)
         if ctx is None:
             ctx = self._down_sets[sub.mask] = MonomialContext(sub.as_group(), self.poset)
@@ -358,10 +355,19 @@ class MonomialContext:
         return out
 
     @cached_property
+    def orbit_weights(self) -> Dict[int, List[Tuple[int, int]]]:
+        """``orbit_chain_weight`` by the top's orbit representative."""
+        out: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
+        for (rep0, top), w in self.orbit_chain_weight.items():
+            out[top].append((rep0, w))
+        return out
+
+    @cached_property
     def cyclic(self) -> Tuple[bool, ...]:
         """Whether each pair's subgroup is cyclic, computed on first use."""
-        cyc = self.poset.cyclic
-        return tuple(cyc[self.poset.psub[j]] for j in self._glob)
+        P = self.poset
+        cyc = {s: P.subgroups[s].is_cyclic() for s in {P.psub[j] for j in self._glob}}
+        return tuple(cyc[P.psub[j]] for j in self._glob)
 
     def _multiplicity(self, j: int, terms: Sequence[list], level: int, den: int) -> int:
         """<chi|_H, phi> for the poset's pair j, as the group-ring sum
@@ -372,35 +378,108 @@ class MonomialContext:
         den *= len(P.members[P.psub[j]])
         out, r = divmod(sums[0], den)
         if r or any(sums[1:]):
-            raise ConsistencyError(
-                f"non-integral character multiplicity {_make(level, sums, den)}"
-                f" at {P.pairs[j]!r} of {self.group.name}"
-            )
+            raise ConsistencyError(f"non-integral character multiplicity {_make(level, sums, den)}"
+                                   f" at {P.pairs[j]!r} of {self.group.name}")
         return out
 
     def multiplicities(self, row: Sequence[Cyclotomic]) -> Tuple[int, ...]:
         """<chi|_H, phi> for every pair (H, phi), with chi the class function
         given by its row over the classes of the poset's group (for a
-        down-set, the larger group's).  The poset keeps them per subgroup and
-        per values on the classes it meets, so each is computed once for all
-        the contexts on the poset."""
-        keys = [(v.level, v.nums, v.den) for v in row]
+        down-set, the larger group's)."""
+        level = math.lcm(self.poset.exponent, *(v.level for v in row))
+        terms, den = _value_terms(row, level)
+        return tuple([self._multiplicity(j, terms, level, den) for j in self._glob])
+
+    def _table_multiplicities(self, rows: Tuple[tuple, ...]) -> Tuple[Tuple[int, ...], ...]:
+        """M: every row's multiplicity on every pair of the poset; rows that
+        agree on the classes a subgroup meets share its characters' ones."""
         P = self.poset
-        memo, meets = P.mult_memo, P.meets
-        out: List[int] = []
-        terms = None  # chi's terms, built at the first subgroup not memoized
-        for s in self._subs:
-            key = (s, tuple([keys[c] for c in meets[s]]))
-            mults = memo.get(key)
-            if mults is None:
-                if terms is None:
-                    level = math.lcm(P.exponent, *(v.level for v in row))
-                    terms, den = _value_terms(row, level)
-                mults = memo[key] = tuple(
-                    self._multiplicity(j, terms, level, den) for j in P.chars_of[s]
-                )
-            out.extend(mults)
-        return tuple(out)
+        level = math.lcm(P.exponent, *(v.level for row in rows for v in row))
+        ids: Dict[tuple, int] = {}  # (row's den, value's terms) -> a small id
+        data = []
+        for row in rows:
+            terms, den = _value_terms(row, level)
+            data.append((terms, den, [ids.setdefault((den, *t), len(ids)) for t in terms]))
+        out: List[List[int]] = [[] for _ in rows]
+        for chars in P.chars_of:
+            met = [c for c, _ in P.counts(chars[0], level)]
+            done: Dict[tuple, List[int]] = {}
+            for i, (terms, den, vid) in enumerate(data):
+                key = tuple([vid[c] for c in met])
+                if key not in done:
+                    done[key] = [self._multiplicity(j, terms, level, den) for j in chars]
+                out[i] += done[key]
+        return tuple(map(tuple, out))
+
+    def coefficients(self, mults: Sequence[int]) -> Dict[int, int]:
+        """The canonical induction coefficients of the class function with
+        these multiplicities, by orbit representative: the sum over all
+        chains, of mu(p, q) m(q) |H_p| at the bottom p, divided by the group
+        order entry by entry."""
+        below, at = self.below, defaultdict(int)
+        for top, m in enumerate(mults):
+            if m:
+                for i, w in below[top]:
+                    at[i] += w * m
+        P, glob, rep, acc = self.poset, self._glob, self.orbit_rep, defaultdict(int)
+        for i, raw in at.items():
+            acc[rep[i]] += raw * len(P.members[P.psub[glob[i]]])
+        order, out = self.group.order, {}
+        for r, raw in acc.items():
+            q, rem = divmod(raw, order)
+            if rem:
+                raise ConsistencyError(f"chain sum produced a coefficient not divisible by the"
+                                       f" group order {order} at the orbit of {self.pairs[r]!r}"
+                                       f" of {self.group.name}")
+            if q:
+                out[r] = q
+        return out
+
+    def rows_data(self, rows: Tuple[tuple, ...]) -> Tuple[tuple, Tuple[Dict[int, int], ...]]:
+        """M and A for the rows of a table of the poset's group: each row's
+        multiplicities on this context's pairs (from the poset's M) and A."""
+        if self._rows is not rows:
+            P, glob = self.poset, self._glob
+            if P.mults[0] is not rows:
+                P.mults = (rows, self._table_multiplicities(rows))
+            self._mults = tuple(tuple([m[j] for j in glob]) for m in P.mults[1])
+            # rows with the same multiplicities here have the same A
+            coeffs = {m: self.coefficients(m) for m in set(self._mults)}
+            self._coeffs = tuple(coeffs[m] for m in self._mults)
+            self._rows, self._flags = rows, {}
+        return self._mults, self._coeffs
+
+    def restricted(self, j: int) -> Dict[int, int]:
+        """A row of R, on the down-set of a subgroup U: the (U n gHg^-1,
+        phi^g restricted) of the double cosets U g H, for the poset's pair
+        j = (H, phi), counted by their U-orbit representatives."""
+        out = self._restrictions.get(j)
+        if out is None:
+            P, s = self.poset, self.poset.psub[j]
+            reps = self._cosets.get(s)
+            if reps is None:
+                mul, h_elems, seen = P.mul, P.members[s], set()
+                reps = self._cosets[s] = []
+                for g in range(len(mul)):
+                    if g not in seen:
+                        reps.append(g)
+                        seen.update(mul[mul[u][g]][h] for u in self._members for h in h_elems)
+            acc: Dict[int, int] = defaultdict(int)
+            for g in reps:
+                jg = P.act[g][j]
+                i = P.restrict[jg][P.sid[self._mask & P.masks[P.psub[jg]]]]
+                acc[self.orbit_rep[self._local[i]]] += 1
+            out = self._restrictions[j] = dict(acc)
+        return out
+
+    def restrict(self, col: Mapping[int, int]) -> Dict[int, int]:
+        """R applied to a column, on a down-set: the combination of the
+        poset's pairs ``col`` restricted to this context's orbits."""
+        acc: Dict[int, int] = defaultdict(int)
+        for j, c in col.items():
+            for r, k in self.restricted(j).items():
+                acc[r] += c * k
+        return {r: c for r, c in acc.items() if c}
 
     def orbit_of(self, pair: MonomialPair) -> Tuple[MonomialPair, int, int]:
         """Canonical representative, orbit size, and stabilizer size."""
@@ -411,20 +490,18 @@ class MonomialContext:
 
 
 def monomial_context(group: PermGroup, bound: Optional[int] = None) -> MonomialContext:
-    """The group's context, built once and kept on the group.  The bound is
-    checked without a warning: ``runner.verify_table`` warns once where it
+    """The group's context, kept while a table it serves holds it.  The bound
+    is checked without a warning: ``runner.verify_table`` warns once where it
     resolves the bound for a whole verification."""
-    return _context(group, check_oracle_bound(bound))
-
-
-def _context(group: PermGroup, limit: int) -> MonomialContext:
+    limit = check_oracle_bound(bound)
     if group.order > limit:
         raise BoundExceeded(
             f"oracle route needs order <= {limit}, {group.name} has order {group.order}"
         )
-    if group.oracle_context is None:
-        group.oracle_context = MonomialContext(group)
-    return group.oracle_context
+    ctx = group.oracle_context
+    if ctx is None:
+        ctx = group.oracle_context = MonomialContext(group)
+    return ctx
 
 
 def monomial_pairs(group: PermGroup, bound: Optional[int] = None) -> Tuple[MonomialPair, ...]:
@@ -450,10 +527,7 @@ class PairCombination:
     def __eq__(self, other):
         if not isinstance(other, PairCombination):
             return NotImplemented
-        return (
-            self.group_key == other.group_key
-            and self.coefficients == other.coefficients
-        )
+        return (self.group_key, self.coefficients) == (other.group_key, other.coefficients)
 
     __hash__ = None
 
@@ -469,38 +543,28 @@ class PairCombination:
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "PairCombination":
-        return PairCombination(
-            self.group_key, {p: c * v for p, v in self.coefficients.items()}
-        )
+        return PairCombination(self.group_key, {p: c * v for p, v in self.coefficients.items()})
 
     def order_filtered_sum(self, n: int, multiples: bool = True) -> int:
         """Sum of coefficients over orbits whose character order is a
         multiple of n (or a divisor of n, with multiples=False)."""
-        total = 0
-        for p, c in self.coefficients.items():
-            o = p.character.order
-            if (o % n == 0) if multiples else (n % o == 0):
-                total += c
-        return total
+        return sum(c for p, c in self.coefficients.items()
+                   if (p.character.order % n if multiples else n % p.character.order) == 0)
 
     def to_json(self) -> list:
-        records = []
-        for p in sorted(self.coefficients, key=lambda p: p.key()):
-            records.append(
-                {
-                    "subgroup": [list(g) for g in p.subgroup.elements],
-                    "phi": [[p.character.order, k] for k in p.character.exponents],
-                    "coefficient": self.coefficients[p],
-                }
-            )
-        return records
+        return [
+            {
+                "subgroup": [list(g) for g in p.subgroup.elements],
+                "phi": [[p.character.order, k] for k in p.character.exponents],
+                "coefficient": self.coefficients[p],
+            }
+            for p in sorted(self.coefficients, key=lambda p: p.key())
+        ]
 
     def __repr__(self):
         parts = [
             f"{c} * [H{p.subgroup.order}, o{p.character.order}]"
-            for p, c in sorted(
-                self.coefficients.items(), key=lambda item: item[0].key()
-            )
+            for p, c in sorted(self.coefficients.items(), key=lambda item: item[0].key())
         ]
         return "PairCombination(" + " + ".join(parts) + ")" if parts else "PairCombination(0)"
 
@@ -511,24 +575,27 @@ def _group_key(group: PermGroup):
 
 def _oracle_input(
     table: CharacterTable, chi: ChiLike, bound: Optional[int], sub: Optional[Subgroup]
-) -> Tuple[MonomialContext, Tuple[Cyclotomic, ...]]:
+) -> Tuple[MonomialContext, Optional[int], Sequence[int], Dict[int, int]]:
     """The context that serves chi, or its restriction to the subgroup
-    ``sub`` of the table's group (a down-set of the group's context), and
-    chi's class row, which every context on the group's poset reads: a
-    group-backed table's classes are its group's, in order."""
-    if isinstance(chi, int):
-        row = table.irreducibles[_row_index(table, chi)]
-    else:
-        row = _as_class_function(table, chi)[0].values
+    ``sub`` (a down-set of the group's context, which the table holds),
+    chi's index among the table's rows or None, and chi's multiplicities
+    and coefficients there: a row's columns of M and A, or else those of
+    chi's class row (a group-backed table's classes are its group's)."""
+    func, idx = (
+        (None, _row_index(table, chi)) if isinstance(chi, int) else _as_class_function(table, chi))
     group = table.group
     if group is None:
         raise ValueError("a group-backed table is required for the oracle route")
-    ctx = monomial_context(group, bound)
+    ctx = table.oracle_context = monomial_context(group, bound)
     if sub is not None:
         if _group_key(sub.parent) != _group_key(group):
             raise ValueError(f"the subgroup is not a subgroup of {group.name}")
         ctx = ctx.down_set(sub)
-    return ctx, row
+    if idx is None:
+        mults = ctx.multiplicities(func.values)
+        return ctx, idx, mults, ctx.coefficients(mults)
+    mults, coeffs = ctx.rows_data(table.irreducibles)
+    return ctx, idx, mults[idx], coeffs[idx]
 
 
 def induction_by_chains(
@@ -538,25 +605,8 @@ def induction_by_chains(
     """Canonical induction coefficients of chi, or of its restriction to the
     subgroup ``sub``, through the sum over all chains, weighted by the bottom
     subgroup order and divided by the group order."""
-    ctx, row = _oracle_input(table, chi, bound, sub)
-    order, below, rep, pairs = ctx.group.order, ctx.below, ctx.orbit_rep, ctx.pairs
-    acc: Dict[int, int] = defaultdict(int)
-    for top, m in enumerate(ctx.multiplicities(row)):
-        if m:
-            for i0, w in below[top]:
-                acc[rep[i0]] += w * pairs[i0].subgroup.order * m
-    coeffs: Dict[MonomialPair, int] = {}
-    for rep, raw in acc.items():
-        q, r = divmod(raw, order)
-        if r:
-            raise ConsistencyError(
-                f"chain sum produced a coefficient not divisible by the group"
-                f" order {order} at the orbit of {ctx.pairs[rep]!r}"
-                f" of {ctx.group.name}"
-            )
-        if q:
-            coeffs[ctx.pairs[rep]] = q
-    return PairCombination(_group_key(ctx.group), coeffs)
+    ctx, _, _, coeffs = _oracle_input(table, chi, bound, sub)
+    return PairCombination(_group_key(ctx.group), {ctx.pairs[r]: c for r, c in coeffs.items()})
 
 
 def induction_by_orbit_chains(
@@ -565,12 +615,12 @@ def induction_by_orbit_chains(
     """The same coefficients through the sum over orbit representatives of
     chains (no division by the group order; equality with the all-chains
     formula is non-obvious, and the tests exercise it on the whole corpus)."""
-    ctx, row = _oracle_input(table, chi, bound, None)
-    mult = ctx.multiplicities(row)
+    ctx, _, mult, _ = _oracle_input(table, chi, bound, None)
     acc: Dict[int, int] = defaultdict(int)
-    for (rep0, rep_top), w in ctx.orbit_chain_weight.items():
-        if w and mult[rep_top]:
-            acc[rep0] += w * mult[rep_top]
+    for top, low in ctx.orbit_weights.items():
+        if mult[top]:
+            for rep0, w in low:
+                acc[rep0] += w * mult[top]
     coeffs = {ctx.pairs[rep]: c for rep, c in acc.items() if c}
     return PairCombination(_group_key(ctx.group), coeffs)
 
@@ -609,32 +659,30 @@ def restrict_combination(
         raise ValueError("combination lives over a different group")
     # the group's own context: its pairs are the poset's, in order
     ctx = monomial_context(group, bound)
-    down, P = ctx.down_set(sub), ctx.poset
-    mul = P.mul
-    acc: Dict[MonomialPair, int] = defaultdict(int)
-    for pair, c in comb.coefficients.items():
-        j = ctx.index[pair.key()]
-        h_elems = P.members[P.psub[j]]
-        seen = bytearray(len(mul))
-        for g in range(len(mul)):
-            if seen[g]:
-                continue
-            # mark the whole double coset U g H
-            for u in sub.members:
-                row = mul[mul[u][g]]
-                for h in h_elems:
-                    seen[row[h]] = 1
-            jg = P.act[g][j]
-            i = P.restrict[jg][P.sid[sub.mask & P.masks[P.psub[jg]]]]
-            acc[down.pairs[down.orbit_rep[down._local[i]]]] += c
-    return PairCombination(_group_key(down.group), acc)
+    down = ctx.down_set(sub)
+    col = down.restrict({ctx.index[p.key()]: c for p, c in comb.coefficients.items()})
+    return PairCombination(_group_key(down.group), {down.pairs[r]: c for r, c in col.items()})
+
+
+def restriction_failure(
+    table: CharacterTable, bound: Optional[int] = None
+) -> Optional[Tuple[int, Subgroup]]:
+    """The first row of the table and subgroup U at which the row's
+    coefficients restricted to U (R A_G) differ from its coefficients on
+    U's down-set (A_U), or None."""
+    ctx, rows = _oracle_input(table, 0, bound, None)[0], table.irreducibles
+    coeffs = ctx.rows_data(rows)[1]
+    for sub in ctx.poset.subgroups:
+        # a down-set of its own, dropped with its A_U and R_U once U is done
+        down = MonomialContext(sub.as_group(), ctx.poset)
+        for i, (col, expect) in enumerate(zip(coeffs, down.rows_data(rows)[1])):
+            if down.restrict(col) != expect:
+                return i, sub
+    return None
 
 
 def invariant_via_coefficients(
-    table: CharacterTable,
-    chi: ChiLike,
-    n: int,
-    comb: Optional[PairCombination] = None,
+    table: CharacterTable, chi: ChiLike, n: int, comb: Optional[PairCombination] = None,
     bound: Optional[int] = None,
 ) -> int:
     """The literal definition of the invariant: the sum of the canonical
@@ -661,10 +709,7 @@ class IdentityCheck:
 
 
 def adams_identity_check(
-    table: CharacterTable,
-    chi: ChiLike,
-    n: int,
-    comb: Optional[PairCombination] = None,
+    table: CharacterTable, chi: ChiLike, n: int, comb: Optional[PairCombination] = None,
     bound: Optional[int] = None,
 ) -> IdentityCheck:
     """Check that the coefficients of pairs whose character has order
@@ -698,44 +743,38 @@ class MaxSetsCheck:
 
 
 def _poset_data(table: CharacterTable, chi: ChiLike, bound: Optional[int]):
-    """The context and four flags per pair: constituent of chi, in the
-    coefficient support, and maximal among the pairs with each flag.  The
-    context keeps the flags of each class function, which
-    ``check_equivalences`` reads at every n."""
-    ctx, row = _oracle_input(table, chi, bound, None)
-    key = tuple((v.level, v.nums, v.den) for v in row)
-    flags = ctx._flags.get(key)
+    """The context, four flags per pair (constituent of chi, in the
+    coefficient support, and maximal among the pairs with each flag) and the
+    character orders of the flagged pairs, per flag and then for the
+    constituents over cyclic subgroups, which ``check_equivalences`` reads
+    at every n.  The context keeps them for each row of its table."""
+    ctx, idx, mults, coeffs = _oracle_input(table, chi, bound, None)
+    flags = ctx._flags.get(idx)
     if flags is None:
-        comb = induction_by_chains(table, chi, bound)
-        support_reps = {ctx.index[p.key()] for p in comb.coefficients}
-        in_m = [m > 0 for m in ctx.multiplicities(row)]
-        in_mt = [ctx.orbit_rep[i] in support_reps for i in range(len(ctx.pairs))]
+        in_m = [m > 0 for m in mults]
+        in_mt = [r in coeffs for r in ctx.orbit_rep]
 
-        def maximal(flags: Sequence[bool]) -> List[bool]:
-            return [
-                ok and not any(flags[j] for j in ctx.above[i])
-                for i, ok in enumerate(flags)
-            ]
+        def maximal(f: Sequence[bool]) -> List[bool]:
+            return [ok and not any(f[j] for j in ctx.above[i]) for i, ok in enumerate(f)]
 
-        flags = ctx._flags[key] = (in_m, in_mt, maximal(in_m), maximal(in_mt))
-    return (ctx, *flags)
+        flags = (in_m, in_mt, maximal(in_m), maximal(in_mt))
+        orders = [frozenset(o for o, ok in zip(ctx.orders, f) if ok) for f in flags]
+        orders.append(frozenset(o for o, ok, c in zip(ctx.orders, in_m, ctx.cyclic) if ok and c))
+        flags = (*flags, orders)
+        if idx is not None:
+            ctx._flags[idx] = flags
+    return ctx, flags
 
 
 def check_max_sets(
     table: CharacterTable, chi: ChiLike, bound: Optional[int] = None
 ) -> MaxSetsCheck:
-    ctx, *flags = _poset_data(table, chi, bound)
+    ctx, (*flags, _) = _poset_data(table, chi, bound)
     m_set, mt_set, max_m, max_mt = (
-        {i for i, ok in enumerate(f) if ok} for f in flags
+        frozenset(p for p, ok in zip(ctx.pairs, f) if ok) for f in flags
     )
     return MaxSetsCheck(
-        constituent_pairs=frozenset(ctx.pairs[i] for i in m_set),
-        support_pairs=frozenset(ctx.pairs[i] for i in mt_set),
-        max_constituent=frozenset(ctx.pairs[i] for i in max_m),
-        max_support=frozenset(ctx.pairs[i] for i in max_mt),
-        support_contained=mt_set <= m_set,
-        max_equal=max_m == max_mt,
-        strictly_smaller=mt_set < m_set,
+        m_set, mt_set, max_m, max_mt, mt_set <= m_set, max_m == max_mt, mt_set < m_set
     )
 
 
@@ -754,15 +793,7 @@ class EquivalenceCheck:
 
     @property
     def flags(self) -> Tuple[bool, ...]:
-        return (
-            self.any_constituent,
-            self.max_constituent,
-            self.any_support,
-            self.max_support,
-            self.cyclic_constituent,
-            self.exact_constituent,
-            self.exact_cyclic_constituent,
-        )
+        return tuple(vars(self).values())[1:]  # the fields after n
 
     @property
     def passed(self) -> bool:
@@ -773,20 +804,8 @@ def check_equivalences(
     table: CharacterTable, chi: ChiLike, n: int, bound: Optional[int] = None
 ) -> EquivalenceCheck:
     _check_positive(n)
-    ctx, in_m, in_mt, max_m, max_mt = _poset_data(table, chi, bound)
-    orders, cyclic = ctx.orders, ctx.cyclic
-    idx = range(len(ctx.pairs))
-    return EquivalenceCheck(
-        n=n,
-        any_constituent=any(in_m[i] and orders[i] % n == 0 for i in idx),
-        max_constituent=any(max_m[i] and orders[i] % n == 0 for i in idx),
-        any_support=any(in_mt[i] and orders[i] % n == 0 for i in idx),
-        max_support=any(max_mt[i] and orders[i] % n == 0 for i in idx),
-        cyclic_constituent=any(
-            in_m[i] and cyclic[i] and orders[i] % n == 0 for i in idx
-        ),
-        exact_constituent=any(in_m[i] and orders[i] == n for i in idx),
-        exact_cyclic_constituent=any(
-            in_m[i] and cyclic[i] and orders[i] == n for i in idx
-        ),
-    )
+    # the orders of the pairs in M, in the support, maximal in each, and
+    # in M over a cyclic subgroup
+    orders = _poset_data(table, chi, bound)[1][-1]
+    m, mt, max_m, max_mt, cyc = (any(o % n == 0 for o in f) for f in orders)
+    return EquivalenceCheck(n, m, max_m, mt, max_mt, cyc, n in orders[0], n in orders[4])

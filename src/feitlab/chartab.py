@@ -185,6 +185,10 @@ class CharacterTable:
         self._power_map: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._conductors: Dict[Tuple[int, ...], int] = {}
         self._power_traces: Dict[Tuple[Tuple[int, ...], int], int] = {}
+        # the oracle's MonomialContext of the group once it has served this
+        # table (brauer owns its contents; the group refers to it weakly);
+        # runner.verify_table drops it when its checks are done
+        self.oracle_context = None
 
     def __repr__(self):
         return (

@@ -372,16 +372,22 @@ class Cyclotomic:
         return self.nums[0]
 
     def as_root_of_unity(self) -> Optional["RootOfUnity"]:
-        """Return the root of unity equal to this value, if there is one."""
-        if self * self.conjugate() != 1:
+        """Return the root of unity equal to this value, if there is one.
+        Every root of unity of the level-e field is +z^k or -z^k, k < e, so
+        the value is one exactly when it is integral and its numerators are
+        a row of the level's reduction table or that row negated."""
+        if self.den != 1:
             return None
-        e = self.level
-        for k in range(e):
-            cand = zeta(e, k)
-            if self == cand:
-                return RootOfUnity(e, k)
-            if self == -cand:
-                return RootOfUnity(2, 1) * RootOfUnity(e, k)
+        e, nums = self.level, self.nums
+        idx = tuple(i for i, x in enumerate(nums) if x)
+        val = tuple(nums[i] for i in idx)
+        neg = tuple(-x for x in val)
+        for k, (ridx, rval) in enumerate(_reduction_table(e)[1]):
+            if ridx == idx:
+                if rval == val:
+                    return RootOfUnity(e, k)
+                if rval == neg:
+                    return RootOfUnity(2 * e, 2 * k + e)
         return None
 
     # -- serialization -----------------------------------------------------

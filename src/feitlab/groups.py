@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import weakref
 from bisect import bisect_left
 from functools import cached_property, reduce
 from operator import itemgetter
@@ -228,11 +229,24 @@ class PermGroup:
         self.identity = identity_perm(degree)
         self._classes: Optional[Tuple[ConjugacyClass, ...]] = None
         self._class_of: Optional[Tuple[int, ...]] = None
-        self._subgroups: Optional[Tuple["Subgroup", ...]] = None
-        # the oracle's MonomialContext of this group once built (brauer
-        # owns its contents); it lives and dies with the group, and
-        # runner.verify_table drops it when its checks are done
-        self.oracle_context = None
+        # the lattice as (mask, generators) data: a cache of Subgroup
+        # objects, which refer to the group, would make the group part of a
+        # reference cycle, freed only by the cyclic garbage collector
+        self._subgroups: Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]] = None
+        self._oracle_context: Optional[weakref.ref] = None
+
+    @property
+    def oracle_context(self):
+        """The oracle's MonomialContext of this group (brauer owns its
+        contents) while something else holds it, else None.  The group
+        refers to it weakly: the context refers to the group, and the
+        tables it serves hold it."""
+        ref = self._oracle_context
+        return None if ref is None else ref()
+
+    @oracle_context.setter
+    def oracle_context(self, ctx) -> None:
+        self._oracle_context = weakref.ref(ctx)
 
     def __repr__(self):
         return f"PermGroup({self.name}, order={self.order}, degree={self.degree})"
@@ -351,7 +365,8 @@ class PermGroup:
         subgroup found is joined with each cyclic subgroup of prime-power
         order until nothing new appears.  A finite group is generated by its
         elements of prime-power order, so this reaches every subgroup, the
-        perfect ones included."""
+        perfect ones included.  The lattice is enumerated once; each call
+        returns new Subgroup objects over it."""
         if self.order > bound:
             raise BoundExceeded(
                 f"subgroup enumeration needs order <= {bound}, group has {self.order}"
@@ -378,8 +393,8 @@ class PermGroup:
                             found[k] = Subgroup(self, k, gens)
                             queue.append(found[k])
             queue.sort(key=lambda s: (s.order, s.members))
-            self._subgroups = tuple(queue)
-        return self._subgroups
+            self._subgroups = tuple((h.mask, h.gens) for h in queue)
+        return tuple(Subgroup(self, mask, gens) for mask, gens in self._subgroups)
 
 
 def _bits(mask: int) -> Tuple[int, ...]:
@@ -409,7 +424,9 @@ class Subgroup:
         self.order = len(self.members)
         self._elements: Optional[Tuple[Perm, ...]] = None
         self._as_group: Optional[PermGroup] = None
-        self._linear: Optional[Tuple["LinearChar", ...]] = None
+        # the linear characters as (order, exponents) data, for the same
+        # reason as the group's lattice: a LinearChar refers to its domain
+        self._linear: Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]] = None
 
     @property
     def elements(self) -> Tuple[Perm, ...]:
@@ -488,10 +505,10 @@ class Subgroup:
                 ]
             place = sorted(range(len(elems)), key=elems.__getitem__)
             self._linear = tuple(sorted(
-                (LinearChar(self, level, [chi[t] for t in place]) for chi in chars),
-                key=lambda phi: (phi.order, phi.exponents),
+                (phi.order, phi.exponents)
+                for phi in (LinearChar(self, level, [chi[t] for t in place]) for chi in chars)
             ))
-        return self._linear
+        return tuple(LinearChar(self, o, exps) for o, exps in self._linear)
 
 
 class LinearChar:

@@ -12,17 +12,14 @@ import time
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import adams, brauer, numth
 from .chartab import (
-    CharacterTable,
-    check_table_bound,
-    compute_table,
-    inner_product,
-    load_table,
+    CharacterTable, _group_ring_sum, _value_terms, check_table_bound, compute_table, load_table,
     save_table,
 )
+from .cyclo import _make
 from .errors import TableFormatError
 from .groups import SPEC_HEADS, from_spec, perm_order, spec_order
 
@@ -106,7 +103,7 @@ def verify_table(table: CharacterTable, oracle_bound: Optional[int] = None) -> D
     """Run every module's invariants against one table.  Returns a report
     with one record per named check, the per-(chi, n) invariant values, and
     the per-chi conductor indicators.  The oracle's context built for the
-    checks is dropped from the group when they are done."""
+    checks is dropped from the table when they are done."""
     start = time.monotonic()
     checks: List[dict] = []
     skipped: List[dict] = []
@@ -168,16 +165,13 @@ def verify_table(table: CharacterTable, oracle_bound: Optional[int] = None) -> D
                     ok, detail = False, f"chi {i}, n {n}: got {got}"
     _check(checks, "example_linear", ok, detail)
 
-    ok, detail = True, ""
     if table.group is not None:
         reg = table.regular_character()
         orders = Counter(perm_order(x) for x in table.group.elements)
-        for n in divisors_e:
-            census = sum(k for o, k in orders.items() if o % n == 0)
-            got = adams.invariant(table, reg, n).value
-            if got != census:
-                ok, detail = False, f"n {n}: got {got}, census {census}"
-        _check(checks, "example_regular", ok, detail)
+        _check_all(checks, "example_regular", (
+            f"n {n}: got {got}, census {census}" for n in divisors_e
+            if (got := adams.invariant(table, reg, n).value)
+            != (census := sum(k for o, k in orders.items() if o % n == 0))))
     else:
         skipped.append({"name": "example_regular", "reason": "no group attached"})
 
@@ -205,9 +199,9 @@ def verify_table(table: CharacterTable, oracle_bound: Optional[int] = None) -> D
         try:
             _oracle_checks(table, oracle_bound, checks, values)
         finally:
-            # the poset serves this verification only, and a spec table's
-            # group outlives the request in the table cache
-            table.group.oracle_context = None
+            # the poset serves this verification only, and a spec table
+            # outlives the request in the table cache
+            table.oracle_context = None
 
     all_passed = all(c["passed"] for c in checks)
     return {
@@ -227,63 +221,53 @@ def verify_table(table: CharacterTable, oracle_bound: Optional[int] = None) -> D
     }
 
 
+def _check_all(checks: List[dict], name: str, failures: Iterable[str]) -> None:
+    """The record of a check that fails at each detail ``failures`` yields
+    (the last one is reported) and passes if it yields none."""
+    detail = None
+    for detail in failures:
+        pass
+    _check(checks, name, detail is None, detail or "")
+
+
 def _oracle_checks(table: CharacterTable, bound: Optional[int], checks: List[dict], values):
     """The oracle's checks; ``values`` holds S(chi_i, n) of the Adams route."""
-    group = table.group
-    e = table.exponent
-    divisors_e = numth.divisors(e)
-    nchi = table.num_classes
-    combs = {}
+    group, e, nchi = table.group, table.exponent, table.num_classes
+    points = [(i, n) for i in range(nchi) for n in numth.divisors(e)]
+    combs = [brauer.induction_by_chains(table, i, bound) for i in range(nchi)]
+    _check_all(checks, "chain_formula_agreement", (
+        f"chi {i}" for i, comb in enumerate(combs)
+        if comb != brauer.induction_by_orbit_chains(table, i, bound)))
+    _check_all(checks, "section_property", (
+        f"chi {i}" for i, comb in enumerate(combs)
+        if brauer.induced_character(table, comb) != table.irreducible(i)))
 
-    ok, detail = True, ""
-    for i in range(nchi):
-        combs[i] = brauer.induction_by_chains(table, i, bound)
-        if combs[i] != brauer.induction_by_orbit_chains(table, i, bound):
-            ok, detail = False, f"chi {i}"
-    _check(checks, "chain_formula_agreement", ok, detail)
-
-    ok, detail = True, ""
-    for i in range(nchi):
-        if brauer.induced_character(table, combs[i]) != table.irreducible(i):
-            ok, detail = False, f"chi {i}"
-    _check(checks, "section_property", ok, detail)
-
-    ok, detail = True, ""
+    # <chi_i, phi> for the linear characters phi of the group, from the
+    # rows' value terms and phi's exponents at the class representatives
     whole = group.whole_subgroup()
-    for i in range(nchi):
-        chi = table.irreducible(i)
-        for phi in whole.linear_characters():
-            pair = brauer.MonomialPair(whole, phi)
-            lin = table.class_function(
-                [phi.cyclotomic_value(rep) for rep in table.class_reps]
-            )
-            if combs[i].coefficient(pair) != inner_product(chi, lin):
-                ok, detail = False, f"chi {i}, order-{phi.order} character"
-    _check(checks, "normalization", ok, detail)
+    level = math.lcm(e, *(v.level for row in table.irreducibles for v in row))
+    rows = [_value_terms(row, level) for row in table.irreducibles]
+    sizes = [cls.size for cls in table.classes]
+    lins = [
+        (brauer.MonomialPair(whole, phi),
+         [((phi.exponents[group.index[x]] * (level // phi.order), 1),) for x in table.class_reps])
+        for phi in whole.linear_characters()
+    ]
+    _check_all(checks, "normalization", (
+        f"chi {i}, order-{pair.character.order} character"
+        for pair, lin in lins for i, (terms, den) in enumerate(rows)
+        if combs[i].coefficient(pair)
+        != _make(level, _group_ring_sum(level, zip(sizes, terms, lin)), table.order * den)))
 
-    ok, detail = True, ""
-    for i in range(nchi):
-        for u in group.all_subgroups():
-            down = brauer.restrict_combination(combs[i], u, bound)
-            if down != brauer.induction_by_chains(table, i, bound, sub=u):
-                ok, detail = False, f"chi {i}, subgroup of order {u.order}"
-    _check(checks, "restriction_naturality", ok, detail)
-
-    ok, detail = True, ""
-    for i in range(nchi):
-        for n in divisors_e:
-            slow = brauer.invariant_via_coefficients(table, i, n, comb=combs[i])
-            fast = values[i, n]
-            if slow != fast:
-                ok, detail = False, f"chi {i}, n {n}: {slow} vs {fast}"
-    _check(checks, "route_equivalence", ok, detail)
-
-    ok, detail = True, ""
-    for i in range(nchi):
-        for n in divisors_e:
-            if not brauer.adams_identity_check(table, i, n, comb=combs[i]).passed:
-                ok, detail = False, f"chi {i}, n {n}"
-    _check(checks, "adams_coefficient_identity", ok, detail)
+    failure = brauer.restriction_failure(table, bound)
+    _check_all(checks, "restriction_naturality", [
+        f"chi {failure[0]}, subgroup of order {failure[1].order}"] if failure else [])
+    _check_all(checks, "route_equivalence", (
+        f"chi {i}, n {n}: {slow} vs {values[i, n]}" for i, n in points
+        if (slow := brauer.invariant_via_coefficients(table, i, n, comb=combs[i])) != values[i, n]))
+    _check_all(checks, "adams_coefficient_identity", (
+        f"chi {i}, n {n}" for i, n in points
+        if not brauer.adams_identity_check(table, i, n, comb=combs[i]).passed))
 
     ok, detail = True, ""
     strict: List[str] = []
@@ -296,12 +280,9 @@ def _oracle_checks(table: CharacterTable, bound: Optional[int], checks: List[dic
     _check(checks, "max_sets", ok,
            detail or (f"strict inclusion at {strict[0]}" if strict else ""))
 
-    ok, detail = True, ""
-    for i in range(nchi):
-        for n in divisors_e:
-            if not brauer.check_equivalences(table, i, n, bound).passed:
-                ok, detail = False, f"chi {i}, n {n}"
-    _check(checks, "equivalences", ok, detail)
+    _check_all(checks, "equivalences", (
+        f"chi {i}, n {n}" for i, n in points
+        if not brauer.check_equivalences(table, i, n, bound).passed))
 
 
 def feit_rows(table: CharacterTable, report: Dict) -> List[dict]:

@@ -27,7 +27,7 @@ from feitlab.chartab import (
     load_table,
     save_table,
 )
-from feitlab.cyclo import Cyclotomic, zeta
+from feitlab.cyclo import Cyclotomic, RootOfUnity, zeta
 from feitlab.groups import MonomialPair, from_spec, perm_order
 from feitlab.numth import divisors, mobius, totient, trace_root_of_unity
 from numth_identities import (
@@ -145,6 +145,36 @@ def test_criterion_4_special_characters(big_tables):
         for i in range(t.num_classes):
             assert adams.invariant(t, i, 1).value == t.degree(i), (spec, i)
     _report(4, "closed-form special values", start)
+
+
+def _root_by_products(v):
+    """``Cyclotomic.as_root_of_unity`` by cyclotomic products, as it was
+    computed before the match against the reduction table: |v|^2 = 1, then
+    v = +-zeta_e^k for the first k < e that matches."""
+    if v * v.conjugate() != 1:
+        return None
+    e = v.level
+    for k in range(e):
+        cand = zeta(e, k)
+        if v == cand:
+            return RootOfUnity(e, k)
+        if v == -cand:
+            return RootOfUnity(2, 1) * RootOfUnity(e, k)
+    return None
+
+
+def test_root_of_unity_match_agrees_with_products_on_big_tables(big_tables):
+    # every value of the big tables, and the same values negated and
+    # halved (roots, sums of roots, integers, and non-integral values)
+    seen = {}
+    for t in big_tables.values():
+        for row in t.irreducibles:
+            for v in row:
+                for w in (v, -v, v / 2):
+                    seen.setdefault((w.level, w.nums, w.den), w)
+    assert sum(_root_by_products(v) is not None for v in seen.values()) > 100
+    for v in seen.values():
+        assert v.as_root_of_unity() == _root_by_products(v), v
 
 
 def test_criterion_5_prime_cyclic_virtual_character(big_tables):

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from feitlab.cyclo import Cyclotomic, zeta
 from feitlab.errors import BoundExceeded, ConsistencyError
 from feitlab.groups import LinearChar, MonomialPair, compose, conjugate_perm, inverse
 from group_references import conjugate_pair, cyclotomic_inner_product, pair_le
+from oracle_references import chain_sum, walk_restriction
 
 
 def table(spec):
@@ -701,3 +704,57 @@ def test_oracle_reaches_order_32_poset():
     for n in numth.divisors(t.exponent):
         assert invariant_via_coefficients(t, i, n, comb=comb) == \
             adams.invariant(t, i, n).value, n
+
+
+def test_table_data_matches_one_row_at_a_time_over_corpus():
+    # A's columns against each row's own chain sum, on the group and on
+    # every subgroup's down-set, and R against the double cosets walked
+    # again for each pair: for the rows' combinations and for one with
+    # every pair of the poset, representatives or not
+    for spec in runner.C_SMALL:
+        t = compute_table(groups.from_spec(spec), name=spec)
+        combs = [induction_by_chains(t, i) for i in range(t.num_classes)]
+        ctx = monomial_context(t.group)
+        every = PairCombination(
+            brauer._group_key(t.group), {p: k % 5 - 2 for k, p in enumerate(ctx.pairs)})
+        for i, comb in enumerate(combs):
+            assert comb == chain_sum(t, i), (spec, i)
+        for u in t.group.all_subgroups():
+            for i, comb in enumerate(combs):
+                assert induction_by_chains(t, i, sub=u) == chain_sum(t, i, u), (spec, i, u.order)
+                assert restrict_combination(comb, u) == walk_restriction(comb, u), \
+                    (spec, i, u.order)
+            assert restrict_combination(every, u) == walk_restriction(every, u), (spec, u.order)
+
+
+def test_restriction_check_names_the_first_failing_row_and_subgroup(monkeypatch):
+    t = table("sym:4")
+    assert brauer.restriction_failure(t) is None
+    # one double coset too many in R for the subgroups of order 2 (the
+    # first after the trivial one), in every row's restriction
+    restricted = MonomialContext.restricted
+
+    def skewed(self, j):
+        out = dict(restricted(self, j))
+        if self.group.order == 2:
+            out[next(iter(out))] += 1
+        return out
+
+    monkeypatch.setattr(MonomialContext, "restricted", skewed)
+    i, sub = brauer.restriction_failure(t)
+    assert (i, sub.order) == (0, 2)
+
+
+def test_group_freed_without_the_cycle_collector():
+    # the oracle leaves nothing on the group that refers back to it: the
+    # table holds the context, the group refers to it weakly, and the
+    # lattice and the linear characters are cached as data
+    gc.disable()
+    try:
+        t = compute_table(groups.from_spec("sym:4"))
+        induction_by_chains(t, 1)
+        ref = weakref.ref(t.group)
+        del t
+        assert ref() is None
+    finally:
+        gc.enable()

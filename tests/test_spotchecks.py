@@ -12,6 +12,7 @@ import pytest
 from feitlab import adams, brauer, numth
 from feitlab.chartab import compute_table
 from feitlab.groups import alternating
+from oracle_references import chain_sum, walk_restriction
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,22 @@ def test_alt5_restriction_naturality(alt5_table, alt5_combs):
                 down = brauer.restrict_combination(comb, u, bound=60)
                 direct = brauer.induction_by_chains(t, i, bound=60, sub=u)
                 assert down == direct, (i, u.order)
+
+
+def test_alt5_table_data_matches_one_row_at_a_time(alt5_table, alt5_combs):
+    # A's columns, on the group and on every subgroup's down-set, against
+    # each row's own chain sum, and R against the double cosets walked
+    # again for each pair
+    t = alt5_table
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for i, comb in enumerate(alt5_combs):
+            assert comb == chain_sum(t, i, bound=60), i
+            for u in t.group.all_subgroups():
+                assert brauer.induction_by_chains(t, i, bound=60, sub=u) == \
+                    chain_sum(t, i, u, bound=60), (i, u.order)
+                assert brauer.restrict_combination(comb, u, bound=60) == \
+                    walk_restriction(comb, u, bound=60), (i, u.order)
 
 
 def test_alt5_poset_propositions(alt5_table):

@@ -18,11 +18,15 @@ sys.path[:0] = [{perfbench!r}, {src!r}]
 import tracer
 t = tracer.Tracer()
 tracer.install(t)
-from feitlab import adams, chartab, cli, groups
+from feitlab import adams, brauer, chartab, cli, groups
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify", "sym:3", "--json"]) == 0
 table = chartab.compute_table(groups.from_spec("cyclic:4"))
 assert adams.eigenvalue_multiplicities(table, table.trivial_index, 2) == (1, 0, 0, 0)
+# verify restricts every row at once (brauer.restriction_failure); one
+# combination restricted on its own reaches restrict_combination
+comb = brauer.induction_by_chains(table, 1)
+assert brauer.restrict_combination(comb, table.group.all_subgroups()[1]).coefficients
 print(json.dumps(t.metrics()))
 """
 
