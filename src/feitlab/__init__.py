@@ -27,17 +27,20 @@ from .adams import (
     invariant,
     verify_invariant,
 )
-from .brauer import (
-    PairCombination,
-    adams_identity_check,
-    check_equivalences,
-    check_max_sets,
-    induced_character,
-    induction_by_chains,
-    induction_by_orbit_chains,
-    invariant_via_coefficients,
-    monomial_pairs,
-    restrict_combination,
+
+# the oracle's names, served on first use (PEP 562): importing the package
+# does not compile ``brauer``, which only ``verify`` and ``corpus`` run
+_BRAUER_NAMES = (
+    "PairCombination",
+    "adams_identity_check",
+    "check_equivalences",
+    "check_max_sets",
+    "induced_character",
+    "induction_by_chains",
+    "induction_by_orbit_chains",
+    "invariant_via_coefficients",
+    "monomial_pairs",
+    "restrict_combination",
 )
 
 __all__ = [
@@ -71,16 +74,20 @@ __all__ = [
     "feit_indicator",
     "invariant",
     "verify_invariant",
-    "PairCombination",
-    "adams_identity_check",
-    "check_equivalences",
-    "check_max_sets",
-    "induced_character",
-    "induction_by_chains",
-    "induction_by_orbit_chains",
-    "invariant_via_coefficients",
-    "monomial_pairs",
-    "restrict_combination",
+    *_BRAUER_NAMES,
 ]
+
+
+def __getattr__(name: str):
+    if name in _BRAUER_NAMES:
+        from . import brauer
+
+        return getattr(brauer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_BRAUER_NAMES})
+
 
 __version__ = "0.1.0"

@@ -10,8 +10,7 @@ n = conductor it decides the conjecture the toolkit exists to probe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple, Union
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple, Union
 
 from . import numth
 from .chartab import (
@@ -122,8 +121,7 @@ def adams_operation(table: CharacterTable, chi: ChiLike, m: int) -> ClassFunctio
     )
 
 
-@dataclass
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Value and audit trail of the alternating Adams invariant at n."""
 
     chi_index: Optional[int]
@@ -145,8 +143,7 @@ class InvariantReport:
         }
 
 
-@dataclass
-class FeitReport:
+class FeitReport(NamedTuple):
     """The invariant evaluated at the character's conductor."""
 
     chi_index: Optional[int]
@@ -240,8 +237,7 @@ def feit_indicator(table: CharacterTable, chi: ChiLike) -> FeitReport:
     return FeitReport(idx, c, rep.value, rep.witness)
 
 
-@dataclass
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     """Outcome of the non-negativity and witness-equivalence test."""
 
     chi_index: Optional[int]

@@ -28,10 +28,10 @@ import math
 import os
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
+from . import numth
 from .adams import ChiLike, _as_class_function, _check_positive, _row_index, adams_operation
 from .chartab import (
     CharacterTable, ClassFunction, _group_ring_sum, _value_terms, integral_inner_product,
@@ -695,8 +695,7 @@ def invariant_via_coefficients(
     return comb.order_filtered_sum(n, multiples=True)
 
 
-@dataclass
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """Coefficient sum over pairs killed by n versus the Adams multiplicity."""
 
     n: int
@@ -724,8 +723,36 @@ def adams_identity_check(
     return IdentityCheck(n, lhs, rhs)
 
 
-@dataclass
-class MaxSetsCheck:
+def adams_identity_checks(
+    table: CharacterTable, combs: Sequence[PairCombination]
+) -> Dict[Tuple[int, int], IdentityCheck]:
+    """``adams_identity_check`` of every row i, with combs[i] its
+    coefficients, at every divisor n of the exponent, keyed by (i, n).  The
+    Adams side reads the power map once per (class, n): <psi^n chi_i, 1> is
+    sum_k w_n[k] chi_i(k) / |G|, with w_n[k] the total size of the classes
+    whose n-th power lies in class k, one group-ring sum per (i, n)."""
+    level = math.lcm(table.exponent, *(v.level for row in table.irreducibles for v in row))
+    weights = []
+    for n in numth.divisors(table.exponent):
+        w = [0] * table.num_classes
+        for c, cls in enumerate(table.classes):
+            w[table.class_of_power(c, n)] += cls.size
+        weights.append((n, w))
+    out: Dict[Tuple[int, int], IdentityCheck] = {}
+    for i, (row, comb) in enumerate(zip(table.irreducibles, combs)):
+        terms, den = _value_terms(row, level)
+        for n, w in weights:
+            sums = _group_ring_sum(level, [(x, terms[k], ((0, 1),)) for k, x in enumerate(w) if x])
+            rhs, r = divmod(sums[0], table.order * den)
+            if r or any(sums[1:]):
+                raise ConsistencyError(
+                    f"<psi^{n} chi_{i}, 1> = {_make(level, sums, table.order * den)!r}"
+                    f" on {table.name} is not integral")
+            out[i, n] = IdentityCheck(n, comb.order_filtered_sum(n, multiples=False), rhs)
+    return out
+
+
+class MaxSetsCheck(NamedTuple):
     """Comparison of the constituent poset against the support of the
     canonical induction coefficients."""
 
@@ -778,8 +805,7 @@ def check_max_sets(
     )
 
 
-@dataclass
-class EquivalenceCheck:
+class EquivalenceCheck(NamedTuple):
     """The seven pairwise-equivalent existence statements at a given n."""
 
     n: int
@@ -793,7 +819,7 @@ class EquivalenceCheck:
 
     @property
     def flags(self) -> Tuple[bool, ...]:
-        return tuple(vars(self).values())[1:]  # the fields after n
+        return self[1:]  # the fields after n
 
     @property
     def passed(self) -> bool:

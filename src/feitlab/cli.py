@@ -16,16 +16,15 @@ treated as an error).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from datetime import datetime, timezone
+import time
 from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional
 
-from . import adams, brauer, runner
+from . import adams, runner
 from .chartab import save_table
 from .cyclo import Cyclotomic
 from .errors import SpecError, UsageError
@@ -116,7 +115,10 @@ def cmd_feit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    bound = brauer.check_oracle_bound(args.oracle_bound, "--oracle-bound")
+    # the oracle is imported by the commands that run it
+    from .brauer import check_oracle_bound
+
+    bound = check_oracle_bound(args.oracle_bound, "--oracle-bound")
     table = runner.resolve_input(args.group)
     report = runner.verify_table(table, bound)
     report["generated_at"] = _timestamp()
@@ -146,7 +148,10 @@ def _corpus_worker(payload):
 
 
 def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
+    """The current UTC time in ISO 8601, with microseconds and offset;
+    ``time`` spares every command the import of ``datetime``."""
+    sec, us = divmod(time.time_ns() // 1000, 1_000_000)
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(sec)) + f".{us:06d}+00:00"
 
 
 def cmd_corpus(args) -> int:
@@ -166,8 +171,9 @@ def cmd_corpus(args) -> int:
             f"{args.file}: entries must be a list of group specs or table paths")
     if doc.get("format", "json") not in ("json", "csv"):
         raise UsageError(f"{args.file}: format {doc['format']!r} is not json or csv")
-    bound = brauer.check_oracle_bound(
-        doc.get("oracle_bound"), f"{args.file}: oracle_bound")
+    from .brauer import check_oracle_bound
+
+    bound = check_oracle_bound(doc.get("oracle_bound"), f"{args.file}: oracle_bound")
     fmt = args.format or doc.get("format", "json")
     payloads = [(e, bound) for e in entries]
     if args.jobs > 1:
@@ -182,6 +188,8 @@ def cmd_corpus(args) -> int:
     failures = [r["entry"] for r in reports if not r.get("all_passed")]
     candidates = [c for r in reports for c in r.get("counterexample_candidates", [])]
     if fmt == "csv":
+        import csv  # only a csv report needs it
+
         out = io.StringIO()
         writer = csv.DictWriter(out, fieldnames=runner.CSV_COLUMNS)
         writer.writeheader()

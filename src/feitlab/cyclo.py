@@ -15,7 +15,6 @@ trace to the divisor level, with no linear system solved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -446,22 +445,40 @@ def rational(q: Rational) -> Cyclotomic:
     return Cyclotomic.rational(q)
 
 
-@dataclass(frozen=True)
 class RootOfUnity:
     """A root of unity in canonical form: level is its exact order and the
-    exponent is coprime to it (so order == level always)."""
+    exponent is coprime to it (so order == level always).  Immutable."""
 
-    level: int
-    exponent: int
+    __slots__ = ("level", "exponent")
 
-    def __post_init__(self):
-        e, k = self.level, self.exponent
-        if e < 1:
-            raise ValueError(f"positive level required, got {e}")
-        k %= e
-        g = math.gcd(k, e) if k else e
-        object.__setattr__(self, "level", e // g)
-        object.__setattr__(self, "exponent", (k // g) % (e // g) if e // g > 1 else 0)
+    def __init__(self, level: int, exponent: int):
+        if level < 1:
+            raise ValueError(f"positive level required, got {level}")
+        k = exponent % level
+        g = math.gcd(k, level) if k else level
+        e = level // g
+        object.__setattr__(self, "level", e)
+        object.__setattr__(self, "exponent", (k // g) % e if e > 1 else 0)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return RootOfUnity, (self.level, self.exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level, self.exponent) == (other.level, other.exponent)
+
+    def __hash__(self):
+        return hash((self.level, self.exponent))
+
+    def __repr__(self):
+        return f"RootOfUnity(level={self.level!r}, exponent={self.exponent!r})"
 
     @property
     def order(self) -> int:

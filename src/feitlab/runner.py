@@ -14,7 +14,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from . import adams, brauer, numth
+from . import adams, numth
 from .chartab import (
     CharacterTable, _group_ring_sum, _value_terms, check_table_bound, compute_table, load_table,
     save_table,
@@ -104,6 +104,9 @@ def verify_table(table: CharacterTable, oracle_bound: Optional[int] = None) -> D
     with one record per named check, the per-(chi, n) invariant values, and
     the per-chi conductor indicators.  The oracle's context built for the
     checks is dropped from the table when they are done."""
+    # the oracle is imported where it is run: no other command compiles it
+    from . import brauer
+
     start = time.monotonic()
     checks: List[dict] = []
     skipped: List[dict] = []
@@ -232,6 +235,8 @@ def _check_all(checks: List[dict], name: str, failures: Iterable[str]) -> None:
 
 def _oracle_checks(table: CharacterTable, bound: Optional[int], checks: List[dict], values):
     """The oracle's checks; ``values`` holds S(chi_i, n) of the Adams route."""
+    from . import brauer
+
     group, e, nchi = table.group, table.exponent, table.num_classes
     points = [(i, n) for i in range(nchi) for n in numth.divisors(e)]
     combs = [brauer.induction_by_chains(table, i, bound) for i in range(nchi)]
@@ -265,9 +270,9 @@ def _oracle_checks(table: CharacterTable, bound: Optional[int], checks: List[dic
     _check_all(checks, "route_equivalence", (
         f"chi {i}, n {n}: {slow} vs {values[i, n]}" for i, n in points
         if (slow := brauer.invariant_via_coefficients(table, i, n, comb=combs[i])) != values[i, n]))
+    identities = brauer.adams_identity_checks(table, combs)
     _check_all(checks, "adams_coefficient_identity", (
-        f"chi {i}, n {n}" for i, n in points
-        if not brauer.adams_identity_check(table, i, n, comb=combs[i]).passed))
+        f"chi {i}, n {n}" for i, n in points if not identities[i, n].passed))
 
     ok, detail = True, ""
     strict: List[str] = []

@@ -315,6 +315,17 @@ def test_adams_coefficient_identity():
             )
 
 
+def test_table_identity_pass_matches_the_per_call_check_over_corpus():
+    for spec in runner.C_SMALL:
+        t = table(spec)
+        combs = [induction_by_chains(t, i) for i in range(t.num_classes)]
+        got = brauer.adams_identity_checks(t, combs)
+        points = [(i, n) for i in range(t.num_classes) for n in numth.divisors(t.exponent)]
+        assert list(got) == points, spec
+        for i, n in points:
+            assert got[i, n] == adams_identity_check(t, i, n, comb=combs[i]), (spec, i, n)
+
+
 def test_check_max_sets():
     t = table("sym:3")
     # for a linear character both maxima are the whole-group pair
@@ -349,6 +360,14 @@ def test_check_equivalences():
         for i in range(tt.num_classes):
             for n in numth.divisors(tt.exponent):
                 assert check_equivalences(tt, i, n).passed
+
+
+def test_equivalence_flags_are_the_fields_after_n_in_order():
+    chk = brauer.EquivalenceCheck(6, True, False, True, False, False, True, False)
+    assert chk.flags == (True, False, True, False, False, True, False)
+    assert chk.flags == tuple(getattr(chk, f) for f in chk._fields[1:])
+    assert not chk.passed
+    assert brauer.EquivalenceCheck(2, *[False] * 7).passed
 
 
 def test_pair_combination_arithmetic_and_json():

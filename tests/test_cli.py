@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import feitlab
@@ -131,6 +132,71 @@ def test_importing_the_cli_imports_no_multiprocessing():
         timeout=60, check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def _run_fresh(probe: str) -> str:
+    """The stdout of ``probe`` run in a fresh interpreter on this package."""
+    src = str(Path(feitlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        timeout=120, check=True,
+    ).stdout
+
+
+IMPORT_PROBE = """
+import contextlib, io, sys
+import feitlab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in {argvs!r}:
+        assert feitlab.cli.main(argv) == 0, argv
+print(sorted(m for m in {names!r} if m in sys.modules))
+"""
+
+
+def test_commands_import_only_what_they_run():
+    # table, s and feit never run the oracle, a dataclass, a timestamp or a
+    # csv report, so a process that serves only them compiles none of these
+    names = ["feitlab.brauer", "dataclasses", "datetime", "csv", "multiprocessing"]
+    queries = [["s", "sym:3", "--chi", "2", "--n", "3", "--json"],
+               ["feit", "dihedral:8", "--all", "--json"], ["table", "sym:3"]]
+    out = _run_fresh(IMPORT_PROBE.format(argvs=queries, names=names))
+    assert out.strip() == "[]"
+    out = _run_fresh(IMPORT_PROBE.format(argvs=[["verify", "sym:3"]], names=names))
+    assert out.strip() == "['feitlab.brauer']"
+
+
+def test_package_serves_the_oracle_names_on_first_use():
+    probe = """
+import sys
+import feitlab
+assert "feitlab.brauer" not in sys.modules
+ns = {}
+exec("from feitlab import *", ns)
+from feitlab import brauer
+lazy = [n for n in feitlab.__all__ if n not in vars(feitlab)]
+print(sorted(set(feitlab.__all__) - set(ns)), len(lazy))
+print(all(ns[n] is getattr(brauer, n) is getattr(feitlab, n) for n in lazy))
+print(set(lazy) <= set(dir(feitlab)), set(feitlab.__all__) <= set(dir(feitlab)))
+try:
+    feitlab.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    lines = _run_fresh(probe).splitlines()
+    assert lines == [
+        "[] 10", "True", "True True",
+        "module 'feitlab' has no attribute 'no_such_name'",
+    ]
+
+
+def test_timestamp_is_iso_utc():
+    stamp = cli._timestamp()
+    assert stamp.endswith("+00:00")
+    parsed = datetime.fromisoformat(stamp)
+    assert parsed.utcoffset() == timedelta(0)
+    assert abs((datetime.now(timezone.utc) - parsed).total_seconds()) < 60
 
 
 def test_s_json(capsys):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -132,6 +133,22 @@ def test_root_of_unity_canonical():
     assert r.order == 12
     assert r.power(12) == RootOfUnity(1, 0)
     assert r * r.inverse() == RootOfUnity(1, 0)
+
+
+def test_root_of_unity_is_an_immutable_value():
+    r = RootOfUnity(4, 6)
+    assert (r.level, r.exponent) == (2, 1)
+    assert r == RootOfUnity(2, 1) and hash(r) == hash(RootOfUnity(2, -1))
+    assert len({RootOfUnity(6, 2), RootOfUnity(3, 1), RootOfUnity(9, 3)}) == 1
+    assert r != RootOfUnity(2, 0) and r != (2, 1)
+    assert repr(RootOfUnity(12, 17)) == "RootOfUnity(level=12, exponent=5)"
+    with pytest.raises(AttributeError):
+        r.level = 3
+    with pytest.raises(AttributeError):
+        del r.exponent
+    assert r == RootOfUnity(2, 1) == pickle.loads(pickle.dumps(r))
+    with pytest.raises(ValueError):
+        RootOfUnity(0, 1)
 
 
 @given(st.integers(min_value=1, max_value=48), st.integers(min_value=0, max_value=96))
