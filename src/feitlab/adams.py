@@ -52,9 +52,13 @@ def _check_divisor(table: CharacterTable, n: int) -> None:
             f"n = {n} must be positive and divide the exponent {e} of {table.name}")
 
 
-def _as_class_function(table: CharacterTable, chi: ChiLike) -> Tuple[ClassFunction, Optional[int]]:
+def _as_class_function(
+    table: CharacterTable, chi: ChiLike
+) -> Tuple[Optional[ClassFunction], Optional[int]]:
+    """(None, i) for a row index i; else chi and its index among the rows,
+    or None if it is no row."""
     if isinstance(chi, int):
-        return table.irreducible(_row_index(table, chi)), chi
+        return None, _row_index(table, chi)
     if chi.table is not table:
         raise ValueError("class function belongs to a different table")
     for i, row in enumerate(table.irreducibles):
@@ -63,7 +67,7 @@ def _as_class_function(table: CharacterTable, chi: ChiLike) -> Tuple[ClassFuncti
     return chi, None
 
 
-def _eigen_vectors(table: CharacterTable, chi: ClassFunction, idx: Optional[int]):
+def _eigen_vectors(table: CharacterTable, chi: Optional[ClassFunction], idx: Optional[int]):
     """Eigenvalue multiplicity vectors of chi at every class: the table's own
     for a row; for any other virtual character, the combination of the rows'
     vectors with its coordinates <chi, chi_i>, which must be integers.  The
@@ -114,11 +118,10 @@ def _witness(table: CharacterTable, vectors, n: int) -> Optional[Tuple[int, int]
 
 def adams_operation(table: CharacterTable, chi: ChiLike, m: int) -> ClassFunction:
     """The class function g -> chi(g^m)."""
-    chi, _ = _as_class_function(table, chi)
+    func, idx = _as_class_function(table, chi)
+    values = table.irreducibles[idx] if func is None else func.values
     return ClassFunction(
-        table,
-        tuple(chi.values[table.class_of_power(c, m)] for c in range(table.num_classes)),
-    )
+        table, tuple(values[table.class_of_power(c, m)] for c in range(table.num_classes)))
 
 
 class InvariantReport(NamedTuple):
@@ -182,7 +185,7 @@ def invariant(table: CharacterTable, chi: ChiLike, n: int) -> InvariantReport:
 def alternating_adams_character(table: CharacterTable, chi: ChiLike, n: int) -> ClassFunction:
     """The signed sum of Adams operations whose trivial-character multiplicity
     is the invariant (a virtual character, not a genuine one in general)."""
-    chi, _ = _as_class_function(table, chi)
+    _as_class_function(table, chi)  # rejects a bad row or another table's function
     _check_divisor(table, n)
     e = table.exponent
     acc = table.class_function((0,) * table.num_classes)
@@ -206,7 +209,7 @@ def eigenvalue_multiplicities(table: CharacterTable, chi: ChiLike, c: int) -> Tu
     if any(m < 0 for m in out):
         raise ConsistencyError(f"negative eigenvalue multiplicity at {where}: {out}")
     total = sum(out)
-    degree = chi.values[0].as_integer()
+    degree = chi.values[0].as_integer() if idx is None else table.degree(idx)
     if degree is None or total != degree:
         raise ConsistencyError(
             f"eigenvalue multiplicities at {where} sum to {total}, not the degree"

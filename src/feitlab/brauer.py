@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import numth
-from .adams import ChiLike, _as_class_function, _check_positive, _row_index, adams_operation
+from .adams import ChiLike, _as_class_function, _check_positive, adams_operation
 from .chartab import (
     CharacterTable, ClassFunction, _group_ring_sum, _value_terms, integral_inner_product,
 )
@@ -517,10 +517,6 @@ class PairCombination:
         self.group_key = group_key
         self.coefficients = {p: c for p, c in coefficients.items() if c}
 
-    @staticmethod
-    def zero(group_key) -> "PairCombination":
-        return PairCombination(group_key, {})
-
     def coefficient(self, pair: MonomialPair) -> int:
         return self.coefficients.get(pair, 0)
 
@@ -581,8 +577,7 @@ def _oracle_input(
     chi's index among the table's rows or None, and chi's multiplicities
     and coefficients there: a row's columns of M and A, or else those of
     chi's class row (a group-backed table's classes are its group's)."""
-    func, idx = (
-        (None, _row_index(table, chi)) if isinstance(chi, int) else _as_class_function(table, chi))
+    func, idx = _as_class_function(table, chi)
     group = table.group
     if group is None:
         raise ValueError("a group-backed table is required for the oracle route")
@@ -688,8 +683,7 @@ def invariant_via_coefficients(
     """The literal definition of the invariant: the sum of the canonical
     induction coefficients over orbits whose character order n divides.
     Valid for any positive n, not only divisors of the exponent."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_positive(n)
     if comb is None:
         comb = induction_by_chains(table, chi, bound)
     return comb.order_filtered_sum(n, multiples=True)
@@ -714,6 +708,7 @@ def adams_identity_check(
     """Check that the coefficients of pairs whose character has order
     dividing n sum to the multiplicity of the trivial character in the n-th
     Adams operation."""
+    _check_positive(n)
     if comb is None:
         comb = induction_by_chains(table, chi, bound)
     lhs = comb.order_filtered_sum(n, multiples=False)

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import adams, numth
 from .chartab import (
@@ -21,7 +20,7 @@ from .chartab import (
 )
 from .cyclo import _make
 from .errors import TableFormatError
-from .groups import SPEC_HEADS, from_spec, perm_order, spec_order
+from .groups import SPEC_HEADS, from_spec, spec_order
 
 C_SMALL: Tuple[str, ...] = tuple(
     [f"cyclic:{n}" for n in range(1, 13)]
@@ -95,8 +94,40 @@ def resolve_input(entry: str) -> CharacterTable:
     return load_table(path.read_bytes())
 
 
-def _check(checks: List[dict], name: str, passed: bool, detail: str = ""):
-    checks.append({"name": name, "passed": bool(passed), "detail": detail})
+def _check(checks: List[dict], name: str, failures: Iterable[str], note: str = "") -> None:
+    """Record the check ``name``: it fails at each detail ``failures``
+    yields (the last one is reported) and passes, with ``note``, if it
+    yields none."""
+    detail = None
+    for detail in failures:
+        pass
+    checks.append({"name": name, "passed": detail is None,
+                   "detail": note if detail is None else detail})
+
+
+def _integrity_failures(table: CharacterTable) -> Iterator[str]:
+    try:
+        # load_table validates the serialized table
+        blob = save_table(table)
+        if save_table(load_table(blob)) != blob:
+            yield "serialization round trip is not byte-stable"
+    except TableFormatError as exc:
+        yield str(exc)
+
+
+def _linear_failures(table: CharacterTable, values, divisors_e) -> Iterator[str]:
+    """S(chi, n) of a linear chi is 1 if n divides the order of chi, else 0."""
+    for i in range(table.num_classes):
+        if table.degree(i) != 1:
+            continue
+        roots = [v.as_root_of_unity() for v in table.irreducibles[i]]
+        if any(root is None for root in roots):
+            yield f"chi {i} has a non-root value"
+            continue
+        o = math.lcm(*(root.order for root in roots))
+        for n in divisors_e:
+            if values[i, n] != int(o % n == 0):
+                yield f"chi {i}, n {n}: got {values[i, n]}"
 
 
 def verify_table(table: CharacterTable, oracle_bound: Optional[int] = None) -> Dict:
@@ -104,9 +135,6 @@ def verify_table(table: CharacterTable, oracle_bound: Optional[int] = None) -> D
     with one record per named check, the per-(chi, n) invariant values, and
     the per-chi conductor indicators.  The oracle's context built for the
     checks is dropped from the table when they are done."""
-    # the oracle is imported where it is run: no other command compiles it
-    from . import brauer
-
     start = time.monotonic()
     checks: List[dict] = []
     skipped: List[dict] = []
@@ -114,99 +142,39 @@ def verify_table(table: CharacterTable, oracle_bound: Optional[int] = None) -> D
     divisors_e = numth.divisors(e)
     nchi = table.num_classes
 
-    try:
-        # load_table validates the serialized table
-        blob = save_table(table)
-        stable = save_table(load_table(blob)) == blob
-        _check(checks, "table_integrity", stable,
-               "" if stable else "serialization round trip is not byte-stable")
-    except TableFormatError as exc:
-        _check(checks, "table_integrity", False, str(exc))
+    _check(checks, "table_integrity", _integrity_failures(table))
 
-    invariants: List[dict] = []
+    results = {(i, n): adams.verify_invariant(table, i, n) for i in range(nchi) for n in divisors_e}
+    _check(checks, "theorem_nonneg_witness", (
+        f"chi {i}, n {n}: value {chk.value}, witness {chk.witness}"
+        for (i, n), chk in results.items() if not chk.passed))
     # S(chi_i, n), read by the checks below, each against its own expectation
-    values: Dict[Tuple[int, int], int] = {}
-    theorem_ok = True
-    detail = ""
-    for i in range(nchi):
-        for n in divisors_e:
-            chk = adams.verify_invariant(table, i, n)
-            values[i, n] = chk.value
-            if not chk.passed:
-                theorem_ok = False
-                detail = f"chi {i}, n {n}: value {chk.value}, witness {chk.witness}"
-            invariants.append(
-                {
-                    "chi_index": i,
-                    "n": n,
-                    "S": chk.value,
-                    "witness": list(chk.witness) if chk.witness else None,
-                }
-            )
-    _check(checks, "theorem_nonneg_witness", theorem_ok, detail)
-
+    values = {key: chk.value for key, chk in results.items()}
     triv = table.trivial_index
-    ok = all(values[triv, n] == (1 if n == 1 else 0) for n in divisors_e)
-    _check(checks, "example_trivial", ok)
-
-    ok, detail = True, ""
-    for i in range(nchi):
-        if table.degree(i) != 1:
-            continue
-        orders = []
-        for v in table.irreducibles[i]:
-            root = v.as_root_of_unity()
-            if root is None:
-                ok, detail = False, f"chi {i} has a non-root value"
-                break
-            orders.append(root.order)
-        else:
-            o = math.lcm(*orders)
-            for n in divisors_e:
-                got = values[i, n]
-                if got != (1 if o % n == 0 else 0):
-                    ok, detail = False, f"chi {i}, n {n}: got {got}"
-    _check(checks, "example_linear", ok, detail)
+    _check(checks, "example_trivial", (
+        f"n {n}: got {values[triv, n]}" for n in divisors_e if values[triv, n] != int(n == 1)))
+    _check(checks, "example_linear", _linear_failures(table, values, divisors_e))
 
     if table.group is not None:
         reg = table.regular_character()
-        orders = Counter(perm_order(x) for x in table.group.elements)
-        _check_all(checks, "example_regular", (
+        classes = table.group.conjugacy_classes()
+        _check(checks, "example_regular", (
             f"n {n}: got {got}, census {census}" for n in divisors_e
             if (got := adams.invariant(table, reg, n).value)
-            != (census := sum(k for o, k in orders.items() if o % n == 0))))
+            != (census := sum(c.size for c in classes if c.element_order % n == 0))))
     else:
         skipped.append({"name": "example_regular", "reason": "no group attached"})
 
-    ok = all(values[i, 1] == table.degree(i) for i in range(nchi))
-    _check(checks, "example_degree", ok)
+    _check(checks, "example_degree", (
+        f"chi {i}: got {values[i, 1]}" for i in range(nchi) if values[i, 1] != table.degree(i)))
+    feit_reports = [adams.feit_indicator(table, i).to_json() for i in range(nchi)]
+    try:
+        oracle_checked = _oracle_checks(table, oracle_bound, checks, skipped, values)
+    finally:
+        # the poset serves this verification only, and a spec table
+        # outlives the request in the table cache
+        table.oracle_context = None
 
-    feit_reports = []
-    for i in range(nchi):
-        rep = adams.feit_indicator(table, i)
-        feit_reports.append(rep.to_json())
-
-    oracle_checked = False
-    limit = brauer.resolve_oracle_bound(oracle_bound)
-    if table.group is None:
-        skipped.append({"name": "oracle_suite", "reason": "no group attached"})
-    elif table.order > limit:
-        skipped.append(
-            {
-                "name": "oracle_suite",
-                "reason": f"group order {table.order} exceeds oracle bound {limit}",
-            }
-        )
-    else:
-        oracle_checked = True
-        try:
-            _oracle_checks(table, oracle_bound, checks, values)
-        finally:
-            # the poset serves this verification only, and a spec table
-            # outlives the request in the table cache
-            table.oracle_context = None
-
-    all_passed = all(c["passed"] for c in checks)
     return {
         "group": table.name,
         "order": table.order,
@@ -214,36 +182,39 @@ def verify_table(table: CharacterTable, oracle_bound: Optional[int] = None) -> D
         "oracle_checked": oracle_checked,
         "checks": checks,
         "skipped": skipped,
-        "invariants": invariants,
-        "feit": feit_reports,
-        "counterexample_candidates": [
-            rep for rep in feit_reports if rep["F"] == 0
+        "invariants": [
+            {"chi_index": i, "n": n, "S": chk.value,
+             "witness": list(chk.witness) if chk.witness else None}
+            for (i, n), chk in results.items()
         ],
-        "all_passed": all_passed,
+        "feit": feit_reports,
+        "counterexample_candidates": [rep for rep in feit_reports if rep["F"] == 0],
+        "all_passed": all(c["passed"] for c in checks),
         "elapsed_seconds": round(time.monotonic() - start, 3),
     }
 
 
-def _check_all(checks: List[dict], name: str, failures: Iterable[str]) -> None:
-    """The record of a check that fails at each detail ``failures`` yields
-    (the last one is reported) and passes if it yields none."""
-    detail = None
-    for detail in failures:
-        pass
-    _check(checks, name, detail is None, detail or "")
-
-
-def _oracle_checks(table: CharacterTable, bound: Optional[int], checks: List[dict], values):
-    """The oracle's checks; ``values`` holds S(chi_i, n) of the Adams route."""
+def _oracle_checks(table: CharacterTable, oracle_bound: Optional[int], checks: List[dict],
+                   skipped: List[dict], values) -> bool:
+    """The oracle's checks, or the notice that they are skipped; ``values``
+    holds S(chi_i, n) of the Adams route.  True if they ran."""
+    # the oracle is imported where it is run: no other command compiles it
     from . import brauer
+
+    limit = brauer.resolve_oracle_bound(oracle_bound)
+    if table.group is None or table.order > limit:
+        reason = ("no group attached" if table.group is None
+                  else f"group order {table.order} exceeds oracle bound {limit}")
+        skipped.append({"name": "oracle_suite", "reason": reason})
+        return False
 
     group, e, nchi = table.group, table.exponent, table.num_classes
     points = [(i, n) for i in range(nchi) for n in numth.divisors(e)]
-    combs = [brauer.induction_by_chains(table, i, bound) for i in range(nchi)]
-    _check_all(checks, "chain_formula_agreement", (
+    combs = [brauer.induction_by_chains(table, i, limit) for i in range(nchi)]
+    _check(checks, "chain_formula_agreement", (
         f"chi {i}" for i, comb in enumerate(combs)
-        if comb != brauer.induction_by_orbit_chains(table, i, bound)))
-    _check_all(checks, "section_property", (
+        if comb != brauer.induction_by_orbit_chains(table, i, limit)))
+    _check(checks, "section_property", (
         f"chi {i}" for i, comb in enumerate(combs)
         if brauer.induced_character(table, comb) != table.irreducible(i)))
 
@@ -258,36 +229,30 @@ def _oracle_checks(table: CharacterTable, bound: Optional[int], checks: List[dic
          [((phi.exponents[group.index[x]] * (level // phi.order), 1),) for x in table.class_reps])
         for phi in whole.linear_characters()
     ]
-    _check_all(checks, "normalization", (
+    _check(checks, "normalization", (
         f"chi {i}, order-{pair.character.order} character"
         for pair, lin in lins for i, (terms, den) in enumerate(rows)
         if combs[i].coefficient(pair)
         != _make(level, _group_ring_sum(level, zip(sizes, terms, lin)), table.order * den)))
 
-    failure = brauer.restriction_failure(table, bound)
-    _check_all(checks, "restriction_naturality", [
+    failure = brauer.restriction_failure(table, limit)
+    _check(checks, "restriction_naturality", [
         f"chi {failure[0]}, subgroup of order {failure[1].order}"] if failure else [])
-    _check_all(checks, "route_equivalence", (
+    _check(checks, "route_equivalence", (
         f"chi {i}, n {n}: {slow} vs {values[i, n]}" for i, n in points
         if (slow := brauer.invariant_via_coefficients(table, i, n, comb=combs[i])) != values[i, n]))
     identities = brauer.adams_identity_checks(table, combs)
-    _check_all(checks, "adams_coefficient_identity", (
+    _check(checks, "adams_coefficient_identity", (
         f"chi {i}, n {n}" for i, n in points if not identities[i, n].passed))
 
-    ok, detail = True, ""
-    strict: List[str] = []
-    for i in range(nchi):
-        chk = brauer.check_max_sets(table, i, bound)
-        if not chk.passed:
-            ok, detail = False, f"chi {i}"
-        if chk.strictly_smaller:
-            strict.append(f"chi {i}")
-    _check(checks, "max_sets", ok,
-           detail or (f"strict inclusion at {strict[0]}" if strict else ""))
-
-    _check_all(checks, "equivalences", (
+    max_sets = [brauer.check_max_sets(table, i, limit) for i in range(nchi)]
+    strict = next((i for i, chk in enumerate(max_sets) if chk.strictly_smaller), None)
+    _check(checks, "max_sets", (f"chi {i}" for i, chk in enumerate(max_sets) if not chk.passed),
+           "" if strict is None else f"strict inclusion at chi {strict}")
+    _check(checks, "equivalences", (
         f"chi {i}, n {n}" for i, n in points
-        if not brauer.check_equivalences(table, i, n, bound).passed))
+        if not brauer.check_equivalences(table, i, n, limit).passed))
+    return True
 
 
 def feit_rows(table: CharacterTable, report: Dict) -> List[dict]:

@@ -120,6 +120,19 @@ def test_witness_and_equivalences_refuse_a_non_positive_n():
             call()
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_oracle_coefficient_sums_refuse_a_non_positive_n(n):
+    # the identity check used to pass at n = 0, and the coefficient route
+    # raised a bare ValueError
+    t = table("sym:3")
+    for call in (
+        lambda: brauer.invariant_via_coefficients(t, 0, n),
+        lambda: brauer.adams_identity_check(t, 0, n),
+    ):
+        with pytest.raises(UsageError, match=rf"^n = {n} must be positive$"):
+            call()
+
+
 @pytest.mark.parametrize("c", [5, -9, -1, 3])
 def test_eigenvalue_multiplicities_refuse_a_class_outside_the_table(c):
     # -1 used to read the last class silently
