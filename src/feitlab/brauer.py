@@ -38,7 +38,7 @@ from .chartab import (
 )
 from .cyclo import Cyclotomic, _make
 from .errors import BoundExceeded, ConsistencyError, UsageError
-from .groups import DEFAULT_SUBGROUP_BOUND, MonomialPair, PermGroup, Subgroup
+from .groups import DEFAULT_SUBGROUP_BOUND, MonomialPair, PermGroup, Subgroup, index_orbits
 
 DEFAULT_ORACLE_BOUND = 24
 # the oracle enumerates every subgroup, so it reaches as far as the lattice
@@ -248,24 +248,17 @@ class MonomialContext:
         else:
             self._local = {j: a for a, j in enumerate(glob)}
 
-        # the orbits, by a search over the action of the group's generators;
-        # glob is increasing, so a pair in no orbit yet is its orbit's least
+        # the orbits under the action of the group's generators; glob is
+        # increasing, so each orbit is led by its least pair
         loc = self._local
         gen_rows = [P.act[P.index[x]] for x in group.generators]
         orbit_rep: List[int] = [-1] * len(glob)
         self.orbit_size: Dict[int, int] = {}
-        for a, j in enumerate(glob):
-            if orbit_rep[a] < 0:
-                orbit, seen = [j], {j}
-                for y in orbit:
-                    for row in gen_rows:
-                        z = row[y]
-                        if z not in seen:
-                            seen.add(z)
-                            orbit.append(z)
-                for z in orbit:
-                    orbit_rep[loc[z]] = a
-                self.orbit_size[a] = len(orbit)
+        for orbit in index_orbits(gen_rows, glob, len(P.pairs)):
+            a = loc[orbit[0]]
+            for z in orbit:
+                orbit_rep[loc[z]] = a
+            self.orbit_size[a] = len(orbit)
         self.orbit_rep = tuple(orbit_rep)
         self._down_sets: Dict[int, MonomialContext] = {}
         # the rows of the last table served, their M and A, and their flags
@@ -310,12 +303,6 @@ class MonomialContext:
         )
 
     @cached_property
-    def chain_weight(self) -> Dict[Tuple[int, int], int]:
-        """mu(p, q), the signed count of strict chains from p up to q, for
-        every p <= q where it is nonzero."""
-        return {(i, j): w for j, low in enumerate(self.below) for i, w in low}
-
-    @cached_property
     def orbit_chain_weight(self) -> Dict[Tuple[int, int], int]:
         """The signed count of G-orbits of chains, by the orbit
         representatives of their bottom and top, where it is nonzero.  By
@@ -355,18 +342,12 @@ class MonomialContext:
         return out
 
     @cached_property
-    def orbit_weights(self) -> Dict[int, List[Tuple[int, int]]]:
-        """``orbit_chain_weight`` by the top's orbit representative."""
-        out: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
-        for (rep0, top), w in self.orbit_chain_weight.items():
-            out[top].append((rep0, w))
-        return out
-
-    @cached_property
     def cyclic(self) -> Tuple[bool, ...]:
-        """Whether each pair's subgroup is cyclic, computed on first use."""
+        """Whether each pair's subgroup H is cyclic: some linear character
+        of H has order |H|."""
         P = self.poset
-        cyc = {s: P.subgroups[s].is_cyclic() for s in {P.psub[j] for j in self._glob}}
+        cyc = [max(P.orders[j] for j in chars) == len(mem)
+               for chars, mem in zip(P.chars_of, P.members)]
         return tuple(cyc[P.psub[j]] for j in self._glob)
 
     def _multiplicity(self, j: int, terms: Sequence[list], level: int, den: int) -> int:
@@ -612,12 +593,9 @@ def induction_by_orbit_chains(
     formula is non-obvious, and the tests exercise it on the whole corpus)."""
     ctx, _, mult, _ = _oracle_input(table, chi, bound, None)
     acc: Dict[int, int] = defaultdict(int)
-    for top, low in ctx.orbit_weights.items():
-        if mult[top]:
-            for rep0, w in low:
-                acc[rep0] += w * mult[top]
-    coeffs = {ctx.pairs[rep]: c for rep, c in acc.items() if c}
-    return PairCombination(_group_key(ctx.group), coeffs)
+    for (rep0, top), w in ctx.orbit_chain_weight.items():
+        acc[rep0] += w * mult[top]
+    return PairCombination(_group_key(ctx.group), {ctx.pairs[rep]: c for rep, c in acc.items()})
 
 
 def induced_character(table: CharacterTable, comb: PairCombination) -> ClassFunction:

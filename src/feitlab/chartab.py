@@ -1078,12 +1078,10 @@ def save_table(table: CharacterTable) -> bytes:
 
 def load_table(data) -> CharacterTable:
     """Parse and fully validate a serialized character table."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
+    if isinstance(data, (bytes, str)):
         try:
-            doc = json.loads(data)
-        except json.JSONDecodeError as exc:
+            doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        except ValueError as exc:  # not JSON, or bytes that are not UTF-8
             raise TableFormatError(f"invalid JSON: {exc}") from None
     else:
         doc = data
@@ -1118,7 +1116,7 @@ def load_table(data) -> CharacterTable:
         table = CharacterTable(name, order, int(doc["exponent"]), classes, irreducibles)
     except TableFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise TableFormatError(f"malformed table document: {exc}") from None
     _validate(table)
     return table

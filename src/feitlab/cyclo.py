@@ -280,19 +280,11 @@ class Cyclotomic:
         sa, sb = e // la, e // lb
         xs = [(i * sa, x) for i, x in enumerate(self.nums) if x]
         ys = [(j * sb, y) for j, y in enumerate(other.nums) if y]
-        phi, red = _reduction_table(e)
-        acc = [0] * max(phi, xs[-1][0] + ys[-1][0] + 1 if xs and ys else 0)
+        acc = [0] * (xs[-1][0] + ys[-1][0] + 1 if xs and ys else 0)
         for i, x in xs:
             for j, y in ys:
                 acc[i + j] += x * y
-        out = acc[:phi]
-        for k in range(phi, len(acc)):
-            c = acc[k]
-            if c:
-                idx, val = red[k % e]
-                for j, r in zip(idx, val):
-                    out[j] += c * r
-        return _make(e, out, self.den * other.den)
+        return _make(e, _mapped(e, acc, 1), self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -301,20 +301,9 @@ class PermGroup:
                 [right[y] for y in self.left_row(self.index[inverse(g)])]
                 for g, right in zip(self.generators, self._right)
             ]
-            seen = [False] * n
-            classes = []
-            for x in range(n):
-                if seen[x]:
-                    continue
-                seen[x] = True
-                orbit = [x]
-                for y in orbit:
-                    for row in conj:
-                        z = row[y]
-                        if not seen[z]:
-                            seen[z] = True
-                            orbit.append(z)
-                classes.append(ConjugacyClass(self.elements, orbit))
+            classes = [
+                ConjugacyClass(self.elements, orbit) for orbit in index_orbits(conj, range(n), n)
+            ]
             classes.sort(key=lambda c: (c.element_order, c.size, c.rep))
             class_of = [0] * n
             for i, c in enumerate(classes):
@@ -397,6 +386,27 @@ class PermGroup:
         return tuple(Subgroup(self, mask, gens) for mask, gens in self._subgroups)
 
 
+def index_orbits(rows: Sequence[Sequence[int]], points: Iterable[int], size: int) -> List[list]:
+    """The orbits of the group that the index permutations ``rows`` of
+    0..size-1 generate, on a set of ``points`` it maps to itself: one orbit
+    per point not in an earlier orbit, led by that point."""
+    seen = bytearray(size)
+    out = []
+    for x in points:
+        if seen[x]:
+            continue
+        seen[x] = 1
+        orbit = [x]
+        for y in orbit:
+            for row in rows:
+                z = row[y]
+                if not seen[z]:
+                    seen[z] = 1
+                    orbit.append(z)
+        out.append(orbit)
+    return out
+
+
 def _bits(mask: int) -> Tuple[int, ...]:
     """The positions of the set bits of a mask, in increasing order."""
     out = []
@@ -450,9 +460,6 @@ class Subgroup:
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.name})"
-
-    def is_cyclic(self) -> bool:
-        return any(perm_order(g) == self.order for g in self.elements)
 
     def as_group(self) -> PermGroup:
         """Promote to a standalone group (same degree, same elements),
@@ -737,20 +744,23 @@ def from_spec(spec: str) -> PermGroup:
 
     Raises SpecError for an unknown or malformed spec, and BoundExceeded,
     before building anything, when the order the spec names exceeds
-    DEFAULT_ORDER_BOUND.  A perm: spec (alone or as a factor) names no order
-    in advance; its enumeration stops at the bound instead, and a point above
-    the bound is a malformed spec."""
-    return _admitted_spec(spec)[0]()
+    DEFAULT_ORDER_BOUND.  A perm: spec whose cycles share a point names no
+    order in advance; its enumeration stops at the bound instead, and a
+    point above the bound is a malformed spec."""
+    return admitted_spec(spec)[0]()
 
 
 def spec_order(spec: str) -> Optional[int]:
     """The order of the group a spec names, worked out from the spec alone
-    (None where a perm: spec is involved), so that a caller can refuse a
-    group before it is built.  Raises as ``from_spec`` does."""
-    return _admitted_spec(spec)[1]
+    (None where a perm: spec whose cycles share a point is involved), so
+    that a caller can refuse a group before it is built.  Raises as
+    ``from_spec`` does."""
+    return admitted_spec(spec)[1]
 
 
-def _admitted_spec(spec: str) -> Tuple[Callable[[], PermGroup], Optional[int]]:
+def admitted_spec(spec: str) -> Tuple[Callable[[], PermGroup], Optional[int]]:
+    """A builder for the group a spec names and its ``spec_order``, from one
+    parse of the spec.  Raises as ``from_spec`` does."""
     build, order = _parse_spec(spec.strip())
     if order is not None and order > DEFAULT_ORDER_BOUND:
         raise BoundExceeded(
@@ -774,7 +784,7 @@ def _capped_product(factors: Iterable[int]) -> int:
 def _parse_spec(spec: str) -> Tuple[Callable[[], PermGroup], Optional[int]]:
     """A builder for the group a spec names, and the group's order worked out
     from the spec alone (capped by ``_capped_product``; None where a perm:
-    spec is involved)."""
+    spec whose cycles share a point is involved)."""
     head, sep, rest = spec.partition(":")
     if not sep:
         raise SpecError(
@@ -847,7 +857,10 @@ def _parse_spec(spec: str) -> Tuple[Callable[[], PermGroup], Optional[int]]:
               points)
         degree = max(max(c) for c in cycles)
         gens = [perm_from_cycles([c], degree) for c in cycles]
-        return (lambda: PermGroup(gens, degree=degree, name=spec)), None
+        # disjoint cycles generate the direct product of their cyclic groups
+        disjoint = sum(map(len, cycles)) == len(set().union(*cycles))
+        order = _capped_product(len(c) for c in cycles) if disjoint else None
+        return (lambda: PermGroup(gens, degree=degree, name=spec)), order
     if head == "product":
         parts = [_parse_spec(f.strip()) for f in _split_product(rest)]
         orders = [order for _, order in parts]

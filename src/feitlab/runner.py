@@ -1,4 +1,4 @@
-"""Named verification bundles over a single table, and the bundled corpora.
+"""Named verification bundles over a single table, and the bundled corpus.
 
 Each check is a named pass/fail record so the command line can print one
 line per check and a corpus run can aggregate them.  The oracle section is
@@ -11,7 +11,7 @@ import math
 import time
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from . import adams, numth
 from .chartab import (
@@ -19,34 +19,8 @@ from .chartab import (
     save_table,
 )
 from .cyclo import _make
-from .errors import TableFormatError
-from .groups import SPEC_HEADS, from_spec, spec_order
-
-C_SMALL: Tuple[str, ...] = tuple(
-    [f"cyclic:{n}" for n in range(1, 13)]
-    + [
-        "product:cyclic:2,cyclic:2",
-        "product:cyclic:2,cyclic:4",
-        "sym:3",
-        "dihedral:8",
-        "quaternion:8",
-        "dihedral:12",
-        "alt:4",
-        "sl2:3",
-        "sym:4",
-    ]
-)
-
-C_BIG: Tuple[str, ...] = tuple(
-    list(C_SMALL)
-    + ["sym:5", "alt:5"]
-    + [
-        f"dihedral:{2 * n}"
-        for n in range(1, 16)
-        if f"dihedral:{2 * n}" not in C_SMALL
-    ]
-    + ["extraspecial:27"]
-)
+from .errors import TableFormatError, UsageError
+from .groups import SPEC_HEADS, admitted_spec
 
 BUNDLED_CORPUS = Path(__file__).parent / "data" / "corpus_small.json"
 
@@ -75,10 +49,10 @@ def _spec_table(entry: str) -> CharacterTable:
     so it carries the name it was asked for; a spec that fails raises and
     is not kept.  A spec whose order is known in advance and is above the
     table bound is refused before its group is built."""
-    order = spec_order(entry)
+    build, order = admitted_spec(entry)
     if order is not None:
         check_table_bound(order)
-    return compute_table(from_spec(entry), name=entry)
+    return compute_table(build(), name=entry)
 
 
 def resolve_input(entry: str) -> CharacterTable:
@@ -87,11 +61,15 @@ def resolve_input(entry: str) -> CharacterTable:
     read as a spec, so that ``from_spec`` rejects it (SpecError).  Spec
     tables come from ``_spec_table`` and are shared by every caller that
     asks for the same spec, so they are read, never modified; a file is
-    read and validated on every call."""
+    read and validated on every call; one that cannot be read is a
+    UsageError naming it."""
     path = Path(entry)
     if looks_like_spec(entry) or not path.exists():
         return _spec_table(entry)
-    return load_table(path.read_bytes())
+    try:
+        return load_table(path.read_bytes())
+    except OSError as exc:
+        raise UsageError(f"{entry}: cannot read the table file: {exc.strerror}") from None
 
 
 def _check(checks: List[dict], name: str, failures: Iterable[str], note: str = "") -> None:

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from feitlab import adams, cli, runner
+from feitlab import adams, cli
 from feitlab.brauer import (
     check_equivalences,
     check_max_sets,
@@ -30,6 +30,7 @@ from feitlab.chartab import (
 from feitlab.cyclo import Cyclotomic, RootOfUnity, zeta
 from feitlab.groups import MonomialPair, from_spec, perm_order
 from feitlab.numth import divisors, mobius, totient, trace_root_of_unity
+from bundled_corpus import CORPUS
 from numth_identities import (
     DivisorFunction,
     alternating_trace_closed_form,
@@ -38,8 +39,13 @@ from numth_identities import (
     split_primes,
 )
 
-C_SMALL = runner.C_SMALL
-C_BIG = runner.C_BIG
+C_SMALL = CORPUS
+C_BIG = (
+    C_SMALL
+    + ("sym:5", "alt:5")
+    + tuple(f"dihedral:{2 * n}" for n in range(1, 16) if f"dihedral:{2 * n}" not in C_SMALL)
+    + ("extraspecial:27",)
+)
 
 
 def _report(k, label, start):

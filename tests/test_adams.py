@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from feitlab import adams, brauer, chartab, groups, numth, runner
+from feitlab import adams, brauer, chartab, groups, numth
 from feitlab.adams import (
     adams_operation,
     alternating_adams_character,
@@ -23,6 +23,7 @@ from feitlab.chartab import (
 )
 from feitlab.cyclo import zeta
 from feitlab.errors import ConsistencyError, UsageError
+from bundled_corpus import CORPUS
 
 
 def table(spec):
@@ -289,7 +290,7 @@ def test_integer_summands_match_cyclotomic_adams_over_corpus():
     # every summand of the integer route equals the trivial multiplicity of
     # the cyclotomic Adams operation, and the eigenvalue multiplicities kept
     # from the modular splitting equal the transform of the loaded values
-    for spec in runner.C_SMALL:
+    for spec in CORPUS:
         t = table(spec)
         assert load_table(save_table(t)).eigen == t.eigen, spec
         triv = t.trivial_character()

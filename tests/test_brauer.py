@@ -1,3 +1,4 @@
+import functools
 import gc
 import warnings
 import weakref
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from feitlab import adams, brauer, chartab, groups, numth, runner
+from feitlab import adams, brauer, chartab, groups, numth
 from feitlab.brauer import (
     MonomialContext,
     PairCombination,
@@ -24,7 +25,10 @@ from feitlab.brauer import (
 from feitlab.chartab import compute_table, inner_product
 from feitlab.cyclo import Cyclotomic, zeta
 from feitlab.errors import BoundExceeded, ConsistencyError
-from feitlab.groups import LinearChar, MonomialPair, compose, conjugate_perm, inverse
+from feitlab.groups import (
+    LinearChar, MonomialPair, compose, conjugate_perm, inverse, perm_order,
+)
+from bundled_corpus import CORPUS
 from group_references import conjugate_pair, cyclotomic_inner_product, pair_le
 from oracle_references import chain_sum, walk_restriction
 
@@ -55,19 +59,44 @@ def test_monomial_poset_conjugation_is_poset_automorphism():
                 assert row[j] in ctx.above[row[i]]
 
 
+def _chain_weights(ctx):
+    """mu(p, q), the signed count of strict chains from p up to q, keyed
+    (p, q) where it is nonzero, read from the context's ``below``."""
+    return {(i, j): w for j, low in enumerate(ctx.below) for i, w in low}
+
+
 def test_chain_weights_conjugation_invariant():
     # relabelling every chain by a fixed group element leaves the signed
     # chain-count table unchanged, so coefficients are orbit data
     for spec in ("sym:3", "alt:4"):
         g = groups.from_spec(spec)
         ctx = monomial_context(g)
+        weights = _chain_weights(ctx)
         for row in ctx.poset.act:
             moved = {}
-            for (a, b), w in ctx.chain_weight.items():
+            for (a, b), w in weights.items():
                 key = (row[a], row[b])
                 moved[key] = moved.get(key, 0) + w
             assert {k: v for k, v in moved.items() if v} == \
-                {k: v for k, v in ctx.chain_weight.items() if v}
+                {k: v for k, v in weights.items() if v}
+
+
+def test_cyclic_subgroups_are_read_from_character_orders(monkeypatch):
+    # H is cyclic iff some linear character of H has order |H|, against an
+    # element of order |H|, on every subgroup of the corpus groups and of
+    # sym:5, whose lattice is past the default bound
+    lattice = groups.PermGroup.all_subgroups
+    monkeypatch.setattr(groups.PermGroup, "all_subgroups",
+                        functools.partialmethod(lattice, bound=120))
+    for spec in CORPUS + ("sym:5",):
+        ctx = MonomialContext(groups.from_spec(spec))
+        flags = {}
+        for pair, flag in zip(ctx.pairs, ctx.cyclic):
+            assert flags.setdefault(pair.subgroup.mask, flag) == flag, spec
+        assert len(flags) == len(ctx.poset.subgroups), spec
+        for h in ctx.poset.subgroups:
+            assert flags[h.mask] == any(perm_order(g) == h.order for g in h.elements), \
+                (spec, h.order)
 
 
 def test_oracle_bound():
@@ -316,7 +345,7 @@ def test_adams_coefficient_identity():
 
 
 def test_table_identity_pass_matches_the_per_call_check_over_corpus():
-    for spec in runner.C_SMALL:
+    for spec in CORPUS:
         t = table(spec)
         combs = [induction_by_chains(t, i) for i in range(t.num_classes)]
         got = brauer.adams_identity_checks(t, combs)
@@ -418,7 +447,7 @@ def test_class_counts_match_element_loops_over_corpus():
     # multiplicities and induced characters read from the per-pair class
     # counts agree with the element-by-element definitions on every bundled
     # corpus group
-    for spec in runner.C_SMALL:
+    for spec in CORPUS:
         t = compute_table(groups.from_spec(spec), name=spec)
         g = t.group
         ctx = monomial_context(g)
@@ -442,7 +471,7 @@ def test_multiplicities_over_denominators_and_levels_off_the_exponent():
     # subgroup U does not meet: U's multiplicities read only the classes it
     # meets, so they stay integral and agree with the element loop, while
     # the sum runs over numerators at a level off the exponent
-    for spec in runner.C_SMALL:
+    for spec in CORPUS:
         t = compute_table(groups.from_spec(spec), name=spec)
         g = t.group
         ctx = monomial_context(g)
@@ -615,7 +644,7 @@ def test_chain_weights_hall_and_burnside_match_chain_enumeration():
     # three ways to the same numbers on every bundled corpus group: strict
     # chains enumerated one by one, Hall's recursion for the Moebius
     # function, and Burnside over the fixed-point subposets for the orbits
-    for spec in runner.C_SMALL:
+    for spec in CORPUS:
         g = groups.from_spec(spec)
         ctx = MonomialContext(g)
         ref = _LiteralContext(g)
@@ -624,7 +653,7 @@ def test_chain_weights_hall_and_burnside_match_chain_enumeration():
         assert ctx.poset.act == ref.act, spec
         assert ctx.orbit_rep == ref.orbit_rep, spec
         assert ctx.orbit_size == ref.orbit_size, spec
-        assert ctx.chain_weight == ref.chain_weight, spec
+        assert _chain_weights(ctx) == ref.chain_weight, spec
         assert ctx.orbit_chain_weight == ref.orbit_chain_weight, spec
 
 
@@ -672,7 +701,7 @@ def _reference_restrict(comb, sub, lit):
 
 
 def test_indexed_restriction_matches_element_loop_over_corpus():
-    for spec in runner.C_SMALL:
+    for spec in CORPUS:
         t = compute_table(groups.from_spec(spec), name=spec)
         combs = [induction_by_chains(t, i) for i in range(t.num_classes)]
         for u in t.group.all_subgroups():
@@ -703,7 +732,7 @@ def test_down_set_context_equals_standalone_context():
                     alone.multiplicities(restricted), (spec, u.order)
             assert [p.key() for p in down.pairs] == \
                 [p.key() for p in alone.pairs], (spec, u.order)
-            assert down.chain_weight == alone.chain_weight, (spec, u.order)
+            assert _chain_weights(down) == _chain_weights(alone), (spec, u.order)
             assert down.orbit_rep == alone.orbit_rep, (spec, u.order)
             assert down.orbit_size == alone.orbit_size, (spec, u.order)
             assert _action_rows(down) == alone.poset.act
@@ -730,7 +759,7 @@ def test_table_data_matches_one_row_at_a_time_over_corpus():
     # every subgroup's down-set, and R against the double cosets walked
     # again for each pair: for the rows' combinations and for one with
     # every pair of the poset, representatives or not
-    for spec in runner.C_SMALL:
+    for spec in CORPUS:
         t = compute_table(groups.from_spec(spec), name=spec)
         combs = [induction_by_chains(t, i) for i in range(t.num_classes)]
         ctx = monomial_context(t.group)

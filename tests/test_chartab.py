@@ -17,6 +17,7 @@ from feitlab.chartab import (
 )
 from feitlab.cyclo import Cyclotomic, zeta
 from feitlab.errors import BoundExceeded, ConsistencyError, TableFormatError
+from bundled_corpus import CORPUS
 from group_references import (
     class_sum_columns, cyclotomic_inner_product, tuple_conjugacy_classes,
 )
@@ -164,7 +165,7 @@ def _hand_built(t):
 def test_inner_product_matches_cyclotomic_reference():
     # the integer group-ring sum gives the value of the cyclotomic products
     # exactly, rational or not, also over denominators and off the exponent
-    for spec in runner.C_SMALL:
+    for spec in CORPUS:
         t = table(spec)
         funcs = _hand_built(t)
         for a in funcs:
@@ -362,7 +363,7 @@ def test_load_rejects_every_table_the_cyclotomic_check_rejects():
     # one value changed at a time: whenever the reference finds the rows
     # not orthonormal, load_table refuses the table
     rejected = 0
-    for spec in runner.C_SMALL:
+    for spec in CORPUS:
         t = table(spec)
         r = t.num_classes
         for i in sorted({0, r // 2, r - 1}):
@@ -448,6 +449,10 @@ def test_load_rejects_garbage():
         load_table(b"not json at all")
     with pytest.raises(TableFormatError):
         load_table(json.dumps({"name": "x"}))
+    with pytest.raises(TableFormatError, match="invalid JSON"):
+        load_table(b"\x80abc")
+    with pytest.raises(TableFormatError, match="malformed table document"):
+        load_table(_tamper(lambda d: d["classes"][1].__setitem__("powermap", [1])))
     # a zero denominator, in a rational value and in a term
     for bad in ("1/0", {"level": 3, "terms": [[1, 1, 0]]}):
         with pytest.raises(TableFormatError, match="malformed table document"):
@@ -490,7 +495,7 @@ def test_regular_character_decomposition():
 def test_regular_character_vectors_match_the_transform():
     # the degree-weighted sum of the row vectors is the transform of the
     # regular character's values: |G|/t at every exponent
-    for spec in runner.C_SMALL:
+    for spec in CORPUS:
         t = table(spec)
         reg = t.regular_character()
         for c, cls in enumerate(t.classes):
@@ -520,7 +525,7 @@ FEIT_POOL = (
 
 
 def test_classes_from_generator_tables_match_tuple_conjugation():
-    for spec in runner.C_SMALL + FEIT_POOL:
+    for spec in CORPUS + FEIT_POOL:
         g = groups.from_spec(spec)
         got = [tuple(g.elements[x] for x in c.members) for c in g.conjugacy_classes()]
         assert got == tuple_conjugacy_classes(g), spec
@@ -528,7 +533,7 @@ def test_classes_from_generator_tables_match_tuple_conjugation():
 
 
 def test_class_sums_from_one_element_match_the_whole_class():
-    for spec in runner.C_SMALL + FEIT_POOL:
+    for spec in CORPUS + FEIT_POOL:
         g = groups.from_spec(spec)
         for i in range(len(g.conjugacy_classes())):
             got = [dict(col) for col in chartab._class_sum_columns(g, i, spec)]
@@ -574,7 +579,7 @@ def _scaled_inner_product(t, u, v):
 def test_integer_row_routes_match_cyclotomic():
     # the integer pair routine is |G| times the Schur inner product, and the
     # row conductor read from the vectors is the Galois search on the values
-    for spec in runner.C_SMALL + FEIT_POOL:
+    for spec in CORPUS + FEIT_POOL:
         t = table(spec)
         rows = [t.irreducible(i) for i in range(t.num_classes)]
         for i in range(t.num_classes):
@@ -977,7 +982,7 @@ GOLDEN_TABLES = {
 
 
 def test_tables_match_recorded_hashes():
-    assert set(GOLDEN_TABLES) == set(runner.C_SMALL + FEIT_POOL)
+    assert set(GOLDEN_TABLES) == set(CORPUS + FEIT_POOL)
     for spec, (table_hash, eigen_hash) in GOLDEN_TABLES.items():
         t = table(spec)
         assert hashlib.sha256(save_table(t)).hexdigest() == table_hash, spec
@@ -987,7 +992,7 @@ def test_tables_match_recorded_hashes():
 def test_power_map_is_kept_and_derived_for_loaded_tables():
     # a computed table keeps the map it built from the representatives; a
     # loaded one derives the same map from its prime power maps
-    for spec in runner.C_SMALL:
+    for spec in CORPUS:
         t = table(spec)
         loaded = load_table(save_table(t))
         assert loaded.power_map == t.power_map, spec

@@ -12,7 +12,8 @@ import feitlab
 
 from feitlab import adams, cli, runner
 from feitlab.chartab import compute_table, load_table
-from feitlab.groups import from_spec
+from feitlab.groups import from_spec, spec_order
+from bundled_corpus import CORPUS
 
 
 def run_cli(capsys, *argv):
@@ -116,9 +117,17 @@ def test_a_table_above_the_bound_is_refused_before_its_group_is_built(
         raise AssertionError("the group was enumerated")
 
     monkeypatch.setattr(feitlab.groups, "_closure", enumerate_elements)
-    code, out, err = run_cli(capsys, "s", "cyclic:4000", "--chi", "0", "--n", "1")
-    assert code == 1 and out == ""
-    assert "table computation needs order <= 2000, group has 4000" in err
+    # disjoint cycles name the order of their group
+    for spec in ("cyclic:4000", "perm:[(" + ",".join(map(str, range(1, 4001))) + ")]"):
+        code, out, err = run_cli(capsys, "s", spec, "--chi", "0", "--n", "1")
+        assert code == 1 and out == ""
+        assert "table computation needs order <= 2000, group has 4000" in err
+
+
+def test_an_unreadable_table_file_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "table", str(tmp_path))
+    assert code == 2 and out == ""
+    assert str(tmp_path) in err and "cannot read the table file" in err
 
 
 def test_importing_the_cli_imports_no_multiprocessing():
@@ -462,10 +471,13 @@ def _count_builds(monkeypatch):
 
 
 def test_a_spec_table_is_built_once_per_process(capsys, monkeypatch):
-    built = _count_builds(monkeypatch)
+    built, parsed = _count_builds(monkeypatch), []
+    parse = feitlab.groups._parse_spec
+    monkeypatch.setattr(feitlab.groups, "_parse_spec",
+                        lambda spec: parsed.append(spec) or parse(spec))
     first = runner.resolve_input("sym:4")
     assert runner.resolve_input("sym:4") is first
-    assert first.name == "sym:4" and built == ["sym:4"]
+    assert first.name == "sym:4" and built == ["sym:4"] and parsed == ["sym:4"]
     # requests on the spec read the same table and print the same
     args = ("s", "sym:4", "--chi", "3", "--n", "2", "--json")
     assert run_cli(capsys, *args) == run_cli(capsys, *args)
@@ -591,8 +603,8 @@ def test_verify_counterexample_exit_code(capsys, monkeypatch):
 
 def test_bundled_corpus_exists():
     assert runner.BUNDLED_CORPUS.exists()
-    doc = json.loads(runner.BUNDLED_CORPUS.read_text())
-    assert doc["entries"] == list(runner.C_SMALL)
+    assert len(set(CORPUS)) == len(CORPUS) == 21
+    assert all(spec_order(spec) <= 24 for spec in CORPUS)
 
 
 def test_bundled_corpus_runs_clean(tmp_path, capsys):
@@ -604,5 +616,5 @@ def test_bundled_corpus_runs_clean(tmp_path, capsys):
     doc = json.loads(out_path.read_text())
     assert doc["failures"] == []
     assert doc["counterexample_candidates"] == []
-    assert len(doc["entries"]) == len(runner.C_SMALL)
+    assert len(doc["entries"]) == len(CORPUS)
     assert all(r["all_passed"] for r in doc["entries"])

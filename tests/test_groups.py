@@ -1,6 +1,6 @@
 import pytest
 
-from feitlab import groups, runner
+from feitlab import groups
 from feitlab.errors import BoundExceeded, SpecError
 from feitlab.groups import (
     MonomialPair,
@@ -19,6 +19,7 @@ from feitlab.groups import (
     special_linear_2,
     symmetric,
 )
+from bundled_corpus import CORPUS
 from group_references import (
     closure_subgroups,
     conjugate_pair,
@@ -123,7 +124,7 @@ def test_all_subgroups_reach_perfect_subgroups():
 
 
 def test_all_subgroups_against_closure_oracle():
-    for spec in runner.C_SMALL + ("alt:5",):
+    for spec in CORPUS + ("alt:5",):
         g = from_spec(spec)
         subs, ref = g.all_subgroups(), closure_subgroups(g)
         assert {frozenset(s.elements) for s in subs} == ref, spec
@@ -335,7 +336,10 @@ def test_spec_order_is_the_order_without_building(monkeypatch):
     monkeypatch.setattr(groups, "_closure", enumerate_elements)
     assert {spec: groups.spec_order(spec) for spec in specs} == built
     assert groups.spec_order("cyclic:4000") == 4000
-    assert groups.spec_order("product:cyclic:2,perm:[(1,2)]") is None
+    # disjoint cycles generate the direct product of their cyclic groups
+    assert groups.spec_order("product:cyclic:2,perm:[(1,2)]") == 4
+    assert groups.spec_order("perm:[(1,2),(3,4,5)]") == 6
+    assert groups.spec_order("perm:[(1,2),(2,3)]") is None
     with pytest.raises(BoundExceeded):
         groups.spec_order("sym:9")
     with pytest.raises(SpecError):
