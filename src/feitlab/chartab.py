@@ -2,10 +2,16 @@
 full validation, inner products, Galois conjugation, conductors, power
 maps on classes and eigenvalue multiplicities.
 
-Tables are computed entirely in exact arithmetic by the Burnside-Dixon-
-Schneider splitting: the common eigenspaces of the class-sum matrices are
-split modulo a prime p = 1 (mod exponent) with p > 2*sqrt(|G|), and the
-resulting residue values are lifted to exact cyclotomic numbers through the
+Tables are computed entirely in exact arithmetic.  A direct product that
+``groups.direct_product`` built (a product: or elementary: spec) takes its
+rows from its factors' tables, each computed on its own: the irreducibles
+of G x H are the products chi x psi, a class of G x H is the tuple of the
+factor classes its representative splits into, and a product row's
+multiplicity vector at a class is the convolution of its factors' vectors
+there, formed once per distinct tuple of factor vectors.  Every other
+group takes the Burnside-Dixon-Schneider splitting: the common eigenspaces
+of the class-sum matrices are split modulo a prime p = 1 (mod exponent)
+with p > 2*sqrt(|G|), and the resulting residue values are lifted to exact cyclotomic numbers through the
 eigenvalue-multiplicity transform, which is known to produce small
 non-negative integers.  Each group fact is computed once: one power map
 per class (the class of every power of its representative, which also
@@ -31,8 +37,11 @@ maps and the multiplicities by the same transform, from its values reduced
 mod the same p, each vector then checked to give back its value exactly.
 Floating point never occurs.
 
-Every table is validated in integers from its multiplicities, in one Gram
-pass that evaluates each distinct vector once at z = 2^B modulo
+Both routes give the rows as degrees and multiplicity vectors; the values,
+the row sort and the validation that follow are one path, over the group's
+own classes and power map, so a product's table is the one the splitting
+gives.  Every table is validated in integers from its multiplicities, in
+one Gram pass that evaluates each distinct vector once at z = 2^B modulo
 Phi_e(2^B), e the exponent, so that each pair of rows is one sum of integer
 products per class (``_gram_codes``); Schur inner products are an integer
 group-ring sum over the values' numerators.  Errors raised while a table is
@@ -41,6 +50,7 @@ built name the group and, where there is one, the class and the row.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -781,31 +791,19 @@ def _class_sum_columns(group: PermGroup, i: int, label: str) -> List[Tuple[Tuple
     return [tuple(col) for col in cols]
 
 
-def compute_table(
+def _split_rows(
     group: PermGroup,
-    name: Optional[str] = None,
-    bound: int = DEFAULT_TABLE_BOUND,
-) -> CharacterTable:
-    """Exact character table of a small permutation group."""
-    check_table_bound(group.order, bound)
-    label = name or group.name
-    classes = group.conjugacy_classes()
-    r = len(classes)
+    label: str,
+    sizes: Sequence[int],
+    orders: Sequence[int],
+    powmap: Sequence[Sequence[int]],
+    e: int,
+) -> List[Tuple[int, Tuple[Tuple[int, ...], ...]]]:
+    """Each row of the table of a group, in no particular order, as its
+    degree and its multiplicity vectors, by the Burnside-Dixon-Schneider
+    splitting modulo p and the multiplicity transform."""
+    r = len(sizes)
     n_order = group.order
-    e = group.exponent()
-    cls_of, index = group.class_of, group.index
-    sizes = [c.size for c in classes]
-    orders = [c.element_order for c in classes]
-
-    # powmap[k][a]: the class of rep_k^a, for a below the order of class k
-    # (class 0 is the identity class)
-    powmap = []
-    for ck in classes:
-        x, row, act = ck.rep, [0], right_action(ck.rep)
-        for _ in range(1, ck.element_order):
-            row.append(cls_of[index[x]])
-            x = act(x)
-        powmap.append(tuple(row))
     inv_class = [pm[-1] for pm in powmap]
 
     def image(cols, vec: List[int]) -> List[int]:
@@ -909,7 +907,103 @@ def compute_table(
     eigens = _eigen_from_residues(
         orders, powmap, p, z_e, residues, label, "unsorted row"
     )
-    rows = [(deg, eigen) for (deg, _), eigen in zip(residues, eigens)]
+    return [(deg, eigen) for (deg, _), eigen in zip(residues, eigens)]
+
+
+def _convolve(u: Tuple[int, ...], v: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Eigenvalue multiplicities of a tensor product from those of its
+    factors, at elements of orders a = len(u) and b = len(v): zeta_a^j
+    times zeta_b^k is zeta_t^(j t/a + k t/b), t = lcm(a, b)."""
+    a, b = len(u), len(v)
+    t = math.lcm(a, b)
+    sa, sb = t // a, t // b
+    out = [0] * t
+    for j, m in enumerate(u):
+        if m:
+            for k, n in enumerate(v):
+                if n:
+                    out[(j * sa + k * sb) % t] += m * n
+    return tuple(out)
+
+
+def _product_rows(
+    group: PermGroup, reps: Sequence[Perm], bound: int
+) -> List[Tuple[int, Tuple[Tuple[int, ...], ...]]]:
+    """Each row of the table of a direct product, as ``_split_rows`` gives
+    them, from its factors' tables, each from ``compute_table`` with the
+    same bound.  The irreducibles of G x H are the products chi x psi
+    (Isaacs, Character Theory of Finite Groups, Thm 4.21).  A class is the
+    tuple of factor classes that its representative splits into across the
+    factors' points, and the eigenvalues of chi x psi at (g, h) are the
+    products of those of chi at g and psi at h, so its vector is the
+    convolution of theirs, formed once per distinct tuple of factor
+    vectors.  Factors with the same degree and generators, as those of an
+    elementary abelian group, are taken as one group, with one table."""
+    same: Dict[Tuple[int, Tuple[Perm, ...]], PermGroup] = {}
+    factors = [same.setdefault((f.degree, f.generators), f) for f in group.factors]
+    built = {id(f): compute_table(f, bound=bound) for f in same.values()}
+    tables = [built[id(f)] for f in factors]
+    splits = []
+    for rep in reps:
+        split, off = [], 0
+        for f in factors:
+            part = tuple(x - off for x in rep[off:off + f.degree])
+            split.append(f.class_of[f.index[part]])
+            off += f.degree
+        splits.append(split)
+    conv: Dict[Tuple[Tuple[int, ...], ...], Tuple[int, ...]] = {}
+    rows = []
+    for combo in itertools.product(*(range(t.num_classes) for t in tables)):
+        vectors = [t.eigen[i] for t, i in zip(tables, combo)]
+        eigen = []
+        for split in splits:
+            key = tuple(vecs[c] for vecs, c in zip(vectors, split))
+            vec = conv.get(key)
+            if vec is None:
+                vec = conv[key] = reduce(_convolve, key)
+            eigen.append(vec)
+        rows.append((math.prod(t.degree(i) for t, i in zip(tables, combo)), tuple(eigen)))
+    return rows
+
+
+def compute_table(
+    group: PermGroup,
+    name: Optional[str] = None,
+    bound: int = DEFAULT_TABLE_BOUND,
+) -> CharacterTable:
+    """Exact character table of a small permutation group: of a direct
+    product that ``groups.direct_product`` built, from its factors' tables
+    (``_product_rows``), and of any other group by the modular splitting
+    (``_split_rows``).  Both give the rows as degrees and multiplicity
+    vectors; the values, the row order and the validation are shared."""
+    check_table_bound(group.order, bound)
+    label = name or group.name
+    classes = group.conjugacy_classes()
+    n_order = group.order
+    e = group.exponent()
+    cls_of, index = group.class_of, group.index
+    sizes = [c.size for c in classes]
+    orders = [c.element_order for c in classes]
+    reps = [c.rep for c in classes]
+
+    # powmap[k][a]: the class of rep_k^a, for a below the order of class k
+    # (class 0 is the identity class)
+    powmap = []
+    for ck in classes:
+        x, row, act = ck.rep, [0], right_action(ck.rep)
+        for _ in range(1, ck.element_order):
+            row.append(cls_of[index[x]])
+            x = act(x)
+        powmap.append(tuple(row))
+
+    if group.factors:
+        # The factor tables live only for this call and never enter
+        # runner's spec cache: cached, the two factors of the one product
+        # among the 8 specs of the benchmark's point_queries mix would push
+        # it past TABLE_CACHE_SIZE = 8, and its tables would be rebuilt.
+        rows = _product_rows(group, reps, bound)
+    else:
+        rows = _split_rows(group, label, sizes, orders, powmap, e)
 
     if sum(deg * deg for deg, _ in rows) != n_order:
         raise ConsistencyError(
@@ -943,7 +1037,7 @@ def compute_table(
         ],
         [[values[t, vec] for t, vec in zip(orders, eigen)] for _, eigen in rows],
         group=group,
-        class_reps=[c.rep for c in classes],
+        class_reps=reps,
     )
     table._eigen = tuple(eigen for _, eigen in rows)
     table._power_map = tuple(powmap)

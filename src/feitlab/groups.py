@@ -201,7 +201,11 @@ class PermGroup:
     element with all.  Conjugacy classes and the class sums of ``chartab``
     are read from them.  The full multiplication and inverse tables are
     built on first use; only the subgroup lattice and the oracle need them,
-    and both are bounded in the group order."""
+    and both are bounded in the group order.
+
+    ``factors`` is empty, except on a group that ``direct_product`` built:
+    there it holds the factor groups, each acting on its own block of
+    points in turn, from which ``chartab`` builds the table."""
 
     def __init__(
         self,
@@ -234,6 +238,7 @@ class PermGroup:
         # reference cycle, freed only by the cyclic garbage collector
         self._subgroups: Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]] = None
         self._oracle_context: Optional[weakref.ref] = None
+        self.factors: Tuple[PermGroup, ...] = ()
 
     @property
     def oracle_context(self):
@@ -714,6 +719,8 @@ def extraspecial_27() -> PermGroup:
 
 
 def direct_product(*factors: PermGroup, name: Optional[str] = None) -> PermGroup:
+    """The direct product, each factor acting on its own block of points in
+    turn; the group keeps the factors as ``factors``."""
     if not factors:
         raise ValueError("need at least one factor")
     degree = sum(f.degree for f in factors)
@@ -726,7 +733,9 @@ def direct_product(*factors: PermGroup, name: Optional[str] = None) -> PermGroup
             gens.append(before + tuple(x + offset for x in g) + after)
         offset += f.degree
     label = name or "product:" + ",".join(f.name for f in factors)
-    return PermGroup(gens, degree=degree, name=label)
+    group = PermGroup(gens, degree=degree, name=label)
+    group.factors = tuple(factors)
+    return group
 
 
 _CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
@@ -862,7 +871,16 @@ def _parse_spec(spec: str) -> Tuple[Callable[[], PermGroup], Optional[int]]:
         order = _capped_product(len(c) for c in cycles) if disjoint else None
         return (lambda: PermGroup(gens, degree=degree, name=spec)), order
     if head == "product":
-        parts = [_parse_spec(f.strip()) for f in _split_product(rest)]
+        parts = []
+        for k, factor in enumerate(_split_product(rest), 1):
+            factor = factor.strip()
+            check(bool(factor), f"factor {k} is empty")
+            try:
+                parts.append(_parse_spec(factor))
+            except SpecError as exc:
+                raise SpecError(
+                    f"malformed group spec {spec!r}: factor {k} ({factor!r}): {exc}"
+                ) from None
         orders = [order for _, order in parts]
         return (
             lambda: direct_product(*(build() for build, _ in parts), name=spec),

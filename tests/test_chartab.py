@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from operator import mul
@@ -1240,3 +1241,71 @@ def test_validate_checks_every_row_norm():
                 chartab._validate(t)
         t._eigen = eigen
         chartab._validate(t)
+
+
+# product and elementary specs: the bundled corpus's and the feit pool's,
+# with a trivial factor, one factor and three factors (elementary:3,3 is
+# also in the pool)
+PRODUCT_SPECS = tuple(
+    spec for spec in dict.fromkeys(
+        CORPUS + FEIT_POOL + ("product:cyclic:1,sym:3", "product:cyclic:2", "elementary:3,3")
+    )
+    if spec.startswith(("product:", "elementary:"))
+)
+
+
+def test_product_tables_match_the_splitting():
+    # the same group rebuilt from its generators has no factors, so its
+    # table comes from the splitting
+    for spec in PRODUCT_SPECS:
+        g = groups.from_spec(spec)
+        assert g.factors and g.order == math.prod(f.order for f in g.factors), spec
+        h = groups.PermGroup(g.generators, degree=g.degree, name=g.name)
+        assert h.factors == ()
+        got, want = compute_table(g), compute_table(h)
+        assert save_table(got) == save_table(want), spec
+        assert got._eigen == want._eigen, spec
+        assert got._power_map == want._power_map, spec
+
+
+def _rotated_somewhere(t):
+    """The table's vectors with the first one that moves under a rotation
+    of its exponents rotated: one multiplicity moved, the sums kept."""
+    eigen = [list(row) for row in t.eigen]
+    i, c = next((i, c) for i, row in enumerate(eigen) for c, vec in enumerate(row)
+                if vec[-1:] + vec[:-1] != vec)
+    vec = eigen[i][c]
+    eigen[i][c] = vec[-1:] + vec[:-1]
+    return tuple(tuple(row) for row in eigen)
+
+
+@pytest.mark.parametrize("factor", ["alt:4", "cyclic:3"])
+def test_a_wrong_factor_vector_fails_the_product_table(monkeypatch, factor):
+    compute = chartab.compute_table
+
+    def perturbed(group, name=None, bound=chartab.DEFAULT_TABLE_BOUND):
+        t = compute(group, name, bound)
+        if group.name == factor:
+            t._eigen = _rotated_somewhere(t)
+        return t
+
+    monkeypatch.setattr(chartab, "compute_table", perturbed)
+    with pytest.raises((TableFormatError, ConsistencyError),
+                       match="product:alt:4,cyclic:3"):
+        compute(groups.from_spec("product:alt:4,cyclic:3"))
+
+
+def test_equal_factors_share_one_table(monkeypatch):
+    compute = chartab.compute_table
+    built = []
+
+    def counted(group, name=None, bound=chartab.DEFAULT_TABLE_BOUND):
+        built.append(group.name)
+        return compute(group, name, bound)
+
+    monkeypatch.setattr(chartab, "compute_table", counted)
+    for spec, factors in (("elementary:3,3", ["cyclic:3"]),
+                          ("product:sym:3,cyclic:2,sym:3", ["sym:3", "cyclic:2"])):
+        built.clear()
+        compute(groups.from_spec(spec))
+        assert built == factors, spec

@@ -494,6 +494,13 @@ def test_failed_specs_are_not_kept(capsys):
         assert runner._spec_table.cache_info().currsize == 1
 
 
+def test_factor_tables_are_not_kept():
+    # only the product's own table is kept: its factors' tables are built
+    # for it and dropped
+    runner.resolve_input("product:alt:4,cyclic:3")
+    assert runner._spec_table.cache_info().currsize == 1
+
+
 def test_a_table_file_is_read_on_every_request(tmp_path, capsys):
     path = tmp_path / "table.json"
     args = ("--chi", "1", "--n", "2", "--json")
@@ -573,6 +580,18 @@ def test_malformed_elementary_spec_names_the_form(capsys):
         code, _, err = run_cli(capsys, "table", spec)
         assert code == 2
         assert "elementary:p,k" in err and "unpack" not in err
+
+
+def test_malformed_product_factor_is_named(capsys):
+    cases = {
+        "product:": "factor 1 is empty",
+        "product:,cyclic:2": "factor 1 is empty",
+        "product:cyclic:2,foo:3": "factor 2 ('foo:3'): unknown group spec 'foo:3'",
+    }
+    for spec, why in cases.items():
+        code, out, err = run_cli(capsys, "feit", spec)
+        assert code == 2 and out == "", spec
+        assert f"malformed group spec {spec!r}: {why}" in err, spec
 
 
 def test_feit_zero_exit_code(capsys, monkeypatch):
