@@ -4,7 +4,8 @@ maps on classes and eigenvalue multiplicities.
 
 Tables are computed entirely in exact arithmetic.  A direct product that
 ``groups.direct_product`` built (a product: or elementary: spec) takes its
-rows from its factors' tables, each computed on its own: the irreducibles
+rows from its factors' rows, built once per distinct factor by the same
+two routes and never made into tables of their own: the irreducibles
 of G x H are the products chi x psi, a class of G x H is the tuple of the
 factor classes its representative splits into, and a product row's
 multiplicity vector at a class is the convolution of its factors' vectors
@@ -37,15 +38,16 @@ maps and the multiplicities by the same transform, from its values reduced
 mod the same p, each vector then checked to give back its value exactly.
 Floating point never occurs.
 
-Both routes give the rows as degrees and multiplicity vectors; the values,
-the row sort and the validation that follow are one path, over the group's
-own classes and power map, so a product's table is the one the splitting
-gives.  Every table is validated in integers from its multiplicities, in
-one Gram pass that evaluates each distinct vector once at z = 2^B modulo
-Phi_e(2^B), e the exponent, so that each pair of rows is one sum of integer
-products per class (``_gram_codes``); Schur inner products are an integer
-group-ring sum over the values' numerators.  Errors raised while a table is
-built name the group and, where there is one, the class and the row.
+Both routes give the rows as degrees and multiplicity vectors (``_rows``);
+the values, the row sort and the validation that follow are one path
+(``compute_table``), taken once per table over the group's own classes and
+power map, so a product's table is the one the splitting gives.  Every
+table is validated in integers from its multiplicities, in one Gram pass
+that evaluates each distinct vector once at z = 2^B modulo Phi_e(2^B), e
+the exponent, so that each pair of rows is one sum of integer products per
+class (``_gram_codes``); Schur inner products are an integer group-ring sum
+over the values' numerators.  Errors raised while a table is built name the
+group and, where there is one, the class and the row.
 """
 
 from __future__ import annotations
@@ -64,6 +66,9 @@ from .errors import BoundExceeded, ConsistencyError, TableFormatError
 from .groups import DEFAULT_ORDER_BOUND, PermGroup, Perm, inverse, right_action
 
 DEFAULT_TABLE_BOUND = 2000
+
+# a row of a table as it is built: its degree and its multiplicity vectors
+Row = Tuple[int, Tuple[Tuple[int, ...], ...]]
 
 
 class ClassData:
@@ -791,19 +796,16 @@ def _class_sum_columns(group: PermGroup, i: int, label: str) -> List[Tuple[Tuple
     return [tuple(col) for col in cols]
 
 
-def _split_rows(
-    group: PermGroup,
-    label: str,
-    sizes: Sequence[int],
-    orders: Sequence[int],
-    powmap: Sequence[Sequence[int]],
-    e: int,
-) -> List[Tuple[int, Tuple[Tuple[int, ...], ...]]]:
+def _split_rows(group: PermGroup, label: str, powmap: Sequence[Sequence[int]]) -> List[Row]:
     """Each row of the table of a group, in no particular order, as its
     degree and its multiplicity vectors, by the Burnside-Dixon-Schneider
     splitting modulo p and the multiplicity transform."""
-    r = len(sizes)
+    classes = group.conjugacy_classes()
+    sizes = [c.size for c in classes]
+    orders = [c.element_order for c in classes]
+    r = len(classes)
     n_order = group.order
+    e = group.exponent()
     inv_class = [pm[-1] for pm in powmap]
 
     def image(cols, vec: List[int]) -> List[int]:
@@ -926,44 +928,61 @@ def _convolve(u: Tuple[int, ...], v: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _product_rows(
-    group: PermGroup, reps: Sequence[Perm], bound: int
-) -> List[Tuple[int, Tuple[Tuple[int, ...], ...]]]:
+def _product_rows(group: PermGroup) -> List[Row]:
     """Each row of the table of a direct product, as ``_split_rows`` gives
-    them, from its factors' tables, each from ``compute_table`` with the
-    same bound.  The irreducibles of G x H are the products chi x psi
-    (Isaacs, Character Theory of Finite Groups, Thm 4.21).  A class is the
-    tuple of factor classes that its representative splits into across the
-    factors' points, and the eigenvalues of chi x psi at (g, h) are the
-    products of those of chi at g and psi at h, so its vector is the
-    convolution of theirs, formed once per distinct tuple of factor
-    vectors.  Factors with the same degree and generators, as those of an
-    elementary abelian group, are taken as one group, with one table."""
+    them, from its factors' rows, each from ``_rows``.  The irreducibles of
+    G x H are the products chi x psi (Isaacs, Character Theory of Finite
+    Groups, Thm 4.21).  A class is the tuple of factor classes that its
+    representative splits into across the factors' points, and the
+    eigenvalues of chi x psi at (g, h) are the products of those of chi at
+    g and psi at h, so its vector is the convolution of theirs, formed once
+    per distinct tuple of factor vectors.  Factors with the same degree and
+    generators, as those of an elementary abelian group, are taken as one
+    group, with one set of rows."""
     same: Dict[Tuple[int, Tuple[Perm, ...]], PermGroup] = {}
     factors = [same.setdefault((f.degree, f.generators), f) for f in group.factors]
-    built = {id(f): compute_table(f, bound=bound) for f in same.values()}
-    tables = [built[id(f)] for f in factors]
+    built = {id(f): _rows(f, f.name)[1] for f in same.values()}
     splits = []
-    for rep in reps:
+    for ck in group.conjugacy_classes():
         split, off = [], 0
         for f in factors:
-            part = tuple(x - off for x in rep[off:off + f.degree])
+            part = tuple(x - off for x in ck.rep[off:off + f.degree])
             split.append(f.class_of[f.index[part]])
             off += f.degree
         splits.append(split)
     conv: Dict[Tuple[Tuple[int, ...], ...], Tuple[int, ...]] = {}
     rows = []
-    for combo in itertools.product(*(range(t.num_classes) for t in tables)):
-        vectors = [t.eigen[i] for t, i in zip(tables, combo)]
+    for combo in itertools.product(*(built[id(f)] for f in factors)):
         eigen = []
         for split in splits:
-            key = tuple(vecs[c] for vecs, c in zip(vectors, split))
+            key = tuple(vecs[c] for (_, vecs), c in zip(combo, split))
             vec = conv.get(key)
             if vec is None:
                 vec = conv[key] = reduce(_convolve, key)
             eigen.append(vec)
-        rows.append((math.prod(t.degree(i) for t, i in zip(tables, combo)), tuple(eigen)))
+        rows.append((math.prod(deg for deg, _ in combo), tuple(eigen)))
     return rows
+
+
+def _rows(group: PermGroup, label: str) -> Tuple[List[Tuple[int, ...]], List[Row]]:
+    """The class power map of a group and each row of its table, in no
+    particular order, as its degree and its multiplicity vectors: of a
+    direct product that ``groups.direct_product`` built, from its factors'
+    rows (``_product_rows``), and of any other group by the modular
+    splitting (``_split_rows``)."""
+    cls_of, index = group.class_of, group.index
+    # powmap[k][a]: the class of rep_k^a, for a below the order of class k
+    # (class 0 is the identity class)
+    powmap = []
+    for ck in group.conjugacy_classes():
+        x, row, act = ck.rep, [0], right_action(ck.rep)
+        for _ in range(1, ck.element_order):
+            row.append(cls_of[index[x]])
+            x = act(x)
+        powmap.append(tuple(row))
+    if group.factors:
+        return powmap, _product_rows(group)
+    return powmap, _split_rows(group, label, powmap)
 
 
 def compute_table(
@@ -971,41 +990,18 @@ def compute_table(
     name: Optional[str] = None,
     bound: int = DEFAULT_TABLE_BOUND,
 ) -> CharacterTable:
-    """Exact character table of a small permutation group: of a direct
-    product that ``groups.direct_product`` built, from its factors' tables
-    (``_product_rows``), and of any other group by the modular splitting
-    (``_split_rows``).  Both give the rows as degrees and multiplicity
-    vectors; the values, the row order and the validation are shared."""
+    """Exact character table of a small permutation group, from its rows as
+    ``_rows`` gives them, as degrees and multiplicity vectors, whichever
+    route built them: the values, the row order and the one validation
+    are shared."""
     check_table_bound(group.order, bound)
     label = name or group.name
+    powmap, rows = _rows(group, label)
     classes = group.conjugacy_classes()
-    n_order = group.order
     e = group.exponent()
-    cls_of, index = group.class_of, group.index
-    sizes = [c.size for c in classes]
     orders = [c.element_order for c in classes]
-    reps = [c.rep for c in classes]
 
-    # powmap[k][a]: the class of rep_k^a, for a below the order of class k
-    # (class 0 is the identity class)
-    powmap = []
-    for ck in classes:
-        x, row, act = ck.rep, [0], right_action(ck.rep)
-        for _ in range(1, ck.element_order):
-            row.append(cls_of[index[x]])
-            x = act(x)
-        powmap.append(tuple(row))
-
-    if group.factors:
-        # The factor tables live only for this call and never enter
-        # runner's spec cache: cached, the two factors of the one product
-        # among the 8 specs of the benchmark's point_queries mix would push
-        # it past TABLE_CACHE_SIZE = 8, and its tables would be rebuilt.
-        rows = _product_rows(group, reps, bound)
-    else:
-        rows = _split_rows(group, label, sizes, orders, powmap, e)
-
-    if sum(deg * deg for deg, _ in rows) != n_order:
+    if sum(deg * deg for deg, _ in rows) != group.order:
         raise ConsistencyError(
             f"degree squares do not sum to the group order of {label}"
         )
@@ -1023,21 +1019,16 @@ def compute_table(
         row[0], tuple(coords[key] for key in zip(orders, row[1]))
     ))
 
+    primes = [q for q, _ in numth.prime_factorization(e)]
     table = CharacterTable(
-        name or group.name,
-        n_order,
+        label,
+        group.order,
         e,
-        [
-            ClassData(
-                t,
-                size,
-                {q: pm[q % t] for q, _ in numth.prime_factorization(e)},
-            )
-            for t, size, pm in zip(orders, sizes, powmap)
-        ],
+        [ClassData(t, c.size, {q: pm[q % t] for q in primes})
+         for t, c, pm in zip(orders, classes, powmap)],
         [[values[t, vec] for t, vec in zip(orders, eigen)] for _, eigen in rows],
         group=group,
-        class_reps=reps,
+        class_reps=[c.rep for c in classes],
     )
     table._eigen = tuple(eigen for _, eigen in rows)
     table._power_map = tuple(powmap)

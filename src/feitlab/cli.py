@@ -7,10 +7,10 @@ group), corpus (verify + feit over a list of entries).
 Exit codes: 0 all good; 1 failed checks or internal errors; 2 usage
 errors (an unknown or malformed group spec, an out-of-range --chi, an --n
 that is not a positive divisor of the exponent, an oracle bound that is not
-an integer in 1..60, a corpus file that cannot be read or is malformed); 3
-a conductor indicator of zero was found (a conjecture counterexample
-candidate, the most interesting possible output, reported rather than
-treated as an error).
+an integer in 1..60, a corpus file that cannot be read or is malformed, a
+corpus --jobs below 1); 3 a conductor indicator of zero was found (a
+conjecture counterexample candidate, the most interesting possible output,
+reported rather than treated as an error).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 import time
 from functools import lru_cache
@@ -155,7 +156,9 @@ def _timestamp() -> str:
 
 
 def cmd_corpus(args) -> int:
-    # the whole file is checked before any entry runs
+    # the options and the whole file are checked before any entry runs
+    if args.jobs < 1:
+        raise UsageError(f"--jobs {args.jobs}: must be at least 1")
     try:
         doc = json.loads(Path(args.file).read_text())
     except OSError as exc:
@@ -176,11 +179,13 @@ def cmd_corpus(args) -> int:
     bound = check_oracle_bound(doc.get("oracle_bound"), f"{args.file}: oracle_bound")
     fmt = args.format or doc.get("format", "json")
     payloads = [(e, bound) for e in entries]
-    if args.jobs > 1:
+    # a fork pool starts every worker at once: none past the entries or cores
+    workers = min(args.jobs, len(entries), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: multiprocessing costs every other command its import
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_corpus_worker, payloads))
     else:
         reports = [_corpus_worker(p) for p in payloads]

@@ -1244,11 +1244,12 @@ def test_validate_checks_every_row_norm():
 
 
 # product and elementary specs: the bundled corpus's and the feit pool's,
-# with a trivial factor, one factor and three factors (elementary:3,3 is
-# also in the pool)
+# with a trivial factor, one factor, three factors and a factor that is
+# itself a product of equal factors (elementary:3,3 is also in the pool)
 PRODUCT_SPECS = tuple(
     spec for spec in dict.fromkeys(
-        CORPUS + FEIT_POOL + ("product:cyclic:1,sym:3", "product:cyclic:2", "elementary:3,3")
+        CORPUS + FEIT_POOL + ("product:cyclic:1,sym:3", "product:cyclic:2", "elementary:3,3",
+                              "product:elementary:2,2,cyclic:3")
     )
     if spec.startswith(("product:", "elementary:"))
 )
@@ -1268,44 +1269,60 @@ def test_product_tables_match_the_splitting():
         assert got._power_map == want._power_map, spec
 
 
-def _rotated_somewhere(t):
-    """The table's vectors with the first one that moves under a rotation
-    of its exponents rotated: one multiplicity moved, the sums kept."""
-    eigen = [list(row) for row in t.eigen]
-    i, c = next((i, c) for i, row in enumerate(eigen) for c, vec in enumerate(row)
+def _rotated_somewhere(rows):
+    """The rows with the first vector that moves under a rotation of its
+    exponents rotated: one multiplicity moved, the sums kept."""
+    rows = [(deg, list(eigen)) for deg, eigen in rows]
+    i, c = next((i, c) for i, (_, eigen) in enumerate(rows) for c, vec in enumerate(eigen)
                 if vec[-1:] + vec[:-1] != vec)
-    vec = eigen[i][c]
-    eigen[i][c] = vec[-1:] + vec[:-1]
-    return tuple(tuple(row) for row in eigen)
+    vec = rows[i][1][c]
+    rows[i][1][c] = vec[-1:] + vec[:-1]
+    return [(deg, tuple(eigen)) for deg, eigen in rows]
 
 
 @pytest.mark.parametrize("factor", ["alt:4", "cyclic:3"])
 def test_a_wrong_factor_vector_fails_the_product_table(monkeypatch, factor):
-    compute = chartab.compute_table
+    rows_of = chartab._rows
 
-    def perturbed(group, name=None, bound=chartab.DEFAULT_TABLE_BOUND):
-        t = compute(group, name, bound)
+    def perturbed(group, label):
+        powmap, rows = rows_of(group, label)
         if group.name == factor:
-            t._eigen = _rotated_somewhere(t)
-        return t
+            rows = _rotated_somewhere(rows)
+        return powmap, rows
 
-    monkeypatch.setattr(chartab, "compute_table", perturbed)
+    monkeypatch.setattr(chartab, "_rows", perturbed)
     with pytest.raises((TableFormatError, ConsistencyError),
                        match="product:alt:4,cyclic:3"):
-        compute(groups.from_spec("product:alt:4,cyclic:3"))
+        compute_table(groups.from_spec("product:alt:4,cyclic:3"))
 
 
 def test_equal_factors_share_one_table(monkeypatch):
-    compute = chartab.compute_table
+    rows_of = chartab._rows
     built = []
 
-    def counted(group, name=None, bound=chartab.DEFAULT_TABLE_BOUND):
+    def counted(group, label):
         built.append(group.name)
-        return compute(group, name, bound)
+        return rows_of(group, label)
 
-    monkeypatch.setattr(chartab, "compute_table", counted)
+    monkeypatch.setattr(chartab, "_rows", counted)
     for spec, factors in (("elementary:3,3", ["cyclic:3"]),
                           ("product:sym:3,cyclic:2,sym:3", ["sym:3", "cyclic:2"])):
         built.clear()
-        compute(groups.from_spec(spec))
-        assert built == factors, spec
+        compute_table(groups.from_spec(spec))
+        # the product's own rows first, then each distinct factor's once
+        assert built == [spec] + factors, spec
+
+
+def test_a_product_table_runs_one_gram_pass(monkeypatch):
+    validate = chartab._validate
+    validated = []
+
+    def counted(table):
+        validated.append(table.name)
+        validate(table)
+
+    monkeypatch.setattr(chartab, "_validate", counted)
+    for spec in ("product:alt:4,cyclic:3", "elementary:3,3"):
+        validated.clear()
+        compute_table(groups.from_spec(spec))
+        assert validated == [spec], spec

@@ -425,6 +425,52 @@ def test_corpus_jobs(tmp_path, capsys):
     assert json.loads(out)["failures"] == []
 
 
+def test_corpus_jobs_below_one_are_usage_errors(tmp_path, capsys, monkeypatch):
+    def no_entry(payload):
+        raise AssertionError("an entry ran before --jobs was checked")
+
+    monkeypatch.setattr(cli, "_corpus_worker", no_entry)
+    cfile = tmp_path / "corpus.json"
+    cfile.write_text(json.dumps({"entries": ["cyclic:4", "cyclic:5"]}))
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(capsys, "corpus", str(cfile), "--jobs", jobs)
+        assert code == 2 and out == "", err
+        assert f"--jobs {jobs}" in err, err
+
+
+def test_corpus_pool_is_no_larger_than_the_entries_or_the_cores(
+        tmp_path, capsys, monkeypatch):
+    # a stub pool records its size and maps in this process: no worker starts
+    import concurrent.futures
+
+    sizes = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+    for entries, cores, want in ((["cyclic:4", "cyclic:5"], 8, [2]),
+                                 (["cyclic:2", "cyclic:3", "cyclic:4"], 2, [2]),
+                                 (["cyclic:4", "cyclic:5"], 1, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        cfile = tmp_path / "corpus.json"
+        cfile.write_text(json.dumps({"entries": entries}))
+        sizes.clear()
+        code, out, _ = run_cli(capsys, "corpus", str(cfile), "--jobs", "100000")
+        assert code == 0 and json.loads(out)["failures"] == []
+        assert sizes == want, (entries, cores)
+
+
 def test_corpus_determinism(tmp_path, capsys):
     cfile = tmp_path / "corpus.json"
     cfile.write_text(json.dumps({"entries": ["sym:3", "cyclic:8"], "format": "json"}))
