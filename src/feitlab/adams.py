@@ -5,6 +5,13 @@ signed sum, over subsets of the primes of n, of Adams operations of a
 character at blended moduli.  It is a non-negative integer, positive
 exactly when some representing matrix has an eigenvalue of order n, and at
 n = conductor it decides the conjecture the toolkit exists to probe.
+
+The signed sum depends only on the table and n, so S is one integer
+pairing, S = sum_rho (-1)^|rho| W_{m_rho} . T / (|G| phi(e)) over the
+subsets rho of the primes of n: W_m[k] is the total size of the classes
+whose m-th power lies in class k, and T[k] the trace to Q, from the level
+of the exponent e, of chi at class k, as <psi^m chi, 1> is rational and so
+equal to its average over the Galois group of that field.
 """
 
 from __future__ import annotations
@@ -22,20 +29,6 @@ from .chartab import (
 from .errors import ConsistencyError, UsageError
 
 ChiLike = Union[int, ClassFunction]
-
-
-def _row_index(table: CharacterTable, chi: int) -> int:
-    """chi as an index of the table's rows; UsageError if it is out of range."""
-    if not 0 <= chi < table.num_classes:
-        raise UsageError(f"chi must be in 0..{table.num_classes - 1}")
-    return chi
-
-
-def _class_index(table: CharacterTable, c: int) -> int:
-    """c as an index of the table's classes; UsageError if it is out of range."""
-    if not 0 <= c < table.num_classes:
-        raise UsageError(f"class c must be in 0..{table.num_classes - 1}")
-    return c
 
 
 def _check_positive(n: int) -> None:
@@ -58,7 +51,9 @@ def _as_class_function(
     """(None, i) for a row index i; else chi and its index among the rows,
     or None if it is no row."""
     if isinstance(chi, int):
-        return None, _row_index(table, chi)
+        if not 0 <= chi < table.num_classes:
+            raise UsageError(f"chi must be in 0..{table.num_classes - 1}")
+        return None, chi
     if chi.table is not table:
         raise ValueError("class function belongs to a different table")
     for i, row in enumerate(table.irreducibles):
@@ -85,25 +80,6 @@ def _eigen_vectors(table: CharacterTable, chi: Optional[ClassFunction], idx: Opt
             for c, t in enumerate(cls.rep_order for cls in table.classes)
         )
     return chi.eigen
-
-
-def _trivial_multiplicity(table: CharacterTable, vectors, m: int) -> int:
-    """<psi^m chi, 1> from the eigenvalue multiplicities of chi, in integers.
-
-    The inner product is rational, so it equals its average over the Galois
-    group of the exponent-level field; that turns each eigenvalue zeta_t^(jm)
-    into its trace, summed per class vector by ``CharacterTable.power_trace``."""
-    e = table.exponent
-    total = sum(
-        cls.size * table.power_trace(vec, m) for cls, vec in zip(table.classes, vectors)
-    )
-    q, r = divmod(total, table.order * numth.totient(e))
-    if r:
-        raise ConsistencyError(
-            f"trivial multiplicity of the {m}-th Adams operation on {table.name}"
-            f" is not integral"
-        )
-    return q
 
 
 def _witness(table: CharacterTable, vectors, n: int) -> Optional[Tuple[int, int]]:
@@ -164,20 +140,24 @@ class FeitReport(NamedTuple):
 
 
 def invariant(table: CharacterTable, chi: ChiLike, n: int) -> InvariantReport:
-    """The alternating Adams invariant of chi at a divisor n of the exponent,
-    with the per-subset multiplicities that make up the signed sum.  Each
-    multiplicity comes from the eigenvalue multiplicities of chi; the
-    cyclotomic evaluation of ``adams_operation`` stays as its cross-check."""
+    """S(G, chi, n) at a divisor n of the exponent, with the per-subset
+    multiplicities of the signed sum: each W_m of ``table.adams_terms(n)``
+    paired with chi's trace vector (a row's ``traces``, else the
+    ``trace_vectors`` of its combined vectors) and checked to be integral."""
     chi, idx = _as_class_function(table, chi)
     _check_divisor(table, n)
-    e = table.exponent
     vectors = _eigen_vectors(table, chi, idx)
+    traces = table.traces[idx] if idx is not None else table.trace_vectors([vectors])[0]
+    scale = table.order * numth.totient(table.exponent)
     summands: Dict[FrozenSet[int], int] = {}
     total = 0
-    for rho in numth.prime_subsets(n):
-        mult = _trivial_multiplicity(table, vectors, numth.subset_modulus(n, e, rho))
+    for rho, sign, m, weights in table.adams_terms(n):
+        mult, r = divmod(sum(x * traces[k] for k, x in weights), scale)
+        if r:
+            raise ConsistencyError(f"trivial multiplicity of the {m}-th Adams"
+                                   f" operation on {table.name} is not integral")
         summands[rho] = mult
-        total += (-1 if len(rho) % 2 else 1) * mult
+        total += sign * mult
     witness = _witness(table, vectors, n) if total > 0 else None
     return InvariantReport(idx, n, total, witness, summands)
 
@@ -187,12 +167,10 @@ def alternating_adams_character(table: CharacterTable, chi: ChiLike, n: int) -> 
     is the invariant (a virtual character, not a genuine one in general)."""
     _as_class_function(table, chi)  # rejects a bad row or another table's function
     _check_divisor(table, n)
-    e = table.exponent
     acc = table.class_function((0,) * table.num_classes)
-    for rho in numth.prime_subsets(n):
-        m = numth.subset_modulus(n, e, rho)
+    for _, sign, m, _ in table.adams_terms(n):
         term = adams_operation(table, chi, m)
-        acc = acc + term if len(rho) % 2 == 0 else acc - term
+        acc = acc + term if sign > 0 else acc - term
     return acc
 
 
@@ -202,7 +180,9 @@ def eigenvalue_multiplicities(table: CharacterTable, chi: ChiLike, c: int) -> Tu
     order), read from the rows' vectors (``_eigen_vectors``); chi must be a
     character."""
     chi, idx = _as_class_function(table, chi)
-    out = _eigen_vectors(table, chi, idx)[_class_index(table, c)]
+    if not 0 <= c < table.num_classes:
+        raise UsageError(f"class c must be in 0..{table.num_classes - 1}")
+    out = _eigen_vectors(table, chi, idx)[c]
     where = f"class {c} of {table.name} for " + (
         f"character {idx}" if idx is not None else "a class function"
     )

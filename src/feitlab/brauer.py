@@ -701,21 +701,16 @@ def adams_identity_checks(
 ) -> Dict[Tuple[int, int], IdentityCheck]:
     """``adams_identity_check`` of every row i, with combs[i] its
     coefficients, at every divisor n of the exponent, keyed by (i, n).  The
-    Adams side reads the power map once per (class, n): <psi^n chi_i, 1> is
-    sum_k w_n[k] chi_i(k) / |G|, with w_n[k] the total size of the classes
-    whose n-th power lies in class k, one group-ring sum per (i, n)."""
+    Adams side is <psi^n chi_i, 1> = sum_k W_n[k] chi_i(k) / |G|, with the
+    table's class weights W_n (``CharacterTable.class_weights``), as one
+    group-ring sum of the values per (i, n)."""
     level = math.lcm(table.exponent, *(v.level for row in table.irreducibles for v in row))
-    weights = []
-    for n in numth.divisors(table.exponent):
-        w = [0] * table.num_classes
-        for c, cls in enumerate(table.classes):
-            w[table.class_of_power(c, n)] += cls.size
-        weights.append((n, w))
+    weights = [(n, table.class_weights(n)) for n in numth.divisors(table.exponent)]
     out: Dict[Tuple[int, int], IdentityCheck] = {}
     for i, (row, comb) in enumerate(zip(table.irreducibles, combs)):
         terms, den = _value_terms(row, level)
         for n, w in weights:
-            sums = _group_ring_sum(level, [(x, terms[k], ((0, 1),)) for k, x in enumerate(w) if x])
+            sums = _group_ring_sum(level, [(x, terms[k], ((0, 1),)) for k, x in w])
             rhs, r = divmod(sums[0], table.order * den)
             if r or any(sums[1:]):
                 raise ConsistencyError(

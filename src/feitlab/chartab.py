@@ -176,7 +176,11 @@ class CharacterTable:
 
     ``power_map[c][a]`` is the class of rep(c)^a for a below the order of
     class c.  ``compute_table`` stores the map it built from the
-    representatives; ``load_table`` derives it from the prime power maps.
+    representatives; ``load_table`` derives it from the prime power maps,
+    and ``_validate`` checks every prime power map against it.
+
+    ``adams.invariant`` pairs the class weights, signs and moduli of each n
+    (``adams_terms``) with each row's trace vector (``traces``), both kept.
     """
 
     def __init__(
@@ -199,7 +203,7 @@ class CharacterTable:
         self._eigen: Optional[Tuple[Tuple[Tuple[int, ...], ...], ...]] = None
         self._power_map: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._conductors: Dict[Tuple[int, ...], int] = {}
-        self._power_traces: Dict[Tuple[Tuple[int, ...], int], int] = {}
+        self._adams_terms: Dict[int, tuple] = {}
         # the oracle's MonomialContext of the group once it has served this
         # table (brauer owns its contents; the group refers to it weakly);
         # runner.verify_table drops it when its checks are done
@@ -252,21 +256,41 @@ class CharacterTable:
             n = self._conductors[vec] = _vector_conductor(vec)
         return n
 
-    def power_trace(self, vec: Tuple[int, ...], m: int) -> int:
-        """Trace to the rationals, from the level-e field (e the exponent),
-        of the sum of the m-th powers of the eigenvalues that one
-        multiplicity vector counts (its length is its class's order): each
-        zeta_t^(j m) traces to mobius(k) * totient(e) / totient(k), k its
-        order.  Computed once per distinct (vector, m)."""
-        tr = self._power_traces.get((vec, m))
-        if tr is None:
-            t, e = len(vec), self.exponent
-            tr = self._power_traces[vec, m] = sum(
-                mult * numth.trace_root_of_unity(t // math.gcd(t, j * m), e)
-                for j, mult in enumerate(vec)
-                if mult
+    @cached_property
+    def traces(self) -> Tuple[Tuple[int, ...], ...]:
+        """``trace_vectors`` of the rows' multiplicity vectors."""
+        return self.trace_vectors(self.eigen)
+
+    def trace_vectors(self, rows) -> Tuple[Tuple[int, ...], ...]:
+        """Per row of multiplicity vectors and per class, the trace to Q, from
+        the level-e field (e the exponent), of the value its vector gives:
+        zeta_t^j, t = len(vec), traces to mobius(k) * totient(e) /
+        totient(k), k = t / gcd(t, j), each distinct vector traced once."""
+        e = self.exponent
+        roots = {t: [numth.trace_root_of_unity(t // math.gcd(t, j), e) for j in range(t)]
+                 for t in {cls.rep_order for cls in self.classes}}
+        traced = {vec: sum(map(mul, vec, roots[len(vec)])) for vec in set().union(*rows)}
+        return tuple(tuple(map(traced.__getitem__, row)) for row in rows)
+
+    def class_weights(self, m: int) -> Tuple[Tuple[int, int], ...]:
+        """W_m as its nonzero entries (k, W_m[k]), W_m[k] the total size of the
+        classes whose m-th power lies in class k."""
+        acc = [0] * self.num_classes
+        for cls, powers in zip(self.classes, self.power_map):
+            acc[powers[m % cls.rep_order]] += cls.size
+        return tuple((k, x) for k, x in enumerate(acc) if x)
+
+    def adams_terms(self, n: int) -> tuple:
+        """(rho, (-1)^|rho|, m_rho, ``class_weights(m_rho)``) for each subset
+        rho of the primes of n, a divisor of the exponent: the Adams
+        combination of ``adams.invariant``, built once per n."""
+        if n not in self._adams_terms:
+            self._adams_terms[n] = tuple(
+                (rho, (-1) ** len(rho), m, self.class_weights(m))
+                for rho in numth.prime_subsets(n)
+                for m in (numth.subset_modulus(n, self.exponent, rho),)
             )
-        return tr
+        return self._adams_terms[n]
 
     def degree(self, i: int) -> int:
         d = self.irreducibles[i][0].as_integer()
@@ -1114,6 +1138,14 @@ def _validate(table: CharacterTable) -> None:
         eigen = table.eigen
     except ConsistencyError as exc:
         fail(str(exc))
+    # the power map was derived from the prime power maps, some entries of
+    # which it never reads; each must agree with it
+    for idx, (c, powers) in enumerate(zip(table.classes, table.power_map)):
+        for q, tgt in c.power_maps.items():
+            if powers[q % c.rep_order] != tgt:
+                fail(f"power map of class {idx} at {q} disagrees with the power map"
+                     f" derived from the prime power maps, which gives class"
+                     f" {powers[q % c.rep_order]}")
     # |G| <chi_i, chi_j> as one residue per pair: a sum of one integer
     # product per class (``_gram_codes``), which is |G| delta_ij exactly
     # when the residue says so.  The v of all rows are packed per class, one

@@ -286,23 +286,54 @@ def test_verify_invariant_exhaustive_small():
             assert verify_invariant(t, mixed, n).passed
 
 
+def reference_summand(t, vectors, m):
+    """<psi^m chi, 1> by the per-(vector, m) trace formula, from chi's
+    multiplicity vectors: each eigenvalue zeta_t^j at a class of order t
+    becomes zeta_t^(j m), which traces from the exponent's level as a root
+    of unity of order t / gcd(t, j m)."""
+    e = t.exponent
+    total = sum(
+        cls.size * mult * numth.trace_root_of_unity(len(vec) // math.gcd(len(vec), j * m), e)
+        for cls, vec in zip(t.classes, vectors)
+        for j, mult in enumerate(vec)
+        if mult
+    )
+    q, r = divmod(total, t.order * numth.totient(e))
+    assert r == 0, (t.name, m)
+    return q
+
+
+# a handful of the groups of order 25..720 that the feit_scan benchmark
+# draws from: products, an extraspecial group and exponents up to 60
+FEIT_SPECS = ("dihedral:60", "product:sl2:3,cyclic:4", "product:alt:5,cyclic:3",
+              "extraspecial:27", "sym:6")
+
+
 def test_integer_summands_match_cyclotomic_adams_over_corpus():
-    # every summand of the integer route equals the trivial multiplicity of
-    # the cyclotomic Adams operation, and the eigenvalue multiplicities kept
-    # from the modular splitting equal the transform of the loaded values
-    for spec in CORPUS:
-        t = table(spec)
-        assert load_table(save_table(t)).eigen == t.eigen, spec
-        triv = t.trivial_character()
-        e = t.exponent
-        chis = list(range(t.num_classes)) + [t.regular_character()]
-        for chi in chis:
-            for n in numth.divisors(e):
-                rep = invariant(t, chi, n)
-                for rho, got in rep.summands.items():
-                    m = numth.subset_modulus(n, e, rho)
-                    want = integral_inner_product(adams_operation(t, chi, m), triv)
-                    assert got == want, (spec, chi, n, sorted(rho))
+    # every summand of the pairing W_m . T equals the per-(vector, m) trace
+    # formula and the trivial multiplicity of the cyclotomic Adams
+    # operation, for a computed table and for its loaded copy (whose power
+    # map and vectors are derived), on the rows, the regular character and a
+    # virtual character; the eigenvalue multiplicities kept from the modular
+    # splitting equal the transform of the loaded values
+    for spec in CORPUS + FEIT_SPECS:
+        computed = table(spec)
+        copy = load_table(save_table(computed))
+        assert copy.eigen == computed.eigen, spec
+        for t in (computed, copy):
+            triv = t.trivial_character()
+            e = t.exponent
+            virt = 2 * t.irreducible(t.num_classes - 1) - triv
+            chis = list(range(t.num_classes)) + [t.regular_character(), virt]
+            for chi in chis:
+                vectors = adams._eigen_vectors(t, *adams._as_class_function(t, chi))
+                for n in numth.divisors(e):
+                    rep = invariant(t, chi, n)
+                    for rho, got in rep.summands.items():
+                        m = numth.subset_modulus(n, e, rho)
+                        want = integral_inner_product(adams_operation(t, chi, m), triv)
+                        ref = reference_summand(t, vectors, m)
+                        assert got == want == ref, (spec, chi, n, sorted(rho))
 
 
 def test_invariant_of_virtual_character():

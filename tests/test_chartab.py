@@ -1211,6 +1211,37 @@ def test_loaded_power_map_is_checked_by_the_transform(pick):
         load_table(json.dumps(doc))
 
 
+def test_load_rejects_a_prime_power_map_it_never_reads():
+    # the cube of dihedral:12's central involution is itself; moved to the
+    # other class of order 2, the entry is never read by the derived power
+    # map, so only comparing it with that map finds it
+    doc = json.loads(save_table(table("dihedral:12")))
+    assert [c["rep_order"] for c in doc["classes"][1:3]] == [2, 2]
+    assert doc["classes"][1]["powermap"]["3"] == 1
+    doc["classes"][1]["powermap"]["3"] = 2
+    with pytest.raises(TableFormatError,
+                       match="dihedral:12: power map of class 1 at 3 disagrees"):
+        load_table(json.dumps(doc))
+
+
+def test_every_same_order_power_map_corruption_is_refused():
+    # every prime power-map entry of a corpus table moved to another class
+    # of the same order passes the order checks; the table is refused
+    # whether or not the derived power map reads the entry
+    for spec in CORPUS:
+        doc = json.loads(save_table(table(spec)))
+        classes = doc["classes"]
+        for c, cls in enumerate(classes):
+            for q, tgt in cls["powermap"].items():
+                for other, cls2 in enumerate(classes):
+                    if other == tgt or cls2["rep_order"] != classes[tgt]["rep_order"]:
+                        continue
+                    cls["powermap"][q] = other
+                    with pytest.raises(TableFormatError, match=spec):
+                        load_table(json.dumps(doc))
+                    cls["powermap"][q] = tgt
+
+
 def test_power_class_is_checked_against_its_own_values(monkeypatch):
     # a vector pushed forward to the wrong exponents still sums to the
     # degree; only its residue at the power class reveals it
