@@ -1170,9 +1170,11 @@ def _validate(table: CharacterTable) -> None:
     # and forces X* X = |G| D^-1.
 
 
-def save_table(table: CharacterTable) -> bytes:
-    """Serialize to the interchange JSON format (deterministic bytes)."""
-    doc = {
+def _table_document(table: CharacterTable) -> dict:
+    """The interchange format's document of a table: the one description of
+    its content, which ``save_table`` writes with an indent and
+    ``runner``'s round trip compactly."""
+    return {
         "name": table.name,
         "order": table.order,
         "exponent": table.exponent,
@@ -1190,11 +1192,18 @@ def save_table(table: CharacterTable) -> bytes:
             [v.to_json() for v in row] for row in table.irreducibles
         ],
     }
-    return json.dumps(doc, indent=1).encode("utf-8")
+
+
+def save_table(table: CharacterTable) -> bytes:
+    """Serialize to the interchange JSON format (deterministic bytes)."""
+    return json.dumps(_table_document(table), indent=1).encode("utf-8")
 
 
 def load_table(data) -> CharacterTable:
-    """Parse and fully validate a serialized character table."""
+    """Parse and fully validate a serialized character table.  Nothing is
+    converted: the name must be a string, every integer field a JSON integer
+    (not a float, string or bool), and each power-map key a prime written
+    as ``save_table`` writes it, in decimal digits."""
     if isinstance(data, (bytes, str)):
         try:
             doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
@@ -1203,7 +1212,20 @@ def load_table(data) -> CharacterTable:
     else:
         doc = data
     try:
-        name, order = str(doc["name"]), int(doc["order"])
+        name = doc["name"]
+        if not isinstance(name, str):
+            raise TableFormatError(
+                f"malformed table document: name must be a JSON string, got {name!r}")
+        malformed = f"malformed table document for {name}"
+
+        def integer(x, field: str) -> int:
+            if type(x) is not int:
+                raise TableFormatError(
+                    f"{malformed}: {field} must be a JSON integer, got {x!r}")
+            return x
+
+        order = integer(doc["order"], "order")
+        exponent = integer(doc["exponent"], "exponent")
         # every group the toolkit builds is within the bound; refused here,
         # before a value or a reduction table at a larger level is built
         if order > DEFAULT_ORDER_BOUND:
@@ -1211,26 +1233,36 @@ def load_table(data) -> CharacterTable:
                 f"table validation failed for {name}: order {order} exceeds"
                 f" the bound {DEFAULT_ORDER_BOUND}"
             )
-        for i, row in enumerate(doc["irreducibles"]):
-            for c, v in enumerate(row):
-                if isinstance(v, dict) and v["level"] > DEFAULT_ORDER_BOUND:
+        classes = []
+        for idx, c in enumerate(doc["classes"]):
+            power_maps = {}
+            for key, tgt in c["powermap"].items():
+                if not (isinstance(key, str) and key.isascii() and key.isdigit()
+                        and str(int(key)) == key):
                     raise TableFormatError(
-                        f"table validation failed for {name}: level {v['level']}"
+                        f"{malformed}: power map key {key!r} of class {idx} must"
+                        f" be a prime in decimal digits")
+                power_maps[int(key)] = integer(tgt, f"power map of class {idx} at {key}")
+            classes.append(ClassData(integer(c["rep_order"], f"rep_order of class {idx}"),
+                                     integer(c["size"], f"size of class {idx}"), power_maps))
+        irreducibles = []
+        for i, row in enumerate(doc["irreducibles"]):
+            values = []
+            for c, v in enumerate(row):
+                if isinstance(v, dict) and type(level := v["level"]) is int \
+                        and level > DEFAULT_ORDER_BOUND:
+                    raise TableFormatError(
+                        f"table validation failed for {name}: level {level}"
                         f" of character {i} at class {c} exceeds the bound"
                         f" {DEFAULT_ORDER_BOUND}"
                     )
-        classes = [
-            ClassData(
-                int(c["rep_order"]),
-                int(c["size"]),
-                {int(q): int(t) for q, t in c["powermap"].items()},
-            )
-            for c in doc["classes"]
-        ]
-        irreducibles = [
-            [Cyclotomic.from_json(v) for v in row] for row in doc["irreducibles"]
-        ]
-        table = CharacterTable(name, order, int(doc["exponent"]), classes, irreducibles)
+                try:
+                    values.append(Cyclotomic.from_json(v))
+                except ValueError as exc:
+                    raise TableFormatError(
+                        f"{malformed}: value of character {i} at class {c}: {exc}") from None
+            irreducibles.append(values)
+        table = CharacterTable(name, order, exponent, classes, irreducibles)
     except TableFormatError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -407,10 +407,14 @@ class Cyclotomic:
             terms = [(0, int(num), int(den or 1))]
             level = 1
         elif isinstance(data, dict):
-            terms = [(int(e), int(num), int(den)) for e, num, den in data["terms"]]
             level = data["level"]
+            if type(level) is not int:
+                raise ValueError(f"level must be a JSON integer, got {level!r}")
             if level < 1:
                 raise ValueError(f"positive level required, got {level}")
+            terms = [(e, num, den) for e, num, den in data["terms"]]
+            if {type(x) for term in terms for x in term} - {int}:
+                raise ValueError(f"terms must be JSON integers, got {data['terms']!r}")
         else:
             raise ValueError(f"unrecognized cyclotomic value {data!r}")
         # integer numerators over the lcm of the (signed) term denominators

@@ -478,12 +478,73 @@ def _tamper(mutate):
         (lambda d: d["irreducibles"][0].__setitem__(0, -1), "degree"),
         (lambda d: d["irreducibles"].pop(), "as many irreducible"),
         (lambda d: d["irreducibles"][1].pop(), "wrong number of values"),
+        (lambda d: d.update(name=[1]), "name must be a JSON string, got [1]"),
+        (lambda d: d.update(name=True), "name must be a JSON string, got True"),
+    ] + [
+        # a power-map key is read only as save_table writes its prime
+        (lambda d, key=key: d["classes"][1]["powermap"].update({key: 0}),
+         f"power map key {key!r} of class 1 must be a prime in decimal digits")
+        for key in (" 2", "2 ", "02", "+2", "2.0", "\u0662", "two")
     ],
 )
 def test_load_names_the_failed_check(mutate, fragment):
     with pytest.raises(TableFormatError) as err:
         load_table(_tamper(mutate))
     assert fragment in str(err.value)
+
+
+# each integer field of the format: the spec whose document has it, the
+# place of the field in that document, and the words that name it
+INTEGER_FIELDS = [
+    ("sym:3", lambda d: (d, "order"), "order"),
+    ("sym:3", lambda d: (d, "exponent"), "exponent"),
+    ("sym:3", lambda d: (d["classes"][1], "rep_order"), "rep_order of class 1"),
+    ("sym:3", lambda d: (d["classes"][1], "size"), "size of class 1"),
+    ("sym:3", lambda d: (d["classes"][1]["powermap"], "3"), "power map of class 1 at 3"),
+    ("sym:3", lambda d: (d["classes"][2]["powermap"], "2"), "power map of class 2 at 2"),
+    ("cyclic:3", lambda d: (d["irreducibles"][1][1], "level"),
+     "value of character 1 at class 1: level"),
+] + [
+    ("cyclic:3", lambda d, k=k: (d["irreducibles"][0][1]["terms"][1], k),
+     "value of character 0 at class 1: terms")
+    for k in range(3)
+]
+
+
+@pytest.mark.parametrize("spec, place, field", INTEGER_FIELDS,
+                         ids=[f"{field}-{k}" for k, (_, _, field) in enumerate(INTEGER_FIELDS)])
+@pytest.mark.parametrize("form", [float, lambda v: v + 0.5, str, bool],
+                         ids=["float", "fraction", "string", "bool"])
+def test_load_refuses_an_integer_field_that_is_not_a_json_integer(spec, place, field, form):
+    # a float, a numeric string or a bool in an integer field is refused,
+    # not truncated or converted; the error names the field
+    doc = json.loads(save_table(table(spec)))
+    where, key = place(doc)
+    assert type(where[key]) is int
+    where[key] = form(where[key])
+    with pytest.raises(TableFormatError,
+                       match=f"malformed table document for {spec}: {field}"):
+        load_table(json.dumps(doc))
+
+
+# the corpus's tables and five of the feit pool's, among them products, an
+# elementary group and sym:6, the pool's largest
+COMPACT_SPECS = CORPUS + ("product:sl2:3,cyclic:4", "elementary:5,2", "sym:6",
+                          "product:alt:5,cyclic:3", "extraspecial:27")
+
+
+def test_compact_round_trip_is_the_saved_round_trip():
+    # verify's table_integrity loads and compares the compact JSON of the
+    # document; it must carry the same content as save_table's bytes, and
+    # load to a table that saves to them
+    for spec in COMPACT_SPECS:
+        t = table(spec)
+        blob = save_table(t)
+        compact = json.dumps(chartab._table_document(t))
+        assert json.loads(blob) == json.loads(compact), spec
+        loaded = load_table(compact)
+        assert save_table(loaded) == blob, spec
+        assert json.dumps(chartab._table_document(loaded)) == compact, spec
 
 
 def test_regular_character_decomposition():

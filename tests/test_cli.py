@@ -344,6 +344,22 @@ def test_verify_loaded_table(tmp_path, capsys):
     assert "SKIP" in out  # no group attached: oracle + regular-character skip
 
 
+def test_verify_refuses_integer_fields_written_as_other_json(tmp_path, capsys):
+    # read by int(), an order of 6.9, a size of "3" and a power-map target
+    # of 2.5 would be 6, 3 and 2, and the file would pass every check
+    code, out, _ = run_cli(capsys, "table", "sym:3", "--json")
+    doc = json.loads(out)
+    doc["order"] = 6.9
+    doc["classes"][1]["size"] = "3"
+    doc["classes"][2]["powermap"]["2"] = 2.5
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("verify", str(path)), ("s", str(path), "--chi", "0", "--n", "2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "TableFormatError" in err and "order must be a JSON integer, got 6.9" in err
+
+
 def test_s_on_a_loaded_table_matches_the_spec(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "table", "dihedral:120", "--json")
     path = tmp_path / "d120.json"
