@@ -462,13 +462,6 @@ class MonomialContext:
                 acc[r] += c * k
         return {r: c for r, c in acc.items() if c}
 
-    def orbit_of(self, pair: MonomialPair) -> Tuple[MonomialPair, int, int]:
-        """Canonical representative, orbit size, and stabilizer size."""
-        i = self.index[pair.key()]
-        rep = self.orbit_rep[i]
-        size = self.orbit_size[rep]
-        return self.pairs[rep], size, self.group.order // size
-
 
 def monomial_context(group: PermGroup, bound: Optional[int] = None) -> MonomialContext:
     """The group's context, kept while a table it serves holds it.  The bound

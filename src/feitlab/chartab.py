@@ -33,10 +33,14 @@ once, their residues at a class packed into one integer.  A power class of
 order t = t0/g, g = gcd(t0, a), reads its vector from its root's by
 j -> j (a/g) mod t, and is checked against its own residue.  A computed
 table keeps its power map and multiplicities; a table loaded from JSON
-derives them while it is validated, the power map from its prime power
-maps and the multiplicities by the same transform, from its values reduced
-mod the same p, each vector then checked to give back its value exactly.
-Floating point never occurs.
+derives them while it is validated: the multiplicities by the same
+transform, from its values reduced mod the same p, each vector then
+checked to give back its value exactly, and the power map one class at
+a time, by increasing order t: a non-unit power rep^a is read from the
+row of the class of rep^q, q the least prime dividing gcd(a, t), which
+the stored prime power map names, and a unit power is the class whose
+column is the Galois image of the class's column, compared at level t,
+where every value is stored.  Floating point never occurs.
 
 Both routes give the rows as degrees and multiplicity vectors (``_rows``);
 the values, the row sort and the validation that follow are one path
@@ -174,10 +178,14 @@ class CharacterTable:
     modular transform from its values mod p, and checks that each vector
     gives back its value exactly.
 
-    ``power_map[c][a]`` is the class of rep(c)^a for a below the order of
+    ``power_map[c][a]`` is the class of rep(c)^a for a below the order t of
     class c.  ``compute_table`` stores the map it built from the
-    representatives; ``load_table`` derives it from the prime power maps,
-    and ``_validate`` checks every prime power map against it.
+    representatives.  ``load_table`` derives it class by class, by
+    increasing order: through the stored prime power map at the least prime
+    dividing gcd(a, t), or, for a unit a, by matching the Galois image of
+    column c at level t.  That reads a prime power map only at primes
+    dividing t, so ``_validate`` checks every prime power map against the
+    derived map.
 
     ``adams.invariant`` pairs the class weights, signs and moduli of each n
     (``adams_terms``) with each row's trace vector (``traces``), both kept.
@@ -322,50 +330,50 @@ class CharacterTable:
 
     @property
     def power_map(self) -> Tuple[Tuple[int, ...], ...]:
+        """A loaded table's map, one class at a time by increasing order.
+        For a below the order t of class c, rep^a with q the least prime
+        dividing gcd(a, t) is (rep^q)^(a/q), read from the already built row
+        of the stored ``power_maps[q]``; for a unit a it is the class whose
+        column is sigma_a of column c (``_galois_class``)."""
         if self._power_map is None:
-            galois: Dict[Tuple[int, int], int] = {}
-            self._power_map = tuple(
-                tuple(self._walk_power(c, a, galois) for a in range(cls.rep_order))
-                for c, cls in enumerate(self.classes)
-            )
+            rows: List[Tuple[int, ...]] = [()] * self.num_classes
+            for c in sorted(range(self.num_classes),
+                            key=lambda c: self.classes[c].rep_order):
+                cls = self.classes[c]
+                t = cls.rep_order
+                primes = [q for q, _ in numth.prime_factorization(t)]
+                row = [0] if t == 1 else [0, c]
+                for a in range(2, t):
+                    q = next((q for q in primes if a % q == 0), None)
+                    row.append(self._galois_class(c, a) if q is None
+                               else rows[cls.power_maps[q]][a // q])
+                rows[c] = tuple(row)
+            self._power_map = tuple(rows)
         return self._power_map
 
     def class_of_power(self, c: int, m: int) -> int:
         """Class of rep(c)^m, read from the power map."""
         return self.power_map[c][m % self.classes[c].rep_order]
 
-    def _walk_power(self, c: int, m: int, galois: Dict[Tuple[int, int], int]) -> int:
-        """Class of rep(c)^m from the stored prime power maps; the part of
-        m coprime to the exponent acts through Galois column matching,
-        each (class, exponent) pair matched once and kept in ``galois``."""
-        e = self.exponent
-        m %= e
-        if m == 0:
-            return 0
-        cur = c
-        residual = 1
-        for q, v in numth.prime_factorization(m):
-            if e % q == 0:
-                for _ in range(v):
-                    cur = self.classes[cur].power_maps[q]
-            else:
-                residual = residual * q**v % e
-        if residual != 1:
-            if (cur, residual) not in galois:
-                galois[cur, residual] = self._galois_class(cur, residual)
-            cur = galois[cur, residual]
-        return cur
-
     @cached_property
     def _columns(self) -> Dict[tuple, List[int]]:
-        """The classes with each column, keyed by the column's ``row_key``."""
+        """The classes with each column, keyed by their order t and the
+        column's values as stored, at level t."""
         out: Dict[tuple, List[int]] = {}
-        for c, column in enumerate(zip(*self.irreducibles)):
-            out.setdefault(self.row_key(column), []).append(c)
+        for c, (cls, column) in enumerate(zip(self.classes, zip(*self.irreducibles))):
+            key = (cls.rep_order, tuple((v.nums, v.den) for v in column))
+            out.setdefault(key, []).append(c)
         return out
 
     def _galois_class(self, c: int, k: int) -> int:
-        target = self.row_key([row[c].galois(k) for row in self.irreducibles])
+        """The class of rep(c)^k, k a unit mod the order t of class c: the
+        one column of order t equal to sigma_k of column c.  The match is
+        exact on the values as stored: ``_validate`` puts each value at its
+        class's level t, where the power basis writes it one way, before
+        ``eigen`` asks for the power map."""
+        t = self.classes[c].rep_order
+        image = (row[c].galois(k) for row in self.irreducibles)
+        target = (t, tuple((w.nums, w.den) for w in image))
         matches = self._columns.get(target, ())
         if len(matches) != 1:
             raise ConsistencyError(
@@ -373,11 +381,6 @@ class CharacterTable:
                 f" of {self.name}: {len(matches)} matching classes"
             )
         return matches[0]
-
-    def row_key(self, row: Sequence[Cyclotomic]) -> tuple:
-        return tuple(
-            (w.nums, w.den) for w in (v.at_level(self.exponent) for v in row)
-        )
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
@@ -1138,8 +1141,8 @@ def _validate(table: CharacterTable) -> None:
         eigen = table.eigen
     except ConsistencyError as exc:
         fail(str(exc))
-    # the power map was derived from the prime power maps, some entries of
-    # which it never reads; each must agree with it
+    # the derived power map reads a class's prime power maps only at the
+    # primes dividing its order; each must agree with it
     for idx, (c, powers) in enumerate(zip(table.classes, table.power_map)):
         for q, tgt in c.power_maps.items():
             if powers[q % c.rep_order] != tgt:
@@ -1202,8 +1205,9 @@ def save_table(table: CharacterTable) -> bytes:
 def load_table(data) -> CharacterTable:
     """Parse and fully validate a serialized character table.  Nothing is
     converted: the name must be a string, every integer field a JSON integer
-    (not a float, string or bool), and each power-map key a prime written
-    as ``save_table`` writes it, in decimal digits."""
+    (not a float, string or bool), each power-map key a prime written as
+    ``save_table`` writes it, in decimal digits, and each value a JSON
+    integer or {level, terms} with every term's denominator 1."""
     if isinstance(data, (bytes, str)):
         try:
             doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
@@ -1258,6 +1262,12 @@ def load_table(data) -> CharacterTable:
                     )
                 try:
                     values.append(Cyclotomic.from_json(v))
+                    # a character value is an algebraic integer, and
+                    # ``save_table`` writes its power-basis coordinates
+                    if isinstance(v, str) or (isinstance(v, dict) and any(
+                            den != 1 for _, _, den in v["terms"])):
+                        raise ValueError(f"a value must be a JSON integer or terms"
+                                         f" of denominator 1, got {v!r}")
                 except ValueError as exc:
                     raise TableFormatError(
                         f"{malformed}: value of character {i} at class {c}: {exc}") from None

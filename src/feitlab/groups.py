@@ -31,7 +31,7 @@ from typing import (
 )
 
 from . import numth
-from .cyclo import Cyclotomic, RootOfUnity, zeta
+from .cyclo import RootOfUnity
 from .errors import BoundExceeded, SpecError
 
 Perm = Tuple[int, ...]
@@ -88,11 +88,6 @@ def perm_order(a: Perm) -> int:
         x = act(x)
         n += 1
     return n
-
-
-def conjugate_perm(g: Perm, h: Perm) -> Perm:
-    """g * h * g^-1."""
-    return compose(compose(g, h), inverse(g))
 
 
 def cycle_notation(a: Perm) -> str:
@@ -548,9 +543,6 @@ class LinearChar:
 
     def value(self, g: Perm) -> RootOfUnity:
         return RootOfUnity(self.order, self._exponent(g))
-
-    def cyclotomic_value(self, g: Perm) -> Cyclotomic:
-        return zeta(self.order, self._exponent(g))
 
     def key(self) -> tuple:
         return (self.domain.order, self.domain.elements, self.order, self.exponents)

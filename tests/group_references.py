@@ -8,9 +8,12 @@ from collections import Counter
 
 from feitlab import groups
 from feitlab.cyclo import Cyclotomic
-from feitlab.groups import (
-    LinearChar, MonomialPair, compose, conjugate_perm, inverse, perm_order,
-)
+from feitlab.groups import LinearChar, MonomialPair, compose, inverse, perm_order
+
+
+def conjugate_perm(g, h):
+    """g * h * g^-1."""
+    return compose(compose(g, h), inverse(g))
 
 
 def _closed(degree, seed):

@@ -91,7 +91,7 @@ def test_criterion_1_oracle_corpus(small_tables, small_combs):
             chi = t.irreducible(i)
             for phi in whole.linear_characters():
                 lin = t.class_function(
-                    [phi.cyclotomic_value(rep) for rep in t.class_reps]
+                    [phi.value(rep).to_cyclotomic() for rep in t.class_reps]
                 )
                 assert comb.coefficient(MonomialPair(whole, phi)) == \
                     inner_product(chi, lin), (spec, i, phi.order)

@@ -25,11 +25,11 @@ from feitlab.brauer import (
 from feitlab.chartab import compute_table, inner_product
 from feitlab.cyclo import Cyclotomic, zeta
 from feitlab.errors import BoundExceeded, ConsistencyError
-from feitlab.groups import (
-    LinearChar, MonomialPair, compose, conjugate_perm, inverse, perm_order,
-)
+from feitlab.groups import LinearChar, MonomialPair, compose, inverse, perm_order
 from bundled_corpus import CORPUS
-from group_references import conjugate_pair, cyclotomic_inner_product, pair_le
+from group_references import (
+    conjugate_pair, conjugate_perm, cyclotomic_inner_product, pair_le,
+)
 from oracle_references import chain_sum, walk_restriction
 
 
@@ -108,6 +108,14 @@ def test_oracle_bound():
         assert brauer.resolve_oracle_bound(60) == 60
 
 
+def orbit_of(ctx, pair):
+    """The canonical representative of a pair's orbit in the context, the
+    orbit's size and the pair's stabilizer's order."""
+    rep = ctx.orbit_rep[ctx.index[pair.key()]]
+    size = ctx.orbit_size[rep]
+    return ctx.pairs[rep], size, ctx.group.order // size
+
+
 def test_orbit_of():
     g = groups.symmetric(3)
     ctx = monomial_context(g)
@@ -115,18 +123,18 @@ def test_orbit_of():
     triv_pair = MonomialPair(
         whole, next(c for c in whole.linear_characters() if c.order == 1)
     )
-    rep, size, stab = ctx.orbit_of(triv_pair)
+    rep, size, stab = orbit_of(ctx, triv_pair)
     assert rep == triv_pair and size == 1 and stab == 6
 
     swap = groups.perm_from_cycles([(1, 2)], 3)
     h = g.subgroup([g.identity, swap])
     sign = next(c for c in h.linear_characters() if c.order == 2)
-    rep, size, stab = ctx.orbit_of(MonomialPair(h, sign))
+    rep, size, stab = orbit_of(ctx, MonomialPair(h, sign))
     assert size == 3 and stab == 2
     assert size * stab == g.order
 
     for p in ctx.pairs:
-        _, size, stab = ctx.orbit_of(p)
+        _, size, stab = orbit_of(ctx, p)
         assert size * stab == g.order
 
 
@@ -148,7 +156,7 @@ def test_induction_linear_characters():
                 h: t.irreducibles[i][g.class_index(h)] for h in g.elements
             }
             assert all(
-                pair.character.cyclotomic_value(h) == expected_values[h]
+                pair.character.value(h).to_cyclotomic() == expected_values[h]
                 for h in g.elements
             )
 
@@ -182,7 +190,7 @@ def test_normalization_projection():
             for phi in whole.linear_characters():
                 pair = MonomialPair(whole, phi)
                 lin = t.class_function(
-                    [phi.cyclotomic_value(rep) for rep in t.class_reps]
+                    [phi.value(rep).to_cyclotomic() for rep in t.class_reps]
                 )
                 expect = inner_product(chi, lin)
                 assert comb.coefficient(pair) == expect
@@ -196,13 +204,13 @@ def test_induced_character_examples():
     # the trivial pair of the trivial subgroup induces the regular character
     trivial_sub = g.all_subgroups()[0]
     triv_pair = MonomialPair(trivial_sub, trivial_sub.linear_characters()[0])
-    comb = PairCombination(brauer._group_key(g), {ctx.orbit_of(triv_pair)[0]: 1})
+    comb = PairCombination(brauer._group_key(g), {orbit_of(ctx, triv_pair)[0]: 1})
     assert induced_character(t, comb) == t.regular_character()
 
     # the trivial character of the rotation subgroup induces 1 + sign
     a3 = next(s for s in g.all_subgroups() if s.order == 3)
     pair = MonomialPair(a3, next(c for c in a3.linear_characters() if c.order == 1))
-    comb = PairCombination(brauer._group_key(g), {ctx.orbit_of(pair)[0]: 1})
+    comb = PairCombination(brauer._group_key(g), {orbit_of(ctx, pair)[0]: 1})
     induced = induced_character(t, comb)
     linear_rows = [t.irreducible(i) for i in range(3) if t.degree(i) == 1]
     assert induced == linear_rows[0] + linear_rows[1]

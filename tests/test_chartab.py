@@ -28,6 +28,12 @@ def table(spec):
     return compute_table(groups.from_spec(spec))
 
 
+def _row_key(t, row):
+    """A row of values as a key, each value written at the table's exponent
+    level."""
+    return tuple((w.nums, w.den) for w in (v.at_level(t.exponent) for v in row))
+
+
 def _eigenvalue_dft(chi, c):
     """Multiplicity of each power zeta_t^j (t the order of class c) in the
     class function, by the inverse discrete Fourier transform of its values
@@ -208,12 +214,12 @@ def test_galois_conjugate():
 def test_galois_permutes_rows():
     for spec in ("cyclic:12", "sl2:3", "dihedral:12"):
         t = table(spec)
-        keys = {t.row_key(row) for row in t.irreducibles}
+        keys = {_row_key(t, row) for row in t.irreducibles}
         from feitlab.cyclo import units
 
         for k in units(t.exponent):
             moved = {
-                t.row_key([v.galois(k) for v in row]) for row in t.irreducibles
+                _row_key(t, [v.galois(k) for v in row]) for row in t.irreducibles
             }
             assert moved == keys
 
@@ -458,6 +464,19 @@ def test_load_rejects_garbage():
     for bad in ("1/0", {"level": 3, "terms": [[1, 1, 0]]}):
         with pytest.raises(TableFormatError, match="malformed table document"):
             load_table(_tamper(lambda d: d["irreducibles"][1].__setitem__(1, bad)))
+
+
+@pytest.mark.parametrize(
+    "bad", [" 1", "+1", "1_0/1_0", "3/3", "1", {"level": 1, "terms": [[0, 2, 2]]}]
+)
+def test_load_reads_a_value_only_as_an_algebraic_integer(bad):
+    # the value 1 of character 1 at class 1 of sym:3, written as a string or
+    # as a term of denominator 2: save_table writes neither
+    with pytest.raises(
+        TableFormatError,
+        match="malformed table document for sym:3: value of character 1 at class 1: ",
+    ):
+        load_table(_tamper(lambda d: d["irreducibles"][1].__setitem__(1, bad)))
 
 
 def _tamper(mutate):
@@ -1053,8 +1072,10 @@ def test_tables_match_recorded_hashes():
 
 def test_power_map_is_kept_and_derived_for_loaded_tables():
     # a computed table keeps the map it built from the representatives; a
-    # loaded one derives the same map from its prime power maps
-    for spec in CORPUS:
+    # loaded one derives the same map from its prime power maps, here also
+    # on feit-pool tables of exponent 168, 60, 30 and 12
+    for spec in CORPUS + ("sl2:7", "sym:6", "product:alt:5,cyclic:3",
+                          "product:sl2:3,cyclic:4"):
         t = table(spec)
         loaded = load_table(save_table(t))
         assert loaded.power_map == t.power_map, spec
@@ -1177,7 +1198,7 @@ def test_pushed_forward_vectors_match_the_transform():
         done = {}
         for i, row in enumerate(t.irreducibles):
             for c, powers in enumerate(t.power_map):
-                key = t.row_key([row[k] for k in powers])
+                key = _row_key(t, [row[k] for k in powers])
                 if key not in done:
                     done[key] = _eigenvalue_dft(t.irreducible(i), c)
                 assert t.eigen[i][c] == done[key], (spec, i, c)
@@ -1190,7 +1211,9 @@ def test_loaded_tables_derive_the_stored_vectors():
     # splitting stored, pushed-forward classes included
     for spec in PUSHED_FORWARD:
         t = table(spec)
-        assert load_table(save_table(t)).eigen == t.eigen, spec
+        loaded = load_table(save_table(t))
+        assert loaded.power_map == t.power_map, spec
+        assert loaded.eigen == t.eigen, spec
 
 
 def _levels(t):

@@ -7,7 +7,6 @@ from feitlab.groups import (
     PermGroup,
     alternating,
     compose,
-    conjugate_perm,
     cyclic,
     dihedral,
     direct_product,
@@ -23,6 +22,7 @@ from bundled_corpus import CORPUS
 from group_references import (
     closure_subgroups,
     conjugate_pair,
+    conjugate_perm,
     derived_elements,
     pair_le,
     restrict,
