@@ -2,28 +2,36 @@
 
 Subcommands: table (print or export a character table), s (one invariant
 report), feit (conductor indicators), verify (the full check suite on one
-group), corpus (verify + feit over a list of entries).
+group), corpus (verify + feit over a list of entries).  COMMANDS holds each
+command once, with its positional argument and options; the parser and the
+-h/--help text both read it.  Options take ``--opt value`` or
+``--opt=value``, before or after the positional, and a unique prefix of an
+option's name stands for it (``--js`` for ``--json``).
 
 Exit codes: 0 all good; 1 failed checks or internal errors; 2 usage
-errors (an unknown or malformed group spec, an out-of-range --chi, an --n
-that is not a positive divisor of the exponent, an oracle bound that is not
-an integer in 1..60, a corpus file that cannot be read or is malformed, a
-corpus --jobs below 1); 3 a conductor indicator of zero was found (a
-conjecture counterexample candidate, the most interesting possible output,
-reported rather than treated as an error).
+errors (a command line that does not fit COMMANDS: no command or an unknown
+one, a missing or extra positional, an unknown or ambiguous option, a
+missing value, a non-integer, a value outside the choices, a missing
+required option; ``feit --all --chi``; an unknown or malformed group spec,
+an out-of-range --chi, an --n that is not a positive divisor of the
+exponent, an oracle bound that is not an integer in 1..60, a corpus file
+that cannot be read or is malformed, a corpus --jobs below 1); 3 a
+conductor indicator of zero was found (a conjecture counterexample
+candidate, the most interesting possible output, reported rather than
+treated as an error).  Every usage error, the parser's included, is
+printed as ``error: ...`` and returned by ``main``, not raised.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
 import sys
 import time
-from functools import lru_cache
 from pathlib import Path
-from typing import List, Optional
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import adams, runner
 from .chartab import save_table
@@ -97,6 +105,8 @@ def cmd_s(args) -> int:
 
 
 def cmd_feit(args) -> int:
+    if args.all and args.chi is not None:
+        raise UsageError("feit: --all and --chi exclude each other")
     table = runner.resolve_input(args.group)
     indices = [args.chi] if args.chi is not None else range(table.num_classes)
     reports = [adams.feit_indicator(table, i) for i in indices]
@@ -223,63 +233,180 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="feitlab",
-        description="Exact invariant computations for finite-group characters.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option:
+    """One option of a command: ``kind`` is ``int`` or ``str`` for an option
+    that takes a value and None for a flag, whose default is False."""
 
-    p = sub.add_parser("table", help="print or export a character table")
-    p.add_argument("group", help="group spec or table JSON path")
-    p.add_argument("--json", action="store_true", help="emit the JSON format")
-    p.set_defaults(func=cmd_table)
+    __slots__ = ("name", "dest", "kind", "default", "required", "choices", "help")
 
-    p = sub.add_parser("s", help="invariant report for one character and n")
-    p.add_argument("group", help="group spec or table JSON path")
-    p.add_argument("--chi", type=int, required=True, help="character index")
-    p.add_argument("--n", type=int, required=True,
-                   help="a positive divisor of the exponent")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_s)
+    def __init__(self, name: str, kind: Optional[type] = None, default=None,
+                 required: bool = False, choices: Tuple[str, ...] = (),
+                 help: str = ""):
+        self.name, self.dest, self.kind = name, name[2:].replace("-", "_"), kind
+        self.default = False if kind is None else default
+        self.required, self.choices, self.help = required, choices, help
 
-    p = sub.add_parser("feit", help="conductor indicators of the irreducibles")
-    p.add_argument("group", help="group spec or table JSON path")
-    p.add_argument("--all", action="store_true",
-                   help="all irreducibles (the default unless --chi is given)")
-    p.add_argument("--chi", type=int, default=None, help="single character index")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_feit)
-
-    p = sub.add_parser("verify", help="run the full check suite on one group")
-    p.add_argument("group", help="group spec or table JSON path")
-    p.add_argument("--oracle-bound", type=int, default=None,
-                   help="order bound for the brute-force sections (default 24,"
-                        " env FEITLAB_ORACLE_BOUND)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("corpus", help="verify + feit over a corpus file")
-    p.add_argument("file", help="corpus JSON: {entries, oracle_bound, format}")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p.add_argument("--output", default=None, help="write the report here")
-    p.add_argument("--format", choices=("json", "csv"), default=None,
-                   help="override the corpus file's output format")
-    p.set_defaults(func=cmd_corpus)
-    return parser
+    def usage(self) -> str:
+        if self.kind is None:
+            return self.name
+        return f"{self.name} " + (
+            "{" + ",".join(self.choices) + "}" if self.choices else self.dest.upper())
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call to main and shared by later
-    calls in the same process."""
-    return build_parser()
+class Command:
+    """One command: its handler, its help line, its one positional
+    argument (dest, help) and its options, -h/--help among them."""
+
+    def __init__(self, run: Callable[[SimpleNamespace], int], help: str,
+                 positional: Tuple[str, str], options: Tuple[Option, ...]):
+        self.run, self.help = run, help
+        self.positional, self.positional_help = positional
+        self.defaults = {opt.dest: opt.default for opt in options}
+        self.options = {opt.name: opt for opt in (*options, HELP)}
+
+
+HELP = Option("--help", help="show this help and exit (also -h)")
+GROUP = ("group", "group spec or table JSON path")
+JSON = Option("--json", help="emit the JSON format")
+
+COMMANDS: Dict[str, Command] = {
+    "table": Command(cmd_table, "print or export a character table", GROUP, (JSON,)),
+    "s": Command(cmd_s, "invariant report for one character and n", GROUP, (
+        Option("--chi", int, required=True, help="character index"),
+        Option("--n", int, required=True, help="a positive divisor of the exponent"),
+        JSON,
+    )),
+    "feit": Command(cmd_feit, "conductor indicators of the irreducibles", GROUP, (
+        Option("--all", help="all irreducibles (the default unless --chi is given)"),
+        Option("--chi", int, help="single character index"),
+        JSON,
+    )),
+    "verify": Command(cmd_verify, "run the full check suite on one group", GROUP, (
+        Option("--oracle-bound", int,
+               help="order bound for the brute-force sections (default 24,"
+                    " env FEITLAB_ORACLE_BOUND)"),
+        JSON,
+    )),
+    "corpus": Command(cmd_corpus, "verify + feit over a corpus file",
+                      ("file", "corpus JSON: {entries, oracle_bound, format}"), (
+        Option("--jobs", int, default=1, help="parallel workers"),
+        Option("--output", str, help="write the report here"),
+        Option("--format", str, choices=("json", "csv"),
+               help="override the corpus file's output format"),
+    )),
+}
+
+
+def _expand(word: str, names: Iterable[str], where: str) -> str:
+    """The name among ``names`` that the option ``word`` stands for: ``-h``
+    is --help, and a word that is no name may be a unique prefix of one."""
+    if word == "-h":
+        return HELP.name
+    found = [n for n in names if n.startswith(word)] if word[:2] == "--" else []
+    if len(found) == 1:
+        return found[0]
+    if found:
+        raise UsageError(f"{where}: ambiguous option {word}: could be {', '.join(found)}")
+    raise UsageError(f"{where}: unknown option {word}")
+
+
+def parse_args(argv: List[str]) -> Tuple[Callable[[Any], int], Any]:
+    """The handler ``argv`` asks for and what it runs on: a command's
+    handler and its arguments, or for -h/--help the printer of its usage and
+    the command's name (None for the whole program).  The first token names
+    the command; options take ``--opt value`` or ``--opt=value`` before or
+    after the positional, and ``--`` ends them.  A command line that does
+    not fit COMMANDS raises UsageError naming the command and the option."""
+    if not argv:
+        raise UsageError(f"no command given: expected one of {', '.join(COMMANDS)}")
+    name = argv[0]
+    command = COMMANDS.get(name)
+    if command is None:
+        if name[:1] == "-":
+            _expand(name, (HELP.name,), "feitlab")  # refuses all but --help
+            return _print_usage, None
+        raise UsageError(
+            f"unknown command {name!r}: expected one of {', '.join(COMMANDS)}")
+    values = dict(command.defaults)
+    positionals: List[str] = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            positionals += tokens
+            continue
+        if token[:1] != "-" or token == "-":
+            positionals.append(token)
+            continue
+        word, eq, value = token.partition("=")
+        opt = command.options.get(word) or command.options[
+            _expand(word, command.options, name)]
+        if opt.kind is None:
+            if eq:
+                raise UsageError(f"{name}: {opt.name} takes no value")
+            if opt is HELP:
+                return _print_usage, name
+            values[opt.dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            # an int option reads `--chi -1`; another option reads no option
+            if value is None or (opt.kind is not int and value[:1] == "-" and value != "-"):
+                raise UsageError(f"{name}: {opt.name} needs a value")
+        if opt.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(
+                    f"{name}: {opt.name} must be an integer, got {value!r}") from None
+        if opt.choices and value not in opt.choices:
+            raise UsageError(f"{name}: {opt.name} {value!r} is not one of"
+                             f" {', '.join(opt.choices)}")
+        values[opt.dest] = value
+    if len(positionals) != 1:
+        if positionals:
+            raise UsageError(f"{name}: unexpected argument {positionals[1]!r}")
+        raise UsageError(f"{name}: missing the {command.positional} argument"
+                         f" ({command.positional_help})")
+    for opt in command.options.values():
+        if opt.required and values[opt.dest] is None:
+            raise UsageError(f"{name}: missing the required option {opt.name}")
+    values[command.positional] = positionals[0]
+    return command.run, SimpleNamespace(**values)
+
+
+def _print_usage(name: Optional[str]) -> int:
+    """Print the usage of command ``name``, or of the whole program."""
+    if name is None:
+        width = max(map(len, COMMANDS))
+        lines = ["usage: feitlab COMMAND ARGUMENT [OPTIONS]",
+                 "       feitlab COMMAND --help", "",
+                 "Exact invariant computations for finite-group characters.", "",
+                 "commands:"]
+        lines += [f"  {n.ljust(width)}  {c.help}" for n, c in COMMANDS.items()]
+        lines += ["", "Options take --opt value or --opt=value; a unique prefix"
+                      " of an option's name stands for it."]
+    else:
+        command = COMMANDS[name]
+        opts = command.options.values()
+        words = [opt.usage() if opt.required else f"[{opt.usage()}]" for opt in opts]
+        rows = [(command.positional.upper(), command.positional_help)]
+        for opt in opts:
+            notes = ["required"] if opt.required else []
+            if opt.default not in (None, False):
+                notes.append(f"default {opt.default}")
+            rows.append((opt.usage(), opt.help + "".join(f" ({n})" for n in notes)))
+        width = max(len(left) for left, _ in rows)
+        lines = [" ".join(["usage: feitlab", name, rows[0][0], *words]), "",
+                 command.help, ""]
+        lines += [f"  {left.ljust(width)}  {text}" for left, text in rows]
+    print("\n".join(lines))
+    return EXIT_OK
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        run, args = parse_args(sys.argv[1:] if argv is None else argv)
+        return run(args)
     except BrokenPipeError:
         return EXIT_ERROR
     except (SpecError, UsageError) as exc:

@@ -64,8 +64,7 @@ def resolve_input(entry: str) -> CharacterTable:
     asks for the same spec, so they are read, never modified; a file is
     read and validated on every call; one that cannot be read is a
     UsageError naming it."""
-    path = Path(entry)
-    if looks_like_spec(entry) or not path.exists():
+    if looks_like_spec(entry) or not (path := Path(entry)).exists():
         return _spec_table(entry)
     try:
         return load_table(path.read_bytes())

@@ -8,6 +8,8 @@ import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import pytest
+
 import feitlab
 
 from feitlab import adams, cli, runner
@@ -61,6 +63,46 @@ def test_s_command(capsys):
     code, out, _ = run_cli(capsys, "s", "sym:3", "--chi", str(chi2), "--n", "6")
     assert code == 0
     assert "S = 0" in out and "witness: none" in out
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([], ["no command"]),
+    (["sum", "sym:3"], ["unknown command 'sum'"]),
+    (["s", "--chi", "0", "--n", "1"], ["s:", "group"]),
+    (["s", "sym:3", "--chi", "0", "--n", "1", "extra"], ["s:", "'extra'"]),
+    (["s", "sym:3", "--chi", "0", "--n", "1", "--bogus"], ["s:", "--bogus"]),
+    (["s", "sym:3", "--=0", "--n", "1"], ["s:", "ambiguous", "--chi", "--n"]),
+    (["s", "sym:3", "--chi", "0", "--n"], ["s:", "--n"]),
+    (["s", "sym:3", "--chi", "one", "--n", "1"], ["s:", "--chi", "'one'"]),
+    (["corpus", "f", "--format", "xml"], ["corpus:", "--format", "'xml'"]),
+    (["s", "sym:3", "--n", "1"], ["s:", "--chi"]),
+    (["table", "sym:3", "--json=1"], ["table:", "--json"]),
+    (["feit", "sym:3", "--all", "--chi", "1"], ["feit:", "--all", "--chi"]),
+])
+def test_usage_errors_return_2_naming_the_command_and_option(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and all(n in err for n in named), err
+
+
+def test_option_spellings_print_the_same(capsys):
+    want = run_cli(capsys, "s", "sym:3", "--chi", "1", "--n", "2", "--json")
+    assert want[0] == 0
+    for argv in (["s", "sym:3", "--chi=1", "--n=2", "--json"],
+                 ["s", "sym:3", "--ch", "1", "--n", "2", "--js"],
+                 ["s", "--json", "--n", "2", "sym:3", "--chi", "1"]):
+        assert run_cli(capsys, *argv) == want, argv
+
+
+def test_help_lists_the_commands_and_their_options(capsys):
+    for argv in (["--help"], ["-h"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert all(f"  {name} " in out for name in cli.COMMANDS), out
+    assert list(cli.COMMANDS) == ["table", "s", "feit", "verify", "corpus"]
+    code, out, err = run_cli(capsys, "s", "--help")
+    assert code == 0 and err == ""
+    assert "--chi CHI" in out and "--n N" in out
 
 
 def test_s_rejects_non_divisor(capsys):
@@ -167,7 +209,8 @@ print(sorted(m for m in {names!r} if m in sys.modules))
 def test_commands_import_only_what_they_run():
     # table, s and feit never run the oracle, a dataclass, a timestamp or a
     # csv report, so a process that serves only them compiles none of these
-    names = ["feitlab.brauer", "dataclasses", "datetime", "csv", "multiprocessing"]
+    names = ["feitlab.brauer", "dataclasses", "datetime", "csv", "multiprocessing",
+             "argparse", "gettext"]
     queries = [["s", "sym:3", "--chi", "2", "--n", "3", "--json"],
                ["feit", "dihedral:8", "--all", "--json"], ["table", "sym:3"]]
     out = _run_fresh(IMPORT_PROBE.format(argvs=queries, names=names))
