@@ -40,7 +40,9 @@ a time, by increasing order t: a non-unit power rep^a is read from the
 row of the class of rep^q, q the least prime dividing gcd(a, t), which
 the stored prime power map names, and a unit power is the class whose
 column is the Galois image of the class's column, compared at level t,
-where every value is stored.  Floating point never occurs.
+where every value is stored.  Floating point never occurs.  A table has
+one serialization, the compact JSON of its document (``save_table``), which
+``load_table`` reads back with full validation.
 
 Both routes give the rows as degrees and multiplicity vectors (``_rows``);
 the values, the row sort and the validation that follow are one path
@@ -1173,11 +1175,10 @@ def _validate(table: CharacterTable) -> None:
     # and forces X* X = |G| D^-1.
 
 
-def _table_document(table: CharacterTable) -> dict:
-    """The interchange format's document of a table: the one description of
-    its content, which ``save_table`` writes with an indent and
-    ``runner``'s round trip compactly."""
-    return {
+def save_table(table: CharacterTable) -> bytes:
+    """Serialize to the interchange JSON format: the table's document as
+    compact JSON, one line, in deterministic bytes."""
+    return json.dumps({
         "name": table.name,
         "order": table.order,
         "exponent": table.exponent,
@@ -1194,12 +1195,7 @@ def _table_document(table: CharacterTable) -> dict:
         "irreducibles": [
             [v.to_json() for v in row] for row in table.irreducibles
         ],
-    }
-
-
-def save_table(table: CharacterTable) -> bytes:
-    """Serialize to the interchange JSON format (deterministic bytes)."""
-    return json.dumps(_table_document(table), indent=1).encode("utf-8")
+    }).encode("utf-8")
 
 
 def load_table(data) -> CharacterTable:

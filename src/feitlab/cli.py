@@ -88,7 +88,7 @@ def cmd_s(args) -> int:
     table = runner.resolve_input(args.group)
     rep = adams.invariant(table, args.chi, args.n)
     if args.json:
-        print(json.dumps(rep.to_json(), indent=1))
+        print(json.dumps(rep.to_json()))
         return EXIT_OK
     print(f"group {table.name}, chi {args.chi} (degree {table.degree(args.chi)}),"
           f" n = {args.n}")
@@ -111,7 +111,7 @@ def cmd_feit(args) -> int:
     indices = [args.chi] if args.chi is not None else range(table.num_classes)
     reports = [adams.feit_indicator(table, i) for i in indices]
     if args.json:
-        print(json.dumps([r.to_json() for r in reports], indent=1))
+        print(json.dumps([r.to_json() for r in reports]))
     else:
         print(f"group {table.name}: conductor indicators")
         for rep in reports:
@@ -134,7 +134,7 @@ def cmd_verify(args) -> int:
     report = runner.verify_table(table, bound)
     report["generated_at"] = _timestamp()
     if args.json:
-        print(json.dumps(report, indent=1))
+        print(json.dumps(report))
     else:
         print(f"group {table.name}: order {table.order}")
         for chk in report["checks"]:
@@ -213,15 +213,12 @@ def cmd_corpus(args) -> int:
                 writer.writerow(row)
         text = out.getvalue()
     else:
-        text = json.dumps(
-            {
-                "generated_at": _timestamp(),
-                "entries": reports,
-                "failures": failures,
-                "counterexample_candidates": candidates,
-            },
-            indent=1,
-        ) + "\n"
+        text = json.dumps({
+            "generated_at": _timestamp(),
+            "entries": reports,
+            "failures": failures,
+            "counterexample_candidates": candidates,
+        }) + "\n"
     if args.output:
         Path(args.output).write_text(text)
     else:

@@ -658,7 +658,6 @@ def dihedral(order: int) -> PermGroup:
 def quaternion() -> PermGroup:
     """The quaternion group of order 8, via its left-regular action."""
     # elements (s, u): sign s in {0,1}, axis u in 0..3 for 1, i, j, k
-    table = {}
     axis_mul = {
         (0, 0): (0, 0), (0, 1): (0, 1), (0, 2): (0, 2), (0, 3): (0, 3),
         (1, 0): (0, 1), (1, 1): (1, 0), (1, 2): (0, 3), (1, 3): (1, 2),

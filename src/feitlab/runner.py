@@ -7,7 +7,6 @@ gated on the group order and skipped (with notice) when out of bounds.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from functools import lru_cache
@@ -16,8 +15,8 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 from . import adams, numth
 from .chartab import (
-    CharacterTable, _group_ring_sum, _table_document, _value_terms, check_table_bound,
-    compute_table, load_table,
+    CharacterTable, _group_ring_sum, _value_terms, check_table_bound, compute_table,
+    load_table, save_table,
 )
 from .cyclo import _make
 from .errors import TableFormatError, UsageError
@@ -84,18 +83,12 @@ def _check(checks: List[dict], name: str, failures: Iterable[str], note: str = "
 
 
 def _integrity_failures(table: CharacterTable) -> Iterator[str]:
-    """The table written in the interchange format loads (``load_table``'s
-    full validation: the power map, the multiplicity transform and the Gram
-    pass) and is written back to the same text.  The text is the compact
-    JSON of the table's document, which the C encoder writes; ``save_table``
-    writes the same document with an indent."""
+    """The table's ``save_table`` bytes load (``load_table``'s full
+    validation: the power map, the multiplicity transform and the Gram pass)
+    and save back to the same bytes."""
     try:
-        text = json.dumps(_table_document(table))
-        loaded = load_table(text)
-        # the indented bytes of save_table hold the same tokens in the same
-        # order as this text, and the whitespace between them is fixed by the
-        # document's structure, so one is stable exactly when the other is
-        if json.dumps(_table_document(loaded)) != text:
+        data = save_table(table)
+        if save_table(load_table(data)) != data:
             yield "serialization round trip is not byte-stable"
     except TableFormatError as exc:
         yield str(exc)

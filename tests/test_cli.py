@@ -13,7 +13,7 @@ import pytest
 import feitlab
 
 from feitlab import adams, cli, runner
-from feitlab.chartab import compute_table, load_table
+from feitlab.chartab import compute_table, load_table, save_table
 from feitlab.groups import from_spec, spec_order
 from bundled_corpus import CORPUS
 
@@ -39,6 +39,27 @@ def test_table_json_round_trip(capsys):
     assert code == 0
     table = load_table(out)
     assert table.order == 5 and table.num_classes == 5
+
+
+def test_json_outputs_are_one_compact_line_each(tmp_path, capsys):
+    cfile = tmp_path / "corpus.json"
+    cfile.write_text(json.dumps({"entries": ["cyclic:6", "sym:3"], "format": "json"}))
+    runs = {
+        "table": ("table", "dihedral:12", "--json"),
+        "s": ("s", "sym:4", "--chi", "3", "--n", "2", "--json"),
+        "feit": ("feit", "sym:4", "--all", "--json"),
+        "verify": ("verify", "sym:3", "--json"),
+        "corpus": ("corpus", str(cfile)),
+    }
+    lines = {}
+    for command, argv in runs.items():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, command
+        lines[command], end = out.split("\n", 1)
+        assert end == "", command
+        json.loads(lines[command])
+    table = lines["table"].encode()
+    assert save_table(load_table(table)) == table
 
 
 def test_table_perm_spec(capsys):
