@@ -20,12 +20,7 @@ import math
 from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple, Union
 
 from . import numth
-from .chartab import (
-    CharacterTable,
-    ClassFunction,
-    _row_conductor,
-    integral_inner_product,
-)
+from .chartab import CharacterTable, ClassFunction, integral_inner_product
 from .errors import ConsistencyError, UsageError
 
 ChiLike = Union[int, ClassFunction]
@@ -215,7 +210,7 @@ def feit_indicator(table: CharacterTable, chi: ChiLike) -> FeitReport:
     _, idx = _as_class_function(table, chi)
     if idx is None:  # the rows are the irreducibles, as _validate proved
         raise ValueError("the character is not irreducible")
-    c = _row_conductor(table, idx)
+    c = table.conductors[idx]
     rep = invariant(table, idx, c)
     return FeitReport(idx, c, rep.value, rep.witness)
 

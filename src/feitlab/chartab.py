@@ -16,7 +16,7 @@ with p > 2*sqrt(|G|), and the resulting residue values are lifted to exact cyclo
 eigenvalue-multiplicity transform, which is known to produce small
 non-negative integers.  Each group fact is computed once: one power map
 per class (the class of every power of its representative, which also
-gives the inverse classes and the prime power maps), the class-sum
+gives the inverse classes), the class-sum
 constants of a class, as its nonzero entries, only when the splitting
 reaches it, and then from one element of the class and one row of the
 group's products (``_class_sum_columns``), the coordinates of an
@@ -31,27 +31,32 @@ runs only at root classes: taken by element order, high to low, each class
 not yet reached as a power rep_k0^a of an earlier one, and on all rows at
 once, their residues at a class packed into one integer.  A power class of
 order t = t0/g, g = gcd(t0, a), reads its vector from its root's by
-j -> j (a/g) mod t, and is checked against its own residue.  A computed
-table keeps its power map and multiplicities; a table loaded from JSON
-derives them while it is validated: the multiplicities by the same
-transform, from its values reduced mod the same p, each vector then
-checked to give back its value exactly, and the power map one class at
-a time, by increasing order t: a non-unit power rep^a is read from the
-row of the class of rep^q, q the least prime dividing gcd(a, t), which
-the stored prime power map names, and a unit power is the class whose
-column is the Galois image of the class's column, compared at level t,
-where every value is stored.  Floating point never occurs.  A table has
-one serialization, the compact JSON of its document (``save_table``), which
-``load_table`` reads back with full validation.
+j -> j (a/g) mod t, and is checked against its own residue.  Floating
+point never occurs.
+
+Every table is built complete, with its power map and multiplicities.  A
+computed table takes them from its group.  A table has one serialization,
+the compact JSON of its document (``save_table``), in which a class's
+power map is held only at the primes of the exponent; ``load_table``
+checks the document and derives the rest, in order: each value placed at
+its class's level t, the power map one class at a time, by increasing
+order t (a non-unit power rep^a is read from the row of the class of
+rep^q, q the least prime dividing gcd(a, t), which the stored prime power
+map names, and a unit power is the class whose column is the Galois image
+of the class's column), the multiplicities by the same transform, from
+its values reduced mod the same p, each vector then checked to give back
+its value exactly, and each stored prime power map checked against the
+derived map.
 
 Both routes give the rows as degrees and multiplicity vectors (``_rows``);
 the values, the row sort and the validation that follow are one path
 (``compute_table``), taken once per table over the group's own classes and
 power map, so a product's table is the one the splitting gives.  Every
-table is validated in integers from its multiplicities, in one Gram pass
-that evaluates each distinct vector once at z = 2^B modulo Phi_e(2^B), e
-the exponent, so that each pair of rows is one sum of integer products per
-class (``_gram_codes``); Schur inner products are an integer group-ring sum
+table, computed or loaded, is validated in integers from its
+multiplicities, in one Gram pass (``_validate``) that evaluates each
+distinct vector once at z = 2^B modulo Phi_e(2^B), e the exponent, so
+that each pair of rows is one sum of integer products per class
+(``_gram_codes``); Schur inner products are an integer group-ring sum
 over the values' numerators.  Errors raised while a table is built name the
 group and, where there is one, the class and the row.
 """
@@ -64,7 +69,7 @@ import math
 from collections import Counter
 from functools import cached_property, reduce
 from operator import mul
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NoReturn, Optional, Sequence, Tuple
 
 from . import numth
 from .cyclo import Cyclotomic, _make, _mapped, _reduction_table, cyclotomic_polynomial, units
@@ -78,14 +83,13 @@ Row = Tuple[int, Tuple[Tuple[int, ...], ...]]
 
 
 class ClassData:
-    """Per-class table data: representative order, size, prime power maps."""
+    """Per-class table data: representative order and size."""
 
-    __slots__ = ("rep_order", "size", "power_maps")
+    __slots__ = ("rep_order", "size")
 
-    def __init__(self, rep_order: int, size: int, power_maps: Mapping[int, int]):
+    def __init__(self, rep_order: int, size: int):
         self.rep_order = rep_order
         self.size = size
-        self.power_maps = dict(power_maps)
 
     def __repr__(self):
         return f"ClassData(order={self.rep_order}, size={self.size})"
@@ -166,7 +170,10 @@ class ClassFunction:
 
 
 class CharacterTable:
-    """Conjugacy-class data plus the full matrix of irreducible characters.
+    """Conjugacy-class data plus the full matrix of irreducible characters,
+    built complete: its power map and multiplicity vectors are given at
+    construction, by ``compute_table`` from the group's splitting and by
+    ``load_table`` from the document, which derives them.
 
     Tables computed from a group keep a reference to it (class
     representatives and the element-to-class map), which the brute-force
@@ -175,19 +182,7 @@ class CharacterTable:
 
     ``eigen[i][c][j]`` is the multiplicity of zeta_t^j, t the order of class
     c, among the eigenvalues of a representation affording character i at
-    class c.  ``compute_table`` stores the vectors its splitting produced;
-    ``load_table`` derives them while it validates the table, by the same
-    modular transform from its values mod p, and checks that each vector
-    gives back its value exactly.
-
-    ``power_map[c][a]`` is the class of rep(c)^a for a below the order t of
-    class c.  ``compute_table`` stores the map it built from the
-    representatives.  ``load_table`` derives it class by class, by
-    increasing order: through the stored prime power map at the least prime
-    dividing gcd(a, t), or, for a unit a, by matching the Galois image of
-    column c at level t.  That reads a prime power map only at primes
-    dividing t, so ``_validate`` checks every prime power map against the
-    derived map.
+    class c.  ``power_map[c][a]`` is the class of rep(c)^a for a below t.
 
     ``adams.invariant`` pairs the class weights, signs and moduli of each n
     (``adams_terms``) with each row's trace vector (``traces``), both kept.
@@ -200,6 +195,8 @@ class CharacterTable:
         exponent: int,
         classes: Sequence[ClassData],
         irreducibles: Sequence[Sequence[Cyclotomic]],
+        power_map: Sequence[Sequence[int]],
+        eigen: Sequence[Tuple[Tuple[int, ...], ...]],
         group: Optional[PermGroup] = None,
         class_reps: Optional[Sequence[Perm]] = None,
     ):
@@ -208,11 +205,10 @@ class CharacterTable:
         self.exponent = exponent
         self.classes = tuple(classes)
         self.irreducibles = tuple(tuple(row) for row in irreducibles)
+        self.power_map = tuple(tuple(row) for row in power_map)
+        self.eigen = tuple(eigen)
         self.group = group
         self.class_reps = tuple(class_reps) if class_reps is not None else None
-        self._eigen: Optional[Tuple[Tuple[Tuple[int, ...], ...], ...]] = None
-        self._power_map: Optional[Tuple[Tuple[int, ...], ...]] = None
-        self._conductors: Dict[Tuple[int, ...], int] = {}
         self._adams_terms: Dict[int, tuple] = {}
         # the oracle's MonomialContext of the group once it has served this
         # table (brauer owns its contents; the group refers to it weakly);
@@ -229,43 +225,6 @@ class CharacterTable:
     def num_classes(self) -> int:
         return len(self.classes)
 
-    @property
-    def eigen(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-        if self._eigen is None:
-            e = self.exponent
-            p = _choose_prime(self.order, e)
-            z_e = pow(_primitive_root(p), (p - 1) // e, p)
-            orders = [cls.rep_order for cls in self.classes]
-            rows = [
-                (self.degree(i), [_residue(v, e, p, z_e) for v in row])
-                for i, row in enumerate(self.irreducibles)
-            ]
-            eigen = _eigen_from_residues(
-                orders, self.power_map, p, z_e, rows, self.name, "character"
-            )
-            # the transform saw the values only mod p
-            values: Dict[Tuple[int, Tuple[int, ...]], Cyclotomic] = {}
-            for i, (row, vectors) in enumerate(zip(self.irreducibles, eigen)):
-                for c, (t, v, vec) in enumerate(zip(orders, row, vectors)):
-                    if (t, vec) not in values:
-                        values[t, vec] = Cyclotomic.from_terms(t, enumerate(vec))
-                    if values[t, vec] != v:
-                        raise ConsistencyError(
-                            f"eigenvalue multiplicities {vec} do not give back"
-                            f" the value {v!r} of character {i} of {self.name}"
-                            f" at class {c}"
-                        )
-            self._eigen = tuple(eigen)
-        return self._eigen
-
-    def vector_conductor(self, vec: Tuple[int, ...]) -> int:
-        """The conductor of one eigenvalue multiplicity vector (its length
-        is its class's order), searched once per distinct vector."""
-        n = self._conductors.get(vec)
-        if n is None:
-            n = self._conductors[vec] = _vector_conductor(vec)
-        return n
-
     @cached_property
     def traces(self) -> Tuple[Tuple[int, ...], ...]:
         """``trace_vectors`` of the rows' multiplicity vectors."""
@@ -281,6 +240,17 @@ class CharacterTable:
                  for t in {cls.rep_order for cls in self.classes}}
         traced = {vec: sum(map(mul, vec, roots[len(vec)])) for vec in set().union(*rows)}
         return tuple(tuple(map(traced.__getitem__, row)) for row in rows)
+
+    @cached_property
+    def conductors(self) -> Tuple[int, ...]:
+        """Per row, ``conductor`` of its values read from its multiplicity
+        vectors: the lcm of the conductors of its vectors
+        (``_vector_conductor``), each distinct vector searched once.  A row
+        is fixed by a Galois exponent exactly when each of its vectors is,
+        and the n for which every unit k = 1 (mod n) fixes one vector are the
+        multiples of the least."""
+        found = {vec: _vector_conductor(vec) for vec in set().union(*self.eigen)}
+        return tuple(math.lcm(*map(found.__getitem__, row)) for row in self.eigen)
 
     def class_weights(self, m: int) -> Tuple[Tuple[int, int], ...]:
         """W_m as its nonzero entries (k, W_m[k]), W_m[k] the total size of the
@@ -330,59 +300,9 @@ class CharacterTable:
         """The character of the regular representation."""
         return ClassFunction(self, (self.order,) + (0,) * (self.num_classes - 1))
 
-    @property
-    def power_map(self) -> Tuple[Tuple[int, ...], ...]:
-        """A loaded table's map, one class at a time by increasing order.
-        For a below the order t of class c, rep^a with q the least prime
-        dividing gcd(a, t) is (rep^q)^(a/q), read from the already built row
-        of the stored ``power_maps[q]``; for a unit a it is the class whose
-        column is sigma_a of column c (``_galois_class``)."""
-        if self._power_map is None:
-            rows: List[Tuple[int, ...]] = [()] * self.num_classes
-            for c in sorted(range(self.num_classes),
-                            key=lambda c: self.classes[c].rep_order):
-                cls = self.classes[c]
-                t = cls.rep_order
-                primes = [q for q, _ in numth.prime_factorization(t)]
-                row = [0] if t == 1 else [0, c]
-                for a in range(2, t):
-                    q = next((q for q in primes if a % q == 0), None)
-                    row.append(self._galois_class(c, a) if q is None
-                               else rows[cls.power_maps[q]][a // q])
-                rows[c] = tuple(row)
-            self._power_map = tuple(rows)
-        return self._power_map
-
     def class_of_power(self, c: int, m: int) -> int:
         """Class of rep(c)^m, read from the power map."""
         return self.power_map[c][m % self.classes[c].rep_order]
-
-    @cached_property
-    def _columns(self) -> Dict[tuple, List[int]]:
-        """The classes with each column, keyed by their order t and the
-        column's values as stored, at level t."""
-        out: Dict[tuple, List[int]] = {}
-        for c, (cls, column) in enumerate(zip(self.classes, zip(*self.irreducibles))):
-            key = (cls.rep_order, tuple((v.nums, v.den) for v in column))
-            out.setdefault(key, []).append(c)
-        return out
-
-    def _galois_class(self, c: int, k: int) -> int:
-        """The class of rep(c)^k, k a unit mod the order t of class c: the
-        one column of order t equal to sigma_k of column c.  The match is
-        exact on the values as stored: ``_validate`` puts each value at its
-        class's level t, where the power basis writes it one way, before
-        ``eigen`` asks for the power map."""
-        t = self.classes[c].rep_order
-        image = (row[c].galois(k) for row in self.irreducibles)
-        target = (t, tuple((w.nums, w.den) for w in image))
-        matches = self._columns.get(target, ())
-        if len(matches) != 1:
-            raise ConsistencyError(
-                f"power map match failed for class {c}, exponent {k},"
-                f" of {self.name}: {len(matches)} matching classes"
-            )
-        return matches[0]
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
@@ -477,14 +397,6 @@ def _group_ring_sum(level: int, terms) -> List[int]:
             for y, n in v:
                 acc[(x - y) % level] += wm * n
     return _mapped(level, acc, 1)
-
-
-def _row_conductor(table: CharacterTable, i: int) -> int:
-    """``conductor`` of row i from its eigenvalue multiplicities: the lcm of
-    the conductors of its class vectors.  A row is fixed by a Galois
-    exponent exactly when each of its vectors is, and the n for which every
-    unit k = 1 (mod n) fixes one vector are the multiples of the least."""
-    return math.lcm(*(table.vector_conductor(vec) for vec in table.eigen[i]))
 
 
 def _vector_conductor(vec: Tuple[int, ...]) -> int:
@@ -1048,19 +960,17 @@ def compute_table(
         row[0], tuple(coords[key] for key in zip(orders, row[1]))
     ))
 
-    primes = [q for q, _ in numth.prime_factorization(e)]
     table = CharacterTable(
         label,
         group.order,
         e,
-        [ClassData(t, c.size, {q: pm[q % t] for q in primes})
-         for t, c, pm in zip(orders, classes, powmap)],
+        [ClassData(t, c.size) for t, c in zip(orders, classes)],
         [[values[t, vec] for t, vec in zip(orders, eigen)] for _, eigen in rows],
+        powmap,
+        [eigen for _, eigen in rows],
         group=group,
         class_reps=[c.rep for c in classes],
     )
-    table._eigen = tuple(eigen for _, eigen in rows)
-    table._power_map = tuple(powmap)
     _validate(table)
     return table
 
@@ -1069,94 +979,21 @@ def compute_table(
 # validation and serialization
 
 
-def _validate(table: CharacterTable) -> None:
-    def fail(check: str):
-        raise TableFormatError(f"table validation failed for {table.name}: {check}")
+def _fail(name: str, check: str) -> NoReturn:
+    raise TableFormatError(f"table validation failed for {name}: {check}")
 
-    if table.order < 1 or table.exponent < 1:
-        fail("positive order and exponent")
-    if not table.classes:
-        fail("at least one conjugacy class")
-    if table.classes[0].rep_order != 1 or table.classes[0].size != 1:
-        fail("class 0 must be the identity class")
-    if sum(c.size for c in table.classes) != table.order:
-        fail("class sizes must sum to the group order")
-    for idx, c in enumerate(table.classes[1:], 1):
-        if c.size < 1 or table.order % c.size:
-            fail(f"size of class {idx} must divide the group order")
-        if c.rep_order < 2:
-            fail(f"representative order of class {idx} must be above 1, as only"
-                 f" class 0 is the identity class")
-        # the centralizer, of order |G| / size, contains the representative
-        if table.order // c.size % c.rep_order:
-            fail(f"representative order of class {idx} must divide its"
-                 f" centralizer order")
-    if reduce(math.lcm, (c.rep_order for c in table.classes), 1) != table.exponent:
-        fail("exponent must be the lcm of the representative orders")
-    primes = [q for q, _ in numth.prime_factorization(table.exponent)]
-    for idx, c in enumerate(table.classes):
-        if set(c.power_maps) != set(primes):
-            fail(f"class {idx} must carry a power map for every prime "
-                 f"dividing the exponent")
-        for q, tgt in c.power_maps.items():
-            if not 0 <= tgt < len(table.classes):
-                fail(f"power map of class {idx} at {q} is out of range")
-            want = c.rep_order // math.gcd(c.rep_order, q)
-            if table.classes[tgt].rep_order != want:
-                fail(
-                    f"power map of class {idx} at {q} lands on a class of the"
-                    f" wrong order"
-                )
-    if len(table.irreducibles) != len(table.classes):
-        fail("need as many irreducible characters as classes")
-    degs = []
-    for i, row in enumerate(table.irreducibles):
-        if len(row) != len(table.classes):
-            fail(f"character {i} has the wrong number of values")
-        d = row[0].as_integer()
-        if d is None or d < 1:
-            fail(f"character {i} must have a positive integral degree")
-        degs.append(d)
-    if sum(d * d for d in degs) != table.order:
-        fail("degree squares must sum to the group order")
-    # every character value at a class of order t lies in Q(zeta_t); each
-    # value is stored at level t, where ``compute_table`` puts it, so that
-    # ``save_table`` writes the computed table's bytes back
-    e = table.exponent
-    rows = []
-    for i, row in enumerate(table.irreducibles):
-        rows.append([])
-        for c, v in enumerate(row):
-            t = table.classes[c].rep_order
-            if v.level != t:
-                try:
-                    v = v.at_level(t)
-                except ValueError:
-                    fail(f"value of character {i} at class {c} is not in the"
-                         f" level-{t} field")
-            rows[-1].append(v)
-    table.irreducibles = tuple(tuple(row) for row in rows)
-    # a loaded table derives its power map and multiplicities here, each
-    # vector checked to give back its value exactly, so that the integer
-    # Gram pass below decides orthonormality of the values as given
-    try:
-        eigen = table.eigen
-    except ConsistencyError as exc:
-        fail(str(exc))
-    # the derived power map reads a class's prime power maps only at the
-    # primes dividing its order; each must agree with it
-    for idx, (c, powers) in enumerate(zip(table.classes, table.power_map)):
-        for q, tgt in c.power_maps.items():
-            if powers[q % c.rep_order] != tgt:
-                fail(f"power map of class {idx} at {q} disagrees with the power map"
-                     f" derived from the prime power maps, which gives class"
-                     f" {powers[q % c.rep_order]}")
+
+def _validate(table: CharacterTable) -> None:
+    """The one Gram pass every table gets: its rows are orthonormal, decided
+    in integers from its multiplicity vectors.  A vector that gives back its
+    value (as ``compute_table`` builds them and ``load_table`` checks them)
+    makes this the orthonormality of the values."""
     # |G| <chi_i, chi_j> as one residue per pair: a sum of one integer
     # product per class (``_gram_codes``), which is |G| delta_ij exactly
     # when the residue says so.  The v of all rows are packed per class, one
     # slot of `size` bytes a row, so that row i meets every row in one sum;
     # a slot holds at most sum_c |C_c| (q - 1)^2 = |G| (q - 1)^2.
-    q, us, vs = _gram_codes(table, eigen)
+    q, us, vs = _gram_codes(table, table.eigen)
     n = table.order
     r = len(us)
     size = (n * (q - 1) ** 2).bit_length() // 8 + 1
@@ -1169,7 +1006,7 @@ def _validate(table: CharacterTable) -> None:
         for j in range(i, r):
             got = int.from_bytes(buf[j * size:(j + 1) * size], "little")
             if (got - (n if i == j else 0)) % q:
-                fail(f"row orthogonality of characters {i} and {j}")
+                _fail(table.name, f"row orthogonality of characters {i} and {j}")
     # Column orthogonality needs no check of its own: the table is square, so
     # with D the diagonal of class sizes, X D X* = |G| I makes X invertible
     # and forces X* X = |G| D^-1.
@@ -1177,7 +1014,9 @@ def _validate(table: CharacterTable) -> None:
 
 def save_table(table: CharacterTable) -> bytes:
     """Serialize to the interchange JSON format: the table's document as
-    compact JSON, one line, in deterministic bytes."""
+    compact JSON, one line, in deterministic bytes.  A class's power map is
+    written at each prime q of the exponent, as the class of rep^q."""
+    primes = [q for q, _ in numth.prime_factorization(table.exponent)]
     return json.dumps({
         "name": table.name,
         "order": table.order,
@@ -1186,11 +1025,9 @@ def save_table(table: CharacterTable) -> bytes:
             {
                 "rep_order": c.rep_order,
                 "size": c.size,
-                "powermap": {
-                    str(q): c.power_maps[q] for q in sorted(c.power_maps)
-                },
+                "powermap": {str(q): powers[q % c.rep_order] for q in primes},
             }
-            for c in table.classes
+            for c, powers in zip(table.classes, table.power_map)
         ],
         "irreducibles": [
             [v.to_json() for v in row] for row in table.irreducibles
@@ -1199,11 +1036,12 @@ def save_table(table: CharacterTable) -> bytes:
 
 
 def load_table(data) -> CharacterTable:
-    """Parse and fully validate a serialized character table.  Nothing is
-    converted: the name must be a string, every integer field a JSON integer
-    (not a float, string or bool), each power-map key a prime written as
-    ``save_table`` writes it, in decimal digits, and each value a JSON
-    integer or {level, terms} with every term's denominator 1."""
+    """Parse a serialized character table and build it complete, with full
+    validation (``_loaded_table``).  Nothing is converted: the name must be
+    a string, every integer field a JSON integer (not a float, string or
+    bool), each power-map key a prime written as ``save_table`` writes it,
+    in decimal digits, and each value a JSON integer or {level, terms} with
+    every term's denominator 1."""
     if isinstance(data, (bytes, str)):
         try:
             doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
@@ -1229,33 +1067,28 @@ def load_table(data) -> CharacterTable:
         # every group the toolkit builds is within the bound; refused here,
         # before a value or a reduction table at a larger level is built
         if order > DEFAULT_ORDER_BOUND:
-            raise TableFormatError(
-                f"table validation failed for {name}: order {order} exceeds"
-                f" the bound {DEFAULT_ORDER_BOUND}"
-            )
-        classes = []
+            _fail(name, f"order {order} exceeds the bound {DEFAULT_ORDER_BOUND}")
+        classes, prime_maps = [], []
         for idx, c in enumerate(doc["classes"]):
-            power_maps = {}
+            maps = {}
             for key, tgt in c["powermap"].items():
                 if not (isinstance(key, str) and key.isascii() and key.isdigit()
                         and str(int(key)) == key):
                     raise TableFormatError(
                         f"{malformed}: power map key {key!r} of class {idx} must"
                         f" be a prime in decimal digits")
-                power_maps[int(key)] = integer(tgt, f"power map of class {idx} at {key}")
+                maps[int(key)] = integer(tgt, f"power map of class {idx} at {key}")
             classes.append(ClassData(integer(c["rep_order"], f"rep_order of class {idx}"),
-                                     integer(c["size"], f"size of class {idx}"), power_maps))
+                                     integer(c["size"], f"size of class {idx}")))
+            prime_maps.append(maps)
         irreducibles = []
         for i, row in enumerate(doc["irreducibles"]):
             values = []
             for c, v in enumerate(row):
                 if isinstance(v, dict) and type(level := v["level"]) is int \
                         and level > DEFAULT_ORDER_BOUND:
-                    raise TableFormatError(
-                        f"table validation failed for {name}: level {level}"
-                        f" of character {i} at class {c} exceeds the bound"
-                        f" {DEFAULT_ORDER_BOUND}"
-                    )
+                    _fail(name, f"level {level} of character {i} at class {c} exceeds"
+                                f" the bound {DEFAULT_ORDER_BOUND}")
                 try:
                     values.append(Cyclotomic.from_json(v))
                     # a character value is an algebraic integer, and
@@ -1268,10 +1101,165 @@ def load_table(data) -> CharacterTable:
                     raise TableFormatError(
                         f"{malformed}: value of character {i} at class {c}: {exc}") from None
             irreducibles.append(values)
-        table = CharacterTable(name, order, exponent, classes, irreducibles)
     except TableFormatError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise TableFormatError(f"malformed table document: {exc}") from None
+    return _loaded_table(name, order, exponent, classes, prime_maps, irreducibles)
+
+
+def _loaded_table(
+    name: str,
+    order: int,
+    exponent: int,
+    classes: List[ClassData],
+    prime_maps: List[Dict[int, int]],
+    irreducibles: List[List[Cyclotomic]],
+) -> CharacterTable:
+    """A table built complete from a parsed document, in this order: the
+    document's checks on its class structure and degrees; each value placed
+    at its class's level; the power map (``_derived_power_map``); the
+    multiplicity vectors, by the transform that ``compute_table`` runs, from
+    the values mod the same p, each vector then checked to give back its
+    value exactly; each stored prime power map checked against the derived
+    map; the table; and its Gram pass (``_validate``)."""
+    def fail(check: str) -> NoReturn:
+        _fail(name, check)
+
+    if order < 1 or exponent < 1:
+        fail("positive order and exponent")
+    if not classes:
+        fail("at least one conjugacy class")
+    if classes[0].rep_order != 1 or classes[0].size != 1:
+        fail("class 0 must be the identity class")
+    if sum(c.size for c in classes) != order:
+        fail("class sizes must sum to the group order")
+    for idx, c in enumerate(classes[1:], 1):
+        if c.size < 1 or order % c.size:
+            fail(f"size of class {idx} must divide the group order")
+        if c.rep_order < 2:
+            fail(f"representative order of class {idx} must be above 1, as only"
+                 f" class 0 is the identity class")
+        # the centralizer, of order |G| / size, contains the representative
+        if order // c.size % c.rep_order:
+            fail(f"representative order of class {idx} must divide its"
+                 f" centralizer order")
+    if reduce(math.lcm, (c.rep_order for c in classes), 1) != exponent:
+        fail("exponent must be the lcm of the representative orders")
+    primes = [q for q, _ in numth.prime_factorization(exponent)]
+    for idx, (c, maps) in enumerate(zip(classes, prime_maps)):
+        if set(maps) != set(primes):
+            fail(f"class {idx} must carry a power map for every prime "
+                 f"dividing the exponent")
+        for q, tgt in maps.items():
+            if not 0 <= tgt < len(classes):
+                fail(f"power map of class {idx} at {q} is out of range")
+            want = c.rep_order // math.gcd(c.rep_order, q)
+            if classes[tgt].rep_order != want:
+                fail(
+                    f"power map of class {idx} at {q} lands on a class of the"
+                    f" wrong order"
+                )
+    if len(irreducibles) != len(classes):
+        fail("need as many irreducible characters as classes")
+    degs = []
+    for i, row in enumerate(irreducibles):
+        if len(row) != len(classes):
+            fail(f"character {i} has the wrong number of values")
+        d = row[0].as_integer()
+        if d is None or d < 1:
+            fail(f"character {i} must have a positive integral degree")
+        degs.append(d)
+    if sum(d * d for d in degs) != order:
+        fail("degree squares must sum to the group order")
+
+    # every character value at a class of order t lies in Q(zeta_t); each
+    # value is placed at level t, where ``compute_table`` puts it, so that
+    # ``save_table`` writes the computed table's bytes back, and the power
+    # map's column match is exact
+    orders = [c.rep_order for c in classes]
+    rows = []
+    for i, row in enumerate(irreducibles):
+        rows.append([])
+        for c, (t, v) in enumerate(zip(orders, row)):
+            if v.level != t:
+                try:
+                    v = v.at_level(t)
+                except ValueError:
+                    fail(f"value of character {i} at class {c} is not in the"
+                         f" level-{t} field")
+            rows[-1].append(v)
+
+    try:
+        power_map = _derived_power_map(name, orders, prime_maps, rows)
+        p = _choose_prime(order, exponent)
+        z_e = pow(_primitive_root(p), (p - 1) // exponent, p)
+        residues = [(d, [_residue(v, exponent, p, z_e) for v in row])
+                    for d, row in zip(degs, rows)]
+        eigen = _eigen_from_residues(orders, power_map, p, z_e, residues, name, "character")
+    except ConsistencyError as exc:
+        fail(str(exc))
+    # the transform saw the values only mod p
+    values: Dict[Tuple[int, Tuple[int, ...]], Cyclotomic] = {}
+    for i, (row, vectors) in enumerate(zip(rows, eigen)):
+        for c, (t, v, vec) in enumerate(zip(orders, row, vectors)):
+            if (t, vec) not in values:
+                values[t, vec] = Cyclotomic.from_terms(t, enumerate(vec))
+            if values[t, vec] != v:
+                fail(f"eigenvalue multiplicities {vec} do not give back the value"
+                     f" {v!r} of character {i} of {name} at class {c}")
+    # the derived power map reads a class's prime power maps only at the
+    # primes dividing its order; each must agree with it
+    for idx, (t, maps, powers) in enumerate(zip(orders, prime_maps, power_map)):
+        for q, tgt in maps.items():
+            if powers[q % t] != tgt:
+                fail(f"power map of class {idx} at {q} disagrees with the power map"
+                     f" derived from the prime power maps, which gives class"
+                     f" {powers[q % t]}")
+
+    table = CharacterTable(name, order, exponent, classes, rows, power_map, eigen)
     _validate(table)
     return table
+
+
+def _derived_power_map(
+    name: str,
+    orders: Sequence[int],
+    prime_maps: Sequence[Mapping[int, int]],
+    rows: Sequence[Sequence[Cyclotomic]],
+) -> List[Tuple[int, ...]]:
+    """A loaded table's power map, one class at a time by increasing order.
+    For a below the order t of class c, rep^a with q the least prime
+    dividing gcd(a, t) is (rep^q)^(a/q), read from the already built row of
+    the class that the stored prime power map at q names; for a unit a it
+    is the class whose column is sigma_a of column c (``_galois_class``)."""
+    columns: Dict[tuple, List[int]] = {}
+    for c, (t, column) in enumerate(zip(orders, zip(*rows))):
+        columns.setdefault((t, tuple((v.nums, v.den) for v in column)), []).append(c)
+    out: List[Tuple[int, ...]] = [()] * len(orders)
+    for c in sorted(range(len(orders)), key=orders.__getitem__):
+        t = orders[c]
+        primes = [q for q, _ in numth.prime_factorization(t)]
+        row = [0] if t == 1 else [0, c]
+        for a in range(2, t):
+            q = next((q for q in primes if a % q == 0), None)
+            row.append(_galois_class(c, a, name, t, rows, columns) if q is None
+                       else out[prime_maps[c][q]][a // q])
+        out[c] = tuple(row)
+    return out
+
+
+def _galois_class(c: int, k: int, name: str, t: int, rows, columns) -> int:
+    """The class of rep(c)^k, k a unit mod the order t of class c: the one
+    column of order t among ``columns`` (the classes with each column, keyed
+    by their order and the column's values) equal to sigma_k of column c.
+    The match is exact, as each value is placed at its class's level t,
+    where the power basis writes it one way."""
+    image = (row[c].galois(k) for row in rows)
+    matches = columns.get((t, tuple((w.nums, w.den) for w in image)), ())
+    if len(matches) != 1:
+        raise ConsistencyError(
+            f"power map match failed for class {c}, exponent {k},"
+            f" of {name}: {len(matches)} matching classes"
+        )
+    return matches[0]

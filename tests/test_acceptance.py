@@ -278,7 +278,7 @@ def test_criterion_8_poset_propositions(small_tables):
 def test_criterion_9_table_integrity(big_tables):
     start = time.monotonic()
     for spec, t in big_tables.items():
-        _validate(t)  # orthogonality, degree sum, power maps
+        _validate(t)  # the Gram pass: row orthogonality
         blob = save_table(t)
         again = load_table(blob)
         assert save_table(again) == blob, spec
