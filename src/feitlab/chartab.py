@@ -25,8 +25,7 @@ held as a basis that is the unit basis there, starting from the whole
 space, on which they are the class-sum matrix itself) and checked, a space
 on which the class sum is scalar left whole, the eigenvalues of each
 restricted class-sum matrix as the roots over F_p of its characteristic
-polynomial, and one cyclotomic value and one conductor per distinct
-multiplicity vector.  The multiplicity transform (``_eigen_from_residues``)
+polynomial.  The multiplicity transform (``_eigen_from_residues``)
 runs only at root classes: taken by element order, high to low, each class
 not yet reached as a power rep_k0^a of an earlier one, and on all rows at
 once, their residues at a class packed into one integer.  A power class of
@@ -39,14 +38,22 @@ computed table takes them from its group.  A table has one serialization,
 the compact JSON of its document (``save_table``), in which a class's
 power map is held only at the primes of the exponent; ``load_table``
 checks the document and derives the rest, in order: each value placed at
-its class's level t, the power map one class at a time, by increasing
-order t (a non-unit power rep^a is read from the row of the class of
-rep^q, q the least prime dividing gcd(a, t), which the stored prime power
-map names, and a unit power is the class whose column is the Galois image
-of the class's column), the multiplicities by the same transform, from
-its values reduced mod the same p, each vector then checked to give back
-its value exactly, and each stored prime power map checked against the
-derived map.
+its class's level t, the power map one order t at a time, increasing (a
+non-unit power rep^a is read from the row of the class of rep^q, q the
+least prime dividing gcd(a, t), which the stored prime power map names;
+the class of rep^g, for each generator g of the units mod t, is the one
+whose column is the Galois image of the class's column, and every other
+unit power composes those matches), the multiplicities by the same
+transform, from its values reduced mod the same p, each vector then
+checked to give back its value exactly, and each stored prime power map
+checked against the derived map.
+
+Every table interns its multiplicity vectors once, when it is built
+(``_interned``): the distinct vectors, and per row the position of each
+class's vector among them.  What depends on a vector alone is computed
+once per distinct vector, into a list read by position: its value and
+sort coordinates in ``compute_table``, the give-back of ``load_table``,
+its Gram codes, its conductor and its trace.
 
 Both routes give the rows as degrees and multiplicity vectors (``_rows``);
 the values, the row sort and the validation that follow are one path
@@ -80,6 +87,19 @@ DEFAULT_TABLE_BOUND = 2000
 
 # a row of a table as it is built: its degree and its multiplicity vectors
 Row = Tuple[int, Tuple[Tuple[int, ...], ...]]
+# rows of multiplicity vectors interned (``_interned``): the distinct
+# vectors, and per row the position of each class's vector among them
+Index = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
+
+
+def _interned(rows) -> Index:
+    """The distinct vectors among rows of multiplicity vectors, in order of
+    first appearance, and per row the position of each of its vectors among
+    them: each vector is hashed once.  A vector's length is its class's
+    order, so the vector alone is the key."""
+    seen: Dict[Tuple[int, ...], int] = {}
+    positions = tuple(tuple([seen.setdefault(vec, len(seen)) for vec in row]) for row in rows)
+    return tuple(seen), positions
 
 
 class ClassData:
@@ -184,6 +204,12 @@ class CharacterTable:
     c, among the eigenvalues of a representation affording character i at
     class c.  ``power_map[c][a]`` is the class of rep(c)^a for a below t.
 
+    The vectors are interned once, when the table is built (``_interned``):
+    ``vectors`` holds each distinct one once, and ``eigen[i][c]`` is
+    ``vectors[positions[i][c]]``.  Every per-vector fact (a value, a Gram
+    code, a conductor, a trace) is computed once per distinct vector into a
+    list read by position.
+
     ``adams.invariant`` pairs the class weights, signs and moduli of each n
     (``adams_terms``) with each row's trace vector (``traces``), both kept.
     """
@@ -199,6 +225,7 @@ class CharacterTable:
         eigen: Sequence[Tuple[Tuple[int, ...], ...]],
         group: Optional[PermGroup] = None,
         class_reps: Optional[Sequence[Perm]] = None,
+        index: Optional[Index] = None,
     ):
         self.name = name
         self.order = order
@@ -207,6 +234,8 @@ class CharacterTable:
         self.irreducibles = tuple(tuple(row) for row in irreducibles)
         self.power_map = tuple(tuple(row) for row in power_map)
         self.eigen = tuple(eigen)
+        # ``index``, when given, is ``_interned(eigen)`` as its builder made it
+        self.vectors, self.positions = _interned(self.eigen) if index is None else index
         self.group = group
         self.class_reps = tuple(class_reps) if class_reps is not None else None
         self._adams_terms: Dict[int, tuple] = {}
@@ -228,18 +257,21 @@ class CharacterTable:
     @cached_property
     def traces(self) -> Tuple[Tuple[int, ...], ...]:
         """``trace_vectors`` of the rows' multiplicity vectors."""
-        return self.trace_vectors(self.eigen)
+        return self._traced(self.vectors, self.positions)
 
     def trace_vectors(self, rows) -> Tuple[Tuple[int, ...], ...]:
         """Per row of multiplicity vectors and per class, the trace to Q, from
         the level-e field (e the exponent), of the value its vector gives:
         zeta_t^j, t = len(vec), traces to mobius(k) * totient(e) /
         totient(k), k = t / gcd(t, j), each distinct vector traced once."""
+        return self._traced(*_interned(rows))
+
+    def _traced(self, vectors, positions) -> Tuple[Tuple[int, ...], ...]:
         e = self.exponent
         roots = {t: [numth.trace_root_of_unity(t // math.gcd(t, j), e) for j in range(t)]
                  for t in {cls.rep_order for cls in self.classes}}
-        traced = {vec: sum(map(mul, vec, roots[len(vec)])) for vec in set().union(*rows)}
-        return tuple(tuple(map(traced.__getitem__, row)) for row in rows)
+        traced = [sum(map(mul, vec, roots[len(vec)])) for vec in vectors]
+        return tuple(tuple(map(traced.__getitem__, row)) for row in positions)
 
     @cached_property
     def conductors(self) -> Tuple[int, ...]:
@@ -249,8 +281,8 @@ class CharacterTable:
         is fixed by a Galois exponent exactly when each of its vectors is,
         and the n for which every unit k = 1 (mod n) fixes one vector are the
         multiples of the least."""
-        found = {vec: _vector_conductor(vec) for vec in set().union(*self.eigen)}
-        return tuple(math.lcm(*map(found.__getitem__, row)) for row in self.eigen)
+        found = [_vector_conductor(vec) for vec in self.vectors]
+        return tuple(math.lcm(*map(found.__getitem__, row)) for row in self.positions)
 
     def class_weights(self, m: int) -> Tuple[Tuple[int, int], ...]:
         """W_m as its nonzero entries (k, W_m[k]), W_m[k] the total size of the
@@ -330,14 +362,15 @@ def integral_inner_product(a: ClassFunction, b: ClassFunction) -> int:
     return v
 
 
-def _gram_codes(table: CharacterTable, rows) -> Tuple[int, List[List[int]], List[List[int]]]:
+def _gram_codes(table: CharacterTable, rows=None) -> Tuple[int, List[List[int]], List[List[int]]]:
     """The Gram pass in integers: q and, per row of multiplicity vectors
-    and per class c, u[c] = |C_c| P(2^B) and v[c] = conj(P)(2^B) mod q,
-    where P is the vector's value as a polynomial in z = zeta_e (e the
-    exponent), conj(P) that of its complex conjugate (exponents negated
-    mod e), and q = Phi_e(2^B).  So sum_c u_i[c] v_j[c] is S(2^B) mod q for
-    the group-ring sum S = |G| <chi_i, chi_j> that ``_group_ring_sum``
-    would form, and each distinct vector is encoded once.
+    (the table's own, through its index, unless ``rows`` are given) and per
+    class c, u[c] = |C_c| P(2^B) and v[c] = conj(P)(2^B) mod q, where P is
+    the vector's value as a polynomial in z = zeta_e (e the exponent),
+    conj(P) that of its complex conjugate (exponents negated mod e), and
+    q = Phi_e(2^B).  So sum_c u_i[c] v_j[c] is S(2^B) mod q for the
+    group-ring sum S = |G| <chi_i, chi_j> that ``_group_ring_sum`` would
+    form, and each distinct vector is encoded once.
 
     Exact: let R be the power-basis coordinates of S - m, m an integer.
     S(2^B) = m (mod q) iff R = 0.  As Phi_e divides S - m - R, R(2^B) is
@@ -349,27 +382,27 @@ def _gram_codes(table: CharacterTable, rows) -> Tuple[int, List[List[int]], List
     |R(2^B)| < C 2^(B phi) / (2^B - 1) < (2^B - 1)^phi, so R(2^B) = 0
     if it is 0 mod q, and then R = 0, as its lowest nonzero coordinate
     would be a nonzero multiple of 2^B."""
+    vectors, positions = (table.vectors, table.positions) if rows is None else _interned(rows)
     e = table.exponent
-    orders = [cls.rep_order for cls in table.classes]
     sizes = [cls.size for cls in table.classes]
-    distinct = {key for row in rows for key in zip(orders, row)}
     phi, reduction = _reduction_table(e)
     h = max(sum(map(abs, val)) for _, val in reduction)
-    d = max(sum(map(abs, vec)) for _, vec in distinct)
+    d = max(sum(map(abs, vec)) for vec in vectors)
     c = table.order * (d * d * h + 1)
     shift = max((2 * c + 1).bit_length(), (2 * phi).bit_length())
     q = sum(k << (shift * i) for i, k in enumerate(cyclotomic_polynomial(e)))
-    codes: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, int]] = {}
-    for t, vec in distinct:
-        step = e // t
+    ucodes, vcodes = [], []
+    for vec in vectors:
+        step = e // len(vec)
         a = b = 0
         for j, m in enumerate(vec):
             if m:
                 a += m << (shift * (j * step))
                 b += m << (shift * (-j * step % e))
-        codes[t, vec] = (a % q, b % q)
-    us = [[size * codes[key][0] for size, key in zip(sizes, zip(orders, row))] for row in rows]
-    vs = [[codes[key][1] for key in zip(orders, row)] for row in rows]
+        ucodes.append(a % q)
+        vcodes.append(b % q)
+    us = [[size * ucodes[k] for size, k in zip(sizes, row)] for row in positions]
+    vs = [[vcodes[k] for k in row] for row in positions]
     return q, us, vs
 
 
@@ -397,6 +430,13 @@ def _group_ring_sum(level: int, terms) -> List[int]:
             for y, n in v:
                 acc[(x - y) % level] += wm * n
     return _mapped(level, acc, 1)
+
+
+def _vector_value(vec: Tuple[int, ...]) -> Cyclotomic:
+    """The value a multiplicity vector gives, sum_j vec[j] zeta_t^j, at its
+    class's level t = len(vec)."""
+    t = len(vec)
+    return _make(t, _mapped(t, vec, 1))
 
 
 def _vector_conductor(vec: Tuple[int, ...]) -> int:
@@ -947,17 +987,15 @@ def compute_table(
             f"degree squares do not sum to the group order of {label}"
         )
 
-    # one value per distinct (order, vector), shared by the rows holding it
-    values = {}
-    for _, eigen in rows:
-        for key in zip(orders, eigen):
-            if key not in values:
-                values[key] = Cyclotomic.from_terms(key[0], enumerate(key[1]))
+    # the rows' vectors interned once; one value per distinct vector, at its
+    # class's level t = len(vec), shared by the rows holding it
+    vectors, positions = _interned(eigen for _, eigen in rows)
+    values = [_vector_value(vec) for vec in vectors]
     # Rows sort on the degree, then on each value's power-basis coordinates
     # at level e (character values have denominator 1).
-    coords = {key: v.at_level(e).nums for key, v in values.items()}
-    rows.sort(key=lambda row: (
-        row[0], tuple(coords[key] for key in zip(orders, row[1]))
+    coords = [_mapped(e, vec, e // len(vec)) for vec in vectors]
+    ranked = sorted(range(len(rows)), key=lambda i: (
+        rows[i][0], [coords[k] for k in positions[i]]
     ))
 
     table = CharacterTable(
@@ -965,11 +1003,12 @@ def compute_table(
         group.order,
         e,
         [ClassData(t, c.size) for t, c in zip(orders, classes)],
-        [[values[t, vec] for t, vec in zip(orders, eigen)] for _, eigen in rows],
+        [[values[k] for k in positions[i]] for i in ranked],
         powmap,
-        [eigen for _, eigen in rows],
+        [rows[i][1] for i in ranked],
         group=group,
         class_reps=[c.rep for c in classes],
+        index=(vectors, tuple(positions[i] for i in ranked)),
     )
     _validate(table)
     return table
@@ -993,7 +1032,7 @@ def _validate(table: CharacterTable) -> None:
     # when the residue says so.  The v of all rows are packed per class, one
     # slot of `size` bytes a row, so that row i meets every row in one sum;
     # a slot holds at most sum_c |C_c| (q - 1)^2 = |G| (q - 1)^2.
-    q, us, vs = _gram_codes(table, table.eigen)
+    q, us, vs = _gram_codes(table)
     n = table.order
     r = len(us)
     size = (n * (q - 1) ** 2).bit_length() // 8 + 1
@@ -1199,14 +1238,14 @@ def _loaded_table(
         eigen = _eigen_from_residues(orders, power_map, p, z_e, residues, name, "character")
     except ConsistencyError as exc:
         fail(str(exc))
-    # the transform saw the values only mod p
-    values: Dict[Tuple[int, Tuple[int, ...]], Cyclotomic] = {}
-    for i, (row, vectors) in enumerate(zip(rows, eigen)):
-        for c, (t, v, vec) in enumerate(zip(orders, row, vectors)):
-            if (t, vec) not in values:
-                values[t, vec] = Cyclotomic.from_terms(t, enumerate(vec))
-            if values[t, vec] != v:
-                fail(f"eigenvalue multiplicities {vec} do not give back the value"
+    # the transform saw the values only mod p; each distinct vector's value
+    # is formed once
+    vectors, positions = _interned(eigen)
+    given = [_vector_value(vec) for vec in vectors]
+    for i, (row, cells) in enumerate(zip(rows, positions)):
+        for c, (v, k) in enumerate(zip(row, cells)):
+            if given[k] != v:
+                fail(f"eigenvalue multiplicities {vectors[k]} do not give back the value"
                      f" {v!r} of character {i} of {name} at class {c}")
     # the derived power map reads a class's prime power maps only at the
     # primes dividing its order; each must agree with it
@@ -1217,7 +1256,8 @@ def _loaded_table(
                      f" derived from the prime power maps, which gives class"
                      f" {powers[q % t]}")
 
-    table = CharacterTable(name, order, exponent, classes, rows, power_map, eigen)
+    table = CharacterTable(name, order, exponent, classes, rows, power_map, eigen,
+                           index=(vectors, positions))
     _validate(table)
     return table
 
@@ -1228,25 +1268,67 @@ def _derived_power_map(
     prime_maps: Sequence[Mapping[int, int]],
     rows: Sequence[Sequence[Cyclotomic]],
 ) -> List[Tuple[int, ...]]:
-    """A loaded table's power map, one class at a time by increasing order.
-    For a below the order t of class c, rep^a with q the least prime
-    dividing gcd(a, t) is (rep^q)^(a/q), read from the already built row of
-    the class that the stored prime power map at q names; for a unit a it
-    is the class whose column is sigma_a of column c (``_galois_class``)."""
+    """A loaded table's power map, one order t at a time, increasing.  For
+    a below t and class c of order t, rep^a with q the least prime dividing
+    gcd(a, t) is (rep^q)^(a/q), read from the already built row of the class
+    that the stored prime power map at q names.  The unit powers come from
+    one column match per class of order t and per generator g of the units
+    mod t (``_unit_generators``): sigma_g of column c is the column of the
+    class pi_g(c) (``_galois_class``), and the class of rep^(u g) is
+    pi_g of that of rep^u, so every other unit composes the matches.  The
+    columns of one order are first checked to be distinct, as the match of
+    rep^1 finds its own class only; then each composition is the one class
+    whose column a match of its unit would find, exactly.  The stored prime
+    power maps at the units are never read here; ``_loaded_table`` checks
+    them against this map."""
     columns: Dict[tuple, List[int]] = {}
     for c, (t, column) in enumerate(zip(orders, zip(*rows))):
         columns.setdefault((t, tuple((v.nums, v.den) for v in column)), []).append(c)
+    for twins in columns.values():
+        if len(twins) > 1:
+            raise ConsistencyError(
+                f"power map match failed for class {twins[0]}, exponent 1,"
+                f" of {name}: {len(twins)} matching classes"
+            )
     out: List[Tuple[int, ...]] = [()] * len(orders)
-    for c in sorted(range(len(orders)), key=orders.__getitem__):
-        t = orders[c]
+    for t in sorted(set(orders)):
+        same = [c for c, u in enumerate(orders) if u == t]
+        gens = _unit_generators(t)
+        images = {g: {c: _galois_class(c, g, name, t, rows, columns) for c in same}
+                  for g in gens}
         primes = [q for q, _ in numth.prime_factorization(t)]
-        row = [0] if t == 1 else [0, c]
-        for a in range(2, t):
-            q = next((q for q in primes if a % q == 0), None)
-            row.append(_galois_class(c, a, name, t, rows, columns) if q is None
-                       else out[prime_maps[c][q]][a // q])
-        out[c] = tuple(row)
+        for c in same:
+            # the class of rep^u for each unit u, in breadth-first order
+            reached, frontier = {1 % t: c}, [1 % t]
+            for u in frontier:
+                for g in gens:
+                    v = u * g % t
+                    if v not in reached:
+                        reached[v] = images[g][reached[u]]
+                        frontier.append(v)
+            row = [0] * t
+            for a in range(1, t):
+                q = next((q for q in primes if a % q == 0), None)
+                row[a] = reached[a] if q is None else out[prime_maps[c][q]][a // q]
+            out[c] = tuple(row)
     return out
+
+
+def _unit_generators(t: int) -> List[int]:
+    """Generators of the units mod t, each the least unit that those before
+    it do not generate."""
+    gens: List[int] = []
+    reached = {1 % t}
+    for a in units(t):
+        if a not in reached:
+            gens.append(a)
+            # the cosets of the units reached so far by the powers of a
+            grown, power = set(reached), a
+            while power not in reached:
+                grown.update(x * power % t for x in reached)
+                power = power * a % t
+            reached = grown
+    return gens
 
 
 def _galois_class(c: int, k: int, name: str, t: int, rows, columns) -> int:

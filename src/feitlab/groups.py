@@ -770,6 +770,16 @@ def admitted_spec(spec: str) -> Tuple[Callable[[], PermGroup], Optional[int]]:
     return build, order
 
 
+def _decimal(x: str) -> int:
+    """x read as an integer, only if it is written as ``str`` writes one: in
+    ASCII digits after an optional minus sign, with no plus sign, leading
+    zero, underscore or space.  ValueError otherwise, as for a number too
+    long for ``int`` to read."""
+    if not x.isascii() or str(n := int(x)) != x:
+        raise ValueError(f"{x!r} is not an integer in decimal digits")
+    return n
+
+
 def _capped_product(factors: Iterable[int]) -> int:
     """The product of positive integers, or DEFAULT_ORDER_BOUND + 1 as soon
     as it exceeds the bound (so that sym:100000 costs nothing)."""
@@ -793,13 +803,13 @@ def _parse_spec(spec: str) -> Tuple[Callable[[], PermGroup], Optional[int]]:
 
     def args(form: str, count: int = 1) -> List[int]:
         try:
-            vals = [int(x) for x in rest.split(",")]
-        except ValueError:  # a non-integer argument
+            vals = [_decimal(x) for x in rest.split(",")]
+        except ValueError:  # an argument that is not a decimal integer
             vals = []
         if len(vals) != count:
             raise SpecError(
                 f"malformed group spec {spec!r}: expected {form} with integer"
-                f" {'arguments' if count > 1 else 'argument'}"
+                f" {'arguments' if count > 1 else 'argument'} in decimal digits"
             )
         return vals
 
@@ -841,13 +851,14 @@ def _parse_spec(spec: str) -> Tuple[Callable[[], PermGroup], Optional[int]]:
               "only the order-27 extraspecial preset is bundled")
         return extraspecial_27, 27
     if head == "perm":
-        points = f"cycles need distinct points in 1..{DEFAULT_ORDER_BOUND}"
+        points = (f"cycles need distinct points in 1..{DEFAULT_ORDER_BOUND},"
+                  f" in decimal digits")
         try:
             cycles = [
-                tuple(int(x) for x in m.group(1).split(","))
+                tuple(_decimal(x.strip()) for x in m.group(1).split(","))
                 for m in _CYCLE_RE.finditer(rest)
             ]
-        except ValueError:  # a point too long for int() to read
+        except ValueError:  # a point not in decimal digits, or too long to read
             raise SpecError(f"malformed group spec {spec!r}: {points}") from None
         check(bool(cycles), "no cycles found")
         # a point above the bound names a degree no bundled group reaches,

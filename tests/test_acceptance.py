@@ -23,6 +23,7 @@ from feitlab.brauer import (
 from feitlab.chartab import (
     _validate,
     compute_table,
+    conductor,
     inner_product,
     load_table,
     save_table,
@@ -30,7 +31,7 @@ from feitlab.chartab import (
 from feitlab.cyclo import Cyclotomic, RootOfUnity, zeta
 from feitlab.groups import MonomialPair, from_spec, perm_order
 from feitlab.numth import divisors, mobius, totient, trace_root_of_unity
-from bundled_corpus import CORPUS
+from bundled_corpus import CORPUS, FEIT_POOL
 from numth_identities import (
     DivisorFunction,
     alternating_trace_closed_form,
@@ -283,3 +284,24 @@ def test_criterion_9_table_integrity(big_tables):
         again = load_table(blob)
         assert save_table(again) == blob, spec
     _report(9, "table integrity and byte-stable serialization", start)
+
+
+def test_criterion_10_feit_element_order_consequence():
+    # F = S(G, chi, c(chi)) > 0 gives an eigenvalue of order c(chi) at some
+    # element, whose order is then a multiple of c(chi).  c(chi) is the
+    # Galois search on the values and the orders are the group's classes',
+    # so neither reads the multiplicity vectors that F comes from.
+    start = time.monotonic()
+    rows = positive = 0
+    for spec in dict.fromkeys(CORPUS + FEIT_POOL):
+        group = from_spec(spec)
+        t = compute_table(group, name=spec)
+        orders = {cls.element_order for cls in group.conjugacy_classes()}
+        for i in range(t.num_classes):
+            n = conductor(t.irreducible(i))
+            if adams.invariant(t, i, n).value > 0:
+                positive += 1
+                assert any(o % n == 0 for o in orders), (spec, i, n)
+        rows += t.num_classes
+    assert positive == rows  # F > 0 on every row, so no row goes unchecked
+    _report(10, "Feit's element-order consequence on the corpus and the feit pool", start)

@@ -18,7 +18,7 @@ from feitlab.chartab import (
 )
 from feitlab.cyclo import Cyclotomic, zeta
 from feitlab.errors import BoundExceeded, ConsistencyError, TableFormatError
-from bundled_corpus import CORPUS
+from bundled_corpus import CORPUS, FEIT_POOL
 from group_references import (
     class_sum_columns, cyclotomic_inner_product, tuple_conjugacy_classes,
 )
@@ -587,25 +587,6 @@ def test_regular_character_vectors_match_the_transform():
             assert got == want == (t.order // t_c,) * t_c, (spec, c)
 
 
-# the groups of order 25..720 that the feit_scan benchmark draws from
-FEIT_POOL = (
-    "dihedral:60", "dihedral:50", "product:sl2:3,cyclic:4", "dihedral:54",
-    "dihedral:56", "elementary:5,2", "elementary:3,3", "dihedral:52",
-    "dihedral:42", "dihedral:48", "product:sym:4,cyclic:4", "dihedral:40",
-    "product:sl2:3,cyclic:3", "dihedral:44", "product:sym:3,cyclic:5",
-    "product:alt:5,cyclic:3", "sl2:7", "product:dihedral:10,cyclic:3",
-    "product:alt:4,cyclic:4", "product:quaternion:8,cyclic:4", "dihedral:30",
-    "product:dihedral:8,cyclic:4", "product:alt:4,alt:4",
-    "product:sym:3,cyclic:6", "product:sym:3,sym:4", "product:sym:5,cyclic:2",
-    "product:sym:4,cyclic:3", "product:sl2:3,cyclic:2", "dihedral:36",
-    "sym:6", "product:alt:5,cyclic:2", "sl2:5", "product:alt:4,cyclic:3",
-    "product:sym:3,alt:4", "extraspecial:27", "alt:6",
-    "product:sym:4,cyclic:2", "sym:5", "product:sym:3,sym:3", "alt:5",
-    "dihedral:32", "product:quaternion:8,sym:3", "dihedral:28",
-    "product:cyclic:2,dihedral:16",
-)
-
-
 def test_classes_from_generator_tables_match_tuple_conjugation():
     for spec in CORPUS + FEIT_POOL:
         g = groups.from_spec(spec)
@@ -672,6 +653,31 @@ def test_integer_row_routes_match_cyclotomic():
             assert t.conductors[i] == conductor(rows[i]), (spec, i)
 
 
+def test_tables_index_each_distinct_vector_once(monkeypatch):
+    # computed and loaded tables alike: the index holds each distinct vector
+    # once, every cell reads its own vector back, and the conductors search
+    # each distinct vector once
+    searched = []
+    search = chartab._vector_conductor
+
+    def counted(vec):
+        searched.append(vec)
+        return search(vec)
+
+    monkeypatch.setattr(chartab, "_vector_conductor", counted)
+    for spec in CORPUS + FEIT_POOL:
+        computed = table(spec)
+        for t in (computed, load_table(save_table(computed))):
+            assert len(set(t.vectors)) == len(t.vectors), spec
+            assert set(t.vectors) == {vec for row in t.eigen for vec in row}, spec
+            assert len(t.positions) == len(t.eigen), spec
+            for i, (row, cells) in enumerate(zip(t.eigen, t.positions)):
+                assert [t.vectors[k] for k in cells] == list(row), (spec, i)
+            searched.clear()
+            assert len(t.conductors) == t.num_classes
+            assert sorted(searched) == sorted(t.vectors), spec
+
+
 def test_scaled_inner_product_of_arbitrary_vectors():
     # integer vectors stand for arbitrary class functions, whose inner
     # products need not be rational; the routine must stay exact there
@@ -730,13 +736,20 @@ def test_gram_codes_decide_the_group_ring_sums():
                         (spec, x, y, m)
 
 
+def _with_eigen(t, eigen):
+    """A table with the data of t but the multiplicity vectors eigen."""
+    return chartab.CharacterTable(
+        t.name, t.order, t.exponent, t.classes, t.irreducibles, t.power_map, eigen
+    )
+
+
 def _with_vector(t, eigen, i, c, vec):
-    """t holding eigen with the vector of row i at class c replaced."""
-    t.eigen = tuple(
+    """A table like t holding eigen with the vector of row i at class c
+    replaced."""
+    return _with_eigen(t, tuple(
         tuple(vec if (i2, c2) == (i, c) else v for c2, v in enumerate(row))
         for i2, row in enumerate(eigen)
-    )
-    return t
+    ))
 
 
 def test_validate_catches_swapped_multiplicities():
@@ -761,7 +774,6 @@ def test_validate_catches_swapped_multiplicities():
                 with pytest.raises(TableFormatError, match="row orthogonality"):
                     chartab._validate(_with_vector(t, eigen, i, c, tuple(bad)))
                 caught += 1
-        t.eigen = eigen
         chartab._validate(t)
     assert caught > 50
 
@@ -782,15 +794,15 @@ def test_validate_rejects_irrational_inner_products():
                     bad = list(vec)
                     bad[a] -= 1
                     bad[b] += 1
-                    _with_vector(t, eigen, i, c, tuple(bad))
+                    moved = _with_vector(t, eigen, i, c, tuple(bad))
                     if all(
-                        _scaled_inner_product(t, t.eigen[i], t.eigen[j])[0]
+                        _scaled_inner_product(t, moved.eigen[i], moved.eigen[j])[0]
                         == (t.order if i == j else 0)
                         for j in range(t.num_classes)
                     ):
                         irrational_only += 1
                     with pytest.raises(TableFormatError, match="row orthogonality"):
-                        chartab._validate(t)
+                        chartab._validate(moved)
     assert irrational_only > 0
 
 
@@ -1077,9 +1089,8 @@ def test_tables_match_recorded_hashes():
 def test_power_map_is_kept_and_derived_for_loaded_tables():
     # a computed table keeps the map it built from the representatives; a
     # loaded one derives the same map from its prime power maps, here also
-    # on feit-pool tables of exponent 168, 60, 30 and 12
-    for spec in CORPUS + ("sl2:7", "sym:6", "product:alt:5,cyclic:3",
-                          "product:sl2:3,cyclic:4"):
+    # on every feit-pool table (exponents up to 168)
+    for spec in CORPUS + FEIT_POOL:
         t = table(spec)
         loaded = load_table(save_table(t))
         assert loaded.power_map == t.power_map, spec
@@ -1352,12 +1363,11 @@ def test_validate_checks_every_row_norm():
         t = table(spec)
         eigen = t.eigen
         for i, row in enumerate(eigen):
-            t.eigen = eigen[:i] + (tuple(tuple(2 * m for m in vec) for vec in row),) \
-                + eigen[i + 1:]
+            doubled = _with_eigen(t, eigen[:i] + (tuple(tuple(2 * m for m in vec) for vec in row),)
+                                  + eigen[i + 1:])
             with pytest.raises(TableFormatError,
                                match=f"row orthogonality of characters {i} and {i}"):
-                chartab._validate(t)
-        t.eigen = eigen
+                chartab._validate(doubled)
         chartab._validate(t)
 
 

@@ -173,6 +173,13 @@ def test_perm_point_too_long_to_read_is_a_usage_error(capsys):
     assert "malformed group spec" in err and "ValueError" not in err
 
 
+def test_a_spec_integer_not_in_decimal_digits_is_a_usage_error(capsys):
+    # int() reads "1_0" as 10; the spec would build cyclic:10 under another name
+    code, out, err = run_cli(capsys, "feit", "cyclic:1_0", "--all")
+    assert code == 2 and out == ""
+    assert "malformed group spec 'cyclic:1_0'" in err and "decimal digits" in err
+
+
 def test_a_table_above_the_bound_is_refused_before_its_group_is_built(
     capsys, monkeypatch
 ):

@@ -277,11 +277,21 @@ def test_from_spec():
     "spec",
     ["sym4", "nonsense:1", "cyclic:0", "cyclic:x", "dihedral:7", "sl2:11",
      "quaternion:16", "elementary:4,2", "perm:[(0,1)]", "perm:[]",
-     "product:sym:3,cyclic:-1"],
+     "product:sym:3,cyclic:-1",
+     # integers must be written as str() writes them, in ASCII digits
+     "cyclic:1_0", "sym:+3", "cyclic:02", "sym:\u0663", "elementary:3, 2",
+     "perm:[(1,\u0662)]", "perm:[(1,2),(01,3)]", "product:sym:3,cyclic:+2"],
 )
 def test_from_spec_rejects_malformed_specs(spec):
     with pytest.raises(SpecError):
         from_spec(spec)
+
+
+def test_negative_spec_arguments_keep_their_messages():
+    for spec, why in (("cyclic:-1", "cyclic group needs n >= 1"),
+                      ("sym:-3", "symmetric group needs n >= 1")):
+        with pytest.raises(SpecError, match=why):
+            from_spec(spec)
 
 
 def test_spec_heads_are_the_heads_the_parser_reads():
