@@ -497,6 +497,8 @@ def _tamper(mutate):
         (lambda d: d["irreducibles"][0].__setitem__(0, -1), "degree"),
         (lambda d: d["irreducibles"].pop(), "as many irreducible"),
         (lambda d: d["irreducibles"][1].pop(), "wrong number of values"),
+        (lambda d: d["irreducibles"][1].__setitem__(2, 3),
+         "eigenvalue multiplicity exceeds the degree at class 2, exponent 1, character 1 of sym:3"),
         (lambda d: d.update(name=[1]), "name must be a JSON string, got [1]"),
         (lambda d: d.update(name=True), "name must be a JSON string, got True"),
     ] + [
@@ -1196,6 +1198,27 @@ def test_split_fails_when_a_root_is_missed(monkeypatch):
     assert "of sym:3" in str(err.value) and "class 1" in str(err.value)
 
 
+def test_split_checks_that_a_space_stays_invariant(monkeypatch):
+    # a class sum with one constant moved to the wrong class still gives a
+    # matrix, whose images of an eigenspace found at class 1 leave it
+    columns = chartab._class_sum_columns
+    calls = []
+
+    def moved(group, i, label):
+        cols = columns(group, i, label)
+        calls.append(i)
+        if len(calls) == 2:
+            k = next(k for k, col in enumerate(cols) if col)
+            (j, a), *rest = cols[k]
+            cols = cols[:k] + [((j + 1, a), *rest)] + cols[k + 1:]
+        return cols
+
+    monkeypatch.setattr(chartab, "_class_sum_columns", moved)
+    with pytest.raises(ConsistencyError,
+                       match="vector left the invariant subspace at class 2 of dihedral:12"):
+        compute_table(groups.from_spec("dihedral:12"))
+
+
 # groups outside GOLDEN_TABLES with most classes powers of a few classes of
 # higher order, so most of their stored vectors are pushed forward from
 # another class's vector rather than transformed on their own
@@ -1372,12 +1395,13 @@ def test_validate_checks_every_row_norm():
 
 
 # product and elementary specs: the bundled corpus's and the feit pool's,
-# with a trivial factor, one factor, three factors and a factor that is
-# itself a product of equal factors (elementary:3,3 is also in the pool)
+# with a trivial factor, one factor, three factors, a factor that is itself
+# a product of equal factors (elementary:3,3 is also in the pool) and two
+# distinct factors of equal degree and order
 PRODUCT_SPECS = tuple(
     spec for spec in dict.fromkeys(
         CORPUS + FEIT_POOL + ("product:cyclic:1,sym:3", "product:cyclic:2", "elementary:3,3",
-                              "product:elementary:2,2,cyclic:3")
+                              "product:elementary:2,2,cyclic:3", "product:cyclic:4,dihedral:4")
     )
     if spec.startswith(("product:", "elementary:"))
 )
