@@ -48,15 +48,19 @@ transform, from its values reduced mod the same p, each vector then
 checked to give back its value exactly, and each stored prime power map
 checked against the derived map.
 
-Every table interns its multiplicity vectors once, when it is built
-(``_interned``): the distinct vectors, and per row the position of each
-class's vector among them.  What depends on a vector alone is computed
-once per distinct vector, into a list read by position: its value and
-sort coordinates in ``compute_table``, the give-back of ``load_table``,
-its Gram codes, its conductor and its trace.
+Every table's multiplicity vectors are indexed where they are made, not
+interned afterwards: the transform (``_eigen_from_residues``) and a
+product's convolution (``_product_rows``) place each vector among the
+distinct ones as they yield it, and a row is its degree and the position
+of each class's vector among them.  The table is given that index, and
+its cells hold the shared objects.  What depends on a vector alone is
+computed once per distinct vector, into a list read by position: its value
+and sort coordinates in ``compute_table``, the give-back of ``load_table``
+(whose values then become the loaded table's), its Gram codes, its
+conductor and its trace.
 
-Both routes give the rows as degrees and multiplicity vectors (``_rows``);
-the values, the row sort and the validation that follow are one path
+Both routes give the index and the rows, as degrees and positions
+(``_rows``); the values, the row sort and the validation that follow are one path
 (``compute_table``), taken once per table over the group's own classes and
 power map, so a product's table is the one the splitting gives.  Every
 table, computed or loaded, is validated in integers from its
@@ -75,7 +79,7 @@ import json
 import math
 from collections import Counter
 from functools import cached_property, reduce
-from operator import mul
+from operator import getitem, mul
 from typing import Dict, List, Mapping, NoReturn, Optional, Sequence, Tuple
 
 from . import numth
@@ -85,11 +89,14 @@ from .groups import DEFAULT_ORDER_BOUND, PermGroup, Perm, inverse, right_action
 
 DEFAULT_TABLE_BOUND = 2000
 
-# a row of a table as it is built: its degree and its multiplicity vectors
-Row = Tuple[int, Tuple[Tuple[int, ...], ...]]
-# rows of multiplicity vectors interned (``_interned``): the distinct
-# vectors, and per row the position of each class's vector among them
-Index = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
+# the distinct multiplicity vectors of a table
+Vectors = Tuple[Tuple[int, ...], ...]
+# rows of multiplicity vectors indexed: the distinct vectors, and per row
+# the position of each class's vector among them
+Index = Tuple[Vectors, Tuple[Tuple[int, ...], ...]]
+# a row of a table as it is built: its degree and the positions of its
+# multiplicity vectors among the distinct ones
+Row = Tuple[int, Tuple[int, ...]]
 
 
 def _interned(rows) -> Index:
@@ -204,11 +211,12 @@ class CharacterTable:
     c, among the eigenvalues of a representation affording character i at
     class c.  ``power_map[c][a]`` is the class of rep(c)^a for a below t.
 
-    The vectors are interned once, when the table is built (``_interned``):
-    ``vectors`` holds each distinct one once, and ``eigen[i][c]`` is
-    ``vectors[positions[i][c]]``.  Every per-vector fact (a value, a Gram
-    code, a conductor, a trace) is computed once per distinct vector into a
-    list read by position.
+    The table is given its vectors as an index, formed where they were
+    made: ``vectors`` holds each distinct one once, ``positions[i][c]``
+    names the one at row i and class c, and ``eigen[i][c]`` is that shared
+    object, ``vectors[positions[i][c]]``.  Every per-vector fact (a value, a
+    Gram code, a conductor, a trace) is computed once per distinct vector
+    into a list read by position.
 
     ``adams.invariant`` pairs the class weights, signs and moduli of each n
     (``adams_terms``) with each row's trace vector (``traces``), both kept.
@@ -222,10 +230,9 @@ class CharacterTable:
         classes: Sequence[ClassData],
         irreducibles: Sequence[Sequence[Cyclotomic]],
         power_map: Sequence[Sequence[int]],
-        eigen: Sequence[Tuple[Tuple[int, ...], ...]],
+        index: Index,
         group: Optional[PermGroup] = None,
         class_reps: Optional[Sequence[Perm]] = None,
-        index: Optional[Index] = None,
     ):
         self.name = name
         self.order = order
@@ -233,9 +240,8 @@ class CharacterTable:
         self.classes = tuple(classes)
         self.irreducibles = tuple(tuple(row) for row in irreducibles)
         self.power_map = tuple(tuple(row) for row in power_map)
-        self.eigen = tuple(eigen)
-        # ``index``, when given, is ``_interned(eigen)`` as its builder made it
-        self.vectors, self.positions = _interned(self.eigen) if index is None else index
+        self.vectors, self.positions = index
+        self.eigen = tuple(tuple(map(self.vectors.__getitem__, cells)) for cells in self.positions)
         self.group = group
         self.class_reps = tuple(class_reps) if class_reps is not None else None
         self._adams_terms: Dict[int, tuple] = {}
@@ -443,15 +449,14 @@ def _vector_conductor(vec: Tuple[int, ...]) -> int:
     """The least divisor n of t = len(vec) such that every unit k = 1
     (mod n) fixes the vector under j -> j k (mod t), i.e. the multiset of
     eigenvalues it counts.  Units mod t stand for those mod the exponent,
-    which map onto them; n divides t, since n = t works."""
+    which map onto them; n divides t, since n = t works.  Each unit is
+    tested once: n is the least divisor that no unit moving the vector is
+    1 modulo."""
     t = len(vec)
+    moved = [k for k in units(t) if k != 1
+             and any(vec[j * k % t] != m for j, m in enumerate(vec))]
     for n in numth.divisors(t):
-        if all(
-            vec[j * k % t] == m
-            for k in units(t)
-            if (k - 1) % n == 0 and k != 1
-            for j, m in enumerate(vec)
-        ):
+        if all((k - 1) % n for k in moved):
             return n
     raise ConsistencyError("conductor search failed")  # unreachable: n = t works
 
@@ -496,33 +501,38 @@ def _choose_prime(order: int, exponent: int) -> int:
 
 
 def _row_reduce_mod(m: List[List[int]], ncols: int, p: int) -> List[int]:
-    """Bring the rows of m to reduced echelon form over the field with p
-    elements, in place, pivoting on the first ncols columns only.  Returns
-    the pivot columns; pivot row k holds the pivot in column pivots[k]."""
+    """Bring the rows of m, whose entries are reduced mod p, to reduced
+    echelon form over the field with p elements, in place, pivoting on the
+    first ncols columns only; every entry stays reduced.  Returns the pivot
+    columns; pivot row k holds the pivot in column pivots[k]."""
+    n = len(m)
     pivots: List[int] = []
     for c in range(ncols):
         r = len(pivots)
-        pr = next((i for i in range(r, len(m)) if m[i][c] % p), None)
-        if pr is None:
+        for pr in range(r, n):
+            if m[pr][c]:
+                break
+        else:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [v * inv % p for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivot = m[pr]
+        m[pr] = m[r]
+        inv = pow(pivot[c], p - 2, p)
+        m[r] = pivot = [v * inv % p for v in pivot]
+        for i in range(n):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], pivot)]
         pivots.append(c)
     return pivots
 
 
 def _nullspace_mod(mat: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]]:
     """Basis of the kernel of a square matrix over the field with p elements,
-    and its free columns: basis vector k is 1 at free column k and 0 at the
-    other free columns."""
+    its entries reduced mod p, and its free columns: basis vector k is 1 at
+    free column k and 0 at the other free columns.  The matrix is reduced in
+    place."""
     n = len(mat)
-    m = [row[:] for row in mat]
-    pivots = _row_reduce_mod(m, n, p)
+    pivots = _row_reduce_mod(mat, n, p)
     basis = []
     pivot_set = set(pivots)
     frees = [free for free in range(n) if free not in pivot_set]
@@ -530,7 +540,7 @@ def _nullspace_mod(mat: List[List[int]], p: int) -> Tuple[List[List[int]], List[
         vec = [0] * n
         vec[free] = 1
         for row_i, c in enumerate(pivots):
-            vec[c] = (-m[row_i][free]) % p
+            vec[c] = -mat[row_i][free] % p
         basis.append(vec)
     return basis, frees
 
@@ -637,18 +647,22 @@ def _eigen_from_residues(
     rows: Sequence[Tuple[int, Sequence[int]]],
     label: str,
     noun: str,
-) -> List[Tuple[Tuple[int, ...], ...]]:
+) -> Index:
     """Eigenvalue multiplicity vectors of each row, given as its degree and
     its class values mod p under zeta_e -> z_e (e the exponent, the lcm of
-    the class orders); ``powmap[k][a]`` is the class of rep_k^a.  Errors
-    name row s as "{noun} s of {label}".
+    the class orders), as an index formed as they are made: the distinct
+    vectors, and per row the position of each class's vector among them.
+    ``powmap[k][a]`` is the class of rep_k^a.  Errors name row s as
+    "{noun} s of {label}".
 
     The multiplicities at a power rep_k0^a of a class are those at k0
     pushed forward (``_power_vector``), so the transform runs only at root
     classes: taken by order, high to low, each class not yet reached as a
     power of an earlier one.  Each pushed vector is checked against the
     residue of its own class, and each power class's power map against its
-    root's."""
+    root's.  Each vector the transform yields at a root class is looked up
+    once; a power class is pushed forward and its residue taken once per
+    distinct root vector, keyed by that vector's position."""
     r = len(orders)
     e = math.lcm(*orders)
     # source[k] = (k0, a) names the root and power
@@ -705,12 +719,13 @@ def _eigen_from_residues(
         mults_at[k] = list(zip(*per_j))
 
     # a power class reads its vector from its root's; each distinct
-    # (root vector, power) is pushed and its residue taken once
-    pushed: Dict[Tuple[Tuple[int, ...], int], Tuple[Tuple[int, ...], int]] = {}
-    out = []
+    # (root vector position, power) is pushed and its residue taken once
+    index: Dict[Tuple[int, ...], int] = {}
+    pushed: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    positions = []
     for s, (deg, vals_mod) in enumerate(rows):
         where = f"{noun} {s} of {label}"
-        eigen: List[Tuple[int, ...]] = [()] * r
+        cells = [0] * r
         for k in roots:
             mults = mults_at[k][s]
             if max(mults) > deg:
@@ -723,25 +738,25 @@ def _eigen_from_residues(
                 raise ConsistencyError(
                     f"eigenvalue multiplicities do not sum up at class {k}, {where}"
                 )
-            eigen[k] = mults
+            cells[k] = index.setdefault(mults, len(index))
         for k, (k0, a) in enumerate(source):
             if k0 == k:
                 continue
-            hit = pushed.get((eigen[k0], a))
+            hit = pushed.get((cells[k0], a))
             if hit is None:
-                vec = _power_vector(eigen[k0], a)
-                hit = pushed[eigen[k0], a] = (
-                    vec, sum(map(mul, vec, z_pow[:: e // len(vec)])) % p
+                vec = _power_vector(mults_at[k0][s], a)
+                hit = pushed[cells[k0], a] = (
+                    index.setdefault(vec, len(index)),
+                    sum(map(mul, vec, z_pow[:: e // len(vec)])) % p,
                 )
-            vec, residue = hit
+            cells[k], residue = hit
             if residue != vals_mod[k]:
                 raise ConsistencyError(
                     f"power class {k} disagrees with its root class {k0}"
                     f" (power {a}) at {where}"
                 )
-            eigen[k] = vec
-        out.append(tuple(eigen))
-    return out
+        positions.append(tuple(cells))
+    return tuple(index), tuple(positions)
 
 
 def check_table_bound(order: int, bound: int = DEFAULT_TABLE_BOUND) -> None:
@@ -763,10 +778,13 @@ def _class_sum_columns(group: PermGroup, i: int, label: str) -> List[Tuple[Tuple
     classes = group.conjugacy_classes()
     cls_of = group.class_of
     row = group.left_row(group.index[inverse(classes[i].rep)])
-    counts = Counter(zip(cls_of, [cls_of[y] for y in row]))
+    r = len(classes)
+    # the class pair (k, j) counted as the one integer k r + j
+    counts = Counter([k * r + cls_of[y] for k, y in zip(cls_of, row)])
     cols: List[List[Tuple[int, int]]] = [[] for _ in classes]
     size_i = classes[i].size
-    for (k, j), n in counts.items():
+    for kj, n in counts.items():
+        k, j = divmod(kj, r)
         a, rest = divmod(size_i * n, classes[k].size)
         if rest:
             raise ConsistencyError(
@@ -777,10 +795,12 @@ def _class_sum_columns(group: PermGroup, i: int, label: str) -> List[Tuple[Tuple
     return [tuple(col) for col in cols]
 
 
-def _split_rows(group: PermGroup, label: str, powmap: Sequence[Sequence[int]]) -> List[Row]:
-    """Each row of the table of a group, in no particular order, as its
-    degree and its multiplicity vectors, by the Burnside-Dixon-Schneider
-    splitting modulo p and the multiplicity transform."""
+def _split_rows(group: PermGroup, label: str,
+                powmap: Sequence[Sequence[int]]) -> Tuple[Vectors, List[Row]]:
+    """The distinct multiplicity vectors of the table of a group and each of
+    its rows, in no particular order, as its degree and the positions of
+    its vectors among them, by the Burnside-Dixon-Schneider splitting modulo
+    p and the multiplicity transform, which forms that index."""
     classes = group.conjugacy_classes()
     sizes = [c.size for c in classes]
     orders = [c.element_order for c in classes]
@@ -838,10 +858,9 @@ def _split_rows(group: PermGroup, label: str, powmap: Sequence[Sequence[int]]) -
                     at_lam = (at_lam * lam + coef) % p
                 if at_lam:
                     continue
-                shifted = [
-                    [(small[a][b2] - (lam if a == b2 else 0)) % p for b2 in range(d)]
-                    for a in range(d)
-                ]
+                shifted = [row[:] for row in small]
+                for a, row in enumerate(shifted):
+                    row[a] = (row[a] - lam) % p
                 kernel, frees = _nullspace_mod(shifted, p)
                 sub = []
                 for vec in kernel:
@@ -887,10 +906,10 @@ def _split_rows(group: PermGroup, label: str, powmap: Sequence[Sequence[int]]) -
                 f"no integral degree matches the residue at {where}"
             )
         residues.append((deg, [deg * v[k] * inv_sizes[k] % p for k in range(r)]))
-    eigens = _eigen_from_residues(
+    vectors, positions = _eigen_from_residues(
         orders, powmap, p, z_e, residues, label, "unsorted row"
     )
-    return [(deg, eigen) for (deg, _), eigen in zip(residues, eigens)]
+    return vectors, [(deg, cells) for (deg, _), cells in zip(residues, positions)]
 
 
 def _convolve(u: Tuple[int, ...], v: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -909,20 +928,23 @@ def _convolve(u: Tuple[int, ...], v: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _product_rows(group: PermGroup) -> List[Row]:
-    """Each row of the table of a direct product, as ``_split_rows`` gives
-    them, from its factors' rows, each from ``_rows``.  The irreducibles of
-    G x H are the products chi x psi (Isaacs, Character Theory of Finite
-    Groups, Thm 4.21).  A class is the tuple of factor classes that its
+def _product_rows(group: PermGroup) -> Tuple[Vectors, List[Row]]:
+    """The distinct multiplicity vectors of the table of a direct product
+    and each of its rows, as ``_split_rows`` gives them, from its factors'
+    vectors and rows, each from ``_rows``.  The irreducibles of G x H are
+    the products chi x psi (Isaacs, Character Theory of Finite Groups,
+    Thm 4.21).  A class is the tuple of factor classes that its
     representative splits into across the factors' points, and the
     eigenvalues of chi x psi at (g, h) are the products of those of chi at
-    g and psi at h, so its vector is the convolution of theirs, formed once
-    per distinct tuple of factor vectors.  Factors with the same degree and
-    generators, as those of an elementary abelian group, are taken as one
-    group, with one set of rows."""
+    g and psi at h, so its vector is the convolution of theirs, formed and
+    placed in the product's index once per distinct tuple of the factor
+    vectors' positions.  Factors with the same degree and generators, as
+    those of an elementary abelian group, are taken as one group, with one
+    index and one set of rows."""
     same: Dict[Tuple[int, Tuple[Perm, ...]], PermGroup] = {}
     factors = [same.setdefault((f.degree, f.generators), f) for f in group.factors]
-    built = {id(f): _rows(f, f.name)[1] for f in same.values()}
+    built = {id(f): _rows(f, f.name)[1:] for f in same.values()}
+    factor_vectors = [built[id(f)][0] for f in factors]
     splits = []
     for ck in group.conjugacy_classes():
         split, off = [], 0
@@ -931,26 +953,31 @@ def _product_rows(group: PermGroup) -> List[Row]:
             split.append(f.class_of[f.index[part]])
             off += f.degree
         splits.append(split)
-    conv: Dict[Tuple[Tuple[int, ...], ...], Tuple[int, ...]] = {}
+    # conv maps a tuple of factor positions to the product's position
+    index: Dict[Tuple[int, ...], int] = {}
+    conv: Dict[Tuple[int, ...], int] = {}
     rows = []
-    for combo in itertools.product(*(built[id(f)] for f in factors)):
-        eigen = []
+    for combo in itertools.product(*(built[id(f)][1] for f in factors)):
+        ats = [at for _, at in combo]
+        cells = []
         for split in splits:
-            key = tuple(vecs[c] for (_, vecs), c in zip(combo, split))
-            vec = conv.get(key)
-            if vec is None:
-                vec = conv[key] = reduce(_convolve, key)
-            eigen.append(vec)
-        rows.append((math.prod(deg for deg, _ in combo), tuple(eigen)))
-    return rows
+            key = tuple(map(getitem, ats, split))
+            pos = conv.get(key)
+            if pos is None:
+                vec = reduce(_convolve, map(getitem, factor_vectors, key))
+                pos = conv[key] = index.setdefault(vec, len(index))
+            cells.append(pos)
+        rows.append((math.prod(deg for deg, _ in combo), tuple(cells)))
+    return tuple(index), rows
 
 
-def _rows(group: PermGroup, label: str) -> Tuple[List[Tuple[int, ...]], List[Row]]:
-    """The class power map of a group and each row of its table, in no
-    particular order, as its degree and its multiplicity vectors: of a
-    direct product that ``groups.direct_product`` built, from its factors'
-    rows (``_product_rows``), and of any other group by the modular
-    splitting (``_split_rows``)."""
+def _rows(group: PermGroup, label: str) -> Tuple[List[Tuple[int, ...]], Vectors, List[Row]]:
+    """The class power map of a group, the distinct multiplicity vectors of
+    its table and each of its rows, in no particular order, as its degree
+    and the positions of its vectors among them, the index formed as the
+    vectors are made: of a direct product that ``groups.direct_product``
+    built, from its factors' rows (``_product_rows``), and of any other
+    group by the modular splitting (``_split_rows``)."""
     cls_of, index = group.class_of, group.index
     # powmap[k][a]: the class of rep_k^a, for a below the order of class k
     # (class 0 is the identity class)
@@ -962,8 +989,8 @@ def _rows(group: PermGroup, label: str) -> Tuple[List[Tuple[int, ...]], List[Row
             x = act(x)
         powmap.append(tuple(row))
     if group.factors:
-        return powmap, _product_rows(group)
-    return powmap, _split_rows(group, label, powmap)
+        return (powmap, *_product_rows(group))
+    return (powmap, *_split_rows(group, label, powmap))
 
 
 def compute_table(
@@ -977,7 +1004,7 @@ def compute_table(
     are shared."""
     check_table_bound(group.order, bound)
     label = name or group.name
-    powmap, rows = _rows(group, label)
+    powmap, vectors, rows = _rows(group, label)
     classes = group.conjugacy_classes()
     e = group.exponent()
     orders = [c.element_order for c in classes]
@@ -987,28 +1014,26 @@ def compute_table(
             f"degree squares do not sum to the group order of {label}"
         )
 
-    # the rows' vectors interned once; one value per distinct vector, at its
-    # class's level t = len(vec), shared by the rows holding it
-    vectors, positions = _interned(eigen for _, eigen in rows)
+    # one value per distinct vector, at its class's level t = len(vec),
+    # shared by the rows holding it
     values = [_vector_value(vec) for vec in vectors]
     # Rows sort on the degree, then on each value's power-basis coordinates
     # at level e (character values have denominator 1).
     coords = [_mapped(e, vec, e // len(vec)) for vec in vectors]
-    ranked = sorted(range(len(rows)), key=lambda i: (
-        rows[i][0], [coords[k] for k in positions[i]]
-    ))
+    positions = tuple(cells for _, cells in sorted(rows, key=lambda row: (
+        row[0], [coords[k] for k in row[1]]
+    )))
 
     table = CharacterTable(
         label,
         group.order,
         e,
         [ClassData(t, c.size) for t, c in zip(orders, classes)],
-        [[values[k] for k in positions[i]] for i in ranked],
+        [[values[k] for k in cells] for cells in positions],
         powmap,
-        [rows[i][1] for i in ranked],
+        (vectors, positions),
         group=group,
         class_reps=[c.rep for c in classes],
-        index=(vectors, tuple(positions[i] for i in ranked)),
     )
     _validate(table)
     return table
@@ -1042,9 +1067,10 @@ def _validate(table: CharacterTable) -> None:
     ]
     for i in range(r):
         buf = sum(map(mul, us[i], packed)).to_bytes(size * r, "little")
-        for j in range(i, r):
-            got = int.from_bytes(buf[j * size:(j + 1) * size], "little")
-            if (got - (n if i == j else 0)) % q:
+        if (int.from_bytes(buf[i * size:(i + 1) * size], "little") - n) % q:
+            _fail(table.name, f"row orthogonality of characters {i} and {i}")
+        for j in range(i + 1, r):
+            if int.from_bytes(buf[j * size:(j + 1) * size], "little") % q:
                 _fail(table.name, f"row orthogonality of characters {i} and {j}")
     # Column orthogonality needs no check of its own: the table is square, so
     # with D the diagonal of class sizes, X D X* = |G| I makes X invertible
@@ -1235,12 +1261,12 @@ def _loaded_table(
         z_e = pow(_primitive_root(p), (p - 1) // exponent, p)
         residues = [(d, [_residue(v, exponent, p, z_e) for v in row])
                     for d, row in zip(degs, rows)]
-        eigen = _eigen_from_residues(orders, power_map, p, z_e, residues, name, "character")
+        vectors, positions = _eigen_from_residues(orders, power_map, p, z_e, residues,
+                                                  name, "character")
     except ConsistencyError as exc:
         fail(str(exc))
     # the transform saw the values only mod p; each distinct vector's value
-    # is formed once
-    vectors, positions = _interned(eigen)
+    # is formed once, and becomes the table's value wherever it is held
     given = [_vector_value(vec) for vec in vectors]
     for i, (row, cells) in enumerate(zip(rows, positions)):
         for c, (v, k) in enumerate(zip(row, cells)):
@@ -1256,8 +1282,9 @@ def _loaded_table(
                      f" derived from the prime power maps, which gives class"
                      f" {powers[q % t]}")
 
-    table = CharacterTable(name, order, exponent, classes, rows, power_map, eigen,
-                           index=(vectors, positions))
+    table = CharacterTable(name, order, exponent, classes,
+                           [[given[k] for k in cells] for cells in positions], power_map,
+                           (vectors, positions))
     _validate(table)
     return table
 

@@ -379,7 +379,8 @@ def test_load_rejects_every_table_the_cyclotomic_check_rejects():
                     rows = [list(row) for row in t.irreducibles]
                     rows[i][c] = tamper(t, i, c)
                     bad = chartab.CharacterTable(
-                        spec, t.order, t.exponent, t.classes, rows, t.power_map, t.eigen
+                        spec, t.order, t.exponent, t.classes, rows, t.power_map,
+                        (t.vectors, t.positions)
                     )
                     if _cyclotomic_orthonormal(bad):
                         continue
@@ -656,9 +657,11 @@ def test_integer_row_routes_match_cyclotomic():
 
 
 def test_tables_index_each_distinct_vector_once(monkeypatch):
-    # computed and loaded tables alike: the index holds each distinct vector
-    # once, every cell reads its own vector back, and the conductors search
-    # each distinct vector once
+    # computed and loaded tables alike receive the index their builder
+    # formed, with no interning afterwards: it holds each distinct vector
+    # once, every cell holds the index's own vector object and one value
+    # object per distinct vector, and the conductors search each distinct
+    # vector once
     searched = []
     search = chartab._vector_conductor
 
@@ -666,15 +669,23 @@ def test_tables_index_each_distinct_vector_once(monkeypatch):
         searched.append(vec)
         return search(vec)
 
+    def refused(rows):
+        raise AssertionError("a table's rows interned after they were built")
+
     monkeypatch.setattr(chartab, "_vector_conductor", counted)
+    monkeypatch.setattr(chartab, "_interned", refused)
     for spec in CORPUS + FEIT_POOL:
         computed = table(spec)
         for t in (computed, load_table(save_table(computed))):
             assert len(set(t.vectors)) == len(t.vectors), spec
             assert set(t.vectors) == {vec for row in t.eigen for vec in row}, spec
             assert len(t.positions) == len(t.eigen), spec
+            values = {}
             for i, (row, cells) in enumerate(zip(t.eigen, t.positions)):
-                assert [t.vectors[k] for k in cells] == list(row), (spec, i)
+                for c, k in enumerate(cells):
+                    assert t.eigen[i][c] is t.vectors[t.positions[i][c]], (spec, i, c)
+                    value = t.irreducibles[i][c]
+                    assert values.setdefault(k, value) is value, (spec, i, c)
             searched.clear()
             assert len(t.conductors) == t.num_classes
             assert sorted(searched) == sorted(t.vectors), spec
@@ -741,7 +752,8 @@ def test_gram_codes_decide_the_group_ring_sums():
 def _with_eigen(t, eigen):
     """A table with the data of t but the multiplicity vectors eigen."""
     return chartab.CharacterTable(
-        t.name, t.order, t.exponent, t.classes, t.irreducibles, t.power_map, eigen
+        t.name, t.order, t.exponent, t.classes, t.irreducibles, t.power_map,
+        chartab._interned(eigen)
     )
 
 
@@ -1421,15 +1433,16 @@ def test_product_tables_match_the_splitting():
         assert got.power_map == want.power_map, spec
 
 
-def _rotated_somewhere(rows):
-    """The rows with the first vector that moves under a rotation of its
-    exponents rotated: one multiplicity moved, the sums kept."""
-    rows = [(deg, list(eigen)) for deg, eigen in rows]
-    i, c = next((i, c) for i, (_, eigen) in enumerate(rows) for c, vec in enumerate(eigen)
-                if vec[-1:] + vec[:-1] != vec)
-    vec = rows[i][1][c]
-    rows[i][1][c] = vec[-1:] + vec[:-1]
-    return [(deg, tuple(eigen)) for deg, eigen in rows]
+def _rotated_somewhere(vectors, rows):
+    """The index and rows with the first cell whose vector moves under a
+    rotation of its exponents given that vector rotated, as a new distinct
+    vector: one multiplicity moved, the sums kept."""
+    rows = [(deg, list(cells)) for deg, cells in rows]
+    i, c = next((i, c) for i, (_, cells) in enumerate(rows) for c, k in enumerate(cells)
+                if vectors[k][-1:] + vectors[k][:-1] != vectors[k])
+    vec = vectors[rows[i][1][c]]
+    rows[i][1][c] = len(vectors)
+    return vectors + (vec[-1:] + vec[:-1],), [(deg, tuple(cells)) for deg, cells in rows]
 
 
 @pytest.mark.parametrize("factor", ["alt:4", "cyclic:3"])
@@ -1437,10 +1450,10 @@ def test_a_wrong_factor_vector_fails_the_product_table(monkeypatch, factor):
     rows_of = chartab._rows
 
     def perturbed(group, label):
-        powmap, rows = rows_of(group, label)
+        powmap, vectors, rows = rows_of(group, label)
         if group.name == factor:
-            rows = _rotated_somewhere(rows)
-        return powmap, rows
+            vectors, rows = _rotated_somewhere(vectors, rows)
+        return powmap, vectors, rows
 
     monkeypatch.setattr(chartab, "_rows", perturbed)
     with pytest.raises((TableFormatError, ConsistencyError),
