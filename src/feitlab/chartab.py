@@ -450,13 +450,18 @@ def _vector_conductor(vec: Tuple[int, ...]) -> int:
     (mod n) fixes the vector under j -> j k (mod t), i.e. the multiset of
     eigenvalues it counts.  Units mod t stand for those mod the exponent,
     which map onto them; n divides t, since n = t works.  Each unit is
-    tested once: n is the least divisor that no unit moving the vector is
-    1 modulo."""
+    tested at most once, however many divisors it is 1 modulo."""
     t = len(vec)
-    moved = [k for k in units(t) if k != 1
-             and any(vec[j * k % t] != m for j, m in enumerate(vec))]
+    ks = units(t)
+    moves: Dict[int, bool] = {}
     for n in numth.divisors(t):
-        if all((k - 1) % n for k in moved):
+        for k in ks:
+            if k != 1 and (k - 1) % n == 0:
+                if k not in moves:
+                    moves[k] = any(vec[j * k % t] != m for j, m in enumerate(vec))
+                if moves[k]:
+                    break
+        else:
             return n
     raise ConsistencyError("conductor search failed")  # unreachable: n = t works
 
@@ -944,7 +949,7 @@ def _product_rows(group: PermGroup) -> Tuple[Vectors, List[Row]]:
     same: Dict[Tuple[int, Tuple[Perm, ...]], PermGroup] = {}
     factors = [same.setdefault((f.degree, f.generators), f) for f in group.factors]
     built = {id(f): _rows(f, f.name)[1:] for f in same.values()}
-    factor_vectors = [built[id(f)][0] for f in factors]
+    factor_vectors, factor_rows = zip(*(built[id(f)] for f in factors))
     splits = []
     for ck in group.conjugacy_classes():
         split, off = [], 0
@@ -957,11 +962,11 @@ def _product_rows(group: PermGroup) -> Tuple[Vectors, List[Row]]:
     index: Dict[Tuple[int, ...], int] = {}
     conv: Dict[Tuple[int, ...], int] = {}
     rows = []
-    for combo in itertools.product(*(built[id(f)][1] for f in factors)):
-        ats = [at for _, at in combo]
+    for combo in itertools.product(*factor_rows):
+        factor_cells = [cells for _, cells in combo]
         cells = []
         for split in splits:
-            key = tuple(map(getitem, ats, split))
+            key = tuple(map(getitem, factor_cells, split))
             pos = conv.get(key)
             if pos is None:
                 vec = reduce(_convolve, map(getitem, factor_vectors, key))
