@@ -100,10 +100,11 @@ Row = Tuple[int, Tuple[int, ...]]
 
 
 def _interned(rows) -> Index:
-    """The distinct vectors among rows of multiplicity vectors, in order of
-    first appearance, and per row the position of each of its vectors among
-    them: each vector is hashed once.  A vector's length is its class's
-    order, so the vector alone is the key."""
+    """The distinct vectors among rows of multiplicity vectors that no
+    table builder indexed (a class function's combined vectors), in order
+    of first appearance, and per row the position of each of its vectors
+    among them: each vector is hashed once.  A vector's length is its
+    class's order, so the vector alone is the key."""
     seen: Dict[Tuple[int, ...], int] = {}
     positions = tuple(tuple([seen.setdefault(vec, len(seen)) for vec in row]) for row in rows)
     return tuple(seen), positions

@@ -681,7 +681,7 @@ def test_tables_index_each_distinct_vector_once(monkeypatch):
             assert set(t.vectors) == {vec for row in t.eigen for vec in row}, spec
             assert len(t.positions) == len(t.eigen), spec
             values = {}
-            for i, (row, cells) in enumerate(zip(t.eigen, t.positions)):
+            for i, cells in enumerate(t.positions):
                 for c, k in enumerate(cells):
                     assert t.eigen[i][c] is t.vectors[t.positions[i][c]], (spec, i, c)
                     value = t.irreducibles[i][c]
