@@ -57,24 +57,28 @@ def _as_class_function(
     return chi, None
 
 
+def _coords(table: CharacterTable, chi: ClassFunction) -> Tuple[Tuple[int, int], ...]:
+    """chi's coordinates on the rows, as the pairs (a, i) with
+    a = <chi, chi_i> nonzero, which must be integers.  They are kept on chi
+    (``ClassFunction.coords``), so each class function is decomposed once."""
+    if chi.coords is None:
+        chi.coords = tuple(
+            (a, i) for i in range(table.num_classes)
+            if (a := integral_inner_product(chi, table.irreducible(i))))
+    return chi.coords
+
+
 def _eigen_vectors(table: CharacterTable, chi: Optional[ClassFunction], idx: Optional[int]):
     """Eigenvalue multiplicity vectors of chi at every class: the table's own
     for a row; for any other virtual character, the combination of the rows'
-    vectors with its coordinates <chi, chi_i>, which must be integers.  The
-    combination is kept on chi, so each class function is decomposed once."""
+    vectors with its coordinates (``_coords``)."""
     if idx is not None:
         return table.eigen[idx]
-    if chi.eigen is None:
-        coords = []
-        for i, vectors in enumerate(table.eigen):
-            a = integral_inner_product(chi, table.irreducible(i))
-            if a:
-                coords.append((a, vectors))
-        chi.eigen = tuple(
-            tuple(sum(a * vectors[c][j] for a, vectors in coords) for j in range(t))
-            for c, t in enumerate(cls.rep_order for cls in table.classes)
-        )
-    return chi.eigen
+    coords = _coords(table, chi)
+    return tuple(
+        tuple(sum(a * table.eigen[i][c][j] for a, i in coords) for j in range(t))
+        for c, t in enumerate(cls.rep_order for cls in table.classes)
+    )
 
 
 def _witness(table: CharacterTable, vectors, n: int) -> Optional[Tuple[int, int]]:
@@ -138,11 +142,16 @@ def invariant(table: CharacterTable, chi: ChiLike, n: int) -> InvariantReport:
     """S(G, chi, n) at a divisor n of the exponent, with the per-subset
     multiplicities of the signed sum: each W_m of ``table.adams_terms(n)``
     paired with chi's trace vector (a row's ``traces``, else the
-    ``trace_vectors`` of its combined vectors) and checked to be integral."""
+    combination of the rows' with its coordinates, ``_coords``) and checked
+    to be integral."""
     chi, idx = _as_class_function(table, chi)
     _check_divisor(table, n)
-    vectors = _eigen_vectors(table, chi, idx)
-    traces = table.traces[idx] if idx is not None else table.trace_vectors([vectors])[0]
+    if idx is not None:
+        traces = table.traces[idx]
+    else:
+        coords = _coords(table, chi)
+        traces = [sum(a * table.traces[i][k] for a, i in coords)
+                  for k in range(table.num_classes)]
     scale = table.order * numth.totient(table.exponent)
     summands: Dict[FrozenSet[int], int] = {}
     total = 0
@@ -153,7 +162,7 @@ def invariant(table: CharacterTable, chi: ChiLike, n: int) -> InvariantReport:
                                    f" operation on {table.name} is not integral")
         summands[rho] = mult
         total += sign * mult
-    witness = _witness(table, vectors, n) if total > 0 else None
+    witness = _witness(table, _eigen_vectors(table, chi, idx), n) if total > 0 else None
     return InvariantReport(idx, n, total, witness, summands)
 
 

@@ -48,19 +48,20 @@ transform, from its values reduced mod the same p, each vector then
 checked to give back its value exactly, and each stored prime power map
 checked against the derived map.
 
-Every table's multiplicity vectors are indexed where they are made, not
-interned afterwards: the transform (``_eigen_from_residues``) and a
-product's convolution (``_product_rows``) place each vector among the
-distinct ones as they yield it, and a row is its degree and the position
-of each class's vector among them.  The table is given that index, and
-its cells hold the shared objects.  What depends on a vector alone is
-computed once per distinct vector, into a list read by position: its value
-and sort coordinates in ``compute_table``, the give-back of ``load_table``
-(whose values then become the loaded table's), its Gram codes, its
-conductor and its trace.
+A table is its index.  The transform (``_eigen_from_residues``) and a
+product's convolution (``_product_rows``) place each multiplicity vector
+among the distinct ones as they yield it, and a row is its degree and the
+position of each class's vector among them.  A table is built from that
+index and holds no other per-cell data: its values and vectors are tuples
+of shared objects, one value formed per distinct vector.  Every other fact
+of a vector alone is computed once per distinct vector, into a list read
+by position: its sort coordinates, its Gram codes, its conductor and its
+trace.  A class function other than a row holds its integer coordinates
+on the rows, and its traces and vectors are those combinations of the
+rows'.
 
 Both routes give the index and the rows, as degrees and positions
-(``_rows``); the values, the row sort and the validation that follow are one path
+(``_rows``); the row sort, the table and the validation that follow are one path
 (``compute_table``), taken once per table over the group's own classes and
 power map, so a product's table is the one the splitting gives.  Every
 table, computed or loaded, is validated in integers from its
@@ -99,17 +100,6 @@ Index = Tuple[Vectors, Tuple[Tuple[int, ...], ...]]
 Row = Tuple[int, Tuple[int, ...]]
 
 
-def _interned(rows) -> Index:
-    """The distinct vectors among rows of multiplicity vectors that no
-    table builder indexed (a class function's combined vectors), in order
-    of first appearance, and per row the position of each of its vectors
-    among them: each vector is hashed once.  A vector's length is its
-    class's order, so the vector alone is the key."""
-    seen: Dict[Tuple[int, ...], int] = {}
-    positions = tuple(tuple([seen.setdefault(vec, len(seen)) for vec in row]) for row in rows)
-    return tuple(seen), positions
-
-
 class ClassData:
     """Per-class table data: representative order and size."""
 
@@ -125,9 +115,11 @@ class ClassData:
 
 class ClassFunction:
     """A vector of exact cyclotomic values indexed by conjugacy classes, and
-    its eigenvalue multiplicity vectors once ``adams`` has combined them."""
+    once ``adams`` has decomposed it, ``coords``: its integer coordinates
+    on the rows, as the pairs (a, i) with a = <chi, chi_i> nonzero.  Its
+    trace and multiplicity vectors are those combinations of the rows'."""
 
-    __slots__ = ("table", "values", "eigen")
+    __slots__ = ("table", "values", "coords")
 
     def __init__(self, table: "CharacterTable", values: Sequence):
         vals = tuple(
@@ -138,7 +130,7 @@ class ClassFunction:
             raise ValueError("one value per conjugacy class required")
         self.table = table
         self.values = vals
-        self.eigen = None
+        self.coords = None
 
     def __getitem__(self, c: int) -> Cyclotomic:
         return self.values[c]
@@ -199,25 +191,27 @@ class ClassFunction:
 
 class CharacterTable:
     """Conjugacy-class data plus the full matrix of irreducible characters,
-    built complete: its power map and multiplicity vectors are given at
-    construction, by ``compute_table`` from the group's splitting and by
+    built complete from its power map and its multiplicity vectors, given at
+    construction by ``compute_table`` from the group's splitting and by
     ``load_table`` from the document, which derives them.
 
-    Tables computed from a group keep a reference to it (class
-    representatives and the element-to-class map), which the brute-force
-    induction machinery requires; tables loaded from JSON have table data
-    only.
+    Tables computed from a group keep a reference to it (the class
+    representatives, read from its classes, and the element-to-class map),
+    which the brute-force induction machinery requires; tables loaded from
+    JSON have table data only, and no ``class_reps``.
 
     ``eigen[i][c][j]`` is the multiplicity of zeta_t^j, t the order of class
     c, among the eigenvalues of a representation affording character i at
     class c.  ``power_map[c][a]`` is the class of rep(c)^a for a below t.
 
-    The table is given its vectors as an index, formed where they were
-    made: ``vectors`` holds each distinct one once, ``positions[i][c]``
-    names the one at row i and class c, and ``eigen[i][c]`` is that shared
-    object, ``vectors[positions[i][c]]``.  Every per-vector fact (a value, a
-    Gram code, a conductor, a trace) is computed once per distinct vector
-    into a list read by position.
+    A table is its index, formed where its vectors were made, and holds no
+    other per-cell data: ``vectors`` holds each distinct vector once, and
+    ``positions[i][c]`` names the one at row i and class c.  The value each
+    vector gives is formed once, as the table is built, and ``irreducibles``
+    and ``eigen`` are tuples of those shared objects, read through
+    ``positions``.  Every other per-vector fact (a Gram code, a conductor, a
+    trace) is computed once per distinct vector into a list read by
+    position.
 
     ``adams.invariant`` pairs the class weights, signs and moduli of each n
     (``adams_terms``) with each row's trace vector (``traces``), both kept.
@@ -229,22 +223,22 @@ class CharacterTable:
         order: int,
         exponent: int,
         classes: Sequence[ClassData],
-        irreducibles: Sequence[Sequence[Cyclotomic]],
         power_map: Sequence[Sequence[int]],
         index: Index,
         group: Optional[PermGroup] = None,
-        class_reps: Optional[Sequence[Perm]] = None,
     ):
         self.name = name
         self.order = order
         self.exponent = exponent
         self.classes = tuple(classes)
-        self.irreducibles = tuple(tuple(row) for row in irreducibles)
         self.power_map = tuple(tuple(row) for row in power_map)
         self.vectors, self.positions = index
-        self.eigen = tuple(tuple(map(self.vectors.__getitem__, cells)) for cells in self.positions)
+        values = [_vector_value(vec) for vec in self.vectors]
+        self.irreducibles = tuple(tuple(map(values.__getitem__, row)) for row in self.positions)
+        self.eigen = tuple(tuple(map(self.vectors.__getitem__, row)) for row in self.positions)
         self.group = group
-        self.class_reps = tuple(class_reps) if class_reps is not None else None
+        self.class_reps = (None if group is None
+                           else tuple(c.rep for c in group.conjugacy_classes()))
         self._adams_terms: Dict[int, tuple] = {}
         # the oracle's MonomialContext of the group once it has served this
         # table (brauer owns its contents; the group refers to it weakly);
@@ -263,22 +257,15 @@ class CharacterTable:
 
     @cached_property
     def traces(self) -> Tuple[Tuple[int, ...], ...]:
-        """``trace_vectors`` of the rows' multiplicity vectors."""
-        return self._traced(self.vectors, self.positions)
-
-    def trace_vectors(self, rows) -> Tuple[Tuple[int, ...], ...]:
-        """Per row of multiplicity vectors and per class, the trace to Q, from
-        the level-e field (e the exponent), of the value its vector gives:
-        zeta_t^j, t = len(vec), traces to mobius(k) * totient(e) /
-        totient(k), k = t / gcd(t, j), each distinct vector traced once."""
-        return self._traced(*_interned(rows))
-
-    def _traced(self, vectors, positions) -> Tuple[Tuple[int, ...], ...]:
+        """Per row and per class, the trace to Q, from the level-e field (e
+        the exponent), of the value its multiplicity vector gives: zeta_t^j,
+        t = len(vec), traces to mobius(k) * totient(e) / totient(k),
+        k = t / gcd(t, j), each distinct vector traced once."""
         e = self.exponent
         roots = {t: [numth.trace_root_of_unity(t // math.gcd(t, j), e) for j in range(t)]
                  for t in {cls.rep_order for cls in self.classes}}
-        traced = [sum(map(mul, vec, roots[len(vec)])) for vec in vectors]
-        return tuple(tuple(map(traced.__getitem__, row)) for row in positions)
+        traced = [sum(map(mul, vec, roots[len(vec)])) for vec in self.vectors]
+        return tuple(tuple(map(traced.__getitem__, row)) for row in self.positions)
 
     @cached_property
     def conductors(self) -> Tuple[int, ...]:
@@ -369,10 +356,9 @@ def integral_inner_product(a: ClassFunction, b: ClassFunction) -> int:
     return v
 
 
-def _gram_codes(table: CharacterTable, rows=None) -> Tuple[int, List[List[int]], List[List[int]]]:
-    """The Gram pass in integers: q and, per row of multiplicity vectors
-    (the table's own, through its index, unless ``rows`` are given) and per
-    class c, u[c] = |C_c| P(2^B) and v[c] = conj(P)(2^B) mod q, where P is
+def _gram_codes(table: CharacterTable) -> Tuple[int, List[List[int]], List[List[int]]]:
+    """The Gram pass in integers: q and, per row of the table and per class
+    c, u[c] = |C_c| P(2^B) and v[c] = conj(P)(2^B) mod q, where P is
     the vector's value as a polynomial in z = zeta_e (e the exponent),
     conj(P) that of its complex conjugate (exponents negated mod e), and
     q = Phi_e(2^B).  So sum_c u_i[c] v_j[c] is S(2^B) mod q for the
@@ -389,17 +375,16 @@ def _gram_codes(table: CharacterTable, rows=None) -> Tuple[int, List[List[int]],
     |R(2^B)| < C 2^(B phi) / (2^B - 1) < (2^B - 1)^phi, so R(2^B) = 0
     if it is 0 mod q, and then R = 0, as its lowest nonzero coordinate
     would be a nonzero multiple of 2^B."""
-    vectors, positions = (table.vectors, table.positions) if rows is None else _interned(rows)
     e = table.exponent
     sizes = [cls.size for cls in table.classes]
     phi, reduction = _reduction_table(e)
     h = max(sum(map(abs, val)) for _, val in reduction)
-    d = max(sum(map(abs, vec)) for vec in vectors)
+    d = max(sum(map(abs, vec)) for vec in table.vectors)
     c = table.order * (d * d * h + 1)
     shift = max((2 * c + 1).bit_length(), (2 * phi).bit_length())
     q = sum(k << (shift * i) for i, k in enumerate(cyclotomic_polynomial(e)))
     ucodes, vcodes = [], []
-    for vec in vectors:
+    for vec in table.vectors:
         step = e // len(vec)
         a = b = 0
         for j, m in enumerate(vec):
@@ -408,8 +393,8 @@ def _gram_codes(table: CharacterTable, rows=None) -> Tuple[int, List[List[int]],
                 b += m << (shift * (-j * step % e))
         ucodes.append(a % q)
         vcodes.append(b % q)
-    us = [[size * ucodes[k] for size, k in zip(sizes, row)] for row in positions]
-    vs = [[vcodes[k] for k in row] for row in positions]
+    us = [[size * ucodes[k] for size, k in zip(sizes, row)] for row in table.positions]
+    vs = [[vcodes[k] for k in row] for row in table.positions]
     return q, us, vs
 
 
@@ -1005,24 +990,19 @@ def compute_table(
     bound: int = DEFAULT_TABLE_BOUND,
 ) -> CharacterTable:
     """Exact character table of a small permutation group, from its rows as
-    ``_rows`` gives them, as degrees and multiplicity vectors, whichever
-    route built them: the values, the row order and the one validation
-    are shared."""
+    ``_rows`` gives them, as degrees and positions in its index, whichever
+    route built them: the row order, the table built from that index and
+    the one validation are shared."""
     check_table_bound(group.order, bound)
     label = name or group.name
     powmap, vectors, rows = _rows(group, label)
-    classes = group.conjugacy_classes()
     e = group.exponent()
-    orders = [c.element_order for c in classes]
 
     if sum(deg * deg for deg, _ in rows) != group.order:
         raise ConsistencyError(
             f"degree squares do not sum to the group order of {label}"
         )
 
-    # one value per distinct vector, at its class's level t = len(vec),
-    # shared by the rows holding it
-    values = [_vector_value(vec) for vec in vectors]
     # Rows sort on the degree, then on each value's power-basis coordinates
     # at level e (character values have denominator 1).
     coords = [_mapped(e, vec, e // len(vec)) for vec in vectors]
@@ -1034,12 +1014,10 @@ def compute_table(
         label,
         group.order,
         e,
-        [ClassData(t, c.size) for t, c in zip(orders, classes)],
-        [[values[k] for k in cells] for cells in positions],
+        [ClassData(c.element_order, c.size) for c in group.conjugacy_classes()],
         powmap,
         (vectors, positions),
         group=group,
-        class_reps=[c.rep for c in classes],
     )
     _validate(table)
     return table
@@ -1191,9 +1169,10 @@ def _loaded_table(
     document's checks on its class structure and degrees; each value placed
     at its class's level; the power map (``_derived_power_map``); the
     multiplicity vectors, by the transform that ``compute_table`` runs, from
-    the values mod the same p, each vector then checked to give back its
-    value exactly; each stored prime power map checked against the derived
-    map; the table; and its Gram pass (``_validate``)."""
+    the values mod the same p; the table, built from that index; each of its
+    values checked to give back the document's exactly; each stored prime
+    power map checked against the derived map; and its Gram pass
+    (``_validate``)."""
     def fail(check: str) -> NoReturn:
         _fail(name, check)
 
@@ -1271,14 +1250,15 @@ def _loaded_table(
                                                   name, "character")
     except ConsistencyError as exc:
         fail(str(exc))
-    # the transform saw the values only mod p; each distinct vector's value
-    # is formed once, and becomes the table's value wherever it is held
-    given = [_vector_value(vec) for vec in vectors]
-    for i, (row, cells) in enumerate(zip(rows, positions)):
-        for c, (v, k) in enumerate(zip(row, cells)):
-            if given[k] != v:
-                fail(f"eigenvalue multiplicities {vectors[k]} do not give back the value"
-                     f" {v!r} of character {i} of {name} at class {c}")
+    table = CharacterTable(name, order, exponent, classes, power_map, (vectors, positions))
+    # the transform saw the values only mod p; the value of each distinct
+    # vector, formed once as the table is built, must give back the
+    # document's value exactly
+    for i, (row, got) in enumerate(zip(rows, table.irreducibles)):
+        for c, (v, w) in enumerate(zip(row, got)):
+            if w != v:
+                fail(f"eigenvalue multiplicities {table.eigen[i][c]} do not give back the"
+                     f" value {v!r} of character {i} of {name} at class {c}")
     # the derived power map reads a class's prime power maps only at the
     # primes dividing its order; each must agree with it
     for idx, (t, maps, powers) in enumerate(zip(orders, prime_maps, power_map)):
@@ -1287,10 +1267,6 @@ def _loaded_table(
                 fail(f"power map of class {idx} at {q} disagrees with the power map"
                      f" derived from the prime power maps, which gives class"
                      f" {powers[q % t]}")
-
-    table = CharacterTable(name, order, exponent, classes,
-                           [[given[k] for k in cells] for cells in positions], power_map,
-                           (vectors, positions))
     _validate(table)
     return table
 

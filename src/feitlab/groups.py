@@ -730,6 +730,9 @@ def direct_product(*factors: PermGroup, name: Optional[str] = None) -> PermGroup
 
 
 _CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
+# a perm: spec's arguments, whole: a bracketed list of cycles, separated by
+# commas, with whitespace allowed between the tokens
+_CYCLES_RE = re.compile(rf"\s*\[\s*{_CYCLE_RE.pattern}(?:\s*,\s*{_CYCLE_RE.pattern})*\s*\]\s*")
 # the heads ``_parse_spec`` accepts; a string with another head is not a spec
 SPEC_HEADS = (
     "cyclic", "sym", "alt", "dihedral", "quaternion", "sl2",
@@ -853,6 +856,9 @@ def _parse_spec(spec: str) -> Tuple[Callable[[], PermGroup], Optional[int]]:
     if head == "perm":
         points = (f"cycles need distinct points in 1..{DEFAULT_ORDER_BOUND},"
                   f" in decimal digits")
+        check(_CYCLES_RE.fullmatch(rest) is not None,
+              "expected a bracketed list of cycles separated by commas,"
+              " as in perm:[(1,2),(1,2,3)]")
         try:
             cycles = [
                 tuple(_decimal(x.strip()) for x in m.group(1).split(","))
@@ -860,7 +866,6 @@ def _parse_spec(spec: str) -> Tuple[Callable[[], PermGroup], Optional[int]]:
             ]
         except ValueError:  # a point not in decimal digits, or too long to read
             raise SpecError(f"malformed group spec {spec!r}: {points}") from None
-        check(bool(cycles), "no cycles found")
         # a point above the bound names a degree no bundled group reaches,
         # refused before a permutation of that degree is built
         check(all(min(c) >= 1 and max(c) <= DEFAULT_ORDER_BOUND and len(set(c)) == len(c)

@@ -370,3 +370,44 @@ def test_non_characters_are_rejected_with_the_table_name():
         eigenvalue_multiplicities(t, half, 1)
     with pytest.raises(ConsistencyError, match="cyclic:3"):
         invariant(t, half, 3)
+
+
+def test_invariant_refuses_a_non_integral_trivial_multiplicity():
+    # a trace vector off by one at the identity leaves the pairing of the
+    # 6-th Adams operation (n = 1 on sym:3, W_6 = (|G|, 0, 0)) short of a
+    # multiple of |G| phi(e)
+    t = table("sym:3")
+    traces = [list(row) for row in t.traces]
+    traces[0][0] += 1
+    t.traces = tuple(map(tuple, traces))
+    with pytest.raises(ConsistencyError) as err:
+        invariant(t, 0, 1)
+    assert str(err.value) == \
+        "trivial multiplicity of the 6-th Adams operation on sym:3 is not integral"
+
+
+def test_a_class_function_is_decomposed_once(monkeypatch):
+    # a class function's coordinates on the rows are kept on it, so the
+    # invariant at every n and the multiplicities at every class take one
+    # inner product per row between them (on the trivial group the regular
+    # character is the one row, and is not decomposed at all)
+    calls = []
+    pair = adams.integral_inner_product
+
+    def counted(a, b):
+        calls.append((a, b))
+        return pair(a, b)
+
+    monkeypatch.setattr(adams, "integral_inner_product", counted)
+    for spec in CORPUS:
+        if spec == "cyclic:1":
+            continue
+        t = table(spec)
+        reg = t.regular_character()
+        calls.clear()
+        for n in numth.divisors(t.exponent):
+            invariant(t, reg, n)
+        for c in range(t.num_classes):
+            eigenvalue_multiplicities(t, reg, c)
+        assert len(calls) == t.num_classes, spec
+        assert reg.coords == tuple((t.degree(i), i) for i in range(t.num_classes)), spec

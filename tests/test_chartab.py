@@ -341,11 +341,11 @@ def test_load_rejects_a_value_outside_the_exponent_field():
     assert "character 1 at class 1 is not in the level-3 field" in str(err.value)
 
 
-def _cyclotomic_orthonormal(t):
-    """Row orthonormality of a table's values by cyclotomic inner products:
-    the reference the integer Gram pass of ``_validate`` is checked
-    against."""
-    rows = [t.irreducible(i) for i in range(t.num_classes)]
+def _cyclotomic_orthonormal(t, values):
+    """Orthonormality of rows of values on the classes of t, as class
+    functions, by cyclotomic inner products: the reference the integer Gram
+    pass of ``_validate`` is checked against."""
+    rows = [t.class_function(row) for row in values]
     return all(
         cyclotomic_inner_product(rows[i], rows[j]) == (1 if i == j else 0)
         for i in range(len(rows))
@@ -378,11 +378,7 @@ def test_load_rejects_every_table_the_cyclotomic_check_rejects():
                 for tamper in VALUE_TAMPERS:
                     rows = [list(row) for row in t.irreducibles]
                     rows[i][c] = tamper(t, i, c)
-                    bad = chartab.CharacterTable(
-                        spec, t.order, t.exponent, t.classes, rows, t.power_map,
-                        (t.vectors, t.positions)
-                    )
-                    if _cyclotomic_orthonormal(bad):
+                    if _cyclotomic_orthonormal(t, rows):
                         continue
                     doc = json.loads(save_table(t))
                     doc["irreducibles"][i][c] = rows[i][c].to_json()
@@ -500,6 +496,11 @@ def _tamper(mutate):
         (lambda d: d["irreducibles"][1].pop(), "wrong number of values"),
         (lambda d: d["irreducibles"][1].__setitem__(2, 3),
          "eigenvalue multiplicity exceeds the degree at class 2, exponent 1, character 1 of sym:3"),
+        # -1 + 7, 7 the transform's prime: the same residue, so only the
+        # give-back of the derived vector tells
+        (lambda d: d["irreducibles"][0].__setitem__(1, 6),
+         "eigenvalue multiplicities (0, 1) do not give back the value Cyc(6) of character 0"
+         " of sym:3 at class 1"),
         (lambda d: d.update(name=[1]), "name must be a JSON string, got [1]"),
         (lambda d: d.update(name=True), "name must be a JSON string, got True"),
     ] + [
@@ -657,11 +658,11 @@ def test_integer_row_routes_match_cyclotomic():
 
 
 def test_tables_index_each_distinct_vector_once(monkeypatch):
-    # computed and loaded tables alike receive the index their builder
-    # formed, with no interning afterwards: it holds each distinct vector
-    # once, every cell holds the index's own vector object and one value
-    # object per distinct vector, and the conductors search each distinct
-    # vector once
+    # computed and loaded tables alike are built from the index that their
+    # transform or convolution formed: it holds each distinct vector once,
+    # every cell holds the index's own vector object and one value object
+    # per distinct vector, and the conductors search each distinct vector
+    # once
     searched = []
     search = chartab._vector_conductor
 
@@ -669,11 +670,7 @@ def test_tables_index_each_distinct_vector_once(monkeypatch):
         searched.append(vec)
         return search(vec)
 
-    def refused(rows):
-        raise AssertionError("a table's rows interned after they were built")
-
     monkeypatch.setattr(chartab, "_vector_conductor", counted)
-    monkeypatch.setattr(chartab, "_interned", refused)
     for spec in CORPUS + FEIT_POOL:
         computed = table(spec)
         for t in (computed, load_table(save_table(computed))):
@@ -739,7 +736,7 @@ def test_gram_codes_decide_the_group_ring_sums():
             for _ in range(5)
         ]
         rows += moved + signed
-        q, us, vs = chartab._gram_codes(t, rows)
+        q, us, vs = chartab._gram_codes(_with_eigen(t, rows))
         for x, u in enumerate(rows):
             for y, v in enumerate(rows):
                 got = _scaled_inner_product(t, u, v)
@@ -749,11 +746,20 @@ def test_gram_codes_decide_the_group_ring_sums():
                         (spec, x, y, m)
 
 
+def _indexed(rows):
+    """The index of rows of multiplicity vectors, as the transform forms
+    it: the distinct vectors in order of first appearance, and per row the
+    position of each of its vectors among them."""
+    seen = {}
+    positions = tuple(tuple(seen.setdefault(vec, len(seen)) for vec in row) for row in rows)
+    return tuple(seen), positions
+
+
 def _with_eigen(t, eigen):
-    """A table with the data of t but the multiplicity vectors eigen."""
+    """A table with the classes and power map of t, built from the index of
+    the multiplicity vectors eigen (one row of vectors per row of eigen)."""
     return chartab.CharacterTable(
-        t.name, t.order, t.exponent, t.classes, t.irreducibles, t.power_map,
-        chartab._interned(eigen)
+        t.name, t.order, t.exponent, t.classes, t.power_map, _indexed(eigen)
     )
 
 

@@ -173,6 +173,16 @@ def test_perm_point_too_long_to_read_is_a_usage_error(capsys):
     assert "malformed group spec" in err and "ValueError" not in err
 
 
+def test_perm_spec_with_anything_but_a_cycle_list_is_a_usage_error(capsys):
+    # junk between or around the cycles once built a group from the cycles
+    # found; "(1,2)(3,4)" without a comma is not two generators
+    for spec in ("perm:[(1,2) junk (3,4)]", "perm:hello(1,2,3)", "perm:[(1,2)]x",
+                 "perm:(1,2)", "perm:[(1,2),,(3,4)]", "perm:[(1,2)(3,4)]"):
+        code, out, err = run_cli(capsys, "table", spec)
+        assert code == 2 and out == "", spec
+        assert f"malformed group spec {spec!r}: expected a bracketed list of cycles" in err
+
+
 def test_a_spec_integer_not_in_decimal_digits_is_a_usage_error(capsys):
     # int() reads "1_0" as 10; the spec would build cyclic:10 under another name
     code, out, err = run_cli(capsys, "feit", "cyclic:1_0", "--all")

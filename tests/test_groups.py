@@ -280,7 +280,12 @@ def test_from_spec():
      "product:sym:3,cyclic:-1",
      # integers must be written as str() writes them, in ASCII digits
      "cyclic:1_0", "sym:+3", "cyclic:02", "sym:\u0663", "elementary:3, 2",
-     "perm:[(1,\u0662)]", "perm:[(1,2),(01,3)]", "product:sym:3,cyclic:+2"],
+     "perm:[(1,\u0662)]", "perm:[(1,2),(01,3)]", "product:sym:3,cyclic:+2",
+     # a perm: spec is one bracketed list of cycles, separated by commas,
+     # and nothing else: no junk between, before or after the cycles, no
+     # missing brackets and no empty item
+     "perm:[(1,2) junk (3,4)]", "perm:hello(1,2,3)", "perm:[(1,2)]x", "perm:(1,2)",
+     "perm:[(1,2),,(3,4)]", "perm:[(1,2)(3,4)]"],
 )
 def test_from_spec_rejects_malformed_specs(spec):
     with pytest.raises(SpecError):
