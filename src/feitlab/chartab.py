@@ -66,11 +66,17 @@ Both routes give the index and the rows, as degrees and positions
 power map, so a product's table is the one the splitting gives.  Every
 table, computed or loaded, is validated in integers from its
 multiplicities, in one Gram pass (``_validate``) that evaluates each
-distinct vector once at z = 2^B modulo Phi_e(2^B), e the exponent, so
-that each pair of rows is one sum of integer products per class
-(``_gram_codes``); Schur inner products are an integer group-ring sum
-over the values' numerators.  Errors raised while a table is built name the
-group and, where there is one, the class and the row.
+distinct vector once at w, a root of unity of order e (the exponent)
+modulo a prime p = 1 (mod e) above |G| (D^2 + 1), D the largest degree,
+as the transform evaluates values at one modulo its own prime
+(``_root_of_unity`` chooses both), so that each pair of rows is one sum
+of integer products per class (``_gram_codes``).  Those residues are
+exact once the rows are checked to be Galois-stable (``_galois_stable``):
+p splits completely in Z[zeta_e], so a sum that vanishes at every
+conjugate of w is 0 or of norm at least p^phi(e).  Schur inner products
+are an integer group-ring sum over the values' numerators.  Errors
+raised while a table is built name the group and, where there is one,
+the class and the row.
 """
 
 from __future__ import annotations
@@ -84,7 +90,7 @@ from operator import getitem, mul
 from typing import Dict, List, Mapping, NoReturn, Optional, Sequence, Tuple
 
 from . import numth
-from .cyclo import Cyclotomic, _make, _mapped, _reduction_table, cyclotomic_polynomial, units
+from .cyclo import Cyclotomic, _make, _mapped, units
 from .errors import BoundExceeded, ConsistencyError, TableFormatError
 from .groups import DEFAULT_ORDER_BOUND, PermGroup, Perm, inverse, right_action
 
@@ -357,45 +363,38 @@ def integral_inner_product(a: ClassFunction, b: ClassFunction) -> int:
 
 
 def _gram_codes(table: CharacterTable) -> Tuple[int, List[List[int]], List[List[int]]]:
-    """The Gram pass in integers: q and, per row of the table and per class
-    c, u[c] = |C_c| P(2^B) and v[c] = conj(P)(2^B) mod q, where P is
-    the vector's value as a polynomial in z = zeta_e (e the exponent),
-    conj(P) that of its complex conjugate (exponents negated mod e), and
-    q = Phi_e(2^B).  So sum_c u_i[c] v_j[c] is S(2^B) mod q for the
+    """The Gram pass in integers: p and, per row of the table and per class
+    c, u[c] = |C_c| P(w) and v[c] = P(w^-1) mod p, where P is the vector's
+    value as a polynomial in zeta_e (e the exponent) and w a root of unity
+    of order e mod p, p the least prime = 1 (mod e) above |G| (D^2 + 1),
+    D the largest l1 norm of a vector, which on a table's own vectors is
+    its largest degree (``_root_of_unity``).  So
+    sum_c u_i[c] v_j[c] is, mod p, the image under zeta_e -> w of the
     group-ring sum S = |G| <chi_i, chi_j> that ``_group_ring_sum`` would
     form, and each distinct vector is encoded once.
 
-    Exact: let R be the power-basis coordinates of S - m, m an integer.
-    S(2^B) = m (mod q) iff R = 0.  As Phi_e divides S - m - R, R(2^B) is
-    S(2^B) - m mod q.  The terms of S add up to at most |G| D^2 in absolute
-    value (D the largest l1 norm of a vector), each reduces to coordinates
-    of l1 norm at most H (the largest over the rows of the reduction
-    table), and m is 0 or |G|, so |R| <= C = |G| (D^2 H + 1) coordinatewise.
-    With 2^B > 2C + 1 and 2^B > 2 phi(e), as q >= (2^B - 1)^phi:
-    |R(2^B)| < C 2^(B phi) / (2^B - 1) < (2^B - 1)^phi, so R(2^B) = 0
-    if it is 0 mod q, and then R = 0, as its lowest nonzero coordinate
-    would be a nonzero multiple of 2^B."""
+    A nonzero residue S - m (m = |G| on the diagonal, else 0) proves
+    S != m.  Zero residues decide S = m on a Galois-stable row set (which
+    ``_validate`` checks): the residues make the rows distinct, as p > |G|,
+    and sigma_k of a pair of rows is then a pair of rows, equal exactly
+    when the two are, so S - m vanishes at w^k for every unit k mod e, and
+    lies in p Z[zeta_e], as p splits completely there (L. Washington,
+    Introduction to Cyclotomic Fields, Thm 2.13).  Each embedding of a
+    value has absolute value at most its vector's l1 norm, so
+    |sigma(S - m)| <= |G| (D^2 + 1) < p, while a nonzero element of
+    p Z[zeta_e] has a norm of absolute value at least p^phi(e)."""
     e = table.exponent
-    sizes = [cls.size for cls in table.classes]
-    phi, reduction = _reduction_table(e)
-    h = max(sum(map(abs, val)) for _, val in reduction)
     d = max(sum(map(abs, vec)) for vec in table.vectors)
-    c = table.order * (d * d * h + 1)
-    shift = max((2 * c + 1).bit_length(), (2 * phi).bit_length())
-    q = sum(k << (shift * i) for i, k in enumerate(cyclotomic_polynomial(e)))
+    p, z_pow = _root_of_unity(e, table.order * (d * d + 1))
     ucodes, vcodes = [], []
     for vec in table.vectors:
         step = e // len(vec)
-        a = b = 0
-        for j, m in enumerate(vec):
-            if m:
-                a += m << (shift * (j * step))
-                b += m << (shift * (-j * step % e))
-        ucodes.append(a % q)
-        vcodes.append(b % q)
+        ucodes.append(sum(m * z_pow[j * step] for j, m in enumerate(vec) if m) % p)
+        vcodes.append(sum(m * z_pow[-j * step % e] for j, m in enumerate(vec) if m) % p)
+    sizes = [cls.size for cls in table.classes]
     us = [[size * ucodes[k] for size, k in zip(sizes, row)] for row in table.positions]
     vs = [[vcodes[k] for k in row] for row in table.positions]
-    return q, us, vs
+    return p, us, vs
 
 
 def _value_terms(values: Sequence[Cyclotomic], level: int):
@@ -475,20 +474,21 @@ def conductor(chi: ClassFunction) -> int:
 # exact table computation
 
 
-def _primitive_root(p: int) -> int:
-    fact = [q for q, _ in numth.prime_factorization(p - 1)]
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fact):
-            return g
-    raise ConsistencyError(f"no primitive root modulo {p}")
-
-
-def _choose_prime(order: int, exponent: int) -> int:
-    floor = 2 * math.isqrt(order) + 1
-    p = exponent + 1
-    while p <= floor or not numth.is_prime(p):
-        p += exponent
-    return p
+def _root_of_unity(e: int, floor: int) -> Tuple[int, List[int]]:
+    """The least prime p = 1 (mod e) above floor, and the powers w^a,
+    0 <= a < e, of a root of unity w of order e mod p: the one evaluation
+    of zeta_e that the transform (floor 2 sqrt|G|) and the Gram pass
+    (``_gram_codes``) share."""
+    p = floor + 1 + -floor % e
+    while not numth.is_prime(p):
+        p += e
+    primes = [q for q, _ in numth.prime_factorization(e)]
+    w = next(w for w in (pow(g, (p - 1) // e, p) for g in range(1, p))
+             if all(pow(w, e // q, p) != 1 for q in primes))
+    z_pow = [1] * e
+    for a in range(1, e):
+        z_pow[a] = z_pow[a - 1] * w % p
+    return p, z_pow
 
 
 def _row_reduce_mod(m: List[List[int]], ncols: int, p: int) -> List[int]:
@@ -606,10 +606,12 @@ def _charpoly_mod(mat: List[List[int]], p: int) -> List[int]:
     return polys[n]
 
 
-def _residue(v: Cyclotomic, e: int, p: int, z_e: int) -> int:
-    """The image of v, at a level dividing e, mod p under zeta_e -> z_e, a
-    root of unity of order e mod p; a denominator divisible by p maps to 0."""
-    z = pow(z_e, e // v.level, p)
+def _residue(v: Cyclotomic, p: int, z_pow: Sequence[int]) -> int:
+    """The image of v, at a level dividing e = len(z_pow), mod p under
+    zeta_e -> w, z_pow the powers of w, a root of unity of order e mod p
+    (``_root_of_unity``): zeta at the level maps to w^(e/level), which is
+    w^0 at level 1; a denominator divisible by p maps to 0."""
+    z = z_pow[len(z_pow) // v.level % len(z_pow)]
     acc = 0
     for x in reversed(v.nums):
         acc = (acc * z + x) % p
@@ -634,15 +636,17 @@ def _eigen_from_residues(
     orders: Sequence[int],
     powmap: Sequence[Sequence[int]],
     p: int,
-    z_e: int,
+    z_pow: Sequence[int],
     rows: Sequence[Tuple[int, Sequence[int]]],
     label: str,
     noun: str,
 ) -> Index:
     """Eigenvalue multiplicity vectors of each row, given as its degree and
-    its class values mod p under zeta_e -> z_e (e the exponent, the lcm of
-    the class orders), as an index formed as they are made: the distinct
-    vectors, and per row the position of each class's vector among them.
+    its class values mod p under zeta_e -> w (e = len(z_pow) the exponent,
+    the lcm of the class orders, and z_pow the powers of w, a root of unity
+    of order e mod p, from ``_root_of_unity``), as an index formed as they
+    are made: the distinct vectors, and per row the position of each
+    class's vector among them.
     ``powmap[k][a]`` is the class of rep_k^a.  Errors name row s as
     "{noun} s of {label}".
 
@@ -655,7 +659,7 @@ def _eigen_from_residues(
     once; a power class is pushed forward and its residue taken once per
     distinct root vector, keyed by that vector's position."""
     r = len(orders)
-    e = math.lcm(*orders)
+    e = len(z_pow)
     # source[k] = (k0, a) names the root and power
     source: List[Optional[Tuple[int, int]]] = [None] * r
     for k0 in sorted(range(r), key=orders.__getitem__, reverse=True):
@@ -674,10 +678,7 @@ def _eigen_from_residues(
     # The DFT at a root k of order t, as a map from class values: m_j is
     # the sum over the classes c among its powers of vals[c] times
     # dft[k][j][c] = (1/t) sum of z_t^(-j a) over the a with rep_k^a in c,
-    # z_t = z_e^(e/t).  It does not depend on the row.
-    z_pow = [1] * e
-    for a in range(1, e):
-        z_pow[a] = z_pow[a - 1] * z_e % p
+    # z_t = w^(e/t).  It does not depend on the row.
     dft = {}
     for k in roots:
         t, step = orders[k], e // orders[k]
@@ -808,9 +809,7 @@ def _split_rows(group: PermGroup, label: str,
                     out[j] += n * x
         return [v % p for v in out]
 
-    p = _choose_prime(n_order, e)
-    w = _primitive_root(p)
-    z_e = pow(w, (p - 1) // e, p)
+    p, z_pow = _root_of_unity(e, 2 * math.isqrt(n_order) + 1)
 
     # split the common eigenspaces of the class-sum matrices over F_p; each
     # space is a basis that is the unit basis at its pivot columns, and a
@@ -898,7 +897,7 @@ def _split_rows(group: PermGroup, label: str,
             )
         residues.append((deg, [deg * v[k] * inv_sizes[k] % p for k in range(r)]))
     vectors, positions = _eigen_from_residues(
-        orders, powmap, p, z_e, residues, label, "unsorted row"
+        orders, powmap, p, z_pow, residues, label, "unsorted row"
     )
     return vectors, [(deg, cells) for (deg, _), cells in zip(residues, positions)]
 
@@ -1033,32 +1032,52 @@ def _fail(name: str, check: str) -> NoReturn:
 
 def _validate(table: CharacterTable) -> None:
     """The one Gram pass every table gets: its rows are orthonormal, decided
-    in integers from its multiplicity vectors.  A vector that gives back its
-    value (as ``compute_table`` builds them and ``load_table`` checks them)
-    makes this the orthonormality of the values."""
+    in integers from its multiplicity vectors, by their residues at one root
+    of unity mod p (``_gram_codes``) and then the rows' Galois stability
+    (``_galois_stable``), which makes those residues exact.  A vector that
+    gives back its value (as ``compute_table`` builds them and
+    ``load_table`` checks them) makes this the orthonormality of the
+    values."""
     # |G| <chi_i, chi_j> as one residue per pair: a sum of one integer
-    # product per class (``_gram_codes``), which is |G| delta_ij exactly
-    # when the residue says so.  The v of all rows are packed per class, one
-    # slot of `size` bytes a row, so that row i meets every row in one sum;
-    # a slot holds at most sum_c |C_c| (q - 1)^2 = |G| (q - 1)^2.
-    q, us, vs = _gram_codes(table)
+    # product per class (``_gram_codes``).  The v of all rows are packed per
+    # class, one slot of `size` bytes a row, so that row i meets every row in
+    # one sum; a slot holds at most sum_c |C_c| (p - 1)^2 = |G| (p - 1)^2.
+    p, us, vs = _gram_codes(table)
     n = table.order
     r = len(us)
-    size = (n * (q - 1) ** 2).bit_length() // 8 + 1
+    size = (n * (p - 1) ** 2).bit_length() // 8 + 1
     packed = [
         int.from_bytes(b"".join(v[c].to_bytes(size, "little") for v in vs), "little")
         for c in range(len(table.classes))
     ]
     for i in range(r):
         buf = sum(map(mul, us[i], packed)).to_bytes(size * r, "little")
-        if (int.from_bytes(buf[i * size:(i + 1) * size], "little") - n) % q:
+        if (int.from_bytes(buf[i * size:(i + 1) * size], "little") - n) % p:
             _fail(table.name, f"row orthogonality of characters {i} and {i}")
         for j in range(i + 1, r):
-            if int.from_bytes(buf[j * size:(j + 1) * size], "little") % q:
+            if int.from_bytes(buf[j * size:(j + 1) * size], "little") % p:
                 _fail(table.name, f"row orthogonality of characters {i} and {j}")
+    if not _galois_stable(table):
+        _fail(table.name, "Galois stability: a Galois conjugate of a row is not a row")
     # Column orthogonality needs no check of its own: the table is square, so
     # with D the diagonal of class sizes, X D X* = |G| I makes X invertible
     # and forces X* X = |G| D^-1.
+
+
+def _galois_stable(table: CharacterTable) -> bool:
+    """Whether sigma_k of each row is a row, for every unit k mod the
+    exponent: each distinct vector is mapped by j -> j k mod t, for each
+    generator k of the units (``_unit_generators``), unless k = 1 (mod t),
+    and each row's image looked up among the rows' positions.  A genuine
+    table is stable."""
+    at = {vec: k for k, vec in enumerate(table.vectors)}
+    rows = set(table.positions)
+    for k in _unit_generators(table.exponent):
+        image = [at.get(_power_vector(vec, k)) if k % len(vec) > 1 else pos
+                 for pos, vec in enumerate(table.vectors)]
+        if any(tuple(map(image.__getitem__, row)) not in rows for row in table.positions):
+            return False
+    return True
 
 
 def save_table(table: CharacterTable) -> bytes:
@@ -1242,11 +1261,9 @@ def _loaded_table(
 
     try:
         power_map = _derived_power_map(name, orders, prime_maps, rows)
-        p = _choose_prime(order, exponent)
-        z_e = pow(_primitive_root(p), (p - 1) // exponent, p)
-        residues = [(d, [_residue(v, exponent, p, z_e) for v in row])
-                    for d, row in zip(degs, rows)]
-        vectors, positions = _eigen_from_residues(orders, power_map, p, z_e, residues,
+        p, z_pow = _root_of_unity(exponent, 2 * math.isqrt(order) + 1)
+        residues = [(d, [_residue(v, p, z_pow) for v in row]) for d, row in zip(degs, rows)]
+        vectors, positions = _eigen_from_residues(orders, power_map, p, z_pow, residues,
                                                   name, "character")
     except ConsistencyError as exc:
         fail(str(exc))

@@ -353,6 +353,11 @@ def _cyclotomic_orthonormal(t, values):
     )
 
 
+def _transform_prime(order, exponent):
+    """The prime of the splitting and the multiplicity transform."""
+    return chartab._root_of_unity(exponent, 2 * math.isqrt(order) + 1)[0]
+
+
 VALUE_TAMPERS = (
     lambda t, i, c: -t.irreducibles[i][c],
     lambda t, i, c: t.irreducibles[i][c] + 1,
@@ -362,7 +367,7 @@ VALUE_TAMPERS = (
     lambda t, i, c: t.irreducibles[i][-c],
     # the same residue mod the transform's prime: only the give-back of the
     # derived vectors tells
-    lambda t, i, c: t.irreducibles[i][c] + chartab._choose_prime(t.order, t.exponent),
+    lambda t, i, c: t.irreducibles[i][c] + _transform_prime(t.order, t.exponent),
 )
 
 
@@ -713,12 +718,29 @@ def test_scaled_inner_product_of_arbitrary_vectors():
             assert got == t.order * cyclotomic_inner_product(a, b), spec
 
 
+def _galois_image(row, k):
+    """sigma_k of a row of multiplicity vectors, k a unit mod the exponent:
+    at a class of order t, the multiplicity of zeta_t^j moves to
+    zeta_t^(j k)."""
+    out = []
+    for vec in row:
+        moved = [0] * len(vec)
+        for j, m in enumerate(vec):
+            moved[j * k % len(vec)] = m
+        out.append(tuple(moved))
+    return tuple(out)
+
+
 def test_gram_codes_decide_the_group_ring_sums():
-    # a pair's residue is 0 (|G| on the diagonal) exactly when its group-ring
-    # sum is: on table rows, on rows with one eigenvalue moved (some sums
-    # are then off only in their irrational coordinates) and on signed
-    # random vectors
+    # on every set of rows, a pair's residue is |G| on the diagonal and 0
+    # off it whenever its group-ring sum is: on table rows, on rows with one
+    # eigenvalue moved (some sums are then off only in their irrational
+    # coordinates) and on signed random vectors.  The converse holds on a
+    # Galois-stable set of non-negative vectors (the table's rows with a few
+    # moved rows and all their Galois images): a pair whose residue is right
+    # at each of its conjugate pairs has the right group-ring sum.
     rng = random.Random(7)
+    decided = 0
     for spec in ("cyclic:5", "dihedral:12", "sl2:3", "alt:5", "sym:5", "elementary:3,3"):
         t = table(spec)
         rows = list(t.eigen)
@@ -735,15 +757,72 @@ def test_gram_codes_decide_the_group_ring_sums():
                   for cls in t.classes)
             for _ in range(5)
         ]
-        rows += moved + signed
-        q, us, vs = chartab._gram_codes(_with_eigen(t, rows))
-        for x, u in enumerate(rows):
-            for y, v in enumerate(rows):
-                got = _scaled_inner_product(t, u, v)
-                for m in (0, t.order):
-                    want = got == [m] + [0] * (len(got) - 1)
-                    assert ((sum(map(mul, us[x], vs[y])) - m) % q == 0) == want, \
-                        (spec, x, y, m)
+        units = cyclo.units(t.exponent)
+        stable = list(dict.fromkeys(
+            rows + [_galois_image(row, k) for row in moved[:3] for k in units]))
+        for subset in (rows + moved + signed, stable):
+            p, us, vs = chartab._gram_codes(_with_eigen(t, subset))
+            # on the stable set, per unit k, the position of sigma_k of each row
+            at = {row: x for x, row in enumerate(subset)}
+            images = ([[at[_galois_image(row, k)] for row in subset] for k in units]
+                      if subset is stable else [])
+            for x, u in enumerate(subset):
+                for y, v in enumerate(subset):
+                    got = _scaled_inner_product(t, u, v)
+                    for m in (0, t.order):
+                        exact = got == [m] + [0] * (len(got) - 1)
+                        if exact:
+                            assert (sum(map(mul, us[x], vs[y])) - m) % p == 0, (spec, x, y, m)
+                        if images and all((sum(map(mul, us[im[x]], vs[im[y]])) - m) % p == 0
+                                          for im in images):
+                            assert exact, (spec, x, y, m)
+                            decided += 1
+    assert decided > 100
+
+
+def test_root_of_unity_is_the_least_prime_and_a_root_of_order_e():
+    for e, floor in ((1, 3), (2, 512), (12, 5), (60, 4440), (420, 6179460), (240, 3)):
+        p, z_pow = chartab._root_of_unity(e, floor)
+        assert p > floor and p % e == 1 % e and numth.is_prime(p), (e, floor)
+        assert not any(numth.is_prime(q) for q in range(floor + 1, p) if q % e == 1 % e)
+        assert len(z_pow) == e and z_pow == [pow(z_pow[1 % e], a, p) for a in range(e)]
+        assert len(set(z_pow)) == e and pow(z_pow[1 % e], e, p) == 1, (e, floor)
+
+
+def test_gram_prime_exceeds_the_norm_bound():
+    # zero residues decide a group-ring sum only when p > |G| (D^2 + 1), D
+    # the largest degree; a Gram prime at or below that bound fails here
+    for spec in CORPUS + FEIT_POOL:
+        t = table(spec)
+        p = chartab._gram_codes(t)[0]
+        d = max(t.degree(i) for i in range(t.num_classes))
+        assert numth.is_prime(p) and p % t.exponent == 1 % t.exponent, spec
+        assert p > t.order * (d * d + 1), (spec, p)
+
+
+def test_rows_are_galois_stable():
+    for spec in CORPUS + FEIT_POOL:
+        t = table(spec)
+        assert chartab._galois_stable(t), spec
+    # cyclic:3 with chi-bar replaced by chi: sigma_2 of chi is no row
+    t = table("cyclic:3")
+    chi = next(i for i in range(3) if i != t.trivial_index)
+    assert not chartab._galois_stable(
+        _with_eigen(t, (t.eigen[t.trivial_index], t.eigen[chi], t.eigen[chi])))
+
+
+def test_validate_refuses_an_unstable_row_set_whose_residues_pass():
+    # a degree-2 row of sl2:3 with irrational values has the eigenvalues i
+    # and -i at the class of order 4; 1 and -1 give the same value 0, so
+    # every residue (every group-ring sum, indeed) stays right, but the
+    # conjugate row keeps i and -i, and the moved row's conjugate is no row
+    t = table("sl2:3")
+    i, c = next((i, c) for i, row in enumerate(t.eigen) for c, vec in enumerate(row)
+                if vec == (0, 1, 0, 1) and t.conductors[i] > 1)
+    moved = _with_vector(t, t.eigen, i, c, (1, 0, 1, 0))
+    assert _cyclotomic_orthonormal(t, moved.irreducibles)
+    with pytest.raises(TableFormatError, match="for sl2:3: Galois stability"):
+        chartab._validate(moved)
 
 
 def _indexed(rows):
@@ -1166,7 +1245,7 @@ def _at(poly, lam, p):
 def test_charpoly_roots_are_the_eigenvalues():
     rng = random.Random(11)
     primes = sorted({
-        chartab._choose_prime(g.order, g.exponent())
+        _transform_prime(g.order, g.exponent())
         for g in map(groups.from_spec, FEIT_POOL[:12])
     })
     cases = []
