@@ -38,15 +38,16 @@ computed table takes them from its group.  A table has one serialization,
 the compact JSON of its document (``save_table``), in which a class's
 power map is held only at the primes of the exponent; ``load_table``
 checks the document and derives the rest, in order: each value placed at
-its class's level t, the power map one order t at a time, increasing (a
-non-unit power rep^a is read from the row of the class of rep^q, q the
-least prime dividing gcd(a, t), which the stored prime power map names;
-the class of rep^g, for each generator g of the units mod t, is the one
-whose column is the Galois image of the class's column, and every other
-unit power composes those matches), the multiplicities by the same
-transform, from its values reduced mod the same p, each vector then
-checked to give back its value exactly, and each stored prime power map
-checked against the derived map.
+its class's level t, the power map one Galois orbit of classes at a time,
+by increasing order (a non-unit power rep^a is read from the row of the
+class of rep^q, q the least prime dividing gcd(a, t), which the stored
+prime power map names; for a class c not yet reached and each unit u mod
+t, the class of rep^u is the one whose column is sigma_u of c's, and each
+class of that orbit reads its unit powers from those matches), the
+multiplicities by the same transform, from its values reduced mod the same
+p (``_evaluate``, the one evaluation mod p of values, vectors and Gram
+codes), each vector then checked to give back its value exactly, and each
+stored prime power map checked against the derived map.
 
 A table is its index.  The transform (``_eigen_from_residues``) and a
 product's convolution (``_product_rows``) place each multiplicity vector
@@ -362,16 +363,17 @@ def integral_inner_product(a: ClassFunction, b: ClassFunction) -> int:
     return v
 
 
-def _gram_codes(table: CharacterTable) -> Tuple[int, List[List[int]], List[List[int]]]:
-    """The Gram pass in integers: p and, per row of the table and per class
-    c, u[c] = |C_c| P(w) and v[c] = P(w^-1) mod p, where P is the vector's
-    value as a polynomial in zeta_e (e the exponent) and w a root of unity
-    of order e mod p, p the least prime = 1 (mod e) above |G| (D^2 + 1),
-    D the largest l1 norm of a vector, which on a table's own vectors is
-    its largest degree (``_root_of_unity``).  So
-    sum_c u_i[c] v_j[c] is, mod p, the image under zeta_e -> w of the
-    group-ring sum S = |G| <chi_i, chi_j> that ``_group_ring_sum`` would
-    form, and each distinct vector is encoded once.
+def _gram_codes(table: CharacterTable) -> Tuple[int, List[int], List[int]]:
+    """The Gram pass in integers: p and, per distinct vector of the table,
+    its codes u = P(w) and v = P(w^-1) mod p (``_evaluate``), where P is
+    the vector's value as a polynomial in zeta_e (e the exponent) and w a
+    root of unity of order e mod p, p the least prime = 1 (mod e) above
+    |G| (D^2 + 1), D the largest l1 norm of a vector, which on a table's
+    own vectors is its largest degree (``_root_of_unity``).  So, with
+    k_i(c) the position of row i's vector at class c,
+    sum_c |C_c| u[k_i(c)] v[k_j(c)] is, mod p, the image under
+    zeta_e -> w of the group-ring sum S = |G| <chi_i, chi_j> that
+    ``_group_ring_sum`` would form.
 
     A nonzero residue S - m (m = |G| on the diagonal, else 0) proves
     S != m.  Zero residues decide S = m on a Galois-stable row set (which
@@ -386,14 +388,8 @@ def _gram_codes(table: CharacterTable) -> Tuple[int, List[List[int]], List[List[
     e = table.exponent
     d = max(sum(map(abs, vec)) for vec in table.vectors)
     p, z_pow = _root_of_unity(e, table.order * (d * d + 1))
-    ucodes, vcodes = [], []
-    for vec in table.vectors:
-        step = e // len(vec)
-        ucodes.append(sum(m * z_pow[j * step] for j, m in enumerate(vec) if m) % p)
-        vcodes.append(sum(m * z_pow[-j * step % e] for j, m in enumerate(vec) if m) % p)
-    sizes = [cls.size for cls in table.classes]
-    us = [[size * ucodes[k] for size, k in zip(sizes, row)] for row in table.positions]
-    vs = [[vcodes[k] for k in row] for row in table.positions]
+    us = [_evaluate(vec, e // len(vec), p, z_pow) for vec in table.vectors]
+    vs = [_evaluate(vec, -(e // len(vec)), p, z_pow) for vec in table.vectors]
     return p, us, vs
 
 
@@ -606,16 +602,16 @@ def _charpoly_mod(mat: List[List[int]], p: int) -> List[int]:
     return polys[n]
 
 
-def _residue(v: Cyclotomic, p: int, z_pow: Sequence[int]) -> int:
-    """The image of v, at a level dividing e = len(z_pow), mod p under
-    zeta_e -> w, z_pow the powers of w, a root of unity of order e mod p
-    (``_root_of_unity``): zeta at the level maps to w^(e/level), which is
-    w^0 at level 1; a denominator divisible by p maps to 0."""
-    z = z_pow[len(z_pow) // v.level % len(z_pow)]
-    acc = 0
-    for x in reversed(v.nums):
-        acc = (acc * z + x) % p
-    return acc * pow(v.den, p - 2, p) % p
+def _evaluate(nums: Sequence[int], step: int, p: int, z_pow: Sequence[int]) -> int:
+    """sum_i nums[i] w^(i step) mod p, z_pow the powers of w, a root of
+    unity of order e = len(z_pow) mod p (``_root_of_unity``): the image
+    under zeta_e -> w of sum_i nums[i] zeta_t^i, t = e/step, which is a
+    value's numerators at its level t, or a multiplicity vector of length t,
+    and with the step negated, of its complex conjugate.  The one
+    evaluation of the loaded values, the transform's pushed vectors and the
+    Gram codes."""
+    e = len(z_pow)
+    return sum(x * z_pow[i * step % e] for i, x in enumerate(nums) if x) % p
 
 
 def _power_vector(vec: Sequence[int], a: int) -> Tuple[int, ...]:
@@ -739,7 +735,7 @@ def _eigen_from_residues(
                 vec = _power_vector(mults_at[k0][s], a)
                 hit = pushed[cells[k0], a] = (
                     index.setdefault(vec, len(index)),
-                    sum(map(mul, vec, z_pow[:: e // len(vec)])) % p,
+                    _evaluate(vec, e // len(vec), p, z_pow),
                 )
             cells[k], residue = hit
             if residue != vals_mod[k]:
@@ -1033,25 +1029,29 @@ def _fail(name: str, check: str) -> NoReturn:
 def _validate(table: CharacterTable) -> None:
     """The one Gram pass every table gets: its rows are orthonormal, decided
     in integers from its multiplicity vectors, by their residues at one root
-    of unity mod p (``_gram_codes``) and then the rows' Galois stability
+    of unity mod p (``_gram_codes``, one pair of codes per distinct vector,
+    read through the positions) and then the rows' Galois stability
     (``_galois_stable``), which makes those residues exact.  A vector that
     gives back its value (as ``compute_table`` builds them and
     ``load_table`` checks them) makes this the orthonormality of the
     values."""
     # |G| <chi_i, chi_j> as one residue per pair: a sum of one integer
-    # product per class (``_gram_codes``).  The v of all rows are packed per
-    # class, one slot of `size` bytes a row, so that row i meets every row in
-    # one sum; a slot holds at most sum_c |C_c| (p - 1)^2 = |G| (p - 1)^2.
+    # product per class of the codes of the two rows' vectors there
+    # (``_gram_codes``), read through the positions.  The v of all rows are
+    # packed per class, one slot of `size` bytes a row, each v rendered to
+    # bytes once, so that row i meets every row in one sum; a slot holds at
+    # most sum_c |C_c| (p - 1)^2 = |G| (p - 1)^2.
     p, us, vs = _gram_codes(table)
     n = table.order
-    r = len(us)
+    r = len(table.positions)
     size = (n * (p - 1) ** 2).bit_length() // 8 + 1
-    packed = [
-        int.from_bytes(b"".join(v[c].to_bytes(size, "little") for v in vs), "little")
-        for c in range(len(table.classes))
-    ]
-    for i in range(r):
-        buf = sum(map(mul, us[i], packed)).to_bytes(size * r, "little")
+    vbytes = [v.to_bytes(size, "little") for v in vs]
+    packed = [int.from_bytes(b"".join(map(vbytes.__getitem__, col)), "little")
+              for col in zip(*table.positions)]
+    sizes = [cls.size for cls in table.classes]
+    for i, row in enumerate(table.positions):
+        buf = sum(size_c * us[k] * x for size_c, k, x in zip(sizes, row, packed)).to_bytes(
+            size * r, "little")
         if (int.from_bytes(buf[i * size:(i + 1) * size], "little") - n) % p:
             _fail(table.name, f"row orthogonality of characters {i} and {i}")
         for j in range(i + 1, r):
@@ -1262,7 +1262,9 @@ def _loaded_table(
     try:
         power_map = _derived_power_map(name, orders, prime_maps, rows)
         p, z_pow = _root_of_unity(exponent, 2 * math.isqrt(order) + 1)
-        residues = [(d, [_residue(v, p, z_pow) for v in row]) for d, row in zip(degs, rows)]
+        # every value has denominator 1 (``load_table``), and sits at level t
+        residues = [(d, [_evaluate(v.nums, exponent // v.level, p, z_pow) for v in row])
+                    for d, row in zip(degs, rows)]
         vectors, positions = _eigen_from_residues(orders, power_map, p, z_pow, residues,
                                                   name, "character")
     except ConsistencyError as exc:
@@ -1294,19 +1296,21 @@ def _derived_power_map(
     prime_maps: Sequence[Mapping[int, int]],
     rows: Sequence[Sequence[Cyclotomic]],
 ) -> List[Tuple[int, ...]]:
-    """A loaded table's power map, one order t at a time, increasing.  For
-    a below t and class c of order t, rep^a with q the least prime dividing
-    gcd(a, t) is (rep^q)^(a/q), read from the already built row of the class
-    that the stored prime power map at q names.  The unit powers come from
-    one column match per class of order t and per generator g of the units
-    mod t (``_unit_generators``): sigma_g of column c is the column of the
-    class pi_g(c) (``_galois_class``), and the class of rep^(u g) is
-    pi_g of that of rep^u, so every other unit composes the matches.  The
+    """A loaded table's power map, one Galois orbit of classes at a time,
+    by increasing order.  For a below t and class c of order t, rep^a with
+    q the least prime dividing gcd(a, t) is (rep^q)^(a/q), read from the
+    already built row of the class that the stored prime power map at q
+    names.  The unit powers come from one column match per class c of order
+    t not yet reached and per unit u mod t other than 1: sigma_u of column
+    c is the column of the class of rep^u (``_galois_class``; Isaacs,
+    Character Theory of Finite Groups, sigma_u(chi(g)) = chi(g^u)).  Those
+    classes are c's orbit, and the class cv of rep^v reads its unit powers
+    from the same matches: its a-th is the class of rep^(a v).  The
     columns of one order are first checked to be distinct, as the match of
-    rep^1 finds its own class only; then each composition is the one class
-    whose column a match of its unit would find, exactly.  The stored prime
-    power maps at the units are never read here; ``_loaded_table`` checks
-    them against this map."""
+    rep^1 finds its own class only; then each entry is the one class whose
+    column is sigma_(a v) of c's, exactly.  The stored prime power maps at
+    the units are never read here; ``_loaded_table`` checks them against
+    this map."""
     columns: Dict[tuple, List[int]] = {}
     for c, (t, column) in enumerate(zip(orders, zip(*rows))):
         columns.setdefault((t, tuple((v.nums, v.den) for v in column)), []).append(c)
@@ -1317,32 +1321,28 @@ def _derived_power_map(
                 f" of {name}: {len(twins)} matching classes"
             )
     out: List[Tuple[int, ...]] = [()] * len(orders)
-    for t in sorted(set(orders)):
-        same = [c for c, u in enumerate(orders) if u == t]
-        gens = _unit_generators(t)
-        images = {g: {c: _galois_class(c, g, name, t, rows, columns) for c in same}
-                  for g in gens}
+    for c in sorted(range(len(orders)), key=orders.__getitem__):
+        if out[c]:
+            continue
+        t = orders[c]
+        # unit[u] is the class of rep^u
+        unit = {u: c if u == 1 % t else _galois_class(c, u, name, t, rows, columns)
+                for u in units(t)}
         primes = [q for q, _ in numth.prime_factorization(t)]
-        for c in same:
-            # the class of rep^u for each unit u, in breadth-first order
-            reached, frontier = {1 % t: c}, [1 % t]
-            for u in frontier:
-                for g in gens:
-                    v = u * g % t
-                    if v not in reached:
-                        reached[v] = images[g][reached[u]]
-                        frontier.append(v)
-            row = [0] * t
-            for a in range(1, t):
-                q = next((q for q in primes if a % q == 0), None)
-                row[a] = reached[a] if q is None else out[prime_maps[c][q]][a // q]
-            out[c] = tuple(row)
+        for v, cv in unit.items():
+            if not out[cv]:
+                row = [0] * t
+                for a in range(1, t):
+                    q = next((q for q in primes if a % q == 0), None)
+                    row[a] = unit[a * v % t] if q is None else out[prime_maps[cv][q]][a // q]
+                out[cv] = tuple(row)
     return out
 
 
 def _unit_generators(t: int) -> List[int]:
     """Generators of the units mod t, each the least unit that those before
-    it do not generate."""
+    it do not generate: the Galois exponents ``_galois_stable`` maps the
+    vectors by."""
     gens: List[int] = []
     reached = {1 % t}
     for a in units(t):
@@ -1362,7 +1362,8 @@ def _galois_class(c: int, k: int, name: str, t: int, rows, columns) -> int:
     column of order t among ``columns`` (the classes with each column, keyed
     by their order and the column's values) equal to sigma_k of column c.
     The match is exact, as each value is placed at its class's level t,
-    where the power basis writes it one way."""
+    where the power basis writes it one way.  ``_derived_power_map`` makes
+    it once per (first class of a Galois orbit, unit other than 1)."""
     image = (row[c].galois(k) for row in rows)
     matches = columns.get((t, tuple((w.nums, w.den) for w in image)), ())
     if len(matches) != 1:

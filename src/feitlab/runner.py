@@ -58,12 +58,13 @@ def _spec_table(entry: str) -> CharacterTable:
 def resolve_input(entry: str) -> CharacterTable:
     """A corpus entry is either a group-spec string or a table file path.
     An entry that is neither a bundled spec form nor an existing file is
-    read as a spec, so that ``from_spec`` rejects it (SpecError).  Spec
+    read as a spec, so that ``from_spec`` rejects it (SpecError), and so is
+    an empty or blank one, which ``Path`` would read as ``.``.  Spec
     tables come from ``_spec_table`` and are shared by every caller that
     asks for the same spec, so they are read, never modified; a file is
     read and validated on every call; one that cannot be read is a
     UsageError naming it."""
-    if looks_like_spec(entry) or not (path := Path(entry)).exists():
+    if looks_like_spec(entry) or not entry.strip() or not (path := Path(entry)).exists():
         return _spec_table(entry)
     try:
         return load_table(path.read_bytes())

@@ -760,8 +760,13 @@ def test_gram_codes_decide_the_group_ring_sums():
         units = cyclo.units(t.exponent)
         stable = list(dict.fromkeys(
             rows + [_galois_image(row, k) for row in moved[:3] for k in units]))
+        sizes = [cls.size for cls in t.classes]
         for subset in (rows + moved + signed, stable):
-            p, us, vs = chartab._gram_codes(_with_eigen(t, subset))
+            built = _with_eigen(t, subset)
+            p, ucodes, vcodes = chartab._gram_codes(built)
+            # per row and class, |C_c| u and v of the vector there
+            us = [[size * ucodes[k] for size, k in zip(sizes, row)] for row in built.positions]
+            vs = [[vcodes[k] for k in row] for row in built.positions]
             # on the stable set, per unit k, the position of sigma_k of each row
             at = {row: x for x, row in enumerate(subset)}
             images = ([[at[_galois_image(row, k)] for row in subset] for k in units]
@@ -1202,9 +1207,25 @@ def test_power_map_is_kept_and_derived_for_loaded_tables():
                 == want, (spec, a)
 
 
+def _orbit_matches(t):
+    """The (class, unit) column matches a loaded power map makes: per Galois
+    orbit of classes (the classes of a class's unit powers, read from the
+    computed map), its first class c and each unit u other than 1 mod the
+    order of c."""
+    out = []
+    for c, (cls, powers) in enumerate(zip(t.classes, t.power_map)):
+        ks = cyclo.units(cls.rep_order)
+        if c == min(powers[u] for u in ks):
+            out.extend((c, u) for u in ks if u != 1 % cls.rep_order)
+    return out
+
+
 def test_derived_power_map_matches_each_galois_image_once(monkeypatch):
-    # many powers of a class reach the same (class, exponent) Galois step;
-    # its column match is made once per map
+    # the unit powers are matched once per Galois orbit of classes, and
+    # every class of an orbit reads its own from its first class's matches:
+    # no (class, exponent) is matched twice, and no other is matched.
+    # cyclic:120 has one orbit per order (16 divisors); on sym:5, whose
+    # classes are rational, each class is an orbit of its own
     asked = []
     match = chartab._galois_class
 
@@ -1213,11 +1234,15 @@ def test_derived_power_map_matches_each_galois_image_once(monkeypatch):
         return match(c, k, *rest)
 
     monkeypatch.setattr(chartab, "_galois_class", counted)
-    for spec in ("cyclic:12", "dihedral:30", "sl2:3"):
+    orbits = {}
+    for spec in CORPUS + FEIT_POOL + ("cyclic:120", "sym:5", "product:cyclic:8,cyclic:15"):
         t = table(spec)
         asked.clear()
         assert load_table(save_table(t)).power_map == t.power_map, spec
-        assert asked and len(asked) == len(set(asked)), spec
+        assert sorted(asked) == sorted(_orbit_matches(t)), spec
+        orbits[spec] = len({min(powers[u] for u in cyclo.units(len(powers)))
+                            for powers in t.power_map})
+    assert orbits["cyclic:120"] == 16 and orbits["sym:5"] == 7
 
 
 def test_derived_power_map_refuses_equal_columns():

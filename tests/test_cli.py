@@ -204,6 +204,15 @@ def test_a_table_above_the_bound_is_refused_before_its_group_is_built(
         assert "table computation needs order <= 2000, group has 4000" in err
 
 
+def test_an_empty_or_blank_argument_is_a_malformed_spec(capsys):
+    # Path("") is the current directory; an empty argument is no file name
+    for argv in (["feit", "", "--all"], ["s", "", "--chi", "0", "--n", "1"],
+                 ["verify", ""], ["feit", " ", "--all"], ["verify", "\t"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "malformed group spec ''" in err and "table file" not in err, (argv, err)
+
+
 def test_an_unreadable_table_file_is_a_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "table", str(tmp_path))
     assert code == 2 and out == ""
