@@ -262,10 +262,8 @@ class MonomialContext:
         self.orbit_rep = tuple(orbit_rep)
         self._down_sets: Dict[int, MonomialContext] = {}
         # the rows of the last table served, their M and A, and their flags
-        # by row; on a down-set, R by pair and the double coset
-        # representatives by subgroup
+        # by row; on a down-set, the double coset representatives by subgroup
         self._rows, self._mults, self._coeffs, self._flags = None, (), (), {}
-        self._restrictions: Dict[int, Dict[int, int]] = {}
         self._cosets: Dict[int, List[int]] = {}
 
     def down_set(self, sub: Subgroup) -> "MonomialContext":
@@ -434,24 +432,21 @@ class MonomialContext:
         """A row of R, on the down-set of a subgroup U: the (U n gHg^-1,
         phi^g restricted) of the double cosets U g H, for the poset's pair
         j = (H, phi), counted by their U-orbit representatives."""
-        out = self._restrictions.get(j)
-        if out is None:
-            P, s = self.poset, self.poset.psub[j]
-            reps = self._cosets.get(s)
-            if reps is None:
-                mul, h_elems, seen = P.mul, P.members[s], set()
-                reps = self._cosets[s] = []
-                for g in range(len(mul)):
-                    if g not in seen:
-                        reps.append(g)
-                        seen.update(mul[mul[u][g]][h] for u in self._members for h in h_elems)
-            acc: Dict[int, int] = defaultdict(int)
-            for g in reps:
-                jg = P.act[g][j]
-                i = P.restrict[jg][P.sid[self._mask & P.masks[P.psub[jg]]]]
-                acc[self.orbit_rep[self._local[i]]] += 1
-            out = self._restrictions[j] = dict(acc)
-        return out
+        P, s = self.poset, self.poset.psub[j]
+        reps = self._cosets.get(s)
+        if reps is None:
+            mul, h_elems, seen = P.mul, P.members[s], set()
+            reps = self._cosets[s] = []
+            for g in range(len(mul)):
+                if g not in seen:
+                    reps.append(g)
+                    seen.update(mul[mul[u][g]][h] for u in self._members for h in h_elems)
+        acc: Dict[int, int] = defaultdict(int)
+        for g in reps:
+            jg = P.act[g][j]
+            i = P.restrict[jg][P.sid[self._mask & P.masks[P.psub[jg]]]]
+            acc[self.orbit_rep[self._local[i]]] += 1
+        return dict(acc)
 
     def restrict(self, col: Mapping[int, int]) -> Dict[int, int]:
         """R applied to a column, on a down-set: the combination of the

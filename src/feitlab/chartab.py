@@ -651,9 +651,7 @@ def _eigen_from_residues(
     classes: taken by order, high to low, each class not yet reached as a
     power of an earlier one.  Each pushed vector is checked against the
     residue of its own class, and each power class's power map against its
-    root's.  Each vector the transform yields at a root class is looked up
-    once; a power class is pushed forward and its residue taken once per
-    distinct root vector, keyed by that vector's position."""
+    root's."""
     r = len(orders)
     e = len(z_pow)
     # source[k] = (k0, a) names the root and power
@@ -706,10 +704,8 @@ def _eigen_from_residues(
                           for i in range(0, width, size)])
         mults_at[k] = list(zip(*per_j))
 
-    # a power class reads its vector from its root's; each distinct
-    # (root vector position, power) is pushed and its residue taken once
+    # a power class reads its vector from its root's
     index: Dict[Tuple[int, ...], int] = {}
-    pushed: Dict[Tuple[int, int], Tuple[int, int]] = {}
     positions = []
     for s, (deg, vals_mod) in enumerate(rows):
         where = f"{noun} {s} of {label}"
@@ -730,19 +726,13 @@ def _eigen_from_residues(
         for k, (k0, a) in enumerate(source):
             if k0 == k:
                 continue
-            hit = pushed.get((cells[k0], a))
-            if hit is None:
-                vec = _power_vector(mults_at[k0][s], a)
-                hit = pushed[cells[k0], a] = (
-                    index.setdefault(vec, len(index)),
-                    _evaluate(vec, e // len(vec), p, z_pow),
-                )
-            cells[k], residue = hit
-            if residue != vals_mod[k]:
+            vec = _power_vector(mults_at[k0][s], a)
+            if _evaluate(vec, e // len(vec), p, z_pow) != vals_mod[k]:
                 raise ConsistencyError(
                     f"power class {k} disagrees with its root class {k0}"
                     f" (power {a}) at {where}"
                 )
+            cells[k] = index.setdefault(vec, len(index))
         positions.append(tuple(cells))
     return tuple(index), tuple(positions)
 

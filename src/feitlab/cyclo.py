@@ -29,7 +29,6 @@ Rational = Union[int, Fraction]
 SparseRow = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(e: int) -> Tuple[int, ...]:
     """Coefficients (ascending) of the e-th cyclotomic polynomial, computed
     as the product over d | e of (x^d - 1)^mobius(e/d): multiplications by
@@ -89,7 +88,6 @@ def _reduction_table(e: int) -> Tuple[int, Tuple[SparseRow, ...]]:
     return phi, tuple(rows)
 
 
-@lru_cache(maxsize=None)
 def _monomial_traces(e: int) -> Tuple[int, ...]:
     """Trace to the rationals of each basis monomial at level e, by literal
     summation of all Galois images (no closed form used)."""

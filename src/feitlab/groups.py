@@ -228,10 +228,6 @@ class PermGroup:
         self.identity = identity_perm(degree)
         self._classes: Optional[Tuple[ConjugacyClass, ...]] = None
         self._class_of: Optional[Tuple[int, ...]] = None
-        # the lattice as (mask, generators) data: a cache of Subgroup
-        # objects, which refer to the group, would make the group part of a
-        # reference cycle, freed only by the cyclic garbage collector
-        self._subgroups: Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]] = None
         self._oracle_context: Optional[weakref.ref] = None
         self.factors: Tuple[PermGroup, ...] = ()
 
@@ -354,36 +350,34 @@ class PermGroup:
         subgroup found is joined with each cyclic subgroup of prime-power
         order until nothing new appears.  A finite group is generated by its
         elements of prime-power order, so this reaches every subgroup, the
-        perfect ones included.  The lattice is enumerated once; each call
-        returns new Subgroup objects over it."""
+        perfect ones included.  The lattice is enumerated on every call; a
+        group keeps no Subgroup, which refers to it."""
         if self.order > bound:
             raise BoundExceeded(
                 f"subgroup enumeration needs order <= {bound}, group has {self.order}"
             )
-        if self._subgroups is None:
-            mul = self.mul
-            cyclic: Dict[int, int] = {}  # <x> -> its least generator x
-            for x in range(1, self.order):
-                mask, y, o = 1, x, 1
-                while y:
-                    mask |= 1 << y
-                    y = mul[y][x]
-                    o += 1
-                if len(numth.prime_factorization(o)) == 1:
-                    cyclic.setdefault(mask, x)
-            found = {1: Subgroup(self, 1, ())}
-            queue = list(found.values())
-            for h in queue:
-                for c, x in cyclic.items():
-                    if c & ~h.mask:
-                        gens = h.gens + (x,)
-                        k = self._join(h.mask, h.members, gens)
-                        if k not in found:
-                            found[k] = Subgroup(self, k, gens)
-                            queue.append(found[k])
-            queue.sort(key=lambda s: (s.order, s.members))
-            self._subgroups = tuple((h.mask, h.gens) for h in queue)
-        return tuple(Subgroup(self, mask, gens) for mask, gens in self._subgroups)
+        mul = self.mul
+        cyclic: Dict[int, int] = {}  # <x> -> its least generator x
+        for x in range(1, self.order):
+            mask, y, o = 1, x, 1
+            while y:
+                mask |= 1 << y
+                y = mul[y][x]
+                o += 1
+            if len(numth.prime_factorization(o)) == 1:
+                cyclic.setdefault(mask, x)
+        found = {1: Subgroup(self, 1, ())}
+        queue = list(found.values())
+        for h in queue:
+            for c, x in cyclic.items():
+                if c & ~h.mask:
+                    gens = h.gens + (x,)
+                    k = self._join(h.mask, h.members, gens)
+                    if k not in found:
+                        found[k] = Subgroup(self, k, gens)
+                        queue.append(found[k])
+        queue.sort(key=lambda s: (s.order, s.members))
+        return tuple(queue)
 
 
 def index_orbits(rows: Sequence[Sequence[int]], points: Iterable[int], size: int) -> List[list]:
@@ -421,9 +415,7 @@ class Subgroup:
     """A subgroup of a fixed parent group: the bitmask of its element
     numbers, and the element numbers it was generated from."""
 
-    __slots__ = (
-        "parent", "mask", "gens", "members", "order", "_elements", "_as_group", "_linear",
-    )
+    __slots__ = ("parent", "mask", "gens", "members", "order", "_elements")
 
     def __init__(self, parent: PermGroup, mask: int, gens: Iterable[int]):
         self.parent = parent
@@ -433,10 +425,6 @@ class Subgroup:
         self.members = _bits(mask)
         self.order = len(self.members)
         self._elements: Optional[Tuple[Perm, ...]] = None
-        self._as_group: Optional[PermGroup] = None
-        # the linear characters as (order, exponents) data, for the same
-        # reason as the group's lattice: a LinearChar refers to its domain
-        self._linear: Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]] = None
 
     @property
     def elements(self) -> Tuple[Perm, ...]:
@@ -462,19 +450,17 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent.name})"
 
     def as_group(self) -> PermGroup:
-        """Promote to a standalone group (same degree, same elements),
-        generated by the elements this subgroup was generated from."""
-        if self._as_group is None:
-            elems = self.parent.elements
-            gens = [elems[x] for x in self.gens] or [self.parent.identity]
-            self._as_group = PermGroup(
-                gens, degree=self.parent.degree, name=f"{self.parent.name}-sub{self.order}"
-            )
-        return self._as_group
+        """A standalone group (same degree, same elements), generated by the
+        elements this subgroup was generated from, built on every call."""
+        elems = self.parent.elements
+        gens = [elems[x] for x in self.gens] or [self.parent.identity]
+        return PermGroup(
+            gens, degree=self.parent.degree, name=f"{self.parent.name}-sub{self.order}"
+        )
 
     def linear_characters(self) -> Tuple["LinearChar", ...]:
         """All homomorphisms into the roots of unity, sorted by order and
-        exponents.
+        exponents, built on every call.
 
         They are trivial on the commutator subgroup D, which the commutators
         of the members with the generators generate.  They are built up
@@ -482,40 +468,36 @@ class Subgroup:
         power of g in the last step K, each character of K extends in r
         ways, by the r-th roots of its value at g^r, with exponents at level
         |H : D|."""
-        if self._linear is None:
-            G = self.parent
-            mul, inv = G.mul, G.inv
-            derived = Subgroup(G, 1, ())
-            for a in self.members:
-                for g in self.gens:
-                    c = mul[mul[a][g]][inv[mul[g][a]]]
-                    if not derived.mask >> c & 1:
-                        gens = derived.gens + (c,)
-                        derived = Subgroup(
-                            G, G._join(derived.mask, derived.members, gens), gens
-                        )
-            level = self.order // derived.order
-            elems, mask = list(derived.members), derived.mask
-            chars = [[0] * len(elems)]  # exponents at level, on elems
+        G = self.parent
+        mul, inv = G.mul, G.inv
+        derived = Subgroup(G, 1, ())
+        for a in self.members:
             for g in self.gens:
-                powers, y = [0], g
-                while not mask >> y & 1:
-                    powers.append(y)
-                    y = mul[y][g]
-                r, at = len(powers), elems.index(y)
-                elems = [mul[k][p] for p in powers for k in elems]
-                mask = sum(1 << x for x in elems)
-                chars = [
-                    [(e + j * w) % level for j in range(r) for e in chi]
-                    for chi in chars
-                    for w in ((chi[at] + s * level) // r for s in range(r))
-                ]
-            place = sorted(range(len(elems)), key=elems.__getitem__)
-            self._linear = tuple(sorted(
-                (phi.order, phi.exponents)
-                for phi in (LinearChar(self, level, [chi[t] for t in place]) for chi in chars)
-            ))
-        return tuple(LinearChar(self, o, exps) for o, exps in self._linear)
+                c = mul[mul[a][g]][inv[mul[g][a]]]
+                if not derived.mask >> c & 1:
+                    gens = derived.gens + (c,)
+                    derived = Subgroup(G, G._join(derived.mask, derived.members, gens), gens)
+        level = self.order // derived.order
+        elems, mask = list(derived.members), derived.mask
+        chars = [[0] * len(elems)]  # exponents at level, on elems
+        for g in self.gens:
+            powers, y = [0], g
+            while not mask >> y & 1:
+                powers.append(y)
+                y = mul[y][g]
+            r, at = len(powers), elems.index(y)
+            elems = [mul[k][p] for p in powers for k in elems]
+            mask = sum(1 << x for x in elems)
+            chars = [
+                [(e + j * w) % level for j in range(r) for e in chi]
+                for chi in chars
+                for w in ((chi[at] + s * level) // r for s in range(r))
+            ]
+        place = sorted(range(len(elems)), key=elems.__getitem__)
+        return tuple(sorted(
+            (LinearChar(self, level, [chi[t] for t in place]) for chi in chars),
+            key=lambda phi: (phi.order, phi.exponents),
+        ))
 
 
 class LinearChar:

@@ -33,12 +33,15 @@ def looks_like_spec(entry: str) -> bool:
 # Spec tables kept per process.  The bound is set by memory, not by how
 # many groups a client asks about: the most recent tables are retained
 # whether or not they are asked for again, so a scan that never repeats a
-# group pays for all of them.  Under tracemalloc a retained table with its
-# group holds 11 KiB (dihedral:12) to 320 KiB (sl2:7); `verify` drops the
-# oracle's context, 300 KiB more on sym:4, when it is done.  Eight keeps
-# the cost under 1 MB when nothing is reused: they raise the peak RSS of a
-# process running one `feit --all` pass over groups of order 25..720 from
-# about 21.7 to 22.6 MB, where sixteen reach 22.9 MB.
+# group pays for all of them.  Under tracemalloc a kept table with its
+# group retains 10 KiB (dihedral:12) to 211 KiB (sl2:7) as built, before
+# any `verify`, and 18 to 248 KiB after one, which fills the table's
+# traces and Adams terms and the group's multiplication table (sym:4: 12
+# KiB before, 26 KiB after).  `verify` drops the oracle's context when it
+# is done; its peak on sym:4, table build included, is 367 KiB.  Eight
+# keeps the cost under 1 MB when nothing is reused: they raise the peak
+# RSS of a process running one `feit --all` pass over groups of order
+# 25..720 from about 21.7 to 22.6 MB, where sixteen reach 22.9 MB.
 TABLE_CACHE_SIZE = 8
 
 
@@ -59,13 +62,14 @@ def resolve_input(entry: str) -> CharacterTable:
     """A corpus entry is either a group-spec string or a table file path.
     An entry that is neither a bundled spec form nor an existing file is
     read as a spec, so that ``from_spec`` rejects it (SpecError), and so is
-    an empty or blank one, which ``Path`` would read as ``.``.  Spec
-    tables come from ``_spec_table`` and are shared by every caller that
-    asks for the same spec, so they are read, never modified; a file is
-    read and validated on every call; one that cannot be read is a
-    UsageError naming it."""
+    an empty or blank one, which ``Path`` would read as ``.``.  A spec is
+    stripped of surrounding whitespace, and its table comes from
+    ``_spec_table`` under the stripped spec, which names it; it is shared
+    by every caller that asks for the same spec, so it is read, never
+    modified.  A file is read and validated on every call; one that cannot
+    be read is a UsageError naming it."""
     if looks_like_spec(entry) or not entry.strip() or not (path := Path(entry)).exists():
-        return _spec_table(entry)
+        return _spec_table(entry.strip())
     try:
         return load_table(path.read_bytes())
     except OSError as exc:

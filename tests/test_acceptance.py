@@ -305,3 +305,39 @@ def test_criterion_10_feit_element_order_consequence():
         rows += t.num_classes
     assert positive == rows  # F > 0 on every row, so no row goes unchecked
     _report(10, "Feit's element-order consequence on the corpus and the feit pool", start)
+
+
+def _cycle_lengths(perm):
+    """The lengths of the cycles of a permutation, fixed points included."""
+    seen, out = set(), []
+    for x in range(len(perm)):
+        if x not in seen:
+            y, n = perm[x], 1
+            while y != x:
+                seen.add(y)
+                y, n = perm[y], n + 1
+            out.append(n)
+    return out
+
+
+def test_criterion_11_permutation_character_witness(big_tables):
+    # For the spec's own action on points, pi(g) = fix(g), and S(G, pi, n)
+    # > 0 iff some g has a cycle whose length n divides.  The cycles are
+    # read from the class representatives, so the witness reads neither the
+    # table's values nor its multiplicity vectors.
+    start = time.monotonic()
+    pairs = positive = 0
+    for spec in dict.fromkeys(tuple(big_tables) + FEIT_POOL):
+        t = big_tables.get(spec) or compute_table(from_spec(spec), name=spec)
+        cycles = [_cycle_lengths(rep) for rep in t.class_reps]
+        pi = t.class_function([c.count(1) for c in cycles])
+        for n in divisors(t.exponent):
+            value = adams.invariant(t, pi, n).value
+            assert value >= 0, (spec, n, value)
+            witness = any(length % n == 0 for c in cycles for length in c)
+            assert (value > 0) == witness, (spec, n, value)
+            pairs += 1
+            positive += value > 0
+    assert 0 < positive < pairs  # both sides of the equivalence are reached
+    _report(11, f"permutation character witness, {positive} of {pairs} (spec, n) positive",
+            start)

@@ -803,8 +803,8 @@ def test_restriction_check_names_the_first_failing_row_and_subgroup(monkeypatch)
 
 def test_group_freed_without_the_cycle_collector():
     # the oracle leaves nothing on the group that refers back to it: the
-    # table holds the context, the group refers to it weakly, and the
-    # lattice and the linear characters are cached as data
+    # table holds the context, the group refers to it weakly, and neither
+    # the group nor its subgroups keep the lattice or the linear characters
     gc.disable()
     try:
         t = compute_table(groups.from_spec("sym:4"))

@@ -636,6 +636,14 @@ def test_a_spec_table_is_built_once_per_process(capsys, monkeypatch):
     assert built == ["sym:4"]
 
 
+def test_a_spec_is_kept_and_named_without_its_surrounding_whitespace(capsys):
+    table = runner.resolve_input(" cyclic:3 ")
+    assert runner.resolve_input("cyclic:3") is table and table.name == "cyclic:3"
+    assert runner._spec_table.cache_info().currsize == 1
+    code, out, _ = run_cli(capsys, "table", " cyclic:3", "--json")
+    assert code == 0 and json.loads(out)["name"] == "cyclic:3"
+
+
 def test_failed_specs_are_not_kept(capsys):
     runner.resolve_input("cyclic:3")
     for _ in range(3):
