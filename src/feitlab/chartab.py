@@ -306,8 +306,9 @@ class CharacterTable:
         return self._adams_terms[n]
 
     def degree(self, i: int) -> int:
-        d = self.irreducibles[i][0].as_integer()
-        if d is None or d < 1:
+        """The one entry of row i's vector at the identity, class 0."""
+        (d,) = self.eigen[i][0]
+        if d < 1:
             raise ConsistencyError(
                 f"character {i} of {self.name} has invalid degree {d}"
             )
@@ -324,8 +325,10 @@ class CharacterTable:
 
     @property
     def trivial_index(self) -> int:
-        for i, row in enumerate(self.irreducibles):
-            if all(v == 1 for v in row):
+        """The first row whose vectors are all the unit vector at exponent 0."""
+        units = {p for p, vec in enumerate(self.vectors) if vec[0] == 1 and not any(vec[1:])}
+        for i, row in enumerate(self.positions):
+            if units.issuperset(row):
                 return i
         raise ConsistencyError(f"table {self.name} has no trivial character")
 

@@ -100,15 +100,13 @@ def _integrity_failures(table: CharacterTable) -> Iterator[str]:
 
 
 def _linear_failures(table: CharacterTable, values, divisors_e) -> Iterator[str]:
-    """S(chi, n) of a linear chi is 1 if n divides the order of chi, else 0."""
+    """S(chi, n) of a linear chi is 1 if n divides the order of chi, else 0.
+    Each vector of a linear row is a unit vector, at the exponent j of its
+    value zeta_t^j, whose order is t / gcd(t, j)."""
     for i in range(table.num_classes):
         if table.degree(i) != 1:
             continue
-        roots = [v.as_root_of_unity() for v in table.irreducibles[i]]
-        if any(root is None for root in roots):
-            yield f"chi {i} has a non-root value"
-            continue
-        o = math.lcm(*(root.order for root in roots))
+        o = math.lcm(*(len(vec) // math.gcd(len(vec), vec.index(1)) for vec in table.eigen[i]))
         for n in divisors_e:
             if values[i, n] != int(o % n == 0):
                 yield f"chi {i}, n {n}: got {values[i, n]}"
@@ -139,19 +137,17 @@ def verify_table(table: CharacterTable, oracle_bound: Optional[int] = None) -> D
         f"n {n}: got {values[triv, n]}" for n in divisors_e if values[triv, n] != int(n == 1)))
     _check(checks, "example_linear", _linear_failures(table, values, divisors_e))
 
-    if table.group is not None:
-        reg = table.regular_character()
-        classes = table.group.conjugacy_classes()
-        _check(checks, "example_regular", (
-            f"n {n}: got {got}, census {census}" for n in divisors_e
-            if (got := adams.invariant(table, reg, n).value)
-            != (census := sum(c.size for c in classes if c.element_order % n == 0))))
-    else:
-        skipped.append({"name": "example_regular", "reason": "no group attached"})
-
+    # S is linear in chi, and the regular character is sum_i chi_i(1) chi_i
+    degrees = [table.degree(i) for i in range(nchi)]
+    _check(checks, "example_regular", (
+        f"n {n}: got {got}, census {census}" for n in divisors_e
+        if (got := sum(d * values[i, n] for i, d in enumerate(degrees)))
+        != (census := sum(cls.size for cls in table.classes if cls.rep_order % n == 0))))
     _check(checks, "example_degree", (
-        f"chi {i}: got {values[i, 1]}" for i in range(nchi) if values[i, 1] != table.degree(i)))
-    feit_reports = [adams.feit_indicator(table, i).to_json() for i in range(nchi)]
+        f"chi {i}: got {values[i, 1]}" for i, d in enumerate(degrees) if values[i, 1] != d))
+    feit_reports = [
+        adams.FeitReport(i, c, chk.value, chk.witness if chk.value > 0 else None).to_json()
+        for i, c in enumerate(table.conductors) for chk in (results[i, c],)]
     try:
         oracle_checked = _oracle_checks(table, oracle_bound, checks, skipped, values)
     finally:

@@ -209,6 +209,16 @@ def test_galois_conjugate():
     assert galois_conjugate(a, 7) == b and galois_conjugate(b, 7) == a
     with pytest.raises(ValueError):
         galois_conjugate(rows[0], 2 * t.exponent)
+    # complex conjugation is k = -1; of cyclic:4's rows, only the two of
+    # order at most 2 are real
+    c4 = table("cyclic:4")
+    real = 0
+    for chi in map(c4.irreducible, range(4)):
+        bar = chi.conjugate()
+        assert bar == galois_conjugate(chi, -1)
+        assert bar.values == tuple(v.conjugate() for v in chi.values)
+        real += bar == chi
+    assert real == 2
 
 
 def test_galois_permutes_rows():

@@ -288,6 +288,7 @@ except AttributeError as exc:
         "[] 10", "True", "True True",
         "module 'feitlab' has no attribute 'no_such_name'",
     ]
+    assert set(feitlab.__all__) <= set(dir(feitlab))
 
 
 def test_timestamp_is_iso_utc():
@@ -431,7 +432,24 @@ def test_verify_loaded_table(tmp_path, capsys):
     path.write_text(out)
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert code == 0
-    assert "SKIP" in out  # no group attached: oracle + regular-character skip
+    assert "SKIP" in out  # no group attached: the oracle suite is skipped
+
+
+def test_verify_reads_the_adams_side_alike_from_a_saved_table(tmp_path, capsys):
+    # only the oracle suite needs the group: every other check, every S and
+    # every indicator of a saved table is its spec's
+    code, out, _ = run_cli(capsys, "table", "dihedral:8", "--json")
+    path = tmp_path / "d8.json"
+    path.write_text(out)
+    code, out, _ = run_cli(capsys, "verify", str(path), "--json")
+    spec_code, spec_out, _ = run_cli(capsys, "verify", "dihedral:8", "--json")
+    saved, spec = json.loads(out), json.loads(spec_out)
+    assert code == spec_code == 0 and spec["oracle_checked"]
+    assert saved["skipped"] == [{"name": "oracle_suite", "reason": "no group attached"}]
+    names = [chk["name"] for chk in saved["checks"]]
+    assert "example_regular" in names
+    assert saved["checks"] == [chk for chk in spec["checks"] if chk["name"] in names]
+    assert saved["invariants"] == spec["invariants"] and saved["feit"] == spec["feit"]
 
 
 def test_verify_refuses_integer_fields_written_as_other_json(tmp_path, capsys):
@@ -769,12 +787,16 @@ def test_feit_zero_exit_code(capsys, monkeypatch):
 
 
 def test_verify_counterexample_exit_code(capsys, monkeypatch):
-    from feitlab.adams import FeitReport
+    # a report whose checks pass with a zero indicator exits 3; the runner's
+    # tests show how a zero S at a conductor becomes a candidate
+    real = runner.verify_table
 
-    def fake_indicator(table, chi):
-        return FeitReport(chi if isinstance(chi, int) else None, 1, 0, None)
+    def with_candidate(table, bound=None):
+        report = real(table, bound)
+        report["counterexample_candidates"] = [dict(report["feit"][0], F=0, witness=None)]
+        return report
 
-    monkeypatch.setattr(runner.adams, "feit_indicator", fake_indicator)
+    monkeypatch.setattr(runner, "verify_table", with_candidate)
     code, out, _ = run_cli(capsys, "verify", "cyclic:2")
     assert code == 3
     assert "counterexample" in out

@@ -54,6 +54,7 @@ def test_cyclotomic_polynomials_multiply_to_binomials():
 def test_basic_arithmetic():
     z3 = zeta(3)
     assert z3 + z3 * z3 == -1
+    assert 3 - z3 == 4 + z3 * z3
     z4 = zeta(4)
     assert z4 * z4 == -1
     a = zeta(5) + 2

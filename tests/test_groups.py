@@ -140,8 +140,12 @@ def test_subgroups_lagrange_and_conjugation_closed():
     sets = {frozenset(s.elements) for s in subs}
     for s in subs:
         assert g.order % s.order == 0
-        assert g.subgroup(s.elements).mask == s.mask
-        assert s.as_group().elements == s.elements
+        again = g.subgroup(s.elements)
+        assert again.mask == s.mask
+        assert again == s and hash(again) == hash(s)
+        whole = s.as_group()
+        assert whole.elements == s.elements
+        assert sum(x in s for x in g.elements) == sum(x in whole for x in g.elements) == s.order
         for x in g.generators:
             assert frozenset(conjugate_perm(x, h) for h in s.elements) in sets
 

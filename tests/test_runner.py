@@ -7,7 +7,6 @@ import pytest
 
 from feitlab import adams, brauer, runner
 from feitlab.chartab import compute_table
-from feitlab.cyclo import Cyclotomic
 from feitlab.errors import TableFormatError
 from feitlab.groups import from_spec
 
@@ -60,12 +59,43 @@ def test_theorem_check_names_the_last_failing_point(sym3, monkeypatch):
     assert rec["detail"] == f"chi 1, n 2: value {last.value}, witness {last.witness}"
 
 
-def test_example_linear_reports_a_non_root_value(sym3, monkeypatch):
-    monkeypatch.setattr(Cyclotomic, "as_root_of_unity", lambda self: None)
+def flip(monkeypatch, point, change):
+    """Patch ``adams.verify_invariant`` so that S at ``point`` = (i, n)
+    reads ``change(S)``."""
+    real = adams.verify_invariant
+
+    def flawed(table, i, n):
+        chk = real(table, i, n)
+        return chk._replace(value=change(chk.value)) if (i, n) == point else chk
+
+    monkeypatch.setattr(adams, "verify_invariant", flawed)
+
+
+def test_example_linear_names_a_wrong_value(sym3, monkeypatch):
+    # rows 0 and 1 of sym:3 are its linear characters: the sign, of order 2,
+    # and the trivial character
+    flip(monkeypatch, (0, 2), lambda s: 1 - s)
     rec = record(runner.verify_table(sym3, NO_ORACLE), "example_linear")
-    # rows 0 and 1 of sym:3 are its linear characters
-    assert rec == {"name": "example_linear", "passed": False,
-                   "detail": "chi 1 has a non-root value"}
+    assert rec == {"name": "example_linear", "passed": False, "detail": "chi 0, n 2: got 0"}
+
+
+def test_example_regular_names_n_got_and_census(sym3, monkeypatch):
+    # the two 3-cycles are the elements of order 3, and S(chi, 3) is 0, 0
+    # and 1 on the rows of degrees 1, 1 and 2: the trivial row's S one too
+    # high makes the regular character's 3
+    flip(monkeypatch, (1, 3), lambda s: s + 1)
+    rec = record(runner.verify_table(sym3, NO_ORACLE), "example_regular")
+    assert rec == {"name": "example_regular", "passed": False, "detail": "n 3: got 3, census 2"}
+
+
+def test_a_zero_indicator_is_a_counterexample_candidate(sym3, monkeypatch):
+    # every row of sym:3 is rational, so its conductor is 1
+    assert sym3.conductors[2] == 1
+    flip(monkeypatch, (2, 1), lambda s: 0)
+    report = runner.verify_table(sym3, NO_ORACLE)
+    assert report["counterexample_candidates"] == [
+        {"chi_index": 2, "conductor": 1, "F": 0, "witness": None}]
+    assert [rep["F"] for rep in report["feit"]] == [1, 1, 0]
 
 
 def test_max_sets_names_the_last_failing_row(sym3, monkeypatch):
