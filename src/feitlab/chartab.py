@@ -10,26 +10,27 @@ of G x H are the products chi x psi, a class of G x H is the tuple of the
 factor classes its representative splits into, and a product row's
 multiplicity vector at a class is the convolution of its factors' vectors
 there, formed once per distinct tuple of factor vectors.  Every other
-group takes the Burnside-Dixon-Schneider splitting: the common eigenspaces
-of the class-sum matrices are split modulo a prime p = 1 (mod exponent)
-with p > 2*sqrt(|G|), and the resulting residue values are lifted to exact cyclotomic numbers through the
+group takes the Burnside-Dixon-Schneider splitting modulo a prime
+p = 1 (mod exponent) with p > 2*sqrt(|G|), and the resulting residue
+values are lifted to exact cyclotomic numbers through the
 eigenvalue-multiplicity transform, which is known to produce small
 non-negative integers.  Each group fact is computed once: one power map
 per class (the class of every power of its representative, which also
-gives the inverse classes), the class-sum
-constants of a class, as its nonzero entries, only when the splitting
-reaches it, and then from one element of the class and one row of the
-group's products (``_class_sum_columns``), the coordinates of an
-eigenspace's basis images read at the basis's pivot columns (each space is
-held as a basis that is the unit basis there, starting from the whole
-space, on which they are the class-sum matrix itself) and checked, a space
-on which the class sum is scalar left whole, the eigenvalues of each
-restricted class-sum matrix as the roots over F_p of its characteristic
-polynomial.  The multiplicity transform (``_eigen_from_residues``)
-runs only at root classes: taken by element order, high to low, each class
-not yet reached as a power rep_k0^a of an earlier one, and on all rows at
-once, their residues at a class packed into one integer.  A power class of
-order t = t0/g, g = gcd(t0, a), reads its vector from its root's by
+gives the inverse classes), and the class-sum constants of a class, as
+its nonzero entries, only when the splitting reaches it, from one element
+of the class and one row of the group's products (``_class_sum_columns``).
+The splitting cuts one vector, the unit vector at class 0, into parts,
+one per common eigenvector of the class sums.  Each part is one vector.
+A class sum K splits a part E by the roots of the minimal polynomial m of
+K on E (``_minimal_polynomial``, an elimination over the Krylov vectors
+E, KE, K^2 E, ...), each root lam giving the part (m / (x - lam))(K) E;
+a part with m of degree 1 stays whole.  Root classes are read first, by
+element order, high to low, as they split most.  The multiplicity
+transform (``_eigen_from_residues``) runs only at root classes
+(``_root_sources``: taken by element order, high to low, each class not
+yet reached as a power rep_k0^a of an earlier one), and on all rows at
+once, their residues at a class packed into one integer.  A power class
+of order t = t0/g, g = gcd(t0, a), reads its vector from its root's by
 j -> j (a/g) mod t, and is checked against its own residue.  Floating
 point never occurs.
 
@@ -490,119 +491,34 @@ def _root_of_unity(e: int, floor: int) -> Tuple[int, List[int]]:
     return p, z_pow
 
 
-def _row_reduce_mod(m: List[List[int]], ncols: int, p: int) -> List[int]:
-    """Bring the rows of m, whose entries are reduced mod p, to reduced
-    echelon form over the field with p elements, in place, pivoting on the
-    first ncols columns only; every entry stays reduced.  Returns the pivot
-    columns; pivot row k holds the pivot in column pivots[k]."""
-    n = len(m)
-    pivots: List[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        for pr in range(r, n):
-            if m[pr][c]:
-                break
-        else:
-            continue
-        pivot = m[pr]
-        m[pr] = m[r]
-        inv = pow(pivot[c], p - 2, p)
-        m[r] = pivot = [v * inv % p for v in pivot]
-        for i in range(n):
-            f = m[i][c]
-            if f and i != r:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], pivot)]
-        pivots.append(c)
-    return pivots
-
-
-def _nullspace_mod(mat: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]]:
-    """Basis of the kernel of a square matrix over the field with p elements,
-    its entries reduced mod p, and its free columns: basis vector k is 1 at
-    free column k and 0 at the other free columns.  The matrix is reduced in
-    place."""
-    n = len(mat)
-    pivots = _row_reduce_mod(mat, n, p)
-    basis = []
-    pivot_set = set(pivots)
-    frees = [free for free in range(n) if free not in pivot_set]
-    for free in frees:
-        vec = [0] * n
-        vec[free] = 1
-        for row_i, c in enumerate(pivots):
-            vec[c] = -mat[row_i][free] % p
-        basis.append(vec)
-    return basis, frees
-
-
-def _is_scalar_action(basis: List[List[int]], images: List[List[int]], p: int) -> bool:
-    """Whether each image is one common multiple of its basis vector, mod p:
-    then the space is one eigenspace, and needs no coordinates."""
-    b0 = basis[0]
-    k = next(k for k, x in enumerate(b0) if x)
-    lam = images[0][k] * pow(b0[k], p - 2, p) % p
-    return all(
-        w == [lam * x % p for x in b] for b, w in zip(basis, images)
-    )
-
-
-def _coords_in_basis(
-    basis: List[List[int]], pivots: List[int], images: List[List[int]], p: int, where: str
-) -> List[List[int]]:
-    """Coordinates of the images in the span of a basis that is the unit
-    basis at its pivot columns (basis[a][pivots[b]] is 1 if a = b, else 0),
-    as the matrix whose column j holds those of image j: an image's
-    coordinates are its entries at the pivot columns.  Each image is checked
-    to be that combination of the basis, i.e. to stay in the subspace."""
-    small = [[w[c] for w in images] for c in pivots]
-    for j, w in enumerate(images):
-        acc = [0] * len(w)
-        for row, b in zip(small, basis):
-            x = row[j]
-            if x:
-                acc = [u + x * y for u, y in zip(acc, b)]
-        if [u % p for u in acc] != w:
-            raise ConsistencyError(f"vector left the invariant subspace at {where}")
-    return small
-
-
-def _charpoly_mod(mat: List[List[int]], p: int) -> List[int]:
-    """Characteristic polynomial det(x I - mat) of a square matrix over the
-    field with p elements, ascending coefficients (monic of degree n), by
-    reduction to upper Hessenberg form."""
-    n = len(mat)
-    h = [[v % p for v in row] for row in mat]
-    for c in range(n - 2):
-        piv = next((i for i in range(c + 1, n) if h[i][c]), None)
-        if piv is None:
-            continue
-        if piv != c + 1:
-            h[piv], h[c + 1] = h[c + 1], h[piv]
-            for row in h:
-                row[piv], row[c + 1] = row[c + 1], row[piv]
-        inv = pow(h[c + 1][c], p - 2, p)
-        for i in range(c + 2, n):
-            f = h[i][c] * inv % p
+def _minimal_polynomial(
+    apply, vec: List[int], p: int
+) -> Tuple[List[int], List[List[int]]]:
+    """The monic minimal polynomial m of a linear map K (``apply``) on a
+    vector over the field with p elements, its entries reduced mod p, in
+    ascending coefficients, and the Krylov vectors vec, K vec, ...,
+    K^(d-1) vec, d = deg m.  Each Krylov vector is eliminated against the
+    earlier ones as it is made, carrying its combination of them; the first
+    that depends on them gives m."""
+    krylov: List[List[int]] = []
+    # (pivot column, reduced vector, 1 there, its combination of the Krylov vectors)
+    echelon: List[Tuple[int, List[int], List[int]]] = []
+    v = vec
+    while True:
+        res, comb = v, [0] * len(krylov) + [1]
+        for c, row, row_comb in echelon:
+            f = res[c]
             if f:
-                # row i -= f row c+1, then column c+1 += f column i: a similarity
-                h[i] = [(a - f * b) % p for a, b in zip(h[i], h[c + 1])]
-                for row in h:
-                    row[c + 1] = (row[c + 1] + f * row[i]) % p
-    # polys[k] is the characteristic polynomial of the leading k x k block
-    polys = [[1]]
-    for k in range(n):
-        nxt = [0] + polys[k]
-        for d, a in enumerate(polys[k]):
-            nxt[d] = (nxt[d] - h[k][k] * a) % p
-        prod = 1
-        for i in range(k - 1, -1, -1):
-            prod = prod * h[i + 1][i] % p
-            coef = h[i][k] * prod % p
-            if coef:
-                for d, a in enumerate(polys[i]):
-                    nxt[d] = (nxt[d] - coef * a) % p
-        polys.append(nxt)
-    return polys[n]
+                res = [(a - f * b) % p for a, b in zip(res, row)]
+                for j, x in enumerate(row_comb):
+                    comb[j] = (comb[j] - f * x) % p
+        c = next((c for c, x in enumerate(res) if x), None)
+        if c is None:
+            return comb, krylov
+        inv = pow(res[c], p - 2, p)
+        echelon.append((c, [x * inv % p for x in res], [x * inv % p for x in comb]))
+        krylov.append(v)
+        v = apply(v)
 
 
 def _evaluate(nums: Sequence[int], step: int, p: int, z_pow: Sequence[int]) -> int:
@@ -631,9 +547,25 @@ def _power_vector(vec: Sequence[int], a: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _root_sources(orders: Sequence[int],
+                  powmap: Sequence[Sequence[int]]) -> List[Tuple[int, int]]:
+    """source[k] = (k0, a): class k is the class of rep_k0^a, k0 its root
+    class.  ``powmap[k][a]`` is the class of rep_k^a.  The root classes are
+    taken by element order, high to low, each class not yet reached as a
+    power of an earlier one; a root is its own source, at power 1."""
+    source: List[Optional[Tuple[int, int]]] = [None] * len(orders)
+    for k0 in sorted(range(len(orders)), key=orders.__getitem__, reverse=True):
+        if source[k0] is None:
+            for a, k in enumerate(powmap[k0]):
+                if source[k] is None:
+                    source[k] = (k0, a)
+    return source
+
+
 def _eigen_from_residues(
     orders: Sequence[int],
     powmap: Sequence[Sequence[int]],
+    source: Sequence[Tuple[int, int]],
     p: int,
     z_pow: Sequence[int],
     rows: Sequence[Tuple[int, Sequence[int]]],
@@ -646,24 +578,16 @@ def _eigen_from_residues(
     of order e mod p, from ``_root_of_unity``), as an index formed as they
     are made: the distinct vectors, and per row the position of each
     class's vector among them.
-    ``powmap[k][a]`` is the class of rep_k^a.  Errors name row s as
+    ``powmap[k][a]`` is the class of rep_k^a, and ``source[k]`` names
+    its root class and power (``_root_sources``).  Errors name row s as
     "{noun} s of {label}".
 
     The multiplicities at a power rep_k0^a of a class are those at k0
     pushed forward (``_power_vector``), so the transform runs only at root
-    classes: taken by order, high to low, each class not yet reached as a
-    power of an earlier one.  Each pushed vector is checked against the
-    residue of its own class, and each power class's power map against its
-    root's."""
+    classes.  Each pushed vector is checked against the residue of its own
+    class, and each power class's power map against its root's."""
     r = len(orders)
     e = len(z_pow)
-    # source[k] = (k0, a) names the root and power
-    source: List[Optional[Tuple[int, int]]] = [None] * r
-    for k0 in sorted(range(r), key=orders.__getitem__, reverse=True):
-        if source[k0] is None:
-            for a, k in enumerate(powmap[k0]):
-                if source[k] is None:
-                    source[k] = (k0, a)
     for k, (k0, a) in enumerate(source):
         if any(c != powmap[k0][a * b % orders[k0]] for b, c in enumerate(powmap[k])):
             raise ConsistencyError(
@@ -781,7 +705,17 @@ def _split_rows(group: PermGroup, label: str,
     """The distinct multiplicity vectors of the table of a group and each of
     its rows, in no particular order, as its degree and the positions of
     its vectors among them, by the Burnside-Dixon-Schneider splitting modulo
-    p and the multiplicity transform, which forms that index."""
+    p and the multiplicity transform, which forms that index.
+
+    The splitting holds parts of the unit vector at class 0, whose
+    components along the central characters omega_chi (the common
+    eigenvectors of the class sums, on these coordinates) are
+    chi(1)^2/|G|, none 0 mod p; its r final parts are multiples of the
+    omega_chi.  p does not divide |G|, so each minimal polynomial splits
+    over F_p into distinct linear factors.  The class sums are read root
+    classes first, by element order, high to low, then the rest by index,
+    until there are r parts.  Each final part is checked to be an
+    eigenvector of every class sum read before the one that made it."""
     classes = group.conjugacy_classes()
     sizes = [c.size for c in classes]
     orders = [c.element_order for c in classes]
@@ -799,73 +733,69 @@ def _split_rows(group: PermGroup, label: str,
         return [v % p for v in out]
 
     p, z_pow = _root_of_unity(e, 2 * math.isqrt(n_order) + 1)
+    source = _root_sources(orders, powmap)
 
-    # split the common eigenspaces of the class-sum matrices over F_p; each
-    # space is a basis that is the unit basis at its pivot columns, and a
-    # kernel basis combined from one is again such a basis, at the pivots
-    # of its free columns, so coordinates are read, not solved for.  On the
-    # whole space, the first, they are the class-sum matrix itself.
-    unit = [[int(i == j) for j in range(r)] for i in range(r)]
-    spaces: List[Tuple[List[List[int]], List[int]]] = [(unit, list(range(r)))]
-    for i in range(1, r):
-        if all(len(basis) == 1 for basis, _ in spaces):
+    # each part remembers the number of class sums read before the one
+    # that made it; root lam of m gives the part (m / (x - lam))(K) E,
+    # read from the Krylov vectors of E
+    root_classes = sorted((k for k, (k0, _) in enumerate(source) if k0 == k and k),
+                          key=orders.__getitem__, reverse=True)
+    reading = root_classes + [i for i in range(1, r) if source[i][0] != i]
+    parts = [([int(k == 0) for k in range(r)], 0)]
+    read = []
+    for i in reading:
+        if len(parts) >= r:
             break
         cols = _class_sum_columns(group, i, label)
-        where = f"class {i} of {label}"
-        new_spaces = []
-        for basis, pivots in spaces:
-            if len(basis) == 1:
-                new_spaces.append((basis, pivots))
+        read.append((i, cols))
+        new_parts = []
+        for vec, made in parts:
+            poly, krylov = _minimal_polynomial(lambda v: image(cols, v), vec, p)
+            d = len(krylov)
+            if d == 1:  # an eigenvector: no split here
+                new_parts.append((vec, made))
                 continue
-            d = len(basis)
-            if basis is unit:
-                small = [[0] * r for _ in range(r)]
-                for k, col in enumerate(cols):
-                    for j, n in col:
-                        small[j][k] = n % p
-            else:
-                images = [image(cols, b) for b in basis]
-                if _is_scalar_action(basis, images, p):  # no split here
-                    new_spaces.append((basis, pivots))
-                    continue
-                small = _coords_in_basis(basis, pivots, images, p, where)
-            poly = _charpoly_mod(small, p)
-            found = 0
+            lams = []
             for lam in range(p):
                 at_lam = 0
                 for coef in reversed(poly):
                     at_lam = (at_lam * lam + coef) % p
-                if at_lam:
-                    continue
-                shifted = [row[:] for row in small]
-                for a, row in enumerate(shifted):
-                    row[a] = (row[a] - lam) % p
-                kernel, frees = _nullspace_mod(shifted, p)
-                sub = []
-                for vec in kernel:
-                    amb = [0] * r
-                    for x, b in zip(vec, basis):
-                        if x:
-                            amb = [u + x * y for u, y in zip(amb, b)]
-                    sub.append([u % p for u in amb])
-                new_spaces.append((sub, [pivots[f] for f in frees]))
-                found += len(kernel)
-                if found == d:
-                    break
-            if found != d:
+                if not at_lam:
+                    lams.append(lam)
+                    if len(lams) == d:
+                        break
+            if len(lams) != d:
                 raise ConsistencyError(
-                    f"class-sum matrix failed to split at {where}:"
-                    f" eigenspaces of dimension {found} in a space of {d}"
+                    f"class-sum matrix failed to split at class {i} of {label}:"
+                    f" {len(lams)} roots of a minimal polynomial of degree {d}"
                 )
-        spaces = new_spaces
-    if any(len(basis) != 1 for basis, _ in spaces):
-        raise ConsistencyError(f"common eigenspaces did not become lines for {label}")
+            columns = list(zip(*krylov))
+            for lam in lams:
+                # the quotient m / (x - lam), by synthetic division
+                quot, acc = [0] * d, 0
+                for j in range(d, 0, -1):
+                    quot[j - 1] = acc = (poly[j] + lam * acc) % p
+                new_parts.append(([sum(map(mul, quot, col)) % p for col in columns],
+                                  len(read) - 1))
+        parts = new_parts
+    if len(parts) != r:
+        raise ConsistencyError(
+            f"the splitting gave {len(parts)} parts for {r} classes of {label}"
+        )
+    # a part is an eigenvector of the class sum that made it, and of every
+    # later one, which either left it whole or split it; the class sums
+    # read before are checked here
+    for vec, made in parts:
+        for i, cols in read[:made]:
+            if len(_minimal_polynomial(lambda v: image(cols, v), vec, p)[1]) != 1:
+                raise ConsistencyError(
+                    f"vector left the invariant subspace at class {i} of {label}"
+                )
 
     inv_sizes = [pow(s, p - 2, p) for s in sizes]
     residues = []
-    for s, (basis, _) in enumerate(spaces):
+    for s, (v, _) in enumerate(parts):
         where = f"unsorted row {s} of {label}"
-        v = basis[0]
         if v[0] % p == 0:
             raise ConsistencyError(
                 f"eigenvector vanishes on the identity class at {where}"
@@ -886,7 +816,7 @@ def _split_rows(group: PermGroup, label: str,
             )
         residues.append((deg, [deg * v[k] * inv_sizes[k] % p for k in range(r)]))
     vectors, positions = _eigen_from_residues(
-        orders, powmap, p, z_pow, residues, label, "unsorted row"
+        orders, powmap, source, p, z_pow, residues, label, "unsorted row"
     )
     return vectors, [(deg, cells) for (deg, _), cells in zip(residues, positions)]
 
@@ -1258,8 +1188,9 @@ def _loaded_table(
         # every value has denominator 1 (``load_table``), and sits at level t
         residues = [(d, [_evaluate(v.nums, exponent // v.level, p, z_pow) for v in row])
                     for d, row in zip(degs, rows)]
-        vectors, positions = _eigen_from_residues(orders, power_map, p, z_pow, residues,
-                                                  name, "character")
+        vectors, positions = _eigen_from_residues(
+            orders, power_map, _root_sources(orders, power_map), p, z_pow, residues,
+            name, "character")
     except ConsistencyError as exc:
         fail(str(exc))
     table = CharacterTable(name, order, exponent, classes, power_map, (vectors, positions))

@@ -1277,78 +1277,161 @@ def _at(poly, lam, p):
     return out
 
 
-def test_charpoly_roots_are_the_eigenvalues():
+def _rank_mod(vectors, p):
+    """Rank over the field with p elements, by plain Gaussian elimination."""
+    rows = [[x % p for x in v] for v in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        for i, row in enumerate(rows):
+            if i != rank and row[c]:
+                f = row[c] * inv % p
+                rows[i] = [(a - f * b) % p for a, b in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+def _inverse_mod(mat, p):
+    """Inverse of an invertible square matrix mod p, by Gauss-Jordan."""
+    d = len(mat)
+    aug = [[x % p for x in row] + [int(i == j) for j in range(d)]
+           for i, row in enumerate(mat)]
+    for c in range(d):
+        piv = next(i for i in range(c, d) if aug[i][c])
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = pow(aug[c][c], p - 2, p)
+        aug[c] = [x * inv % p for x in aug[c]]
+        for i in range(d):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[c])]
+    return [row[d:] for row in aug]
+
+
+def _mat_vec(mat, vec, p):
+    return [sum(map(mul, row, vec)) % p for row in mat]
+
+
+def test_minimal_polynomial_of_a_diagonalizable_map():
+    # A = P D P^-1 over the splitting's primes, D with repeated entries,
+    # applied to vectors P w: the minimal polynomial of A on P w has one
+    # root per distinct entry of D at which w is nonzero
     rng = random.Random(11)
     primes = sorted({
         _transform_prime(g.order, g.exponent())
         for g in map(groups.from_spec, FEIT_POOL[:12])
     })
-    cases = []
     for p in primes:
         for d in range(1, 9):
-            cases.append(([[rng.randrange(p) for _ in range(d)] for _ in range(d)], p))
-            # a sparse matrix, with zero pivots in its Hessenberg reduction
-            cases.append(([[rng.choice((0, 0, 1, p - 1)) for _ in range(d)]
-                           for _ in range(d)], p))
-        cases.append(([[0] * 3 for _ in range(3)], p))
-        cases.append(([[5 if i == j else 0 for j in range(4)] for i in range(4)], p))
-        cases.append(([[rng.randrange(p)]], p))
-        # a Jordan block: one root, a one-dimensional eigenspace
-        cases.append(([[2, 1, 0], [0, 2, 1], [0, 0, 2]], p))
-    for mat, p in cases:
-        d = len(mat)
-        poly = chartab._charpoly_mod(mat, p)
-        assert len(poly) == d + 1 and poly[-1] == 1, (mat, p)
-        for lam in range(p):
-            shifted = [
-                [(v - (lam if a == b else 0)) % p for b, v in enumerate(row)]
-                for a, row in enumerate(mat)
-            ]
-            assert (_at(poly, lam, p) == 0) == bool(
-                chartab._nullspace_mod(shifted, p)[0]
-            ), (mat, p, lam)
+            while True:
+                pmat = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+                if _rank_mod(pmat, p) == d:
+                    break
+            pinv = _inverse_mod(pmat, p)
+            diag = [rng.choice((0, 1, 2, p - 1, rng.randrange(p))) for _ in range(d)]
+            a = [[sum(pmat[i][k] * diag[k] * pinv[k][j] for k in range(d)) % p
+                  for j in range(d)] for i in range(d)]
+            for w in ([rng.randrange(p) for _ in range(d)],
+                      [rng.choice((0, 0, rng.randrange(1, p))) for _ in range(d)],
+                      [0] * d):
+                vec = _mat_vec(pmat, w, p)
+                poly, krylov = chartab._minimal_polynomial(
+                    lambda v: _mat_vec(a, v, p), vec, p)
+                deg = len(poly) - 1
+                where = (p, a, vec)
+                assert poly[-1] == 1 and len(krylov) == deg, where
+                powers = [vec]
+                for _ in range(d):
+                    powers.append(_mat_vec(a, powers[-1], p))
+                assert krylov == powers[:deg], where
+                assert [sum(c * v[k] for c, v in zip(poly, powers)) % p
+                        for k in range(d)] == [0] * d, where
+                # the least degree: the rank of the whole Krylov sequence
+                assert deg == _rank_mod(powers, p), where
+                # distinct roots, in F_p: the entries of D that w reaches
+                roots = {lam for lam in range(p) if _at(poly, lam, p) == 0}
+                assert roots == {lam for lam, x in zip(diag, w) if x}, where
+                assert len(roots) == deg, where
 
 
 def test_split_fails_when_a_root_is_missed(monkeypatch):
-    charpoly = chartab._charpoly_mod
+    minimal_polynomial = chartab._minimal_polynomial
 
-    def drop_least_root(mat, p):
-        poly = charpoly(mat, p)
-        lam = next(x for x in range(p) if _at(poly, x, p) == 0)
-        while _at(poly, lam, p) == 0:  # divide out every factor x - lam
+    def drop_least_root(apply, vec, p):
+        poly, krylov = minimal_polynomial(apply, vec, p)
+        if len(poly) > 2:  # divide out the factor x - lam of the least root
+            lam = next(x for x in range(p) if _at(poly, x, p) == 0)
             desc = poly[::-1]
             quot = [desc[0]]
             for coef in desc[1:-1]:
                 quot.append((coef + lam * quot[-1]) % p)
             poly = quot[::-1]
-        return poly
+        return poly, krylov
 
-    monkeypatch.setattr(chartab, "_charpoly_mod", drop_least_root)
-    with pytest.raises(ConsistencyError, match="class-sum matrix failed to split") \
-            as err:
+    monkeypatch.setattr(chartab, "_minimal_polynomial", drop_least_root)
+    # sym:3 reads its root class of highest order first, the 3-cycles
+    with pytest.raises(ConsistencyError,
+                       match="class-sum matrix failed to split at class 2 of sym:3"):
         compute_table(groups.symmetric(3))
-    assert "of sym:3" in str(err.value) and "class 1" in str(err.value)
 
 
-def test_split_checks_that_a_space_stays_invariant(monkeypatch):
-    # a class sum with one constant moved to the wrong class still gives a
-    # matrix, whose images of an eigenspace found at class 1 leave it
+def _moved_in_read(monkeypatch, which):
+    """Move one constant of the class sum read ``which``-th to the wrong
+    class: the matrix is still one, but no longer commutes with the others."""
     columns = chartab._class_sum_columns
     calls = []
 
     def moved(group, i, label):
         cols = columns(group, i, label)
         calls.append(i)
-        if len(calls) == 2:
+        if len(calls) == which:
             k = next(k for k, col in enumerate(cols) if col)
             (j, a), *rest = cols[k]
-            cols = cols[:k] + [((j + 1, a), *rest)] + cols[k + 1:]
+            cols = cols[:k] + [(((j + 1) % len(cols), a), *rest)] + cols[k + 1:]
         return cols
 
     monkeypatch.setattr(chartab, "_class_sum_columns", moved)
+
+
+def test_split_checks_that_a_space_stays_invariant(monkeypatch):
+    # dihedral:12 reads class 5 (the rotations of order 6), then class 2; a
+    # part that class 2 splits off must stay an eigenvector of the
+    # corrupted class 5, which it does not
+    _moved_in_read(monkeypatch, 1)
     with pytest.raises(ConsistencyError,
-                       match="vector left the invariant subspace at class 2 of dihedral:12"):
+                       match="vector left the invariant subspace at class 5 of dihedral:12"):
         compute_table(groups.from_spec("dihedral:12"))
+    # the same corruption in the second class sum read gives a minimal
+    # polynomial that does not split over F_p
+    monkeypatch.undo()
+    _moved_in_read(monkeypatch, 2)
+    with pytest.raises(ConsistencyError,
+                       match="class-sum matrix failed to split at class 2 of dihedral:12"):
+        compute_table(groups.from_spec("dihedral:12"))
+
+
+def test_split_reads_root_classes_first(monkeypatch):
+    # root classes by element order, high to low: dihedral:60 and sl2:7
+    # split completely after two class sums each
+    columns = chartab._class_sum_columns
+    calls = []
+
+    def counted(group, i, label):
+        calls.append(i)
+        return columns(group, i, label)
+
+    monkeypatch.setattr(chartab, "_class_sum_columns", counted)
+    for spec in ("dihedral:60", "sl2:7"):
+        calls.clear()
+        g = groups.from_spec(spec)
+        compute_table(g, spec)
+        orders = [c.element_order for c in g.conjugacy_classes()]
+        assert len(calls) == 2, (spec, calls)
+        assert orders[calls[0]] == max(orders), (spec, calls)
 
 
 # groups outside GOLDEN_TABLES with most classes powers of a few classes of
