@@ -11,16 +11,19 @@ pairing, S = sum_rho (-1)^|rho| W_{m_rho} . T / (|G| phi(e)) over the
 subsets rho of the primes of n: W_m[k] is the total size of the classes
 whose m-th power lies in class k, and T[k] the trace to Q, from the level
 of the exponent e, of chi at class k, as <psi^m chi, 1> is rational and so
-equal to its average over the Galois group of that field.
+equal to its average over the Galois group of that field.  The table holds
+each n's terms (``CharacterTable.adams_terms``) and, per distinct
+multiplicity vector, the least exponent of each eigenvalue order it counts
+(``CharacterTable.eigen_orders``), from which the witness of S > 0 is read.
 """
 
 from __future__ import annotations
 
-import math
+from operator import mul
 from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple, Union
 
 from . import numth
-from .chartab import CharacterTable, ClassFunction, integral_inner_product
+from .chartab import CharacterTable, ClassFunction, _eigen_orders, integral_inner_product
 from .errors import ConsistencyError, UsageError
 
 ChiLike = Union[int, ClassFunction]
@@ -81,13 +84,21 @@ def _eigen_vectors(table: CharacterTable, chi: Optional[ClassFunction], idx: Opt
     )
 
 
-def _witness(table: CharacterTable, vectors, n: int) -> Optional[Tuple[int, int]]:
-    for c, (cls, vec) in enumerate(zip(table.classes, vectors)):
-        t = cls.rep_order
-        if t % n == 0:
-            for j, mult in enumerate(vec):
-                if mult > 0 and t // math.gcd(t, j) == n:
-                    return (c, j)
+def _witness(
+    table: CharacterTable, chi: Optional[ClassFunction], idx: Optional[int], n: int
+) -> Optional[Tuple[int, int]]:
+    """First (class, exponent) in table order whose eigenvalue has order
+    exactly n with positive multiplicity, if any: read from the eigenvalue
+    orders of a row's distinct vectors through its positions
+    (``CharacterTable.eigen_orders``), and from those of any other class
+    function's combined vectors (``_eigen_vectors``)."""
+    if idx is not None:
+        orders, keys = table.eigen_orders, table.positions[idx]
+    else:
+        orders, keys = _eigen_orders, _eigen_vectors(table, chi, idx)
+    for c, (cls, key) in enumerate(zip(table.classes, keys)):
+        if cls.rep_order % n == 0 and (j := orders(key).get(n)) is not None:
+            return (c, j)
     return None
 
 
@@ -107,6 +118,9 @@ class InvariantReport(NamedTuple):
     value: int
     witness: Optional[Tuple[int, int]]
     summands: Dict[FrozenSet[int], int]
+    # the JSON label of each subset of ``summands``, in its order
+    # (``AdamsTerms.labels``)
+    labels: Tuple[str, ...]
 
     def to_json(self) -> dict:
         return {
@@ -114,10 +128,7 @@ class InvariantReport(NamedTuple):
             "n": self.n,
             "S": self.value,
             "witness": list(self.witness) if self.witness else None,
-            "summands": {
-                ",".join(str(p) for p in sorted(rho)): v
-                for rho, v in self.summands.items()
-            },
+            "summands": dict(zip(self.labels, self.summands.values())),
         }
 
 
@@ -153,17 +164,18 @@ def invariant(table: CharacterTable, chi: ChiLike, n: int) -> InvariantReport:
         traces = [sum(a * table.traces[i][k] for a, i in coords)
                   for k in range(table.num_classes)]
     scale = table.order * numth.totient(table.exponent)
+    terms = table.adams_terms(n)
     summands: Dict[FrozenSet[int], int] = {}
     total = 0
-    for rho, sign, m, weights in table.adams_terms(n):
-        mult, r = divmod(sum(x * traces[k] for k, x in weights), scale)
+    for rho, sign, m, weights in zip(terms.subsets, terms.signs, terms.moduli, terms.weights):
+        mult, r = divmod(sum(map(mul, weights, traces)), scale)
         if r:
             raise ConsistencyError(f"trivial multiplicity of the {m}-th Adams"
                                    f" operation on {table.name} is not integral")
         summands[rho] = mult
         total += sign * mult
-    witness = _witness(table, _eigen_vectors(table, chi, idx), n) if total > 0 else None
-    return InvariantReport(idx, n, total, witness, summands)
+    witness = _witness(table, chi, idx, n) if total > 0 else None
+    return InvariantReport(idx, n, total, witness, summands, terms.labels)
 
 
 def alternating_adams_character(table: CharacterTable, chi: ChiLike, n: int) -> ClassFunction:
@@ -172,7 +184,8 @@ def alternating_adams_character(table: CharacterTable, chi: ChiLike, n: int) -> 
     _as_class_function(table, chi)  # rejects a bad row or another table's function
     _check_divisor(table, n)
     acc = table.class_function((0,) * table.num_classes)
-    for _, sign, m, _ in table.adams_terms(n):
+    terms = table.adams_terms(n)
+    for sign, m in zip(terms.signs, terms.moduli):
         term = adams_operation(table, chi, m)
         acc = acc + term if sign > 0 else acc - term
     return acc
@@ -208,7 +221,7 @@ def eigenvalue_order_witness(
     exactly n with positive multiplicity, if any."""
     chi, idx = _as_class_function(table, chi)
     _check_positive(n)
-    return _witness(table, _eigen_vectors(table, chi, idx), n)
+    return _witness(table, chi, idx, n)
 
 
 def feit_indicator(table: CharacterTable, chi: ChiLike) -> FeitReport:

@@ -89,7 +89,8 @@ import math
 from collections import Counter
 from functools import cached_property, reduce
 from operator import getitem, mul
-from typing import Dict, List, Mapping, NoReturn, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, NoReturn, Optional,
+                    Sequence, Tuple)
 
 from . import numth
 from .cyclo import Cyclotomic, _make, _mapped, units
@@ -197,6 +198,20 @@ class ClassFunction:
         return f"ClassFunction({list(self.values)!r})"
 
 
+class AdamsTerms(NamedTuple):
+    """The signed sum of Adams operations at one n, an entry per subset rho
+    of the primes of n (``numth.prime_subsets``): its sign (-1)^|rho|, its
+    modulus m_rho, the class weights W_{m_rho} over every class, to pair
+    with a trace vector, and its JSON label (its primes ascending, as
+    "2,5")."""
+
+    subsets: Tuple[FrozenSet[int], ...]
+    signs: Tuple[int, ...]
+    moduli: Tuple[int, ...]
+    weights: Tuple[Tuple[int, ...], ...]
+    labels: Tuple[str, ...]
+
+
 class CharacterTable:
     """Conjugacy-class data plus the full matrix of irreducible characters,
     built complete from its power map and its multiplicity vectors, given at
@@ -221,8 +236,11 @@ class CharacterTable:
     trace) is computed once per distinct vector into a list read by
     position.
 
-    ``adams.invariant`` pairs the class weights, signs and moduli of each n
-    (``adams_terms``) with each row's trace vector (``traces``), both kept.
+    ``adams.invariant`` pairs the class weights, signs, moduli and JSON
+    labels of each n (``adams_terms``) with each row's trace vector
+    (``traces``), both kept, and reads its witness from each distinct
+    vector's eigenvalue orders (``eigen_orders``), each formed the first
+    time a witness asks for it.
     """
 
     def __init__(
@@ -247,7 +265,8 @@ class CharacterTable:
         self.group = group
         self.class_reps = (None if group is None
                            else tuple(c.rep for c in group.conjugacy_classes()))
-        self._adams_terms: Dict[int, tuple] = {}
+        self._adams_terms: Dict[int, AdamsTerms] = {}
+        self._eigen_orders: List[Optional[Dict[int, int]]] = [None] * len(self.vectors)
         # the oracle's MonomialContext of the group once it has served this
         # table (brauer owns its contents; the group refers to it weakly);
         # runner.verify_table drops it when its checks are done
@@ -286,25 +305,40 @@ class CharacterTable:
         found = [_vector_conductor(vec) for vec in self.vectors]
         return tuple(math.lcm(*map(found.__getitem__, row)) for row in self.positions)
 
-    def class_weights(self, m: int) -> Tuple[Tuple[int, int], ...]:
-        """W_m as its nonzero entries (k, W_m[k]), W_m[k] the total size of the
-        classes whose m-th power lies in class k."""
+    def _weights(self, m: int) -> List[int]:
+        """W_m over the classes: W_m[k] is the total size of the classes
+        whose m-th power lies in class k."""
         acc = [0] * self.num_classes
         for cls, powers in zip(self.classes, self.power_map):
             acc[powers[m % cls.rep_order]] += cls.size
-        return tuple((k, x) for k, x in enumerate(acc) if x)
+        return acc
 
-    def adams_terms(self, n: int) -> tuple:
-        """(rho, (-1)^|rho|, m_rho, ``class_weights(m_rho)``) for each subset
-        rho of the primes of n, a divisor of the exponent: the Adams
-        combination of ``adams.invariant``, built once per n."""
+    def class_weights(self, m: int) -> Tuple[Tuple[int, int], ...]:
+        """W_m as its nonzero entries (k, W_m[k])."""
+        return tuple((k, x) for k, x in enumerate(self._weights(m)) if x)
+
+    def adams_terms(self, n: int) -> AdamsTerms:
+        """The Adams combination of ``adams.invariant`` at n, a divisor of
+        the exponent, built once per n."""
         if n not in self._adams_terms:
-            self._adams_terms[n] = tuple(
-                (rho, (-1) ** len(rho), m, self.class_weights(m))
-                for rho in numth.prime_subsets(n)
-                for m in (numth.subset_modulus(n, self.exponent, rho),)
+            subsets = numth.prime_subsets(n)
+            moduli = tuple(numth.subset_modulus(n, self.exponent, rho) for rho in subsets)
+            self._adams_terms[n] = AdamsTerms(
+                subsets,
+                tuple((-1) ** len(rho) for rho in subsets),
+                moduli,
+                tuple(tuple(self._weights(m)) for m in moduli),
+                tuple(",".join(map(str, sorted(rho))) for rho in subsets),
             )
         return self._adams_terms[n]
+
+    def eigen_orders(self, p: int) -> Dict[int, int]:
+        """The eigenvalue orders of the distinct vector at position p
+        (``_eigen_orders``), formed the first time they are asked for."""
+        found = self._eigen_orders[p]
+        if found is None:
+            found = self._eigen_orders[p] = _eigen_orders(self.vectors[p])
+        return found
 
     def degree(self, i: int) -> int:
         """The one entry of row i's vector at the identity, class 0."""
@@ -428,6 +462,18 @@ def _vector_value(vec: Tuple[int, ...]) -> Cyclotomic:
     class's level t = len(vec)."""
     t = len(vec)
     return _make(t, _mapped(t, vec, 1))
+
+
+def _eigen_orders(vec: Sequence[int]) -> Dict[int, int]:
+    """{k: j} for each order k of an eigenvalue that a multiplicity vector
+    counts with positive multiplicity, j the least exponent of zeta_t^j,
+    t = len(vec), of order k = t / gcd(t, j)."""
+    t = len(vec)
+    out: Dict[int, int] = {}
+    for j, mult in enumerate(vec):
+        if mult > 0:
+            out.setdefault(t // math.gcd(t, j), j)
+    return out
 
 
 def _vector_conductor(vec: Tuple[int, ...]) -> int:
@@ -1232,7 +1278,9 @@ def _derived_power_map(
     from the same matches: its a-th is the class of rep^(a v).  The
     columns of one order are first checked to be distinct, as the match of
     rep^1 finds its own class only; then each entry is the one class whose
-    column is sigma_(a v) of c's, exactly.  The stored prime power maps at
+    column is sigma_(a v) of c's, exactly.  A rational column is fixed by
+    every sigma_u, so its class is its own orbit and is matched against no
+    column.  The stored prime power maps at
     the units are never read here; ``_loaded_table`` checks them against
     this map."""
     columns: Dict[tuple, List[int]] = {}
@@ -1249,8 +1297,11 @@ def _derived_power_map(
         if out[c]:
             continue
         t = orders[c]
-        # unit[u] is the class of rep^u
-        unit = {u: c if u == 1 % t else _galois_class(c, u, name, t, rows, columns)
+        # unit[u] is the class of rep^u; a rational column is its own
+        # image under every unit, and so names its own class
+        rational = all(row[c].is_rational() for row in rows)
+        unit = {u: c if rational or u == 1 % t
+                else _galois_class(c, u, name, t, rows, columns)
                 for u in units(t)}
         primes = [q for q, _ in numth.prime_factorization(t)]
         for v, cv in unit.items():
@@ -1287,7 +1338,8 @@ def _galois_class(c: int, k: int, name: str, t: int, rows, columns) -> int:
     by their order and the column's values) equal to sigma_k of column c.
     The match is exact, as each value is placed at its class's level t,
     where the power basis writes it one way.  ``_derived_power_map`` makes
-    it once per (first class of a Galois orbit, unit other than 1)."""
+    it once per (first class of a Galois orbit of more than one class, unit
+    other than 1)."""
     image = (row[c].galois(k) for row in rows)
     matches = columns.get((t, tuple((w.nums, w.den) for w in image)), ())
     if len(matches) != 1:

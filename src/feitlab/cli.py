@@ -93,9 +93,9 @@ def cmd_s(args) -> int:
     print(f"group {table.name}, chi {args.chi} (degree {table.degree(args.chi)}),"
           f" n = {args.n}")
     print(f"S = {rep.value}")
-    for rho, mult in sorted(rep.summands.items(), key=lambda kv: sorted(kv[0])):
-        label = "{" + ",".join(str(p) for p in sorted(rho)) + "}"
-        print(f"  subset {label}: multiplicity {mult}")
+    for label, (_, mult) in sorted(zip(rep.labels, rep.summands.items()),
+                                   key=lambda item: sorted(item[1][0])):
+        print(f"  subset {{{label}}}: multiplicity {mult}")
     if rep.witness is not None:
         c, j = rep.witness
         print(f"witness: class {c}, eigenvalue exponent {j}")

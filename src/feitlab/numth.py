@@ -101,25 +101,33 @@ def radical_quotient(n: int) -> int:
 
 def subset_modulus(n: int, big_n: int, rho: Iterable[int]) -> int:
     """For rho a subset of the primes of n, the blended modulus that keeps
-    the reduced part of n at the primes of rho and all of big_n elsewhere.
+    the reduced part of n at the primes of rho and all of big_n elsewhere:
+    the product over the primes p of big_n of p^(v_p(n) - 1) for p in rho,
+    and of p^v_p(big_n) otherwise.
 
     Requires n | big_n.  The result is always a divisor of big_n.
     """
-    rho = check_primes(rho)
+    rho = frozenset(rho)
     if big_n % n != 0:
         raise ValueError(f"{n} does not divide {big_n}")
-    if not rho <= prime_set(n):
+    reduced = {p: k - 1 for p, k in prime_factorization(n)}
+    if not rho <= reduced.keys():
+        check_primes(rho)  # a non-prime is refused as one
         raise ValueError(f"{sorted(rho)} is not a subset of the primes of {n}")
-    return p_part(radical_quotient(n), rho) * coprime_part(big_n, rho)
+    out = 1
+    for p, k in prime_factorization(big_n):
+        out *= p ** (reduced[p] if p in rho else k)
+    return out
 
 
 def prime_subsets(n: int) -> Tuple[FrozenSet[int], ...]:
     """All subsets of the prime divisors of n, by binary counter over the
-    ascending prime list (deterministic order, empty set first)."""
-    primes = sorted(prime_set(n))
-    out = []
-    for mask in range(1 << len(primes)):
-        out.append(frozenset(p for i, p in enumerate(primes) if mask >> i & 1))
+    ascending prime list (deterministic order, empty set first): the
+    subsets with the i-th prime are those without it, in order, each with
+    it added."""
+    out = [frozenset()]
+    for p, _ in prime_factorization(n):
+        out += [rho | {p} for rho in out]
     return tuple(out)
 
 

@@ -31,6 +31,7 @@ from feitlab.chartab import (
 from feitlab.cyclo import Cyclotomic, RootOfUnity, zeta
 from feitlab.groups import MonomialPair, from_spec, perm_order
 from feitlab.numth import divisors, mobius, totient, trace_root_of_unity
+from adams_references import scan_witness
 from bundled_corpus import CORPUS, FEIT_POOL
 from numth_identities import (
     DivisorFunction,
@@ -125,6 +126,23 @@ def test_criterion_3_nonnegativity_and_witness(big_tables):
                 assert chk.nonnegative, (spec, i, n, chk.value)
                 assert chk.witness_equivalent, (spec, i, n, chk.value, chk.witness)
     _report(3, "non-negativity and eigenvalue-order witness", start)
+
+
+def test_witness_reads_each_vectors_eigenvalue_orders(big_tables):
+    # the witness, read from each distinct vector's eigenvalue orders, is
+    # the scan of every entry of every class's vector, for every row and
+    # every n up to e + 1 and 2e (the exponent e's divisors and some
+    # non-divisors), alone and as the witness of a positive S
+    assert set(CORPUS) <= set(big_tables)
+    for spec, t in big_tables.items():
+        e = t.exponent
+        for i in range(t.num_classes):
+            for n in (*range(1, e + 2), 2 * e):
+                want = scan_witness(t, t.eigen[i], n)
+                assert adams.eigenvalue_order_witness(t, i, n) == want, (spec, i, n)
+                if e % n == 0:
+                    rep = adams.invariant(t, i, n)
+                    assert rep.witness == (want if rep.value > 0 else None), (spec, i, n)
 
 
 def test_criterion_4_special_characters(big_tables):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
@@ -23,6 +24,7 @@ from feitlab.chartab import (
 )
 from feitlab.cyclo import zeta
 from feitlab.errors import ConsistencyError, UsageError
+from adams_references import scan_witness
 from bundled_corpus import CORPUS
 
 
@@ -348,6 +350,23 @@ def test_invariant_of_virtual_character():
     assert rep.value == 2
     assert rep.witness == eigenvalue_order_witness(t, chi, 5)
     assert invariant(t, triv - t.irreducible(chi), 5).value == -1
+
+
+def test_witness_of_a_virtual_character_reads_its_positive_multiplicities():
+    # chi_1 - chi_2 on sym:4 has negative eigenvalue multiplicities; its
+    # witness is read from its combined vectors' positive entries alone, as
+    # the scan of every entry reads it, at divisors and non-divisors of the
+    # exponent alike
+    t = table("sym:4")
+    virt = t.irreducible(1) - t.irreducible(2)
+    vectors = [tuple(map(sub, a, b)) for a, b in zip(t.eigen[1], t.eigen[2])]
+    assert any(m < 0 for vec in vectors for m in vec)
+    found = []
+    for n in (*range(1, t.exponent + 2), 2 * t.exponent):
+        want = scan_witness(t, vectors, n)
+        assert eigenvalue_order_witness(t, virt, n) == want, n
+        found.append(want)
+    assert any(found) and not all(found)
 
 
 def test_eigenvalue_multiplicities_rejects_non_characters():

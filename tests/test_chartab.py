@@ -1221,11 +1221,13 @@ def _orbit_matches(t):
     """The (class, unit) column matches a loaded power map makes: per Galois
     orbit of classes (the classes of a class's unit powers, read from the
     computed map), its first class c and each unit u other than 1 mod the
-    order of c."""
+    order of c, unless c's column is rational, as it is then its own image
+    under every unit."""
     out = []
     for c, (cls, powers) in enumerate(zip(t.classes, t.power_map)):
         ks = cyclo.units(cls.rep_order)
-        if c == min(powers[u] for u in ks):
+        rational = all(row[c].is_rational() for row in t.irreducibles)
+        if c == min(powers[u] for u in ks) and not rational:
             out.extend((c, u) for u in ks if u != 1 % cls.rep_order)
     return out
 
@@ -1235,7 +1237,8 @@ def test_derived_power_map_matches_each_galois_image_once(monkeypatch):
     # every class of an orbit reads its own from its first class's matches:
     # no (class, exponent) is matched twice, and no other is matched.
     # cyclic:120 has one orbit per order (16 divisors); on sym:5, whose
-    # classes are rational, each class is an orbit of its own
+    # classes are rational, each class is an orbit of its own, and no
+    # column is matched
     asked = []
     match = chartab._galois_class
 
@@ -1244,15 +1247,41 @@ def test_derived_power_map_matches_each_galois_image_once(monkeypatch):
         return match(c, k, *rest)
 
     monkeypatch.setattr(chartab, "_galois_class", counted)
-    orbits = {}
+    orbits, matched = {}, {}
     for spec in CORPUS + FEIT_POOL + ("cyclic:120", "sym:5", "product:cyclic:8,cyclic:15"):
         t = table(spec)
         asked.clear()
         assert load_table(save_table(t)).power_map == t.power_map, spec
         assert sorted(asked) == sorted(_orbit_matches(t)), spec
+        matched[spec] = len(asked)
         orbits[spec] = len({min(powers[u] for u in cyclo.units(len(powers)))
                             for powers in t.power_map})
     assert orbits["cyclic:120"] == 16 and orbits["sym:5"] == 7
+    assert matched["sym:5"] == 0 and matched["cyclic:120"] > 0
+
+
+def test_adams_terms_hold_dense_class_weights_and_labels():
+    # at every n dividing the exponent (alt:5's has three primes), each
+    # subset rho of the primes of n holds its sign, its modulus m, W_m over
+    # every class, which expands ``class_weights(m)`` and sums the sizes of
+    # the classes whose m-th power is each class, and its JSON label; each
+    # n's terms are built once
+    for spec in ("alt:5", "sym:5", "cyclic:120"):
+        t = table(spec)
+        e = t.exponent
+        for n in numth.divisors(e):
+            terms = t.adams_terms(n)
+            assert terms.subsets == numth.prime_subsets(n)
+            for rho, sign, m, weights, label in zip(*terms):
+                assert sign == (-1) ** len(rho) and m == numth.subset_modulus(n, e, rho)
+                assert len(weights) == t.num_classes
+                assert tuple((k, x) for k, x in enumerate(weights) if x) == t.class_weights(m)
+                assert list(weights) == [
+                    sum(cls.size for c, cls in enumerate(t.classes) if t.class_of_power(c, m) == k)
+                    for k in range(t.num_classes)]
+                assert label == ",".join(map(str, sorted(rho)))
+            assert t.adams_terms(n) is terms
+    assert table("alt:5").adams_terms(30).labels[-1] == "2,3,5"
 
 
 def test_derived_power_map_refuses_equal_columns():

@@ -85,13 +85,22 @@ def test_subset_modulus():
         subset_modulus(5, 12, set())
     with pytest.raises(ValueError):
         subset_modulus(2, 12, {3})
+    with pytest.raises(ValueError, match="4 is not prime"):
+        subset_modulus(12, 12, {4})
 
 
 def test_subset_modulus_divides():
-    for big_n in (12, 36, 60, 360):
+    # the modulus is the largest divisor of n / rad(n) supported on rho
+    # times the largest divisor of big_n prime to rho, found by search
+    for big_n in (12, 36, 60, 360, 1320):
         for n in divisors(big_n):
+            reduced = radical_quotient(n)
             for rho in numth.prime_subsets(n):
-                assert big_n % subset_modulus(n, big_n, rho) == 0
+                m = subset_modulus(n, big_n, rho)
+                assert big_n % m == 0
+                keep = max(d for d in divisors(reduced) if prime_set(d) <= rho)
+                rest = max(d for d in divisors(big_n) if not prime_set(d) & rho)
+                assert m == keep * rest, (n, big_n, sorted(rho))
 
 
 def test_divisor_function_validation():
