@@ -29,12 +29,15 @@ import os
 import warnings
 from collections import defaultdict
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from . import numth
 from .adams import ChiLike, _as_class_function, _check_positive, adams_operation
 from .chartab import (
-    CharacterTable, ClassFunction, _group_ring_sum, _value_terms, integral_inner_product,
+    CharacterTable, ClassFunction, _group_ring_sum, _integral_sum, _value_terms,
+    integral_inner_product,
 )
 from .cyclo import Cyclotomic, _make
 from .errors import BoundExceeded, ConsistencyError, UsageError
@@ -228,17 +231,30 @@ class MonomialContext:
     chain orbits, the multiplicity of every pair in a class function, and
     the coefficients (A) and the flags of the rows of the last table served.
 
-    Built on the indexed poset of the group itself, or, for a subgroup U of
-    a larger group G, on G's poset: U's poset is the down-set of the pairs
-    (H, phi) with H <= U, the Moebius function of an interval depends only
-    on the interval, and only U's orbits and orbit weights are new."""
+    Built on the indexed poset of a group itself, or, for a subgroup U of
+    a larger group G (a ``Subgroup``, whose members and generators are
+    numbered as G's elements), on G's poset: U's poset is the down-set of
+    the pairs (H, phi) with H <= U, the Moebius function of an interval
+    depends only on the interval, and only U's orbits and orbit weights are
+    new."""
 
-    def __init__(self, group: PermGroup, poset: Optional[_IndexedPoset] = None):
+    def __init__(self, group: Union[PermGroup, Subgroup],
+                 poset: Optional[_IndexedPoset] = None):
+        """The context of a group, on a poset of its own, or of a subgroup of
+        the group of ``poset``, on that poset."""
         self.group = group
-        self.poset = P = poset or _IndexedPoset(group)
-        # the group's elements, in the numbering of the poset's group
-        self._members = tuple(P.index[x] for x in group.elements)
-        self._mask = umask = sum(1 << x for x in self._members)
+        if isinstance(group, Subgroup):
+            self.poset = P = poset
+            self.name = f"{group.parent.name}-sub{group.order}"
+            self._members, self._mask, gens = group.members, group.mask, group.gens
+        else:
+            self.poset = P = _IndexedPoset(group)
+            self.name = group.name
+            # the poset numbers the group's own elements
+            self._members = tuple(range(group.order))
+            self._mask = (1 << group.order) - 1
+            gens = [P.index[x] for x in group.generators]
+        umask = self._mask
         subs = (s for s, m in enumerate(P.masks) if m | umask == umask)
         self._glob = glob = tuple(j for s in subs for j in P.chars_of[s])
         self.pairs = tuple(P.pairs[j] for j in glob)
@@ -251,7 +267,7 @@ class MonomialContext:
         # the orbits under the action of the group's generators; glob is
         # increasing, so each orbit is led by its least pair
         loc = self._local
-        gen_rows = [P.act[P.index[x]] for x in group.generators]
+        gen_rows = [P.act[g] for g in gens]
         orbit_rep: List[int] = [-1] * len(glob)
         self.orbit_size: Dict[int, int] = {}
         for orbit in index_orbits(gen_rows, glob, len(P.pairs)):
@@ -270,7 +286,7 @@ class MonomialContext:
         """The context of a subgroup, as a down-set of the poset; kept here."""
         ctx = self._down_sets.get(sub.mask)
         if ctx is None:
-            ctx = self._down_sets[sub.mask] = MonomialContext(sub.as_group(), self.poset)
+            ctx = self._down_sets[sub.mask] = MonomialContext(sub, self.poset)
         return ctx
 
     @cached_property
@@ -308,11 +324,19 @@ class MonomialContext:
         pairs fixed by g, one g per class weighted by the class size.  For
         fixed q = (H, phi), the fixed pairs under q are the restrictions of
         phi to the g-invariant subgroups of H."""
-        P, glob, loc, rep = self.poset, self._glob, self._local, self.orbit_rep
+        P, glob, loc, rep, group = self.poset, self._glob, self._local, self.orbit_rep, self.group
+        if isinstance(group, Subgroup):
+            # U's classes: the orbits of conjugation by its generators on
+            # its members
+            mul, inv, n = P.mul, group.parent.inv, len(P.mul)
+            conj = [[mul[mul[inv[g]][x]][g] for x in range(n)] for g in group.gens]
+            classes = [(orbit[0], len(orbit)) for orbit in index_orbits(conj, group.members, n)]
+        else:
+            classes = [(P.index[cls.rep], cls.size) for cls in group.conjugacy_classes()]
         weight: Dict[Tuple[int, ...], int] = defaultdict(int)
-        for cls in self.group.conjugacy_classes():
-            row = P.act[P.index[cls.rep]]
-            weight[tuple(a for a, j in enumerate(glob) if row[j] == j)] += cls.size
+        for x, size in classes:
+            row = P.act[x]
+            weight[tuple(a for a, j in enumerate(glob) if row[j] == j)] += size
         raw: Dict[Tuple[int, int], int] = defaultdict(int)
         for fixed, size in weight.items():
             if len(fixed) == len(glob):
@@ -328,12 +352,12 @@ class MonomialContext:
                     raw[(rep[i], rep[a])] += size * w
         out = {}
         for key, total in raw.items():
-            q, r = divmod(total, self.group.order)
+            q, r = divmod(total, group.order)
             if r:
                 raise ConsistencyError(
                     f"Burnside sum {total} over the chains from the orbit of"
                     f" {self.pairs[key[0]]!r} to that of {self.pairs[key[1]]!r}"
-                    f" is not divisible by the order of {self.group.name}"
+                    f" is not divisible by the order of {self.name}"
                 )
             if q:
                 out[key] = q
@@ -355,10 +379,10 @@ class MonomialContext:
         P = self.poset
         sums = _group_ring_sum(level, ((1, terms[c], n) for c, n in P.counts(j, level)))
         den *= len(P.members[P.psub[j]])
-        out, r = divmod(sums[0], den)
-        if r or any(sums[1:]):
+        out = _integral_sum(sums, den)
+        if out is None:
             raise ConsistencyError(f"non-integral character multiplicity {_make(level, sums, den)}"
-                                   f" at {P.pairs[j]!r} of {self.group.name}")
+                                   f" at {P.pairs[j]!r} of {self.name}")
         return out
 
     def multiplicities(self, row: Sequence[Cyclotomic]) -> Tuple[int, ...]:
@@ -409,7 +433,7 @@ class MonomialContext:
             if rem:
                 raise ConsistencyError(f"chain sum produced a coefficient not divisible by the"
                                        f" group order {order} at the orbit of {self.pairs[r]!r}"
-                                       f" of {self.group.name}")
+                                       f" of {self.name}")
             if q:
                 out[r] = q
         return out
@@ -534,8 +558,11 @@ class PairCombination:
         return "PairCombination(" + " + ".join(parts) + ")" if parts else "PairCombination(0)"
 
 
-def _group_key(group: PermGroup):
-    return (group.degree, group.elements)
+def _group_key(group: Union[PermGroup, Subgroup]):
+    """A group's degree and elements; a subgroup's are those of the group
+    that its elements form."""
+    degree = group.parent.degree if isinstance(group, Subgroup) else group.degree
+    return (degree, group.elements)
 
 
 def _oracle_input(
@@ -589,7 +616,8 @@ def induction_by_orbit_chains(
 def induced_character(table: CharacterTable, comb: PairCombination) -> ClassFunction:
     """Map a combination of pair orbits to the corresponding integer
     combination of induced characters: at a class c,
-    Ind phi = |G| / (|H| |c|) sum_k N[c][k] z_o^k."""
+    Ind phi = |G| / (|H| |c|) sum_k N[c][k] z_o^k, each value at the
+    exponent's level."""
     if table.group is None:
         raise ValueError("a group-backed table is required for induction")
     group = table.group
@@ -635,7 +663,7 @@ def restriction_failure(
     coeffs = ctx.rows_data(rows)[1]
     for sub in ctx.poset.subgroups:
         # a down-set of its own, dropped with its A_U and R_U once U is done
-        down = MonomialContext(sub.as_group(), ctx.poset)
+        down = MonomialContext(sub, ctx.poset)
         for i, (col, expect) in enumerate(zip(coeffs, down.rows_data(rows)[1])):
             if down.restrict(col) != expect:
                 return i, sub
@@ -699,8 +727,8 @@ def adams_identity_checks(
         terms, den = _value_terms(row, level)
         for n, w in weights:
             sums = _group_ring_sum(level, [(x, terms[k], ((0, 1),)) for k, x in w])
-            rhs, r = divmod(sums[0], table.order * den)
-            if r or any(sums[1:]):
+            rhs = _integral_sum(sums, table.order * den)
+            if rhs is None:
                 raise ConsistencyError(
                     f"<psi^{n} chi_{i}, 1> = {_make(level, sums, table.order * den)!r}"
                     f" on {table.name} is not integral")

@@ -37,10 +37,11 @@ point never occurs.
 Every table is built complete, with its power map and multiplicities.  A
 computed table takes them from its group.  A table has one serialization,
 the compact JSON of its document (``save_table``), in which a class's
-power map is held only at the primes of the exponent; ``load_table``
-checks the document and derives the rest, in order: each value placed at
-its class's level t, the power map one Galois orbit of classes at a time,
-by increasing order (a non-unit power rep^a is read from the row of the
+power map is held only at the primes of the exponent, and each distinct
+vector's value is written once.  ``load_table`` parses and checks each
+distinct value of the document once, and derives the rest, in order: each
+value placed at its class's level t, the power map one Galois orbit of
+classes at a time, by increasing order (a non-unit power rep^a is read from the row of the
 class of rep^q, q the least prime dividing gcd(a, t), which the stored
 prime power map names; for a class c not yet reached and each unit u mod
 t, the class of rep^u is the one whose column is sigma_u of c's, and each
@@ -48,7 +49,8 @@ class of that orbit reads its unit powers from those matches), the
 multiplicities by the same transform, from its values reduced mod the same
 p (``_evaluate``, the one evaluation mod p of values, vectors and Gram
 codes), each vector then checked to give back its value exactly, and each
-stored prime power map checked against the derived map.
+stored prime power map checked against the derived map; a value shared by
+several cells is placed, evaluated and checked once.
 
 A table is its index.  The transform (``_eigen_from_residues``) and a
 product's convolution (``_product_rows``) place each multiplicity vector
@@ -230,11 +232,11 @@ class CharacterTable:
     A table is its index, formed where its vectors were made, and holds no
     other per-cell data: ``vectors`` holds each distinct vector once, and
     ``positions[i][c]`` names the one at row i and class c.  The value each
-    vector gives is formed once, as the table is built, and ``irreducibles``
-    and ``eigen`` are tuples of those shared objects, read through
-    ``positions``.  Every other per-vector fact (a Gram code, a conductor, a
-    trace) is computed once per distinct vector into a list read by
-    position.
+    vector gives is formed once, as the table is built, into ``values``, and
+    ``irreducibles`` and ``eigen`` are tuples of those shared objects, read
+    through ``positions``.  Every other per-vector fact (a Gram code, a
+    conductor, a trace) is computed once per distinct vector into a list
+    read by position.
 
     ``adams.invariant`` pairs the class weights, signs, moduli and JSON
     labels of each n (``adams_terms``) with each row's trace vector
@@ -259,7 +261,7 @@ class CharacterTable:
         self.classes = tuple(classes)
         self.power_map = tuple(tuple(row) for row in power_map)
         self.vectors, self.positions = index
-        values = [_vector_value(vec) for vec in self.vectors]
+        self.values = values = tuple([_vector_value(vec) for vec in self.vectors])
         self.irreducibles = tuple(tuple(map(values.__getitem__, row)) for row in self.positions)
         self.eigen = tuple(tuple(map(self.vectors.__getitem__, row)) for row in self.positions)
         self.group = group
@@ -455,6 +457,14 @@ def _group_ring_sum(level: int, terms) -> List[int]:
             for y, n in v:
                 acc[(x - y) % level] += wm * n
     return _mapped(level, acc, 1)
+
+
+def _integral_sum(sums: Sequence[int], den: int) -> Optional[int]:
+    """A group-ring sum over ``den`` read as an integer: its constant
+    power-basis coordinate over den, or None unless den divides it and
+    every other coordinate is 0."""
+    q, r = divmod(sums[0], den)
+    return None if r or any(sums[1:]) else q
 
 
 def _vector_value(vec: Tuple[int, ...]) -> Cyclotomic:
@@ -1052,8 +1062,10 @@ def _galois_stable(table: CharacterTable) -> bool:
 def save_table(table: CharacterTable) -> bytes:
     """Serialize to the interchange JSON format: the table's document as
     compact JSON, one line, in deterministic bytes.  A class's power map is
-    written at each prime q of the exponent, as the class of rep^q."""
+    written at each prime q of the exponent, as the class of rep^q.  Each
+    distinct vector's value is written to JSON once and read by position."""
     primes = [q for q, _ in numth.prime_factorization(table.exponent)]
+    written = [v.to_json() for v in table.values]
     return json.dumps({
         "name": table.name,
         "order": table.order,
@@ -1067,7 +1079,7 @@ def save_table(table: CharacterTable) -> bytes:
             for c, powers in zip(table.classes, table.power_map)
         ],
         "irreducibles": [
-            [v.to_json() for v in row] for row in table.irreducibles
+            [written[p] for p in row] for row in table.positions
         ],
     }).encode("utf-8")
 
@@ -1119,30 +1131,56 @@ def load_table(data) -> CharacterTable:
                                      integer(c["size"], f"size of class {idx}")))
             prime_maps.append(maps)
         irreducibles = []
+        # each distinct value is parsed and checked once, at its first cell;
+        # a cell whose value has no key is parsed on its own
+        parsed: Dict[object, Cyclotomic] = {}
         for i, row in enumerate(doc["irreducibles"]):
             values = []
             for c, v in enumerate(row):
-                if isinstance(v, dict) and type(level := v["level"]) is int \
-                        and level > DEFAULT_ORDER_BOUND:
-                    _fail(name, f"level {level} of character {i} at class {c} exceeds"
-                                f" the bound {DEFAULT_ORDER_BOUND}")
-                try:
-                    values.append(Cyclotomic.from_json(v))
-                    # a character value is an algebraic integer, and
-                    # ``save_table`` writes its power-basis coordinates
-                    if isinstance(v, str) or (isinstance(v, dict) and any(
-                            den != 1 for _, _, den in v["terms"])):
-                        raise ValueError(f"a value must be a JSON integer or terms"
-                                         f" of denominator 1, got {v!r}")
-                except ValueError as exc:
-                    raise TableFormatError(
-                        f"{malformed}: value of character {i} at class {c}: {exc}") from None
+                key = _value_key(v)
+                value = parsed.get(key) if key is not None else None
+                if value is None:
+                    if isinstance(v, dict) and type(level := v["level"]) is int \
+                            and level > DEFAULT_ORDER_BOUND:
+                        _fail(name, f"level {level} of character {i} at class {c} exceeds"
+                                    f" the bound {DEFAULT_ORDER_BOUND}")
+                    try:
+                        value = Cyclotomic.from_json(v)
+                        # a character value is an algebraic integer, and
+                        # ``save_table`` writes its power-basis coordinates
+                        if isinstance(v, str) or (isinstance(v, dict) and any(
+                                den != 1 for _, _, den in v["terms"])):
+                            raise ValueError(f"a value must be a JSON integer or terms"
+                                             f" of denominator 1, got {v!r}")
+                    except ValueError as exc:
+                        raise TableFormatError(
+                            f"{malformed}: value of character {i} at class {c}: {exc}") from None
+                    if key is not None:
+                        parsed[key] = value
+                values.append(value)
             irreducibles.append(values)
     except TableFormatError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise TableFormatError(f"malformed table document: {exc}") from None
     return _loaded_table(name, order, exponent, classes, prime_maps, irreducibles)
+
+
+def _value_key(v) -> Optional[object]:
+    """The key under which equal document values are parsed once: a JSON
+    integer, or (level, terms) of a {level, terms} value whose level and
+    term entries are all JSON integers; None for any other value.  Only
+    exact ints make keys, since 1, 1.0 and true are equal and hash alike,
+    and a float or bool entry must be refused at its own cell."""
+    if type(v) is int:
+        return v
+    if type(v) is dict and type(level := v.get("level")) is int \
+            and type(terms := v.get("terms")) is list \
+            and all(type(term) is list and len(term) == 3
+                    and type(term[0]) is int and type(term[1]) is int and type(term[2]) is int
+                    for term in terms):
+        return level, tuple(map(tuple, terms))
+    return None
 
 
 def _loaded_table(
@@ -1214,26 +1252,36 @@ def _loaded_table(
     # every character value at a class of order t lies in Q(zeta_t); each
     # value is placed at level t, where ``compute_table`` puts it, so that
     # ``save_table`` writes the computed table's bytes back, and the power
-    # map's column match is exact
+    # map's column match is exact.  A value shared by several cells (as
+    # ``load_table`` parses each distinct one once) is placed once per level.
     orders = [c.rep_order for c in classes]
+    placed: Dict[Tuple[int, int], Cyclotomic] = {}
     rows = []
     for i, row in enumerate(irreducibles):
         rows.append([])
         for c, (t, v) in enumerate(zip(orders, row)):
             if v.level != t:
-                try:
-                    v = v.at_level(t)
-                except ValueError:
-                    fail(f"value of character {i} at class {c} is not in the"
-                         f" level-{t} field")
+                w = placed.get((id(v), t))
+                if w is None:
+                    try:
+                        w = placed[id(v), t] = v.at_level(t)
+                    except ValueError:
+                        fail(f"value of character {i} at class {c} is not in the"
+                             f" level-{t} field")
+                v = w
             rows[-1].append(v)
 
     try:
         power_map = _derived_power_map(name, orders, prime_maps, rows)
         p, z_pow = _root_of_unity(exponent, 2 * math.isqrt(order) + 1)
-        # every value has denominator 1 (``load_table``), and sits at level t
-        residues = [(d, [_evaluate(v.nums, exponent // v.level, p, z_pow) for v in row])
-                    for d, row in zip(degs, rows)]
+        # every value has denominator 1 (``load_table``), and sits at level
+        # t; each distinct object is evaluated once
+        evaluated: Dict[int, int] = {}
+        for row in rows:
+            for v in row:
+                if id(v) not in evaluated:
+                    evaluated[id(v)] = _evaluate(v.nums, exponent // v.level, p, z_pow)
+        residues = [(d, [evaluated[id(v)] for v in row]) for d, row in zip(degs, rows)]
         vectors, positions = _eigen_from_residues(
             orders, power_map, _root_sources(orders, power_map), p, z_pow, residues,
             name, "character")
@@ -1242,9 +1290,13 @@ def _loaded_table(
     table = CharacterTable(name, order, exponent, classes, power_map, (vectors, positions))
     # the transform saw the values only mod p; the value of each distinct
     # vector, formed once as the table is built, must give back the
-    # document's value exactly
+    # document's value exactly, checked once per pair of shared objects
+    checked = set()
     for i, (row, got) in enumerate(zip(rows, table.irreducibles)):
         for c, (v, w) in enumerate(zip(row, got)):
+            if (id(v), id(w)) in checked:
+                continue
+            checked.add((id(v), id(w)))
             if w != v:
                 fail(f"eigenvalue multiplicities {table.eigen[i][c]} do not give back the"
                      f" value {v!r} of character {i} of {name} at class {c}")

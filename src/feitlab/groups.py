@@ -554,9 +554,9 @@ class LinearChar:
 class MonomialPair:
     """A subgroup together with one of its linear characters, keyed by
     ``key()``: the subgroup's order and elements, then the character's
-    order and exponents."""
+    order and exponents.  The key never changes, so its hash is kept."""
 
-    __slots__ = ("subgroup", "character", "_key")
+    __slots__ = ("subgroup", "character", "_key", "_hash")
 
     def __init__(self, subgroup: Subgroup, character: LinearChar):
         if character.domain != subgroup:
@@ -564,6 +564,7 @@ class MonomialPair:
         self.subgroup = subgroup
         self.character = character
         self._key = None
+        self._hash = None
 
     def key(self) -> tuple:
         if self._key is None:
@@ -576,7 +577,9 @@ class MonomialPair:
         return self.key() == other.key()
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __repr__(self):
         return (

@@ -15,10 +15,10 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 from . import adams, numth
 from .chartab import (
-    CharacterTable, _group_ring_sum, _value_terms, check_table_bound, compute_table,
-    load_table, save_table,
+    CharacterTable, _group_ring_sum, _integral_sum, _value_terms, check_table_bound,
+    compute_table, load_table, save_table,
 )
-from .cyclo import _make
+from .cyclo import _mapped
 from .errors import TableFormatError, UsageError
 from .groups import SPEC_HEADS, admitted_spec
 
@@ -194,12 +194,19 @@ def _oracle_checks(table: CharacterTable, oracle_bound: Optional[int], checks: L
     _check(checks, "chain_formula_agreement", (
         f"chi {i}" for i, comb in enumerate(combs)
         if comb != brauer.induction_by_orbit_chains(table, i, limit)))
+    # induced_character's values sit at level e, in lowest terms, so each
+    # equals its row's value exactly when it has denominator 1 and the
+    # level-e coordinates of the row's vector there, formed once per
+    # distinct vector
+    coords = [tuple(_mapped(e, vec, e // len(vec))) for vec in table.vectors]
     _check(checks, "section_property", (
         f"chi {i}" for i, comb in enumerate(combs)
-        if brauer.induced_character(table, comb) != table.irreducible(i)))
+        if any(v.den != 1 or v.nums != coords[p] for v, p in zip(
+            brauer.induced_character(table, comb).values, table.positions[i]))))
 
     # <chi_i, phi> for the linear characters phi of the group, from the
-    # rows' value terms and phi's exponents at the class representatives
+    # rows' value terms and phi's exponents at the class representatives,
+    # read as an integer (None if it is not one)
     whole = group.whole_subgroup()
     level = math.lcm(e, *(v.level for row in table.irreducibles for v in row))
     rows = [_value_terms(row, level) for row in table.irreducibles]
@@ -213,7 +220,7 @@ def _oracle_checks(table: CharacterTable, oracle_bound: Optional[int], checks: L
         f"chi {i}, order-{pair.character.order} character"
         for pair, lin in lins for i, (terms, den) in enumerate(rows)
         if combs[i].coefficient(pair)
-        != _make(level, _group_ring_sum(level, zip(sizes, terms, lin)), table.order * den)))
+        != _integral_sum(_group_ring_sum(level, zip(sizes, terms, lin)), table.order * den)))
 
     failure = brauer.restriction_failure(table, limit)
     _check(checks, "restriction_naturality", [

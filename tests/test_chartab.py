@@ -546,6 +546,14 @@ INTEGER_FIELDS = [
     ("cyclic:3", lambda d, k=k: (d["irreducibles"][0][1]["terms"][1], k),
      "value of character 0 at class 1: terms")
     for k in range(3)
+] + [
+    # cells (1, 1) of cyclic:3, above, and (1, 2) repeat the valid values of
+    # cells (0, 2) and (0, 1), and a float or bool entry equals the int it
+    # replaces, so these are refused at their own cells only if a value
+    # parsed once is reused for exact ints alone
+    ("cyclic:3", lambda d, k=k: (d["irreducibles"][1][2]["terms"][0], k),
+     "value of character 1 at class 2: terms")
+    for k in range(3)
 ]
 
 
@@ -563,6 +571,29 @@ def test_load_refuses_an_integer_field_that_is_not_a_json_integer(spec, place, f
     with pytest.raises(TableFormatError,
                        match=f"malformed table document for {spec}: {field}"):
         load_table(json.dumps(doc))
+
+
+def test_load_guard_cases_repeat_an_earlier_valid_value():
+    doc = json.loads(save_table(table("cyclic:3")))
+    rows = doc["irreducibles"]
+    assert rows[1][1] == rows[0][2] and rows[1][2] == rows[0][1]
+    assert all(isinstance(v, dict) for v in (rows[0][1], rows[0][2]))
+
+
+@pytest.mark.parametrize("spec", ["cyclic:12", "elementary:2,4"])
+def test_load_parses_each_distinct_value_once(spec, monkeypatch):
+    blob = save_table(table(spec))
+    distinct = {json.dumps(v) for row in json.loads(blob)["irreducibles"] for v in row}
+    calls = []
+    real = Cyclotomic.from_json
+
+    def counted(data):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(Cyclotomic, "from_json", staticmethod(counted))
+    assert save_table(load_table(blob)) == blob
+    assert len(calls) == len(distinct)
 
 
 # the corpus's tables and five of the feit pool's, among them products, an

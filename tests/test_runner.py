@@ -8,7 +8,7 @@ import pytest
 from feitlab import adams, brauer, runner
 from feitlab.chartab import compute_table
 from feitlab.errors import TableFormatError
-from feitlab.groups import from_spec
+from feitlab.groups import MonomialPair, from_spec
 
 # below the order of sym:3: the oracle's checks are skipped
 NO_ORACLE = 1
@@ -110,3 +110,72 @@ def test_max_sets_names_the_last_failing_row(sym3, monkeypatch):
     assert report["oracle_checked"]
     assert record(report, "max_sets") == {"name": "max_sets", "passed": False, "detail": "chi 1"}
     assert not report["all_passed"]
+
+
+def perturb(monkeypatch, i, pair):
+    """Patch ``brauer.induction_by_chains`` so that row i's canonical
+    induction coefficient at ``pair`` reads one more."""
+    real = brauer.induction_by_chains
+
+    def flawed(table, chi, bound=None, sub=None):
+        comb = real(table, chi, bound, sub)
+        if chi == i:
+            comb = comb + brauer.PairCombination(comb.group_key, {pair: 1})
+        return comb
+
+    monkeypatch.setattr(brauer, "induction_by_chains", flawed)
+
+
+def test_normalization_names_the_row_and_the_order_of_a_wrong_coefficient(sym3, monkeypatch):
+    # the coefficient of (G, phi) is <chi, phi> for a linear phi of G: row
+    # 1, the trivial character, one too high at the sign, of order 2
+    whole = sym3.group.whole_subgroup()
+    sign = next(phi for phi in whole.linear_characters() if phi.order == 2)
+    perturb(monkeypatch, 1, MonomialPair(whole, sign))
+    report = runner.verify_table(sym3)
+    assert report["oracle_checked"]
+    assert record(report, "normalization") == {
+        "name": "normalization", "passed": False, "detail": "chi 1, order-2 character"}
+
+
+def test_normalization_fails_on_an_irrational_sum(sym3, monkeypatch):
+    # the group-ring sum of <chi, phi> with its z coordinate moved is
+    # irrational, so it equals no integer coefficient, although its
+    # constant coordinate is unchanged; the last row and character fail last
+    real = runner._group_ring_sum
+
+    def irrational(level, terms):
+        sums = real(level, terms)
+        sums[1] += 1
+        return sums
+
+    monkeypatch.setattr(runner, "_group_ring_sum", irrational)
+    report = runner.verify_table(sym3)
+    assert record(report, "normalization") == {
+        "name": "normalization", "passed": False, "detail": "chi 2, order-2 character"}
+
+
+def test_section_property_names_a_row_whose_combination_is_wrong(sym3, monkeypatch):
+    # one more (1, 1) in row 2's combination adds the regular character,
+    # which is 0 off the identity: the induced row is wrong at class 0 only
+    trivial = sym3.group.subgroup([sym3.group.identity])
+    perturb(monkeypatch, 2, MonomialPair(trivial, trivial.linear_characters()[0]))
+    report = runner.verify_table(sym3)
+    assert record(report, "section_property") == {
+        "name": "section_property", "passed": False, "detail": "chi 2"}
+    assert record(report, "normalization")["passed"]
+
+
+def test_section_property_reads_the_denominator(sym3, monkeypatch):
+    # an induced value with a row's numerators over 2 is not the row's
+    # value: halving the odd degrees breaks the two linear rows, 0 and 1
+    real = brauer.induced_character
+
+    def halved(table, comb):
+        func = real(table, comb)
+        d = func.values[0]
+        return func if d.nums[0] % 2 == 0 else table.class_function((d / 2, *func.values[1:]))
+
+    monkeypatch.setattr(brauer, "induced_character", halved)
+    assert record(runner.verify_table(sym3), "section_property") == {
+        "name": "section_property", "passed": False, "detail": "chi 1"}
