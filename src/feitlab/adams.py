@@ -12,9 +12,11 @@ subsets rho of the primes of n: W_m[k] is the total size of the classes
 whose m-th power lies in class k, and T[k] the trace to Q, from the level
 of the exponent e, of chi at class k, as <psi^m chi, 1> is rational and so
 equal to its average over the Galois group of that field.  The table holds
-each n's terms (``CharacterTable.adams_terms``) and, per distinct
-multiplicity vector, the least exponent of each eigenvalue order it counts
-(``CharacterTable.eigen_orders``), from which the witness of S > 0 is read.
+each n's terms (``CharacterTable.adams_terms``, sharing one W_m per
+modulus m) and, per distinct multiplicity vector, the least exponent of
+each eigenvalue order it counts (``CharacterTable.eigen_orders``), from
+which the witness of S > 0 is read.  A row's invariant and indicator read
+none of the table's values.
 """
 
 from __future__ import annotations

@@ -56,13 +56,16 @@ A table is its index.  The transform (``_eigen_from_residues``) and a
 product's convolution (``_product_rows``) place each multiplicity vector
 among the distinct ones as they yield it, and a row is its degree and the
 position of each class's vector among them.  A table is built from that
-index and holds no other per-cell data: its values and vectors are tuples
-of shared objects, one value formed per distinct vector.  Every other fact
-of a vector alone is computed once per distinct vector, into a list read
-by position: its sort coordinates, its Gram codes, its conductor and its
-trace.  A class function other than a row holds its integer coordinates
-on the rows, and its traces and vectors are those combinations of the
-rows'.
+index and forms nothing else at build: its values, one per distinct
+vector, and its per-cell tuples of those values and of the vectors are
+formed the first time they are read, which no indicator or invariant
+does.  Every other fact of a vector alone is computed once per distinct
+vector, into a list read by position: its sort coordinates, its Gram
+codes, its conductor, its trace and its eigenvalue orders.  The class
+weights W_m are formed once per modulus m, the first time any n's Adams
+terms or ``class_weights`` ask for them.  A class function other than a
+row holds its integer coordinates on the rows, and its traces and vectors
+are those combinations of the rows'.
 
 Both routes give the index and the rows, as degrees and positions
 (``_rows``); the row sort, the table and the validation that follow are one path
@@ -202,10 +205,10 @@ class ClassFunction:
 
 class AdamsTerms(NamedTuple):
     """The signed sum of Adams operations at one n, an entry per subset rho
-    of the primes of n (``numth.prime_subsets``): its sign (-1)^|rho|, its
-    modulus m_rho, the class weights W_{m_rho} over every class, to pair
-    with a trace vector, and its JSON label (its primes ascending, as
-    "2,5")."""
+    of the primes of n, in the order of ``numth.prime_subsets``: its sign
+    (-1)^|rho|, its modulus m_rho (``numth.subset_modulus``), the class
+    weights W_{m_rho} over every class, to pair with a trace vector, and
+    its JSON label (its primes ascending, as "2,5")."""
 
     subsets: Tuple[FrozenSet[int], ...]
     signs: Tuple[int, ...]
@@ -229,20 +232,24 @@ class CharacterTable:
     c, among the eigenvalues of a representation affording character i at
     class c.  ``power_map[c][a]`` is the class of rep(c)^a for a below t.
 
-    A table is its index, formed where its vectors were made, and holds no
-    other per-cell data: ``vectors`` holds each distinct vector once, and
-    ``positions[i][c]`` names the one at row i and class c.  The value each
-    vector gives is formed once, as the table is built, into ``values``, and
-    ``irreducibles`` and ``eigen`` are tuples of those shared objects, read
-    through ``positions``.  Every other per-vector fact (a Gram code, a
-    conductor, a trace) is computed once per distinct vector into a list
-    read by position.
+    A table is its index, formed where its vectors were made, and forms
+    nothing else as it is built: ``vectors`` holds each distinct vector
+    once, and ``positions[i][c]`` names the one at row i and class c.  The
+    value each vector gives (``values``), and ``irreducibles`` and
+    ``eigen``, the tuples of those shared objects read through
+    ``positions``, are formed the first time they are read, by a table's
+    serialization, its checks, the oracle or a printout; ``degree`` reads
+    the vectors.  Every other per-vector fact (a Gram code, a conductor, a
+    trace) is computed once per distinct vector into a list read by
+    position.
 
     ``adams.invariant`` pairs the class weights, signs, moduli and JSON
     labels of each n (``adams_terms``) with each row's trace vector
     (``traces``), both kept, and reads its witness from each distinct
     vector's eigenvalue orders (``eigen_orders``), each formed the first
-    time a witness asks for it.
+    time a witness asks for it.  Each W_m is formed once per modulus m and
+    kept (``_weights``), shared by every n whose terms hold it and by
+    ``class_weights``.
     """
 
     def __init__(
@@ -261,12 +268,10 @@ class CharacterTable:
         self.classes = tuple(classes)
         self.power_map = tuple(tuple(row) for row in power_map)
         self.vectors, self.positions = index
-        self.values = values = tuple([_vector_value(vec) for vec in self.vectors])
-        self.irreducibles = tuple(tuple(map(values.__getitem__, row)) for row in self.positions)
-        self.eigen = tuple(tuple(map(self.vectors.__getitem__, row)) for row in self.positions)
         self.group = group
         self.class_reps = (None if group is None
                            else tuple(c.rep for c in group.conjugacy_classes()))
+        self._weights_at: Dict[int, Tuple[int, ...]] = {}
         self._adams_terms: Dict[int, AdamsTerms] = {}
         self._eigen_orders: List[Optional[Dict[int, int]]] = [None] * len(self.vectors)
         # the oracle's MonomialContext of the group once it has served this
@@ -283,6 +288,25 @@ class CharacterTable:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
+
+    @cached_property
+    def values(self) -> Tuple[Cyclotomic, ...]:
+        """The value each distinct vector gives (``_vector_value``), one per
+        vector, formed the first time they are read."""
+        return tuple([_vector_value(vec) for vec in self.vectors])
+
+    @cached_property
+    def irreducibles(self) -> Tuple[Tuple[Cyclotomic, ...], ...]:
+        """Per row and per class, its value: ``values`` read through
+        ``positions``, formed the first time they are read."""
+        values = self.values
+        return tuple(tuple(map(values.__getitem__, row)) for row in self.positions)
+
+    @cached_property
+    def eigen(self) -> Tuple[Vectors, ...]:
+        """Per row and per class, its multiplicity vector: ``vectors`` read
+        through ``positions``, formed the first time they are read."""
+        return tuple(tuple(map(self.vectors.__getitem__, row)) for row in self.positions)
 
     @cached_property
     def traces(self) -> Tuple[Tuple[int, ...], ...]:
@@ -307,13 +331,13 @@ class CharacterTable:
         found = [_vector_conductor(vec) for vec in self.vectors]
         return tuple(math.lcm(*map(found.__getitem__, row)) for row in self.positions)
 
-    def _weights(self, m: int) -> List[int]:
-        """W_m over the classes: W_m[k] is the total size of the classes
-        whose m-th power lies in class k."""
-        acc = [0] * self.num_classes
-        for cls, powers in zip(self.classes, self.power_map):
-            acc[powers[m % cls.rep_order]] += cls.size
-        return acc
+    def _weights(self, m: int) -> Tuple[int, ...]:
+        """W_m over the classes (``_class_weights``), formed the first time
+        any n's terms or ``class_weights`` ask for it, and kept."""
+        found = self._weights_at.get(m)
+        if found is None:
+            found = self._weights_at[m] = _class_weights(self.classes, self.power_map, m)
+        return found
 
     def class_weights(self, m: int) -> Tuple[Tuple[int, int], ...]:
         """W_m as its nonzero entries (k, W_m[k])."""
@@ -321,18 +345,28 @@ class CharacterTable:
 
     def adams_terms(self, n: int) -> AdamsTerms:
         """The Adams combination of ``adams.invariant`` at n, a divisor of
-        the exponent, built once per n."""
-        if n not in self._adams_terms:
-            subsets = numth.prime_subsets(n)
-            moduli = tuple(numth.subset_modulus(n, self.exponent, rho) for rho in subsets)
-            self._adams_terms[n] = AdamsTerms(
-                subsets,
-                tuple((-1) ** len(rho) for rho in subsets),
-                moduli,
-                tuple(tuple(self._weights(m)) for m in moduli),
-                tuple(",".join(map(str, sorted(rho))) for rho in subsets),
-            )
-        return self._adams_terms[n]
+        the exponent e, built once per n by doubling over the primes of n,
+        ascending: the subsets with prime p are those without it, in order,
+        each with p added, its sign negated, its label extended by p, and
+        its modulus divided by p^(v_p(e) - v_p(n) + 1), which keeps
+        p^(v_p(n) - 1) of e at p (``numth.subset_modulus``)."""
+        terms = self._adams_terms.get(n)
+        if terms is None:
+            e = self.exponent
+            if n < 1 or e % n:
+                raise ValueError(f"{n} does not divide {e}")
+            at_e = dict(numth.prime_factorization(e))
+            subsets, signs, moduli, labels = [frozenset()], [1], [e], [""]
+            for p, k in numth.prime_factorization(n):
+                cut = p ** (at_e[p] - k + 1)
+                subsets += [rho | {p} for rho in subsets]
+                signs += [-sign for sign in signs]
+                moduli += [m // cut for m in moduli]
+                labels += [f"{label},{p}" if label else str(p) for label in labels]
+            terms = self._adams_terms[n] = AdamsTerms(
+                tuple(subsets), tuple(signs), tuple(moduli),
+                tuple(map(self._weights, moduli)), tuple(labels))
+        return terms
 
     def eigen_orders(self, p: int) -> Dict[int, int]:
         """The eigenvalue orders of the distinct vector at position p
@@ -344,7 +378,7 @@ class CharacterTable:
 
     def degree(self, i: int) -> int:
         """The one entry of row i's vector at the identity, class 0."""
-        (d,) = self.eigen[i][0]
+        (d,) = self.vectors[self.positions[i][0]]
         if d < 1:
             raise ConsistencyError(
                 f"character {i} of {self.name} has invalid degree {d}"
@@ -465,6 +499,16 @@ def _integral_sum(sums: Sequence[int], den: int) -> Optional[int]:
     every other coordinate is 0."""
     q, r = divmod(sums[0], den)
     return None if r or any(sums[1:]) else q
+
+
+def _class_weights(classes: Sequence[ClassData], power_map: Sequence[Sequence[int]],
+                   m: int) -> Tuple[int, ...]:
+    """W_m over the classes: W_m[k] is the total size of the classes whose
+    m-th power lies in class k."""
+    acc = [0] * len(classes)
+    for cls, powers in zip(classes, power_map):
+        acc[powers[m % cls.rep_order]] += cls.size
+    return tuple(acc)
 
 
 def _vector_value(vec: Tuple[int, ...]) -> Cyclotomic:

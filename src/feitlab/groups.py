@@ -449,15 +449,6 @@ class Subgroup:
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.name})"
 
-    def as_group(self) -> PermGroup:
-        """A standalone group (same degree, same elements), generated by the
-        elements this subgroup was generated from, built on every call."""
-        elems = self.parent.elements
-        gens = [elems[x] for x in self.gens] or [self.parent.identity]
-        return PermGroup(
-            gens, degree=self.parent.degree, name=f"{self.parent.name}-sub{self.order}"
-        )
-
     def linear_characters(self) -> Tuple["LinearChar", ...]:
         """All homomorphisms into the roots of unity, sorted by order and
         exponents, built on every call.

@@ -105,7 +105,9 @@ def subset_modulus(n: int, big_n: int, rho: Iterable[int]) -> int:
     the product over the primes p of big_n of p^(v_p(n) - 1) for p in rho,
     and of p^v_p(big_n) otherwise.
 
-    Requires n | big_n.  The result is always a divisor of big_n.
+    Requires n | big_n.  The result is always a divisor of big_n.  This is
+    the per-subset definition; ``CharacterTable.adams_terms`` forms the
+    moduli of every subset of one n at once, by doubling over its primes.
     """
     rho = frozenset(rho)
     if big_n % n != 0:

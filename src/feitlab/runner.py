@@ -34,14 +34,16 @@ def looks_like_spec(entry: str) -> bool:
 # many groups a client asks about: the most recent tables are retained
 # whether or not they are asked for again, so a scan that never repeats a
 # group pays for all of them.  Under tracemalloc a kept table with its
-# group retains 10 KiB (dihedral:12) to 211 KiB (sl2:7) as built, before
-# any `verify`, and 18 to 248 KiB after one, which fills the table's
-# traces and Adams terms and the group's multiplication table (sym:4: 12
-# KiB before, 26 KiB after).  `verify` drops the oracle's context when it
-# is done; its peak on sym:4, table build included, is 367 KiB.  Eight
-# keeps the cost under 1 MB when nothing is reused: they raise the peak
-# RSS of a process running one `feit --all` pass over groups of order
-# 25..720 from about 21.7 to 22.6 MB, where sixteen reach 22.9 MB.
+# group retains 14 KiB (dihedral:12) to 238 KiB (sl2:7) as built, with no
+# values formed; 22 to 278 KiB after an invariant of every row at every
+# divisor, which fills its traces, conductors, Adams terms and class
+# weights; and 29 to 299 KiB after one `verify`, which also forms its
+# values and the group's multiplication table (sym:4: 17, 29 and 41
+# KiB).  `verify` drops the oracle's context when it is done; its peak on
+# sym:4, table build included, is 377 KiB.  Eight keeps the cost under
+# 1 MB when nothing is reused: they raise the peak RSS of a process
+# running one `feit --all` pass over the 44 groups of order 25..720 from
+# about 18.3 to 18.6 MB, where sixteen reach 19.0 MB (Python 3.11, x86).
 TABLE_CACHE_SIZE = 8
 
 

@@ -1,5 +1,6 @@
 """The specs the tests run over: those of the bundled corpus file, read
-once, and the feit_scan benchmark's pool."""
+once, the feit_scan benchmark's pool, the point_queries benchmark's groups
+and the acceptance suite's larger set."""
 
 import json
 
@@ -24,4 +25,20 @@ FEIT_POOL = (
     "product:sym:4,cyclic:2", "sym:5", "product:sym:3,sym:3", "alt:5",
     "dihedral:32", "product:quaternion:8,sym:3", "dihedral:28",
     "product:cyclic:2,dihedral:16",
+)
+
+# the groups the point_queries benchmark asks about (POINT_GROUPS,
+# perfbench/workloads.py)
+POINT_SPECS = (
+    "sym:4", "sl2:3", "dihedral:12", "extraspecial:27", "alt:5", "sym:5",
+    "product:alt:4,cyclic:3", "dihedral:30",
+)
+
+# the acceptance suite's larger set: the corpus, sym:5, alt:5, the dihedral
+# groups of order 2..30 and extraspecial:27
+ACCEPTANCE = (
+    CORPUS
+    + ("sym:5", "alt:5")
+    + tuple(f"dihedral:{2 * n}" for n in range(1, 16) if f"dihedral:{2 * n}" not in CORPUS)
+    + ("extraspecial:27",)
 )

@@ -1,14 +1,14 @@
 """Element-level references for the indexed groups, kept in tests only: a
-subgroup lattice, a commutator subgroup, conjugacy classes, class-sum
-constants, and the restriction, conjugation and order of monomial pairs,
-all on permutation tuples; and the Schur inner product in cyclotomic
-arithmetic, the reference for the integer sums."""
+subgroup lattice, a subgroup as a standalone group, a commutator subgroup,
+conjugacy classes, class-sum constants, and the restriction, conjugation
+and order of monomial pairs, all on permutation tuples; and the Schur inner
+product in cyclotomic arithmetic, the reference for the integer sums."""
 
 from collections import Counter
 
 from feitlab import groups
 from feitlab.cyclo import Cyclotomic
-from feitlab.groups import LinearChar, MonomialPair, compose, inverse, perm_order
+from feitlab.groups import LinearChar, MonomialPair, PermGroup, compose, inverse, perm_order
 
 
 def conjugate_perm(g, h):
@@ -37,6 +37,14 @@ def closure_subgroups(group):
                 found.add(k)
                 queue.append(k)
     return found
+
+
+def as_group(sub):
+    """A subgroup as a standalone group (same degree, same elements),
+    generated by the elements it was generated from, built on every call."""
+    parent = sub.parent
+    gens = [parent.elements[x] for x in sub.gens] or [parent.identity]
+    return PermGroup(gens, degree=parent.degree, name=f"{parent.name}-sub{sub.order}")
 
 
 def derived_elements(sub):

@@ -32,7 +32,7 @@ from feitlab.cyclo import Cyclotomic, RootOfUnity, zeta
 from feitlab.groups import MonomialPair, from_spec, perm_order
 from feitlab.numth import divisors, mobius, totient, trace_root_of_unity
 from adams_references import scan_witness
-from bundled_corpus import CORPUS, FEIT_POOL
+from bundled_corpus import ACCEPTANCE, CORPUS, FEIT_POOL
 from numth_identities import (
     DivisorFunction,
     alternating_trace_closed_form,
@@ -42,12 +42,7 @@ from numth_identities import (
 )
 
 C_SMALL = CORPUS
-C_BIG = (
-    C_SMALL
-    + ("sym:5", "alt:5")
-    + tuple(f"dihedral:{2 * n}" for n in range(1, 16) if f"dihedral:{2 * n}" not in C_SMALL)
-    + ("extraspecial:27",)
-)
+C_BIG = ACCEPTANCE
 
 
 def _report(k, label, start):

@@ -28,7 +28,7 @@ from feitlab.errors import BoundExceeded, ConsistencyError
 from feitlab.groups import LinearChar, MonomialPair, compose, inverse, perm_order
 from bundled_corpus import CORPUS
 from group_references import (
-    conjugate_pair, conjugate_perm, cyclotomic_inner_product, pair_le,
+    as_group, conjugate_pair, conjugate_perm, cyclotomic_inner_product, pair_le,
 )
 from oracle_references import chain_sum, walk_restriction
 
@@ -589,7 +589,7 @@ def test_context_errors_name_the_group_passed_in():
     # order-3 subgroup, as a group of its own, has cyclic:3's elements
     g = groups.from_spec("sym:3")
     for u in g.all_subgroups():
-        ut = compute_table(u.as_group())
+        ut = compute_table(as_group(u))
         induction_by_chains(ut, ut.trivial_character())
     c3 = compute_table(groups.from_spec("cyclic:3"), name="cyclic:3")
     half = c3.class_function([Fraction(1, 2)] * c3.num_classes)
@@ -683,7 +683,7 @@ def _reference_restrict(comb, sub, lit):
     LinearChar, and find its orbit by key in ``lit``, the literal poset of
     U."""
     group = sub.parent
-    sub_group = sub.as_group()
+    sub_group = as_group(sub)
     acc = Counter()
     for pair, c in comb.coefficients.items():
         h_elems = pair.subgroup.elements
@@ -713,7 +713,7 @@ def test_indexed_restriction_matches_element_loop_over_corpus():
         t = compute_table(groups.from_spec(spec), name=spec)
         combs = [induction_by_chains(t, i) for i in range(t.num_classes)]
         for u in t.group.all_subgroups():
-            lit = _LiteralContext(u.as_group())
+            lit = _LiteralContext(as_group(u))
             for i, comb in enumerate(combs):
                 assert restrict_combination(comb, u) == \
                     _reference_restrict(comb, u, lit), (spec, i, u.order)
@@ -729,7 +729,7 @@ def test_down_set_context_equals_standalone_context():
         for u in g.all_subgroups():
             down = ctx.down_set(u)
             assert down is ctx.down_set(u) and down.poset is ctx.poset
-            alone = MonomialContext(u.as_group())
+            alone = MonomialContext(as_group(u))
             assert alone.poset is not ctx.poset
             for row in t.irreducibles:
                 restricted = [

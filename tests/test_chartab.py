@@ -7,7 +7,7 @@ from operator import mul
 
 import pytest
 
-from feitlab import adams, chartab, cyclo, groups, numth, runner
+from feitlab import adams, chartab, cli, cyclo, groups, numth, runner
 from feitlab.chartab import (
     compute_table,
     conductor,
@@ -18,7 +18,7 @@ from feitlab.chartab import (
 )
 from feitlab.cyclo import Cyclotomic, zeta
 from feitlab.errors import BoundExceeded, ConsistencyError, TableFormatError
-from bundled_corpus import CORPUS, FEIT_POOL
+from bundled_corpus import ACCEPTANCE, CORPUS, FEIT_POOL, POINT_SPECS
 from group_references import (
     class_sum_columns, cyclotomic_inner_product, tuple_conjugacy_classes,
 )
@@ -1292,27 +1292,87 @@ def test_derived_power_map_matches_each_galois_image_once(monkeypatch):
 
 
 def test_adams_terms_hold_dense_class_weights_and_labels():
-    # at every n dividing the exponent (alt:5's has three primes), each
-    # subset rho of the primes of n holds its sign, its modulus m, W_m over
-    # every class, which expands ``class_weights(m)`` and sums the sizes of
-    # the classes whose m-th power is each class, and its JSON label; each
-    # n's terms are built once
-    for spec in ("alt:5", "sym:5", "cyclic:120"):
+    # at every n dividing the exponent, each subset rho of the primes of n
+    # holds what the per-subset definition gives: its sign (-1)^|rho|, its
+    # modulus m (``numth.subset_modulus``), W_m over every class, which
+    # expands ``class_weights(m)`` and sums the sizes of the classes whose
+    # m-th power is each class, and its JSON label, in the order of
+    # ``numth.prime_subsets``; each n's terms are built once
+    for spec in dict.fromkeys(FEIT_POOL + CORPUS + POINT_SPECS + ("cyclic:120",)):
         t = table(spec)
         e = t.exponent
         for n in numth.divisors(e):
             terms = t.adams_terms(n)
-            assert terms.subsets == numth.prime_subsets(n)
+            assert terms.subsets == numth.prime_subsets(n), (spec, n)
             for rho, sign, m, weights, label in zip(*terms):
-                assert sign == (-1) ** len(rho) and m == numth.subset_modulus(n, e, rho)
+                assert sign == (-1) ** len(rho), (spec, n, rho)
+                assert m == numth.subset_modulus(n, e, rho), (spec, n, rho)
                 assert len(weights) == t.num_classes
                 assert tuple((k, x) for k, x in enumerate(weights) if x) == t.class_weights(m)
                 assert list(weights) == [
                     sum(cls.size for c, cls in enumerate(t.classes) if t.class_of_power(c, m) == k)
-                    for k in range(t.num_classes)]
-                assert label == ",".join(map(str, sorted(rho)))
+                    for k in range(t.num_classes)], (spec, n, rho)
+                assert label == ",".join(map(str, sorted(rho))), (spec, n, rho)
             assert t.adams_terms(n) is terms
     assert table("alt:5").adams_terms(30).labels[-1] == "2,3,5"
+    # a non-divisor of the exponent has no terms
+    with pytest.raises(ValueError, match="4 does not divide 6"):
+        table("sym:3").adams_terms(4)
+
+
+def test_class_weights_formed_once_per_modulus(monkeypatch):
+    # W_m is formed once per distinct modulus of a table, whichever n's
+    # terms or ``class_weights`` ask for it first: every divisor of the
+    # exponent is a modulus, 12 on sym:5 and 8 on alt:5, and the terms of
+    # every n and ``class_weights`` (which the oracle's Adams identity
+    # reads) share the one stored W_m
+    formed = []
+    form = chartab._class_weights
+
+    def counted(classes, power_map, m):
+        formed.append(m)
+        return form(classes, power_map, m)
+
+    monkeypatch.setattr(chartab, "_class_weights", counted)
+    for spec, moduli in (("sym:5", 12), ("alt:5", 8)):
+        t = table(spec)
+        formed.clear()
+        stored = {}
+        for n in numth.divisors(t.exponent):
+            terms = t.adams_terms(n)
+            for m, weights in zip(terms.moduli, terms.weights):
+                assert stored.setdefault(m, weights) is weights, (spec, n, m)
+        for m in numth.divisors(t.exponent):
+            assert t.class_weights(m) == tuple(
+                (k, x) for k, x in enumerate(stored[m]) if x), (spec, m)
+        assert sorted(formed) == sorted(stored) == list(numth.divisors(t.exponent)), spec
+        assert len(formed) == moduli, spec
+
+
+def test_request_path_forms_no_values():
+    # the indicators and the invariants read the vectors, their traces,
+    # conductors and eigenvalue orders, and W_m: after ``feit_indicator``
+    # on every row and ``invariant`` of every row at every divisor, a
+    # computed table still holds no values and no per-cell tuples, and
+    # neither does the spec table an ``s`` request answered from.  Once
+    # formed, each row's value at class 0 is its degree, an integer
+    lazy = {"values", "irreducibles", "eigen"}
+    for spec in ACCEPTANCE:
+        t = table(spec)
+        for i in range(t.num_classes):
+            adams.feit_indicator(t, i)
+            for n in numth.divisors(t.exponent):
+                adams.invariant(t, i, n)
+        assert not lazy & set(vars(t)), spec
+        for i, row in enumerate(t.irreducibles):
+            d = t.degree(i)
+            assert type(d) is int and row[0].as_integer() == d, (spec, i)
+            assert t.eigen[i][0] == (d,), (spec, i)
+        assert lazy <= set(vars(t)), spec
+    for spec in POINT_SPECS:
+        assert cli.main(["s", spec, "--chi", "1", "--n", "1", "--json"]) == 0
+        assert cli.main(["s", spec, "--chi", "1", "--n", "1"]) == 0
+        assert not lazy & set(vars(runner.resolve_input(spec))), spec
 
 
 def test_derived_power_map_refuses_equal_columns():

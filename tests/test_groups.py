@@ -20,6 +20,7 @@ from feitlab.groups import (
 )
 from bundled_corpus import CORPUS
 from group_references import (
+    as_group,
     closure_subgroups,
     conjugate_pair,
     conjugate_perm,
@@ -143,7 +144,7 @@ def test_subgroups_lagrange_and_conjugation_closed():
         again = g.subgroup(s.elements)
         assert again.mask == s.mask
         assert again == s and hash(again) == hash(s)
-        whole = s.as_group()
+        whole = as_group(s)
         assert whole.elements == s.elements
         assert sum(x in s for x in g.elements) == sum(x in whole for x in g.elements) == s.order
         for x in g.generators:
